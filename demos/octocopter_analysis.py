@@ -17,19 +17,18 @@ from resil import catalog, reach, resilience
 from resil.model import split
 
 
-def sweep(system, d_list):
+def table(system, d_list):
     print(f"-- {system.name}  (n={system.n}, inputs={system.n_inputs})")
     header = f"{'loss':>4}  {'r(C)':>8}  {'r(-C)':>8}  {'r_q':>8}  {'r_2q':>8}"
     header += "".join(f"  {'t(' + label + ')':>8}" for label, _ in d_list)
     print(header)
-    for j in range(system.n_inputs):
-        sp = split(system, j)
-        r_plus, r_minus = resilience.r_pair(sp)
-        rep = resilience.quantitative_resilience(sp)
-        rep2 = resilience.quantitative_resilience(sp, order=2)
-        row = f"{j + 1:>4}  {r_plus:>8.4f}  {r_minus:>8.4f}  {rep.r_q:>8.4f}  {rep2.r_kq:>8.4f}"
+    # r_q does not depend on the order, so one order-2 sweep gives r_q and r_2q.
+    for rep in resilience.sweep(system, range(system.n_inputs), order=2):
+        j = rep.lost_column
+        row = (f"{j + 1:>4}  {rep.r_plus:>8.4f}  {rep.r_minus:>8.4f}"
+               f"  {rep.r_q:>8.4f}  {rep.r_kq:>8.4f}")
         for _, d in d_list:
-            t = reach.time_ratio(sp, d)
+            t = reach.time_ratio(split(system, j), d)
             row += "  " + ("     inf" if np.isinf(t) else f"{t:8.4f}")
         print(row)
     print()
@@ -39,9 +38,9 @@ def main() -> None:
     rot = catalog.octocopter_rotational()
     trans = catalog.octocopter_translational()
 
-    sweep(rot, [("roll", np.array([1.0, 0.0, 0.0])),
+    table(rot, [("roll", np.array([1.0, 0.0, 0.0])),
                 ("yaw", np.array([0.0, 0.0, 1.0]))])
-    sweep(trans, [("down", np.array([0.0, 0.0, -1.0])),
+    table(trans, [("down", np.array([0.0, 0.0, -1.0])),
                   ("fwd", np.array([1.0, 0.0, 0.0]))])
 
     print("reading the tables:")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog, oracle, reach, resilience, sim
 from .errors import CapacityError, ResilError
-from .model import IntegratorSystem, load_system, split
+from .model import IntegratorSystem, load_system, split, to_machine
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -33,10 +33,6 @@ def _human(x: float) -> str:
     if math.isinf(x):
         return "∞"
     return f"{x:.6g}"
-
-
-def _machine(x: float) -> "float | str":
-    return "inf" if math.isinf(x) else float(x)
 
 
 def _load_model(spec: str) -> IntegratorSystem:
@@ -72,21 +68,19 @@ def _write_out(path: str | None, doc: object) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     sys_model = _load_model(args.model)
     columns = _parse_lost(args.lost, sys_model.n_inputs)
-    controllable = resilience.check_controllability(sys_model)
     print(f"system: {sys_model.name}  (n={sys_model.n}, inputs={sys_model.n_inputs})")
-    print(f"controllable: {controllable}")
-    if not controllable:
+    reports = resilience.sweep(sys_model, columns, order=args.order)
+    # --lost names at least one column; every report holds the system's decision.
+    print(f"controllable: {reports[0].controllable}")
+    if not reports[0].controllable:
         print("not resilient to any loss")
-    reports = []
-    for col in columns:
-        rep = resilience.quantitative_resilience(split(sys_model, col), order=args.order)
-        reports.append(rep.to_dict())
+    for rep in reports:
         print(
-            f"column {col + 1}: r(C)={_human(rep.r_plus)} r(-C)={_human(rep.r_minus)} "
+            f"column {rep.lost_column + 1}: r(C)={_human(rep.r_plus)} r(-C)={_human(rep.r_minus)} "
             f"r_q={_human(rep.r_q)} r_{{{args.order or sys_model.order},q}}={_human(rep.r_kq)} "
             f"{'resilient' if rep.resilient else 'NOT resilient'}"
         )
-    _write_out(args.out, {"system": sys_model.name, "reports": reports})
+    _write_out(args.out, {"system": sys_model.name, "reports": [r.to_dict() for r in reports]})
     return EXIT_OK
 
 
@@ -97,7 +91,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     sp = split(sys_model, tuple(columns))
     t_n = reach.nominal_reach_time(sys_model, d, order=args.order).time
     t_m = reach.malfunctioning_reach_time(sp, d, order=args.order).time
-    t = reach.time_ratio(sp, d, order=args.order)
+    t = reach.ratio_of_times(t_m, t_n)
     print(f"T_N*(d) = {_human(t_n)}")
     print(f"T_M*(d) = {_human(t_m)}")
     print(f"t(d)    = {_human(t)}")
@@ -107,9 +101,9 @@ def cmd_ratio(args: argparse.Namespace) -> int:
             "system": sys_model.name,
             "lost_columns": [c + 1 for c in columns],
             "d": [float(v) for v in d],
-            "T_N": _machine(t_n),
-            "T_M": _machine(t_m),
-            "t": _machine(t),
+            "T_N": to_machine(t_n),
+            "T_M": to_machine(t_m),
+            "t": to_machine(t),
         },
     )
     return EXIT_OK
@@ -120,7 +114,8 @@ def cmd_reach(args: argparse.Namespace) -> int:
     d = _parse_direction(args.direction)
     result = reach.nominal_reach_time(sys_model, d, order=args.order)
     print(f"T_N*(d) = {_human(result.time)}")
-    doc: dict = {"system": sys_model.name, "d": [float(v) for v in d], "T_N": _machine(result.time)}
+    doc: dict = {"system": sys_model.name, "d": [float(v) for v in d]}
+    doc["T_N"] = to_machine(result.time)
     if result.optimizer_u is not None:
         print(f"optimal u = {np.round(result.optimizer_u, 9).tolist()}")
         doc["optimizer_u"] = [float(v) for v in result.optimizer_u]
@@ -130,7 +125,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
         m = reach.malfunctioning_reach_time(sp, d, order=args.order)
         print(f"T_M*(d) = {_human(m.time)}")
         doc["lost_columns"] = [c + 1 for c in columns]
-        doc["T_M"] = _machine(m.time)
+        doc["T_M"] = to_machine(m.time)
         if m.optimizer_w is not None:
             print(f"worst w = {np.round(m.optimizer_w, 9).tolist()}")
             doc["optimizer_w"] = [float(v) for v in m.optimizer_w]
@@ -188,9 +183,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             sp = split(sys_model, 0)
             nominal = reach.nominal_reach_time(sys_model, d)
             malf = reach.malfunctioning_reach_time(sp, d)
-            u_malf = np.empty(sys_model.n_inputs)
-            u_malf[list(sp.kept_columns)] = malf.optimizer_u
-            u_malf[list(sp.lost_columns)] = malf.optimizer_w
+            u_malf = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
             horizon = 5.0 * max(nominal.time, malf.time) * args.target_speed
             for tag, u in (("nominal", nominal.optimizer_u), ("malfunctioning", u_malf)):
                 traj = sim.integrate_with_lag(

@@ -12,6 +12,7 @@ uncontrolled part C (box W_c) whose inputs are chosen adversarially.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,12 +147,24 @@ class ActuatorSplit:
         out[:, list(self.lost_columns)] = self.c
         return out
 
+    def assemble_input(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Full input vector u_bar: kept columns from u, lost columns from w."""
+        out = np.empty(self.base.n_inputs)
+        out[list(self.kept_columns)] = u
+        out[list(self.lost_columns)] = w
+        return out
+
 
 def split(sys: IntegratorSystem, lost: "int | tuple[int, ...] | list[int]") -> ActuatorSplit:
     """Split a system by the (0-based) indices of the lost columns."""
     if isinstance(lost, (int, np.integer)):
         lost = (int(lost),)
     return ActuatorSplit(sys, tuple(lost))
+
+
+def to_machine(x: float) -> "float | str":
+    """An extended real for JSON output: the string "inf" when infinite."""
+    return "inf" if math.isinf(x) else float(x)
 
 
 def system_to_dict(sys: IntegratorSystem) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reach
 from .errors import CapacityError, LpError, UnsupportedLossError
-from .model import ActuatorSplit, IntegratorSystem
+from .model import ActuatorSplit, IntegratorSystem, to_machine
 from .resilience import quantitative_resilience
 
 #: Relative violations at or below this are attributed to LP tolerance and clamped.
@@ -36,13 +36,10 @@ class ScanReport:
     max_violation: float
 
     def to_dict(self) -> dict:
-        def ext(x: float) -> "float | str":
-            return "inf" if math.isinf(x) else float(x)
-
         return {
-            "worst_value": ext(self.worst_value),
+            "worst_value": to_machine(self.worst_value),
             "worst_argument": [float(v) for v in np.atleast_1d(self.worst_argument)],
-            "theory_value": ext(self.theory_value),
+            "theory_value": to_machine(self.theory_value),
             "max_violation": float(self.max_violation),
         }
 

@@ -50,6 +50,16 @@ def _resolve_order(sys: IntegratorSystem, order: int | None) -> int:
     return k
 
 
+def _order1_time(scaling: lp.DirectionScaling) -> tuple[float, np.ndarray | None]:
+    """Order-1 reach time 1/lam* and optimizer of a max_scaled_direction outcome.
+
+    Time 0 when lam is unbounded, +inf when lam* = 0 or infeasible; no optimizer then.
+    """
+    if scaling.status == lp.OPTIMAL:
+        return 1.0 / scaling.value, scaling.argument
+    return (0.0 if scaling.status == lp.UNBOUNDED else math.inf), None
+
+
 def nominal_reach_time(
     sys: IntegratorSystem, d: np.ndarray, order: int | None = None
 ) -> ReachResult:
@@ -61,14 +71,8 @@ def nominal_reach_time(
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
-    scaling = lp.max_scaled_direction(sys.b_bar, sys.u_min, sys.u_max, d)
-    if scaling.status == lp.OPTIMAL:
-        return ReachResult(
-            time=order_k_time(1.0 / scaling.value, k), order=k, optimizer_u=scaling.argument
-        )
-    if scaling.status == lp.UNBOUNDED:
-        return ReachResult(time=0.0, order=k)
-    return ReachResult(time=math.inf, order=k)
+    t1, u = _order1_time(lp.max_scaled_direction(sys.b_bar, sys.u_min, sys.u_max, d))
+    return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u)
 
 
 def malfunction_time_for_w(
@@ -90,11 +94,7 @@ def malfunction_time_for_w(
     scaling = lp.max_scaled_direction(
         split.b, split.u_min, split.u_max, d, rhs_shift=-(split.c @ w)
     )
-    if scaling.status == lp.OPTIMAL:
-        return order_k_time(1.0 / scaling.value, k)
-    if scaling.status == lp.UNBOUNDED:
-        return 0.0
-    return math.inf
+    return order_k_time(_order1_time(scaling)[0], k)
 
 
 def w_vertices(split: ActuatorSplit) -> np.ndarray:
@@ -129,18 +129,11 @@ def malfunctioning_reach_time(
         scaling = lp.max_scaled_direction(
             split.b, split.u_min, split.u_max, d, rhs_shift=-(split.c @ w)
         )
-        if scaling.status == lp.OPTIMAL:
-            t1 = 1.0 / scaling.value
-            u = scaling.argument
-        elif scaling.status == lp.UNBOUNDED:
-            t1 = 0.0
-            u = None
-        else:
+        t1, u = _order1_time(scaling)
+        if math.isinf(t1):
             return ReachResult(time=math.inf, order=k, optimizer_w=w)
         if t1 > best_time:
-            best_time = t1
-            best_w = w
-            best_u = u
+            best_time, best_w, best_u = t1, w, u
     return ReachResult(
         time=order_k_time(best_time, k), order=k, optimizer_u=best_u, optimizer_w=best_w
     )
@@ -152,17 +145,23 @@ def time_ratio(
     order: int | None = None,
     p_max: int = P_MAX_DEFAULT,
 ) -> float:
-    """Ratio of reach times t_k(d) = T_{k,M}*(d) / T_{k,N}*(d).
+    """Ratio of reach times t_k(d) = T_{k,M}*(d) / T_{k,N}*(d); see ratio_of_times.
 
-    Convention: 1 for d = 0; +inf whenever T_M* is infinite, regardless of T_N*.
+    T_N* is not computed when T_M* is infinite: the ratio is +inf regardless.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if not np.any(d):
-        return 1.0
     t_m = malfunctioning_reach_time(split, d, order=order, p_max=p_max).time
     if math.isinf(t_m):
         return math.inf
-    t_n = nominal_reach_time(split.base, d, order=order).time
+    return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order).time)
+
+
+def ratio_of_times(t_m: float, t_n: float) -> float:
+    """t(d) = T_M*(d) / T_N*(d) from the two reach times.
+
+    +inf whenever T_M* is infinite, regardless of T_N*; 1 when both are 0 (d = 0).
+    """
+    if math.isinf(t_m):
+        return math.inf
     if t_m == 0.0 and t_n == 0.0:
         return 1.0
     return t_m / t_n

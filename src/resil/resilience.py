@@ -16,13 +16,14 @@ cross-check: both verdicts must agree.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp, reach
 from .errors import UnsupportedLossError
-from .model import ActuatorSplit, IntegratorSystem, split as make_split
+from .model import ActuatorSplit, IntegratorSystem, split as make_split, to_machine
 
 #: Singular values below this fraction of the largest count as zero for rank.
 RANK_RTOL = 1e-10
@@ -48,14 +49,11 @@ class ResilienceReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def ext(x: float) -> "float | str":
-            return "inf" if math.isinf(x) else float(x)
-
         return {
             "lost_column": self.lost_column,
             "order": self.order,
-            "lambda_plus": ext(self.lambda_plus),
-            "lambda_minus": ext(self.lambda_minus),
+            "lambda_plus": to_machine(self.lambda_plus),
+            "lambda_minus": to_machine(self.lambda_minus),
             "r_plus": float(self.r_plus),
             "r_minus": float(self.r_minus),
             "r_q": float(self.r_q),
@@ -78,16 +76,9 @@ class ReachTimeVerdict:
 
     @property
     def min_ratio(self) -> float:
-        """min over +/-C of T_N*/T_M* (equals r_q when resilient)."""
-        ratios = []
-        for tn, tm in ((self.t_n_plus, self.t_m_plus), (self.t_n_minus, self.t_m_minus)):
-            if math.isinf(tm):
-                ratios.append(0.0)
-            elif tm == 0.0:
-                ratios.append(1.0)
-            else:
-                ratios.append(tn / tm)
-        return min(ratios)
+        """1 / max(t(C), t(-C)): min over +/-C of T_N*/T_M* (equals r_q when resilient)."""
+        t_plus = reach.ratio_of_times(self.t_m_plus, self.t_n_plus)
+        return 1.0 / max(t_plus, reach.ratio_of_times(self.t_m_minus, self.t_n_minus))
 
 
 def check_controllability(sys: IntegratorSystem) -> bool:
@@ -127,26 +118,17 @@ def lambda_pair(split: ActuatorSplit) -> tuple[float, float]:
     out = []
     for sgn in (1.0, -1.0):
         scaling = lp.max_scaled_direction(split.b, split.u_min, split.u_max, sgn * c)
-        if scaling.status == lp.UNBOUNDED:
-            out.append(math.inf)
-        elif scaling.status == lp.OPTIMAL:
-            out.append(scaling.value)
-        else:
-            out.append(0.0)
+        # value is lam* when optimal and +inf when unbounded; lam = 0 otherwise.
+        out.append(scaling.value if scaling.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0)
     return out[0], out[1]
 
 
-def r_pair(split: ActuatorSplit) -> tuple[float, float]:
-    """Closed-form (r(C), r(-C)) for a single nonzero lost column.
+def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tuple[float, float]:
+    """Closed-form (r(C), r(-C)) from the lambda pair and the lost input's box.
 
     An unbounded lambda (B has a kernel direction aligned with C) sends both
     quotients to their limit 1; a vanishing denominator is reported as r = 0.
     """
-    _single_column(split)
-    lam_p, lam_m = lambda_pair(split)
-    w_min = float(split.w_min[0])
-    w_max = float(split.w_max[0])
-
     def quotient(num: float, den: float) -> float:
         if abs(den) <= 1e-12 * max(1.0, abs(num)):
             return 0.0
@@ -157,18 +139,37 @@ def r_pair(split: ActuatorSplit) -> tuple[float, float]:
     return r_p, r_m
 
 
+def r_pair(split: ActuatorSplit) -> tuple[float, float]:
+    """Closed-form (r(C), r(-C)) for a single nonzero lost column."""
+    return r_closed_form(*lambda_pair(split), float(split.w_min[0]), float(split.w_max[0]))
+
+
+def sweep(
+    sys: IntegratorSystem, columns: Iterable[int], order: int | None = None
+) -> list[ResilienceReport]:
+    """Single-loss reports for each (0-based) lost column in `columns`.
+
+    Controllability is decided once for the system; each nonzero column costs 2 LPs.
+    """
+    controllable = check_controllability(sys)
+    return [
+        quantitative_resilience(make_split(sys, col), order, controllable=controllable)
+        for col in columns
+    ]
+
+
 def quantitative_resilience(
-    split: ActuatorSplit, order: int | None = None
+    split: ActuatorSplit, order: int | None = None, *, controllable: bool | None = None
 ) -> ResilienceReport:
-    """Full single-loss resilience report for a split (Algorithm-1 style)."""
+    """Full single-loss resilience report for a split (Algorithm-1 style).
+
+    `controllable` passes in check_controllability(split.base) (see sweep).
+    """
     k = split.base.order if order is None else int(order)
-    if split.p != 1:
-        raise UnsupportedLossError(
-            f"quantitative resilience covers a single lost column; got p={split.p}"
-        )
+    c = _single_column(split)
     col = split.lost_columns[0]
-    c = split.c[:, 0]
-    controllable = check_controllability(split.base)
+    if controllable is None:
+        controllable = check_controllability(split.base)
     diagnostics: dict = {}
 
     if not controllable:
@@ -182,7 +183,7 @@ def quantitative_resilience(
         return ResilienceReport(col, k, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, True, True, diagnostics)
 
     lam_p, lam_m = lambda_pair(split)
-    r_p, r_m = r_pair(split)
+    r_p, r_m = r_closed_form(lam_p, lam_m, float(split.w_min[0]), float(split.w_max[0]))
     if math.isinf(lam_p) or math.isinf(lam_m):
         diagnostics["unbounded_lambda"] = True
 

@@ -271,11 +271,7 @@ def smooth_reach_ratio(
     if not (math.isfinite(nominal.time) and math.isfinite(malf.time)):
         raise NonReachError("scenario direction not reachable under the worst input")
 
-    # Assemble full command vectors: optimal u plus the worst vertex w.
-    u_bar_nominal = nominal.optimizer_u
-    u_bar_malf = np.empty(sys.n_inputs)
-    u_bar_malf[list(sp.kept_columns)] = malf.optimizer_u
-    u_bar_malf[list(sp.lost_columns)] = malf.optimizer_w
+    u_bar_malf = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
 
     expected = max(nominal.time, malf.time) * target_speed
     dt_bang = dt if dt is not None else DT_DEFAULT
@@ -296,8 +292,8 @@ def smooth_reach_ratio(
                 last_error = exc
         raise last_error
 
-    t_n_bang = crossing(u_bar_nominal, lag=False)
+    t_n_bang = crossing(nominal.optimizer_u, lag=False)
     t_m_bang = crossing(u_bar_malf, lag=False)
-    t_n_smooth = crossing(u_bar_nominal, lag=True)
+    t_n_smooth = crossing(nominal.optimizer_u, lag=True)
     t_m_smooth = crossing(u_bar_malf, lag=True)
     return t_m_smooth / t_n_smooth, t_m_bang / t_n_bang

@@ -118,9 +118,7 @@ def test_cross_validation_reach_vs_sim():
 
     sp = split(sys, 0)
     malf = reach.malfunctioning_reach_time(sp, d)
-    u_full = np.empty(sys.n_inputs)
-    u_full[list(sp.kept_columns)] = malf.optimizer_u
-    u_full[list(sp.lost_columns)] = malf.optimizer_w
+    u_full = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
     traj_m = sim.integrate_constant(sys, u_full, horizon=2 * malf.time, dt=dt)
     crossing_m = sim.first_crossing(traj_m, d, 1.0)
     assert abs(crossing_m - malf.time) <= 2 * dt
