@@ -172,17 +172,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_out(args.out, {"scenario": args.scenario, "ratio_bangbang": bang})
         return EXIT_OK
     if args.scenario == "octo-vertical-lag":
+        sys_model = catalog.octocopter_translational(params)
+        sp = split(sys_model, 0)
+        nominal = reach.nominal_reach_time(sys_model, d)
+        malf = reach.malfunctioning_reach_time(sp, d)
         smooth, bang = sim.smooth_reach_ratio(
-            params, d, target_speed=args.target_speed, dt=args.dt, tau=args.tau
+            params, d, target_speed=args.target_speed, dt=args.dt, tau=args.tau,
+            optima=(nominal, malf),
         )
         print(f"ratio_smooth   = {smooth:.4f}")
         print(f"ratio_bangbang = {bang:.4f}")
         print(f"ordering: ratio_smooth < ratio_bangbang is {smooth < bang}")
         if args.out_dir:
-            sys_model = catalog.octocopter_translational(params)
-            sp = split(sys_model, 0)
-            nominal = reach.nominal_reach_time(sys_model, d)
-            malf = reach.malfunctioning_reach_time(sp, d)
             u_malf = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
             horizon = 5.0 * max(nominal.time, malf.time) * args.target_speed
             for tag, u in (("nominal", nominal.optimizer_u), ("malfunctioning", u_malf)):

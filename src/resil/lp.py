@@ -1,13 +1,16 @@
 """Dense linear-program kernel: maximize c.x subject to A x = b, l <= x <= u.
 
-This is the single numeric engine behind every reach-time and lambda+/-
-computation.  The problems are tiny (at most ~15 variables, ~6 equality rows)
-but are solved in very large numbers by the brute-force oracles, so the solver
-is a hand-rolled two-phase bounded-variable simplex rather than a call into a
-general-purpose package: it is bitwise deterministic (Bland's anti-cycling
-rule, no randomized or tie-breaking-by-magnitude pivoting), and one solve has a
-median time of 0.28-0.51 ms depending on the workload (lp.solve p50 on a
-2-vCPU x86_64 VM, recorded in resilbench/trajectory.json).
+This is the oracle behind every reach-time and lambda+/- computation, and the
+fallback of the batched zonotope gauge (zonotope.py).  It solves every lambda+/-
+and controllability problem, every reported reach time and optimizer (T_M*
+screens its vertices with the gauge, then solves one LP at the worst one), and
+every batch whose H-representation zonotope.build declines.  The problems are
+tiny (at most ~15 variables, ~6 equality rows), so the solver is a hand-rolled
+two-phase bounded-variable simplex rather than a call into a general-purpose
+package: it is bitwise deterministic (Bland's anti-cycling rule, no randomized
+or tie-breaking-by-magnitude pivoting), and one solve has a median time of
+0.28-0.51 ms depending on the workload (lp.solve p50 on a 2-vCPU x86_64 VM,
+recorded in resilbench/trajectory.json).
 
 Statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED.  A
 well-posed instance of the sizes used here is always resolved; the solver has

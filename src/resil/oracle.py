@@ -4,6 +4,12 @@ These are falsifiers, not estimators: each scan hammers one closed-form claim
 (vertex optimality of the worst undesirable input, the worst direction being
 collinear with +/-C, positive homogeneity of reach times) with exhaustive or
 quasi-random sampling and reports the worst observed violation.
+
+The scans evaluate all grid points or sampled directions in gauge batches of
+the box images of B and B_bar (reach.malfunction_times, reach.time_ratios;
+zonotope.py), falling back to one LP per query where the H-representation is
+declined.  Each theory value still comes from the scalar reach path, whose
+reported times are LP solutions, so a scan compares two engines.
 """
 
 from __future__ import annotations
@@ -72,17 +78,12 @@ def grid_worst_w(
         np.linspace(lo, hi, points_per_axis)
         for lo, hi in zip(split.w_min, split.w_max)
     ]
-    worst = -math.inf
-    worst_w = None
-    for w_tuple in itertools.product(*axes):
-        w = np.array(w_tuple)
-        t = reach.malfunction_time_for_w(split, w, d)
-        if t > worst:
-            worst = t
-            worst_w = w
+    grid = np.array(list(itertools.product(*axes)))
+    times = reach.malfunction_times(split, grid, d)
+    worst = float(times.max())
     return ScanReport(
         worst_value=worst,
-        worst_argument=worst_w,
+        worst_argument=grid[int(np.argmax(times))],
         theory_value=theory,
         max_violation=_relative_excess(worst, theory),
     )
@@ -138,13 +139,13 @@ def direction_scan(split: ActuatorSplit, samples: int, seed: int) -> ScanReport:
     t_minus = reach.time_ratio(split, -c_unit)
     theory = max(t_plus, t_minus)
 
-    worst = theory
-    worst_d = c_unit if t_plus >= t_minus else -c_unit
-    for d in _unit_directions(split.base.n, samples, seed):
-        t = reach.time_ratio(split, d)
-        if t > worst:
-            worst = t
-            worst_d = d
+    worst, worst_d = theory, (c_unit if t_plus >= t_minus else -c_unit)
+    if samples > 0:
+        directions = _unit_directions(split.base.n, samples, seed)
+        ratios = reach.time_ratios(split, directions)
+        best = int(np.argmax(ratios))
+        if ratios[best] > worst:
+            worst, worst_d = float(ratios[best]), directions[best]
     return ScanReport(
         worst_value=worst,
         worst_argument=worst_d,

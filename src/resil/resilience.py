@@ -151,6 +151,7 @@ def sweep(
 
     Controllability is decided once for the system; each nonzero column costs 2 LPs.
     """
+    reach._resolve_order(sys, order)
     controllable = check_controllability(sys)
     return [
         quantitative_resilience(make_split(sys, col), order, controllable=controllable)
@@ -165,7 +166,7 @@ def quantitative_resilience(
 
     `controllable` passes in check_controllability(split.base) (see sweep).
     """
-    k = split.base.order if order is None else int(order)
+    k = reach._resolve_order(split.base, order)
     c = _single_column(split)
     col = split.lost_columns[0]
     if controllable is None:

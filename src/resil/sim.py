@@ -247,6 +247,8 @@ def smooth_reach_ratio(
     dt: float | None = None,
     tau: float | None = None,
     lost_column: int = 0,
+    *,
+    optima: "tuple[reach.ReachResult, reach.ReachResult] | None" = None,
 ) -> tuple[float, float]:
     """(ratio_smooth, ratio_bangbang) for the vertical octocopter scenario.
 
@@ -254,6 +256,8 @@ def smooth_reach_ratio(
     optimal constant nominal and worst-case malfunctioning commands (lost
     propeller given by lost_column), with and without first-order propeller
     lag, and returns the ratios of the first-crossing times of target_speed.
+    optima passes in the (T_N*(d), T_M*(d)) reach results of that split when
+    the caller has solved them already.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not (d.shape == (3,) and d[0] == 0.0 and d[1] == 0.0 and d[2] in (-1.0, 1.0)):
@@ -266,8 +270,9 @@ def smooth_reach_ratio(
     sys = catalog.octocopter_translational(params)
     sp = make_split(sys, lost_column)
 
-    nominal = reach.nominal_reach_time(sys, d)
-    malf = reach.malfunctioning_reach_time(sp, d)
+    if optima is None:
+        optima = (reach.nominal_reach_time(sys, d), reach.malfunctioning_reach_time(sp, d))
+    nominal, malf = optima
     if not (math.isfinite(nominal.time) and math.isfinite(malf.time)):
         raise NonReachError("scenario direction not reachable under the worst input")
 

@@ -6,6 +6,8 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
       Losing column 2: lambda+/- = (1,3), r(C) = 1/2, r(-C) = 2/3.
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
+`lp_solves` counts the lp.solve calls a test makes.
+
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
 test when SciPy is not installed.
@@ -16,7 +18,22 @@ import math
 import numpy as np
 import pytest
 
+from resil import lp
 from resil.model import IntegratorSystem, split
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Count every lp.solve call made while the test runs."""
+    calls = [0]
+    real = lp.solve
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return calls
 
 
 @pytest.fixture

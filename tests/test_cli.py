@@ -92,6 +92,12 @@ def test_input_error_exit_code(capsys):
     assert cli.main(["check", "--model", "catalog:octocopter-rot", "--lost", "9"]) == cli.EXIT_INPUT
 
 
+def test_check_order_zero(capsys):
+    code = cli.main(["check", "--model", "catalog:octocopter-rot", "--lost", "1", "--order", "0"])
+    assert code == cli.EXIT_INPUT
+    assert "order must be >= 1" in capsys.readouterr().err
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     sys = IntegratorSystem("wide", 1, np.ones((1, 25)), np.zeros(25), np.ones(25))
     path = tmp_path / "wide.json"

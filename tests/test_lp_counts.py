@@ -14,20 +14,6 @@ CATALOG = ["spacecraft-printed", "spacecraft-appendix", "octocopter-rot", "octoc
 
 
 @pytest.fixture
-def lp_solves(monkeypatch):
-    """Count every lp.solve call made while the test runs."""
-    calls = [0]
-    real = lp.solve
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "solve", counting)
-    return calls
-
-
-@pytest.fixture
 def unbounded_lp(monkeypatch):
     """Every scaling LP reports an unbounded lam.
 
@@ -50,21 +36,41 @@ def test_check_all_spacecraft_lp_count(lp_solves, capsys):
     assert lp_solves[0] == 2 * sys.n + 2 * nonzero == 40
 
 
+def _ratio_case(model, lost, d, p, lps):
+    # The id keeps the (model, lost, d, p) form the case was first listed under.
+    return pytest.param(model, lost, d, p, lps, id=f"{model}-{lost}-{d}-{p}")
+
+
 @pytest.mark.parametrize(
-    "model, lost, d, p",
+    "model, lost, d, p, lps",
     [
-        ("catalog:octocopter-trans:0", "1", "0,0,-1", 1),
-        ("catalog:octocopter-rot", "5,6,7,8", "1,0,0", 4),
+        # One LP at the worst of the 2^p gauge-screened vertices, one for T_N*.
+        _ratio_case("catalog:octocopter-trans:0", "1", "0,0,-1", 1, 2),
+        _ratio_case("catalog:octocopter-rot", "5,6,7,8", "1,0,0", 4, 2),
+        # 2 C(13, 5) = 2574 facet candidates exceed FACETS_PER_LP * 2^p: the
+        # LP path solves every vertex, then T_N*.
+        _ratio_case("catalog:spacecraft-printed", "3", "0,0,0,0,0,1", 1, 2**1 + 1),
     ],
 )
-def test_ratio_lp_count(lp_solves, capsys, tmp_path, model, lost, d, p):
+def test_ratio_lp_count(lp_solves, capsys, tmp_path, model, lost, d, p, lps):
     out = tmp_path / "ratio.json"
     code = cli.main(["ratio", "--model", model, "--lost", lost, "-d", d, "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert json.loads(out.read_text())["T_M"] != "inf"  # every vertex LP runs
-    # 2^p vertex LPs for T_M*, one LP for T_N*.
-    assert lp_solves[0] == 2**p + 1
+    doc = json.loads(out.read_text())
+    assert doc["T_M"] != "inf"  # no early exit at an infinite vertex
+    assert len(doc["lost_columns"]) == p
+    assert lp_solves[0] == lps
+
+
+def test_simulate_out_dir_lp_count(lp_solves, capsys, tmp_path):
+    argv = ["simulate", "octo-vertical-lag", "--tau", "0.05"]
+    assert cli.main(argv) == 0
+    without = lp_solves[0]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # T_N* and the screened T_M* once each; the trajectories reuse them.
+    assert lp_solves[0] - without == without == 2
 
 
 def _assert_sweep_matches(sys, order):

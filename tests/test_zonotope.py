@@ -1,0 +1,217 @@
+"""The zonotope gauge against the simplex LP and HiGHS, and the LP fallback rule."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from resil import catalog, lp, oracle, reach, zonotope
+from resil.model import IntegratorSystem, split
+from resil.resilience import quantitative_resilience
+
+#: Relative agreement required between the gauge and either LP.
+REL = 1e-9
+
+
+def _random_split(seed: int):
+    """A split of a mixed-scale system with repeated, anti-parallel and zero columns.
+
+    Entries spread over 1e-6..1e-2, n = 1..6, one or two lost columns.  In
+    about 30 % of draws every kept column has u_min = 0, so 0 is a vertex of
+    the kept image, on its boundary.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    cols = n + 3 + int(rng.integers(0, 3))
+    b = rng.standard_normal((n, cols)) * 10.0 ** rng.uniform(-6.0, -2.0, size=(n, cols))
+    b[:, -1] = b[:, 0]
+    b[:, -2] = -rng.uniform(0.2, 2.0) * b[:, 1]
+    b[:, -3] = 0.0
+    lo = -rng.uniform(0.2, 1.0, cols)
+    hi = rng.uniform(0.2, 1.0, cols)
+    lost = tuple(int(j) for j in rng.choice(cols, size=int(rng.integers(1, 3)), replace=False))
+    if rng.random() < 0.3:
+        lo[[j for j in range(cols) if j not in lost]] = 0.0
+    sys = IntegratorSystem("rand", 1, b, lo, hi)
+    return split(sys, lost), rng
+
+
+def _status(lam_hat: float) -> str:
+    """The lp.max_scaled_direction status a gauge value stands for."""
+    if math.isnan(lam_hat):
+        return lp.NEGATIVE_CERTIFICATE
+    if math.isinf(lam_hat):
+        return lp.UNBOUNDED
+    return lp.OPTIMAL if lam_hat > lp.lambda_threshold(np.ones(1)) else lp.ZERO
+
+
+def _boundary_point(sp, rng) -> np.ndarray:
+    """A support point of the kept image along a random normal: on its boundary."""
+    a = rng.standard_normal(sp.base.n)
+    return sp.b @ np.where(a @ sp.b >= 0.0, sp.u_max, sp.u_min)
+
+
+def _highs_lam_hat(highs, sp, d, s):
+    """HiGHS lam_hat for unit d, posed in centered, row-scaled coordinates.
+
+    u = mid + half * v with v in [-1, 1], and each state row divided by its
+    largest generator entry: an exact reformulation (lam is invariant under
+    both).  Posed on the raw data, HiGHS's absolute feasibility tolerance of
+    1e-7 moves lam by up to 2e-8 relative on 1e-6-scale entries and accepts a
+    shift 1.3e-8 outside an image 2.9e-4 wide (n = 1, 0 on the boundary).
+    """
+    half = (sp.u_max - sp.u_min) / 2.0
+    gens = sp.b * half
+    rows = np.abs(gens).max(axis=1)
+    rows[rows == 0.0] = 1.0
+    center = sp.b @ ((sp.u_max + sp.u_min) / 2.0)
+    return highs.scaling(gens / rows[:, None], -np.ones(sp.m), np.ones(sp.m),
+                         d / np.linalg.norm(d) / rows, (s - center) / rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_scalings_match_lp_and_highs(seed, highs):
+    sp, rng = _random_split(seed)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    if zono is None:
+        assert np.linalg.matrix_rank(sp.b) < sp.base.n
+        return
+    directions = rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+    # -C w at every W_c vertex, 0, and a point on the image boundary.
+    shifts = np.vstack([
+        -(reach.w_vertices(sp) @ sp.c.T), np.zeros(sp.base.n), _boundary_point(sp, rng)
+    ])
+    lam_hat = zono.scalings(directions, shifts)
+    for i, d in enumerate(directions):
+        norm = float(np.linalg.norm(d))
+        for j, s in enumerate(shifts):
+            ref = lp.max_scaled_direction(sp.b, sp.u_min, sp.u_max, d, rhs_shift=s)
+            got = lam_hat[i, j]
+            assert _status(got) == ref.status, (i, j, got, ref)
+            ref_highs = _highs_lam_hat(highs, sp, d, s)
+            if ref.status == lp.NEGATIVE_CERTIFICATE:
+                assert ref_highs is None
+            elif ref.status == lp.OPTIMAL:
+                assert got / norm == pytest.approx(ref.value, rel=REL)
+                assert got == pytest.approx(ref_highs, rel=REL)
+            else:
+                assert ref_highs <= 2e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_batched_reach_matches_scalar(seed):
+    sp, rng = _random_split(seed)
+    directions = rng.standard_normal((5, sp.base.n))
+    ratios = reach.time_ratios(sp, directions)
+    for d, t in zip(directions, ratios):
+        ref = reach.time_ratio(sp, d)
+        assert t == pytest.approx(ref, rel=REL) if math.isfinite(ref) else t == ref
+    ws = sp.w_min + rng.random((6, sp.p)) * (sp.w_max - sp.w_min)
+    times = reach.malfunction_times(sp, ws, directions[0])
+    for w, t in zip(ws, times):
+        ref = reach.malfunction_time_for_w(sp, w, directions[0])
+        assert t == pytest.approx(ref, rel=REL) if math.isfinite(ref) else t == ref
+
+
+def _lp_only(monkeypatch):
+    """Make zonotope.build decline every matrix (no facet budget)."""
+    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_screened_tm_matches_vertex_enumeration(seed):
+    sp, rng = _random_split(seed)
+    d = rng.standard_normal(sp.base.n)
+    screened = reach.malfunctioning_reach_time(sp, d)
+    with pytest.MonkeyPatch.context() as mp:
+        _lp_only(mp)
+        enumerated = reach.malfunctioning_reach_time(sp, d)
+    if math.isinf(enumerated.time):
+        assert math.isinf(screened.time)
+    else:
+        assert screened.time == pytest.approx(enumerated.time, rel=REL)
+
+
+def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solves):
+    d = np.array([1.0, 0.3])
+    with pytest.MonkeyPatch.context() as mp:
+        _lp_only(mp)
+        enumerated = reach.malfunctioning_reach_time(toy1_split, d)
+    lp_solves[0] = 0
+    # A screen that finds every vertex infeasible: the LP at vertex 0 is finite.
+    monkeypatch.setattr(
+        zonotope.Zonotope, "scalings", lambda self, dirs, shifts: np.full((1, len(shifts)), np.nan)
+    )
+    result = reach.malfunctioning_reach_time(toy1_split, d)
+    assert result.time == enumerated.time
+    assert np.array_equal(result.optimizer_w, enumerated.optimizer_w)
+    assert lp_solves[0] == 1 + 2  # the screened vertex, then both vertices
+
+
+def test_rank_deficient_takes_lp_path(lp_solves):
+    # B has rank 1; C lies in its range, so every vertex time is finite.
+    sys = IntegratorSystem("rd", 1, np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]),
+                           -np.ones(3), np.ones(3))
+    sp = split(sys, 2)
+    assert zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6) is None
+    assert math.isfinite(reach.malfunctioning_reach_time(sp, np.array([1.0, 2.0])).time)
+    assert lp_solves[0] == 2**sp.p
+    reach.malfunction_times(sp, np.array([[-1.0], [0.0], [1.0]]), np.array([1.0, 2.0]))
+    assert lp_solves[0] == 2**sp.p + 3
+
+
+def test_over_facet_budget_takes_lp_path(lp_solves):
+    sp = split(catalog.spacecraft_printed(), 2)
+    nonzero = int(np.count_nonzero(np.any(sp.b != 0.0, axis=0)))
+    assert zonotope.candidate_count(sp.base.n, nonzero) == 2 * math.comb(13, 5)
+    assert zonotope.candidate_count(sp.base.n, nonzero) > zonotope.FACETS_PER_LP * 2**sp.p
+    assert zonotope.build(sp.b, sp.u_min, sp.u_max, lps=2**sp.p) is None
+    reach.malfunctioning_reach_time(sp, np.eye(6)[5])
+    assert lp_solves[0] == 2**sp.p
+    # Within budget the same matrix is built and screened: one LP.
+    assert zonotope.build(sp.b, sp.u_min, sp.u_max, lps=30) is not None
+
+
+def test_scalings_chunked_like_unchunked(monkeypatch):
+    sp = split(catalog.octocopter_translational(), 0)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    rng = np.random.default_rng(4)
+    directions = rng.standard_normal((7, 3))
+    shifts = -(rng.uniform(sp.w_min, sp.w_max, size=(50, 1)) @ sp.c.T)
+    whole = zono.scalings(directions, shifts)
+    monkeypatch.setattr(zonotope, "BLOCK_ELEMENTS", 1)
+    # One pair per block: equal up to the rounding of differently shaped products.
+    np.testing.assert_allclose(zono.scalings(directions, shifts), whole, rtol=1e-14)
+
+
+def test_zero_direction_rejected():
+    zono = zonotope.build(np.eye(2), -np.ones(2), np.ones(2), lps=1)
+    with pytest.raises(lp.LpError, match="nonzero"):
+        zono.scalings(np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+def _scan_cases():
+    sys = catalog.octocopter_translational()
+    cases = [(split(sys, 0), np.array([0.0, 0.0, -1.0])), (split(sys, 2), np.array([0.3, -1.0, 0.2]))]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        b = rng.standard_normal((3, 6)) * 10.0 ** rng.uniform(-6.0, -2.0, size=(3, 6))
+        cases.append((split(IntegratorSystem("gen", 1, b, -np.ones(6), np.ones(6)), 5),
+                      rng.standard_normal(3)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_scan_worst_argument_attains_worst_value(case):
+    sp, d = _scan_cases()[case]
+    grid = oracle.grid_worst_w(sp, d, 21)
+    t = reach.malfunction_time_for_w(sp, grid.worst_argument, d)
+    assert t == pytest.approx(grid.worst_value, rel=1e-12)
+    if not quantitative_resilience(sp).resilient:
+        return
+    scan = oracle.direction_scan(sp, 200, seed=3)
+    assert reach.time_ratio(sp, scan.worst_argument) == pytest.approx(scan.worst_value, rel=1e-12)
