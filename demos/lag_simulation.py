@@ -2,14 +2,19 @@
 
 The theory assumes inputs switch instantaneously (bang-bang).  Real rotors
 follow commanded speeds with a first-order lag of time constant tau.  This
-script simulates the nominal and the propeller-1-lost octocopter descending
-to a target vertical speed, with and without lag, and shows that
+script computes when the nominal and the propeller-1-lost octocopter,
+descending from hover, first reach a target vertical speed, with and without
+lag, and shows that
 
   ratio_smooth(tau) < ratio_bangbang   for every tau > 0,
 
 with the gap shrinking monotonically as tau -> 0: the lag hurts the fully
 actuated octocopter relatively more than the damaged one, so the theoretical
 bang-bang ratio is a conservative bound for the lagged plant.
+
+Both crossing times are exact closed forms in the rate a = d . B u of each
+command: target/a without lag, and the root of a (t - tau (1 - exp(-t/tau)))
+= target with it (sim.lag_crossing); no trajectory is integrated.
 
 Run:  python demos/lag_simulation.py
 """

@@ -165,9 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = catalog.OctocopterParams()
     d = np.array([0.0, 0.0, -1.0])
     if args.scenario == "octo-vertical-bang":
-        smooth, bang = sim.smooth_reach_ratio(
-            params, d, target_speed=args.target_speed, dt=args.dt, tau=1e-4
-        )
+        _smooth, bang = sim.smooth_reach_ratio(params, d, target_speed=args.target_speed)
         print(f"ratio_bangbang = {bang:.4f}")
         _write_out(args.out, {"scenario": args.scenario, "ratio_bangbang": bang})
         return EXIT_OK
@@ -177,8 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         nominal = reach.nominal_reach_time(sys_model, d)
         malf = reach.malfunctioning_reach_time(sp, d)
         smooth, bang = sim.smooth_reach_ratio(
-            params, d, target_speed=args.target_speed, dt=args.dt, tau=args.tau,
-            optima=(nominal, malf),
+            params, d, target_speed=args.target_speed, tau=args.tau, optima=(nominal, malf)
         )
         print(f"ratio_smooth   = {smooth:.4f}")
         print(f"ratio_bangbang = {bang:.4f}")
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="case-study trajectory scenarios")
     p_sim.add_argument("scenario", choices=["octo-vertical-bang", "octo-vertical-lag"])
     p_sim.add_argument("--tau", type=float, default=0.1, help="propeller time constant (s)")
-    p_sim.add_argument("--dt", type=float, default=None, help="sample spacing (s)")
+    p_sim.add_argument("--dt", type=float, default=None, help="--out-dir CSV sample spacing (s)")
     p_sim.add_argument("--target-speed", type=float, default=1.0, help="target speed (m/s)")
     p_sim.add_argument("--out", default=None, help="write JSON summary here")
     p_sim.add_argument("--out-dir", default=None, help="write trajectory CSVs here")

@@ -1,12 +1,18 @@
-"""Trajectory integration: constant inputs and first-order propeller lag.
+"""Trajectories and crossing times: constant inputs and first-order propeller lag.
 
-Both models admit exact segment-wise closed forms, so no generic ODE stepping
-(and no solver tolerance) enters the results:
+Both models admit exact closed forms, so no generic ODE stepping (and no
+solver tolerance) enters the results:
 
 - constant forcing: x^(k) = const gives polynomial states;
 - first-order lag u' = (u_c - u)/tau gives exponential-plus-constant forcing,
   whose repeated integrals follow the recurrence
-      E_0(h) = exp(-h/tau),   E_r(h) = tau * (h^(r-1)/(r-1)! - E_(r-1)(h)).
+      E_0(h) = exp(-h/tau),   E_r(h) = tau * (h^(r-1)/(r-1)! - E_(r-1)(h)),
+  evaluated for all samples of a command segment at once; each segment
+  starts from the previous one's end state (Taylor shift plus E_r).
+
+The scenario ratios of `smooth_reach_ratio` come from the closed-form
+crossing times (target/rate without lag, `lag_crossing` with it); sampled
+trajectories and `first_crossing` serve CSV export and tests.
 """
 
 from __future__ import annotations
@@ -105,14 +111,6 @@ def integrate_constant(
     return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
 
 
-def _repeated_exp_integrals(h: float, tau: float, k: int) -> list[float]:
-    """[E_0(h), ..., E_k(h)] for the decaying exponential exp(-s/tau)."""
-    out = [math.exp(-h / tau)]
-    for r in range(1, k + 1):
-        out.append(tau * (h ** (r - 1) / math.factorial(r - 1) - out[r - 1]))
-    return out
-
-
 def integrate_with_lag(
     sys: IntegratorSystem,
     commands: "list[tuple[float, np.ndarray]] | np.ndarray",
@@ -122,7 +120,7 @@ def integrate_with_lag(
     u0: np.ndarray | None = None,
     x0: np.ndarray | None = None,
 ) -> Trajectory:
-    """Propagate with first-order input lag u' = (u_c - u)/tau (exact per step).
+    """Propagate with first-order input lag u' = (u_c - u)/tau (exact per segment).
 
     commands is either a single command vector or a piecewise-constant schedule
     [(t_start, vector), ...] with t_start increasing from 0.
@@ -142,6 +140,9 @@ def integrate_with_lag(
         schedule = [(float(t), np.atleast_1d(np.asarray(u, dtype=float))) for t, u in commands]
     if not schedule or schedule[0][0] != 0.0:
         raise ModelError("command schedule must start at t = 0")
+    starts = [t for t, _ in schedule]
+    if any(b < a for a, b in zip(starts, starts[1:])):
+        raise ModelError("command schedule times must not decrease")
     for _, u_c in schedule:
         if u_c.shape != (sys.n_inputs,):
             raise ModelError(f"command must have length {sys.n_inputs}")
@@ -156,64 +157,40 @@ def integrate_with_lag(
         state[:n] = np.atleast_1d(np.asarray(x0, dtype=float))
 
     times = _sample_grid(horizon, dt)
-    # Insert command switch times into the grid so each step lies in one segment.
-    switch = [t for t, _ in schedule[1:] if 0.0 < t < horizon]
+    # Insert command switch times into the grid so each segment starts on a sample.
+    switch = [t for t in starts[1:] if 0.0 < t < horizon]
     if switch:
         times = np.unique(np.concatenate([times, np.asarray(switch)]))
 
-    if len(schedule) == 1:
-        # Single command segment: evaluate the global closed form on the whole
-        # grid at once (initial derivatives are zero, so no stepwise carrying).
-        u_c = schedule[0][1]
+    def segment(h: np.ndarray, state: np.ndarray, u: np.ndarray, u_c: np.ndarray):
+        # From (state, u) at the segment start, h later: the Taylor shift of the
+        # state plus the exact forcing integrals E_r(h) of the lag.
         const_acc = sys.b_bar @ u_c
         decay_acc = sys.b_bar @ (u - u_c)
-        decay = np.exp(-times / tau)
-        integrals = [decay]
+        integrals = [np.exp(-h / tau)]
         for r in range(1, k + 1):
-            integrals.append(
-                tau * (times ** (r - 1) / math.factorial(r - 1) - integrals[r - 1])
-            )
-        states = np.zeros((times.size, n * k))
+            integrals.append(tau * (h ** (r - 1) / math.factorial(r - 1) - integrals[r - 1]))
+        states = np.zeros((h.size, n * k))
         for j in range(k):
             power = k - j
-            states[:, j * n : (j + 1) * n] = (
-                np.outer(times**power / math.factorial(power), const_acc)
-                + np.outer(integrals[power], decay_acc)
+            block = np.outer(h**power / math.factorial(power), const_acc) + np.outer(
+                integrals[power], decay_acc
             )
-        states[:, :n] += state[:n]
-        inputs = u_c[None, :] + np.outer(decay, u - u_c)
-        return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
+            for i in range(j, k):
+                block += np.outer(h ** (i - j) / math.factorial(i - j), state[i * n : (i + 1) * n])
+            states[:, j * n : (j + 1) * n] = block
+        return states, u_c[None, :] + np.outer(integrals[0], u - u_c)
 
     states = np.zeros((times.size, n * k))
     inputs = np.zeros((times.size, sys.n_inputs))
-    states[0] = state
-    inputs[0] = u
-
-    seg = 0
-    for i in range(1, times.size):
-        t_prev, t_now = times[i - 1], times[i]
-        while seg + 1 < len(schedule) and schedule[seg + 1][0] <= t_prev + 1e-15:
-            seg += 1
-        u_c = schedule[seg][1]
-        h = t_now - t_prev
-        const_acc = sys.b_bar @ u_c
-        decay_acc = sys.b_bar @ (u - u_c)
-        e = _repeated_exp_integrals(h, tau, k)
-        new_state = np.zeros_like(state)
-        for j in range(k):
-            # Taylor shift of the higher derivatives plus exact forcing quadrature.
-            acc = np.zeros(n)
-            for i2 in range(j, k):
-                acc += state[i2 * n : (i2 + 1) * n] * h ** (i2 - j) / math.factorial(i2 - j)
-            power = k - j
-            acc += const_acc * h**power / math.factorial(power)
-            acc += decay_acc * e[power]
-            new_state[j * n : (j + 1) * n] = acc
-        state = new_state
-        u = u_c + (u - u_c) * e[0]
-        states[i] = state
-        inputs[i] = u
-
+    ends = starts[1:] + [math.inf]
+    for (t_start, u_c), t_end in zip(schedule, ends):
+        lo, hi = np.searchsorted(times, [t_start, t_end])
+        states[lo:hi], inputs[lo:hi] = segment(times[lo:hi] - t_start, state, u, u_c)
+        if hi == times.size:
+            break
+        end_state, end_input = segment(np.array([t_end - t_start]), state, u, u_c)
+        state, u = end_state[0], end_input[0]
     return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
 
 
@@ -226,25 +203,60 @@ def first_crossing(
     Raises NonReachError when the target is never crossed.
     """
     values = traj.derivative(derivative) @ np.atleast_1d(np.asarray(component, dtype=float))
-    for i in range(values.size):
-        if values[i] >= target:
-            if i == 0:
-                return float(traj.times[0])
-            v0, v1 = values[i - 1], values[i]
-            t0, t1 = traj.times[i - 1], traj.times[i]
-            if v1 == v0:
-                return float(t1)
-            return float(t0 + (target - v0) / (v1 - v0) * (t1 - t0))
-    raise NonReachError(
-        f"target {target} never crossed within horizon {traj.times[-1]:.6g} s"
-    )
+    hits = np.flatnonzero(values >= target)
+    if hits.size == 0:
+        raise NonReachError(
+            f"target {target} never crossed within horizon {traj.times[-1]:.6g} s"
+        )
+    i = int(hits[0])
+    if i == 0:
+        return float(traj.times[0])
+    v0, v1 = values[i - 1], values[i]
+    t0, t1 = traj.times[i - 1], traj.times[i]
+    if v1 == v0:
+        return float(t1)
+    return float(t0 + (target - v0) / (v1 - v0) * (t1 - t0))
+
+
+def lag_crossing(rate: float, target: float, tau: float) -> float:
+    """First t with rate * (t - tau * (1 - exp(-t/tau))) = target (order 1, from rest).
+
+    That is when a first-order-lagged command of constant rate reaches target.
+    With s = t/tau and s0 = target/(rate tau) the root of s - 1 + exp(-s) = s0
+    lies in [s0, s0 + 1]; the left side is increasing and convex, so Newton
+    from the right end decreases monotonically onto it.  (Closed form:
+    t = t0 + tau (1 + W_0(-exp(-1 - t0/tau))), t0 = target/rate.)  Rounding
+    in s - 1 + exp(-s) bounds the relative accuracy by about 5e-17/sqrt(s0)
+    when s0 < 1 (2e-15 at s0 = 1e-3).
+    """
+    if tau <= 0.0:
+        raise ModelError(f"tau must be positive, got {tau}")
+    if target <= 0.0:
+        raise ModelError(f"target must be positive, got {target}")
+    if rate <= 0.0:
+        raise NonReachError(f"target {target} never reached at rate {rate}")
+    s0 = target / (rate * tau)
+    lo, s = s0, s0 + 1.0
+    # Far from the root Newton at worst halves s, so the double range needs ~1100 steps.
+    for _ in range(1100):
+        excess = s + math.expm1(-s) - s0
+        step = excess / -math.expm1(-s)
+        if not step > 0.0:
+            break
+        nxt = s - step
+        if nxt < lo:
+            # Safeguard: rounding overshot the bracket, so bisect it.
+            nxt = 0.5 * (lo + s)
+        if nxt >= s:
+            break
+        s = nxt
+    return float(s * tau)
 
 
 def smooth_reach_ratio(
     params: catalog.OctocopterParams,
     d: np.ndarray,
     target_speed: float,
-    dt: float | None = None,
     tau: float | None = None,
     lost_column: int = 0,
     *,
@@ -252,12 +264,14 @@ def smooth_reach_ratio(
 ) -> tuple[float, float]:
     """(ratio_smooth, ratio_bangbang) for the vertical octocopter scenario.
 
-    Simulates the velocity-level translational system from hover under the
-    optimal constant nominal and worst-case malfunctioning commands (lost
-    propeller given by lost_column), with and without first-order propeller
-    lag, and returns the ratios of the first-crossing times of target_speed.
-    optima passes in the (T_N*(d), T_M*(d)) reach results of that split when
-    the caller has solved them already.
+    Drives the velocity-level translational system from hover with the optimal
+    constant nominal and worst-case malfunctioning commands (lost propeller
+    given by lost_column), with and without first-order propeller lag, and
+    returns the ratios of the times the speed along d first reaches
+    target_speed.  Both crossings are closed forms in the rate a = d . B u:
+    target/a without lag, `lag_crossing(a, target, tau)` with it.  optima
+    passes in the (T_N*(d), T_M*(d)) reach results of that split when the
+    caller has solved them already.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not (d.shape == (3,) and d[0] == 0.0 and d[1] == 0.0 and d[2] in (-1.0, 1.0)):
@@ -277,28 +291,7 @@ def smooth_reach_ratio(
         raise NonReachError("scenario direction not reachable under the worst input")
 
     u_bar_malf = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
-
-    expected = max(nominal.time, malf.time) * target_speed
-    dt_bang = dt if dt is not None else DT_DEFAULT
-
-    def crossing(u_bar: np.ndarray, lag: bool) -> float:
-        # Grow the horizon geometrically up to the 100x cap instead of paying
-        # for the full worst-case integration up front.
-        last_error: NonReachError | None = None
-        for factor in (1.5, 10.0, 100.0):
-            horizon = factor * max(expected, tau)
-            if lag:
-                traj = integrate_with_lag(sys, u_bar, tau=tau, horizon=horizon, dt=dt)
-            else:
-                traj = integrate_constant(sys, u_bar, horizon=horizon, dt=dt_bang)
-            try:
-                return first_crossing(traj, d, target_speed)
-            except NonReachError as exc:
-                last_error = exc
-        raise last_error
-
-    t_n_bang = crossing(nominal.optimizer_u, lag=False)
-    t_m_bang = crossing(u_bar_malf, lag=False)
-    t_n_smooth = crossing(nominal.optimizer_u, lag=True)
-    t_m_smooth = crossing(u_bar_malf, lag=True)
-    return t_m_smooth / t_n_smooth, t_m_bang / t_n_bang
+    rate_n = float(d @ (sys.b_bar @ nominal.optimizer_u))
+    rate_m = float(d @ (sys.b_bar @ u_bar_malf))
+    smooth = lag_crossing(rate_m, target_speed, tau) / lag_crossing(rate_n, target_speed, tau)
+    return smooth, (target_speed / rate_m) / (target_speed / rate_n)

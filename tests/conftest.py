@@ -6,7 +6,8 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
       Losing column 2: lambda+/- = (1,3), r(C) = 1/2, r(-C) = 2/3.
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
-`lp_solves` counts the lp.solve calls a test makes.
+`lp_solves` counts the lp.solve calls a test makes, `sim_integrations` its
+sampled sim.integrate_constant / integrate_with_lag calls.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -18,22 +19,36 @@ import math
 import numpy as np
 import pytest
 
-from resil import lp
+from resil import lp, sim
 from resil.model import IntegratorSystem, split
+
+
+def _count_calls(monkeypatch, module, names) -> list:
+    """Patch module.<name> for each name to count its calls into one cell."""
+    calls = [0]
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return calls
 
 
 @pytest.fixture
 def lp_solves(monkeypatch):
     """Count every lp.solve call made while the test runs."""
-    calls = [0]
-    real = lp.solve
+    return _count_calls(monkeypatch, lp, ["solve"])
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "solve", counting)
-    return calls
+@pytest.fixture
+def sim_integrations(monkeypatch):
+    """Count every sampled sim.integrate_* call made while the test runs."""
+    return _count_calls(monkeypatch, sim, ["integrate_constant", "integrate_with_lag"])
 
 
 @pytest.fixture
@@ -109,23 +124,32 @@ class HighsOracle:
     def scaling(self, m, lo, hi, d, shift=None):
         """max{lam >= 0 : M x = lam d + shift, x in [lo, hi]}.
 
-        Returns +inf when unbounded and None when infeasible.  d is normalized
-        and every row scaled to unit max-norm first, so the 1e-6-scale
-        spacecraft entries do not sit under HiGHS's absolute tolerances.
+        Returns +inf when unbounded and None when infeasible.  Posed in
+        centred, row-scaled coordinates, an exact reformulation: x = mid +
+        half * v with v in [-1, 1], each state row divided by its largest
+        generator entry M_ij half_j, the scaled d normalised, and each row of
+        the result divided by its largest entry or shift.  Posed on the raw
+        data, HiGHS's absolute feasibility tolerance of 1e-7 moves lam by up
+        to 2e-8 relative on 1e-6-scale entries and accepts a shift 1.3e-8
+        outside an image 2.9e-4 wide.
         """
         m = np.asarray(m, dtype=float)
-        d = np.asarray(d, dtype=float)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        gens = m * ((hi - lo) / 2.0)
+        rows = np.abs(gens).max(axis=1)
+        rows[rows == 0.0] = 1.0
+        d = np.asarray(d, dtype=float) / rows
         norm = float(np.linalg.norm(d))
-        a = np.hstack([m, -(d / norm)[:, None]])
         b = np.zeros(m.shape[0]) if shift is None else np.asarray(shift, dtype=float)
+        b = (b - m @ ((hi + lo) / 2.0)) / rows
+        a = np.hstack([gens / rows[:, None], -(d / norm)[:, None]])
         row = np.maximum(np.abs(a).max(axis=1), np.abs(b))
         row[row == 0.0] = 1.0
+        a, b = a / row[:, None], b / row
         cost = np.zeros(a.shape[1])
         cost[-1] = -1.0
-        bounds = list(zip(np.asarray(lo, float), np.asarray(hi, float))) + [(0.0, None)]
-        res = self._linprog(
-            cost, A_eq=a / row[:, None], b_eq=b / row, bounds=bounds, method="highs"
-        )
+        bounds = [(-1.0, 1.0)] * m.shape[1] + [(0.0, None)]
+        res = self._linprog(cost, A_eq=a, b_eq=b, bounds=bounds, method="highs")
         if res.status == 2:
             return None
         if res.status == 3:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from resil import catalog, reach, sim
+from resil import catalog, cli, reach, sim
 from resil.errors import ModelError, NonReachError
 from resil.model import IntegratorSystem, split
 
@@ -79,6 +79,48 @@ def test_lag_piecewise_schedule():
     assert traj.inputs[-1, 0] == pytest.approx(-1.0, abs=1e-3)
 
 
+def test_lag_two_switch_schedule_matches_piecewise_closed_form():
+    # Order 2, x'' = b u with u' = (u_c - u)/tau: on a segment starting at
+    # (x_s, v_s, u_s) with command c, after h
+    #   u = c + (u_s - c) e,  e = exp(-h/tau)
+    #   v = v_s + b (c h + (u_s - c) tau (1 - e))
+    #   x = x_s + v_s h + b (c h^2/2 + (u_s - c) tau (h - tau (1 - e))).
+    b, tau = 0.7, 0.08
+    sys = IntegratorSystem("di", 2, np.array([[b]]), np.array([-2.0]), np.array([2.0]))
+    schedule = [(0.0, np.array([1.5])), (0.3, np.array([-1.0])), (0.55, np.array([0.4]))]
+    u0, x0 = np.array([-0.5]), np.array([0.2])
+    traj = sim.integrate_with_lag(sys, schedule, tau=tau, horizon=1.0, dt=5e-3, u0=u0, x0=x0)
+
+    def at(t):
+        x, v, u = 0.2, 0.0, -0.5
+        starts = [s for s, _ in schedule] + [math.inf]
+        for (t_s, c), t_e in zip(schedule, starts[1:]):
+            h = min(t, t_e) - t_s
+            e = math.exp(-h / tau)
+            c = float(c[0])
+            x, v, u = (
+                x + v * h + b * (c * h * h / 2.0 + (u - c) * tau * (h - tau * (1.0 - e))),
+                v + b * (c * h + (u - c) * tau * (1.0 - e)),
+                c + (u - c) * e,
+            )
+            if t <= t_e:
+                return x, v, u
+        raise AssertionError("unreachable")
+
+    assert 0.3 in traj.times and 0.55 in traj.times
+    expected = np.array([at(t) for t in traj.times])
+    assert np.abs(traj.position()[:, 0] - expected[:, 0]).max() <= 1e-12
+    assert np.abs(traj.derivative(1)[:, 0] - expected[:, 1]).max() <= 1e-12
+    assert np.abs(traj.inputs[:, 0] - expected[:, 2]).max() <= 1e-12
+
+
+def test_lag_schedule_times_must_not_decrease():
+    sys = IntegratorSystem("one", 1, np.array([[1.0]]), np.array([-2.0]), np.array([2.0]))
+    schedule = [(0.0, np.array([1.0])), (0.5, np.array([-1.0])), (0.4, np.array([0.0]))]
+    with pytest.raises(ModelError, match="decrease"):
+        sim.integrate_with_lag(sys, schedule, tau=0.05, horizon=1.0)
+
+
 def test_lag_state_matches_quadrature():
     # k = 1 analytic check: x(t) = a*t + b*tau*(1 - exp(-t/tau)) from rest.
     sys = IntegratorSystem("one", 1, np.array([[1.0]]), np.array([-2.0]), np.array([2.0]))
@@ -95,6 +137,21 @@ def test_first_crossing_and_nonreach(toy2):
     assert t == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(NonReachError):
         sim.first_crossing(traj, [1.0], 1.0)
+
+
+def test_first_crossing_matches_sample_scan():
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.uniform(0.01, 0.1, 200))
+    values = np.cumsum(rng.standard_normal(200))
+    traj = sim.Trajectory(times, values[:, None], np.zeros((200, 1)), n=1, order=1)
+    for target in np.linspace(values.min(), values.max(), 25):
+        i = next(i for i, v in enumerate(values) if v >= target)
+        if i == 0:
+            expected = times[0]
+        else:
+            t0, t1, v0, v1 = times[i - 1], times[i], values[i - 1], values[i]
+            expected = t0 + (target - v0) / (v1 - v0) * (t1 - t0)
+        assert sim.first_crossing(traj, [1.0], target) == expected
 
 
 def test_csv_export(tmp_path, toy2):
@@ -147,3 +204,76 @@ def test_smooth_reach_ratio_validation():
         sim.smooth_reach_ratio(params, [1, 0, 0], 1.0)
     with pytest.raises(ModelError, match="positive"):
         sim.smooth_reach_ratio(params, [0, 0, 1], -1.0)
+
+
+def test_lag_crossing_matches_lambert_w():
+    special = pytest.importorskip("scipy.special")
+    for tau in np.linspace(0.01, 0.3, 7):
+        for rate in np.linspace(0.2, 3.0, 5):
+            for s0 in np.geomspace(1e-3, 1e3, 19):
+                t0 = s0 * tau
+                t = sim.lag_crossing(rate, rate * t0, tau)
+                ref = t0 + tau * (1.0 + special.lambertw(-math.exp(-1.0 - t0 / tau)).real)
+                assert t == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_lag_crossing_validation():
+    with pytest.raises(NonReachError):
+        sim.lag_crossing(0.0, 1.0, 0.1)
+    with pytest.raises(ModelError, match="tau must be positive"):
+        sim.lag_crossing(1.0, 1.0, 0.0)
+    with pytest.raises(ModelError, match="target must be positive"):
+        sim.lag_crossing(1.0, 0.0, 0.1)
+
+
+def test_ratio_bangbang_is_time_ratio():
+    sys = catalog.octocopter_translational()
+    d = np.array([0.0, 0.0, -1.0])
+    t_n = reach.nominal_reach_time(sys, d).time
+    t_m = reach.malfunctioning_reach_time(split(sys, 0), d).time
+    expected = reach.ratio_of_times(t_m, t_n)
+    for speed in (0.2, 1.0, 2.7):
+        _, bang = sim.smooth_reach_ratio(catalog.OctocopterParams(), d, speed)
+        assert bang == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_lag_ratio_tends_to_bangbang():
+    params = catalog.OctocopterParams()
+    smooth, bang = sim.smooth_reach_ratio(params, [0, 0, -1], 1.0, tau=1e-6)
+    assert 0.0 < bang - smooth <= 1e-5
+
+
+def _simulate(tmp_path, argv):
+    out = tmp_path / "sim.json"
+    code = cli.main(argv + ["--out", str(out)])
+    return code, out.read_text() if code == 0 else None
+
+
+@pytest.mark.parametrize("scenario", ["octo-vertical-bang", "octo-vertical-lag"])
+def test_simulate_ratios_do_not_depend_on_dt(tmp_path, capsys, scenario):
+    argv = ["simulate", scenario, "--tau", "0.1", "--target-speed", "1.3"]
+    docs = {_simulate(tmp_path, argv + dt) for dt in ([], ["--dt", "1e-4"], ["--dt", "0.5"])}
+    capsys.readouterr()
+    assert len(docs) == 1 and docs.pop()[0] == 0
+
+
+def test_simulate_coarse_dt_fails_only_with_out_dir(tmp_path, capsys):
+    argv = ["simulate", "octo-vertical-lag", "--tau", "0.1", "--dt", "0.05"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == cli.EXIT_INPUT
+    assert "too coarse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, integrations",
+    [
+        (["simulate", "octo-vertical-bang"], 0),
+        (["simulate", "octo-vertical-lag", "--tau", "0.05"], 0),
+        (["simulate", "octo-vertical-lag", "--tau", "0.05", "--out-dir", "{dir}"], 2),
+    ],
+)
+def test_simulate_integration_count(sim_integrations, tmp_path, capsys, argv, integrations):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sim_integrations[0] == integrations

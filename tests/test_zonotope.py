@@ -52,24 +52,6 @@ def _boundary_point(sp, rng) -> np.ndarray:
     return sp.b @ np.where(a @ sp.b >= 0.0, sp.u_max, sp.u_min)
 
 
-def _highs_lam_hat(highs, sp, d, s):
-    """HiGHS lam_hat for unit d, posed in centered, row-scaled coordinates.
-
-    u = mid + half * v with v in [-1, 1], and each state row divided by its
-    largest generator entry: an exact reformulation (lam is invariant under
-    both).  Posed on the raw data, HiGHS's absolute feasibility tolerance of
-    1e-7 moves lam by up to 2e-8 relative on 1e-6-scale entries and accepts a
-    shift 1.3e-8 outside an image 2.9e-4 wide (n = 1, 0 on the boundary).
-    """
-    half = (sp.u_max - sp.u_min) / 2.0
-    gens = sp.b * half
-    rows = np.abs(gens).max(axis=1)
-    rows[rows == 0.0] = 1.0
-    center = sp.b @ ((sp.u_max + sp.u_min) / 2.0)
-    return highs.scaling(gens / rows[:, None], -np.ones(sp.m), np.ones(sp.m),
-                         d / np.linalg.norm(d) / rows, (s - center) / rows)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_scalings_match_lp_and_highs(seed, highs):
@@ -90,7 +72,7 @@ def test_scalings_match_lp_and_highs(seed, highs):
             ref = lp.max_scaled_direction(sp.b, sp.u_min, sp.u_max, d, rhs_shift=s)
             got = lam_hat[i, j]
             assert _status(got) == ref.status, (i, j, got, ref)
-            ref_highs = _highs_lam_hat(highs, sp, d, s)
+            ref_highs = highs.scaling(sp.b, sp.u_min, sp.u_max, d / norm, s)
             if ref.status == lp.NEGATIVE_CERTIFICATE:
                 assert ref_highs is None
             elif ref.status == lp.OPTIMAL:
