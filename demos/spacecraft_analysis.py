@@ -2,10 +2,11 @@
 
 For every single thruster loss this script reports r(C), r(-C), the
 quantitative resilience r_q, and the time ratio t(d) toward the orbital
-target-distance direction.  The whole sweep is 66 small LPs and runs in well
-under a second: 12 for the one controllability decision, 2 per thruster for
-lambda+/-, 1 for T_N*(d), and 1 or 2 per thruster for T_M*(d) (the second
-vertex of W_c is skipped once the first makes the target unreachable).
+target-distance direction.  The whole sweep is 26 small LPs and runs in well
+under a second: one H-representation of the 14-thruster box image decides
+controllability and every lambda+/- without an LP, then 1 LP gives T_N*(d)
+and 1 or 2 per thruster give T_M*(d) (the second vertex of W_c is skipped
+once the first makes the target unreachable).
 
 Run:  python demos/spacecraft_analysis.py
 """

@@ -1,10 +1,12 @@
 """Dense linear-program kernel: maximize c.x subject to A x = b, l <= x <= u.
 
 This is the oracle behind every reach-time and lambda+/- computation, and the
-fallback of the batched zonotope gauge (zonotope.py).  It solves every lambda+/-
-and controllability problem, every reported reach time and optimizer (T_M*
-screens its vertices with the gauge, then solves one LP at the worst one), and
-every batch whose H-representation zonotope.build declines.  The problems are
+fallback of the batched zonotope gauge (zonotope.py).  It solves every reported
+reach time and optimizer (T_M* screens its vertices with the gauge, then
+solves one LP at the worst one), the lambda+/- and controllability problems
+of one-off reports (resilience.sweep answers them from one build of B_bar),
+and every batch or column whose H-representation zonotope.build declines or
+finds rank-deficient.  The problems are
 tiny (at most ~15 variables, ~6 equality rows), so the solver is a hand-rolled
 two-phase bounded-variable simplex rather than a call into a general-purpose
 package: it is bitwise deterministic (Bland's anti-cycling rule, no randomized

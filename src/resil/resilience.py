@@ -9,7 +9,10 @@ For a single lost column C with box [w_min, w_max], the closed form is
 
 and the system is resilient to that loss iff it is controllable and both
 values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k).
-The reach-time route (four reach times along +/-C) is kept as an independent
+Two engines give lam+/- and controllability: one simplex LP per problem, or
+the facets of one zonotope.build of B_bar's box image (sweep), whose
+Zonotope.without(j) is the kept image of every single-column loss.  The
+reach-time route (four reach times along +/-C) is kept as an independent
 cross-check: both verdicts must agree.
 """
 
@@ -21,12 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp, reach
+from . import lp, reach, zonotope
 from .errors import UnsupportedLossError
 from .model import ActuatorSplit, IntegratorSystem, split as make_split, to_machine
-
-#: Singular values below this fraction of the largest count as zero for rank.
-RANK_RTOL = 1e-10
 
 #: Relative margin for the interior-membership tests of Prop-style diagnostics.
 INTERIOR_MARGIN = 1e-7
@@ -74,32 +74,40 @@ class ReachTimeVerdict:
     t_m_minus: float
     resilient: bool
 
-    @property
-    def min_ratio(self) -> float:
-        """1 / max(t(C), t(-C)): min over +/-C of T_N*/T_M* (equals r_q when resilient)."""
-        t_plus = reach.ratio_of_times(self.t_m_plus, self.t_n_plus)
-        return 1.0 / max(t_plus, reach.ratio_of_times(self.t_m_minus, self.t_n_minus))
+
+def _lambdas(m, lower, upper, directions: np.ndarray, image: zonotope.Zonotope | None):
+    """Yield max{lam : M x = lam d, x in box} per row d (0 unless optimal or unbounded).
+
+    From one gauge batch of `image`, the box image of M, when given; else lazily,
+    one lp.max_scaled_direction per row.
+    """
+    if image is not None:
+        lam_hat = image.scalings(directions, np.zeros((1, directions.shape[1])))[:, 0]
+        reaches = lam_hat > lp.lambda_threshold(np.ones(1))
+        yield from np.where(reaches, lam_hat / np.linalg.norm(directions, axis=1), 0.0).tolist()
+        return
+    for d in directions:
+        scaling = lp.max_scaled_direction(m, lower, upper, d)
+        yield scaling.value if scaling.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0
 
 
-def check_controllability(sys: IntegratorSystem) -> bool:
+def check_controllability(
+    sys: IntegratorSystem, *, image: zonotope.Zonotope | None = None
+) -> bool:
     """rank(B_bar) = n and 0 interior to the image polytope {B_bar u : u in box}.
 
-    Interiority is established by 2n directional LPs: the image must extend a
-    positive distance along +e_j and -e_j for every basis direction.
+    Interiority is established along +e_j and -e_j for every basis direction:
+    the image must extend a positive distance along each, decided by up to 2n
+    directional LPs, or by one gauge batch when `image` passes in
+    zonotope.build of B_bar (see sweep).
     """
     sv = np.linalg.svd(sys.b_bar, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return False
-    if np.sum(sv > RANK_RTOL * sv[0]) < sys.n:
+    if np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
         return False
-    for j in range(sys.n):
-        for sign in (1.0, -1.0):
-            e = np.zeros(sys.n)
-            e[j] = sign
-            out = lp.max_scaled_direction(sys.b_bar, sys.u_min, sys.u_max, e)
-            if out.status not in (lp.OPTIMAL, lp.UNBOUNDED):
-                return False
-    return True
+    axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
+    return all(lam > 0.0 for lam in _lambdas(sys.b_bar, sys.u_min, sys.u_max, axes, image))
 
 
 def _single_column(split: ActuatorSplit) -> np.ndarray:
@@ -110,17 +118,20 @@ def _single_column(split: ActuatorSplit) -> np.ndarray:
     return split.c[:, 0]
 
 
-def lambda_pair(split: ActuatorSplit) -> tuple[float, float]:
-    """(lam+, lam-): max speeds of the remaining actuators along +/-C."""
+def lambda_pair(
+    split: ActuatorSplit, *, image: zonotope.Zonotope | None = None
+) -> tuple[float, float]:
+    """(lam+, lam-): max speeds of the remaining actuators along +/-C.
+
+    `image` passes in zonotope.build of B_bar (see sweep): the pair then comes
+    from image.without(lost column), and from two LPs where that is None.
+    """
     c = _single_column(split)
     if not np.any(c):
         raise UnsupportedLossError("C = 0 has no lambda pair; see quantitative_resilience")
-    out = []
-    for sgn in (1.0, -1.0):
-        scaling = lp.max_scaled_direction(split.b, split.u_min, split.u_max, sgn * c)
-        # value is lam* when optimal and +inf when unbounded; lam = 0 otherwise.
-        out.append(scaling.value if scaling.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0)
-    return out[0], out[1]
+    kept = None if image is None else image.without(split.lost_columns[0])
+    lam_p, lam_m = _lambdas(split.b, split.u_min, split.u_max, np.vstack([c, -c]), kept)
+    return lam_p, lam_m
 
 
 def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tuple[float, float]:
@@ -149,28 +160,35 @@ def sweep(
 ) -> list[ResilienceReport]:
     """Single-loss reports for each (0-based) lost column in `columns`.
 
-    Controllability is decided once for the system; each nonzero column costs 2 LPs.
+    One zonotope.build of B_bar decides controllability and every column's
+    lam+/-; where it declines, controllability costs 2n LPs and each nonzero
+    column 2 (and where a column's kept image is rank-deficient, that column 2).
     """
     reach._resolve_order(sys, order)
-    controllable = check_controllability(sys)
+    splits = [make_split(sys, col) for col in columns]
+    lps = 2 * sys.n + 2 * sum(bool(np.any(sp.c)) for sp in splits)
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=lps)
+    controllable = check_controllability(sys, image=image)
     return [
-        quantitative_resilience(make_split(sys, col), order, controllable=controllable)
-        for col in columns
+        quantitative_resilience(sp, order, controllable=controllable, image=image)
+        for sp in splits
     ]
 
 
 def quantitative_resilience(
-    split: ActuatorSplit, order: int | None = None, *, controllable: bool | None = None
+    split: ActuatorSplit, order: int | None = None, *, controllable: bool | None = None,
+    image: zonotope.Zonotope | None = None,
 ) -> ResilienceReport:
     """Full single-loss resilience report for a split (Algorithm-1 style).
 
-    `controllable` passes in check_controllability(split.base) (see sweep).
+    `controllable` passes in check_controllability(split.base) and `image`
+    zonotope.build of B_bar (see sweep); without them both come from LPs.
     """
     k = reach._resolve_order(split.base, order)
     c = _single_column(split)
     col = split.lost_columns[0]
     if controllable is None:
-        controllable = check_controllability(split.base)
+        controllable = check_controllability(split.base, image=image)
     diagnostics: dict = {}
 
     if not controllable:
@@ -183,7 +201,7 @@ def quantitative_resilience(
         diagnostics["zero_column"] = True
         return ResilienceReport(col, k, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, True, True, diagnostics)
 
-    lam_p, lam_m = lambda_pair(split)
+    lam_p, lam_m = lambda_pair(split, image=image)
     r_p, r_m = r_closed_form(lam_p, lam_m, float(split.w_min[0]), float(split.w_max[0]))
     if math.isinf(lam_p) or math.isinf(lam_m):
         diagnostics["unbounded_lambda"] = True

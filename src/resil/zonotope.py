@@ -3,10 +3,13 @@
 The image is a zonotope Z = c + sum_j g_j [-1, 1] with center c = M (lower +
 upper)/2 and generators g_j = m_j (upper_j - lower_j)/2.  When rank M = n it is
 the polytope {y : a.y <= h(a)} over its facet normals a: each normal is the
-null vector of n - 1 linearly independent generators, taken with both signs,
-and h(a) = a.c + sum_j |a.g_j| is the support function of Z (Girard, HSCC
-2005).  There are at most 2 C(m, n-1) candidate normals for m nonzero
-generators (McMullen's facet bound for zonotopes).
+cofactor vector (generalized cross product) of n - 1 linearly independent
+generators, taken with both signs, and h(a) = a.c + sum_j |a.g_j| is the
+support function of Z (Girard, HSCC 2005).  There are at most 2 C(m, n-1)
+candidate normals for m nonzero generators (McMullen's facet bound for
+zonotopes).  The image without column j has as facets the candidates whose
+generators exclude j, less g_j and c_j = m_j (upper_j + lower_j)/2 in their
+supports (Zonotope.without): one build of B_bar serves every single loss.
 
 Every reach time is a gauge of such an image: lp.max_scaled_direction(M,
 lower, upper, d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in
@@ -15,7 +18,7 @@ the facet inequalities with a few array products, where the LP path solves
 one simplex per pair.  Two choices keep it exact on badly scaled matrices:
 the state coordinates are scaled so each row of the generators has max-norm 1
 (lam is invariant under that scaling), and the generators are normalized to
-unit length before their null vectors are taken.  Normals are never rounded;
+unit length before their cofactors are taken.  Normals are never rounded;
 each support value is evaluated at the normal actually computed, so every
 kept inequality is valid for Z.
 
@@ -28,21 +31,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
 from .errors import LpError
 
-#: Facet candidates whose construction costs about one LP solve.  Measured on a
-#: 2-vCPU x86_64 VM: build() costs 2-5 us per candidate (n = 3..6) and one
-#: lp.solve 0.3-0.8 ms, so an H-rep pays off while it has fewer than about
-#: 100 candidates per LP it replaces.
-FACETS_PER_LP = 100
+#: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64
+#: VM: build() costs 1.2-4.3 us per candidate with cofactor normals (n = 3..6;
+#: SVD normals took 2.5-6.4 us), a gauge resilience.sweep 3.0-5.3 us at n = 6
+#: and one lp.solve 0.4-1.3 ms: the sweep breaks even at 155-250 per LP.
+FACETS_PER_LP = 150
 
-#: Singular values at or below this fraction of the largest count as zero
-#: (rank of M, and rank n - 1 of a generator subset).
+#: Rank tolerance on unit-normalized generators: singular values at or below
+#: this fraction of the largest count as zero (rank n of M), and n - 1
+#: generators spanning an (n-1)-volume at or below it give no facet.
 RANK_RTOL = 1e-10
 
 #: A facet whose normal makes |a.d| at or below this fraction of |d| with the
@@ -64,15 +68,41 @@ def candidate_count(n: int, generators: int) -> int:
 class Zonotope:
     """{y : normals @ (y / scale) <= support}: an image in row-scaled coordinates.
 
-    normals are unit vectors in the scaled coordinates y / scale; extent holds
-    |a.c| + sum_j |a.g_j| per facet, the magnitude its feasibility tolerance
-    is relative to.
+    normals are unit vectors in the scaled coordinates y / scale.  uses[i, j]
+    marks the n - 1 columns of M whose generators normal i was computed from;
+    widths[i, j] = |a_i.g_j| and offsets[i, j] = a_i.c_j are column j's shares
+    of support = sum_j (offsets + widths), and generators holds the scaled g_j
+    (0 for a column outside the image).  extent holds |a.c| + sum_j |a.g_j|
+    per facet, the magnitude its feasibility tolerance is relative to.
     """
 
     normals: np.ndarray
-    support: np.ndarray
-    extent: np.ndarray
     scale: np.ndarray
+    uses: np.ndarray
+    widths: np.ndarray
+    offsets: np.ndarray
+    generators: np.ndarray
+    support: np.ndarray = field(init=False)
+    extent: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        ones = np.ones(self.widths.shape[1])
+        centered, width = self.offsets @ ones, self.widths @ ones
+        object.__setattr__(self, "support", centered + width)
+        object.__setattr__(self, "extent", np.abs(centered) + width)
+
+    def without(self, j: int) -> Zonotope | None:
+        """The image with column j of M removed, or None when the rest has rank < n."""
+        generators = self.generators.copy()
+        generators[:, j] = 0.0
+        if not _full_rank(generators):
+            return None
+        rows = np.flatnonzero(~self.uses[:, j])
+        normals, uses, widths, offsets = (
+            a.take(rows, axis=0) for a in (self.normals, self.uses, self.widths, self.offsets)
+        )
+        widths[:, j] = offsets[:, j] = 0.0
+        return Zonotope(normals, self.scale, uses, widths, offsets, generators)
 
     def scalings(self, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         """lam_hat[i, j] = max{lam >= 0 : lam d_i/|d_i| + s_j in Z}.
@@ -119,6 +149,15 @@ class Zonotope:
         return out
 
 
+def _full_rank(generators: np.ndarray) -> bool:
+    """rank n for the unit-normalized nonzero generators (RANK_RTOL on singular values)."""
+    unit = generators[:, np.any(generators != 0.0, axis=0)]
+    if unit.shape[1] < unit.shape[0]:
+        return False
+    sv = np.linalg.svd(unit / np.linalg.norm(unit, axis=0), compute_uv=False)
+    return bool(sv[-1] > RANK_RTOL * sv[0])
+
+
 def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zonotope | None:
     """H-representation of {M x : x in [lower, upper]}, or None for the LP path.
 
@@ -129,34 +168,29 @@ def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zono
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = m.shape[0]
-    nonzero = np.any(m != 0.0, axis=0)
-    if candidate_count(n, int(nonzero.sum())) > FACETS_PER_LP * lps:
+    nonzero = np.flatnonzero(np.any(m != 0.0, axis=0))
+    if candidate_count(n, len(nonzero)) > FACETS_PER_LP * lps:
         return None
-    gens = m[:, nonzero] * ((upper - lower) / 2.0)[nonzero]
-    if gens.shape[1] < n:
-        return None
+    gens = m * ((upper - lower) / 2.0)
     scale = np.abs(gens).max(axis=1)
     if np.any(scale == 0.0):
         return None
     gens = gens / scale[:, None]
-    center = (m @ ((lower + upper) / 2.0)) / scale
-    unit = gens / np.linalg.norm(gens, axis=0)
-    sv = np.linalg.svd(unit, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
+    if not _full_rank(gens):
         return None
+    centers = m * ((lower + upper) / 2.0) / scale[:, None]
 
-    if n == 1:
-        normals = np.ones((1, 1))
-    else:
-        subsets = np.array(list(itertools.combinations(range(unit.shape[1]), n - 1)))
-        _, sv, vh = np.linalg.svd(unit.T[subsets])
-        normals = vh[sv[:, -1] > RANK_RTOL * sv[:, 0], -1]
+    # Each normal is the cofactor vector of n - 1 unit generators, a_i = (-1)^i
+    # det(rows other than i), whose length is the (n-1)-volume they span: at
+    # most RANK_RTOL means rank below n - 1 to within rounding, and no facet.
+    subsets = nonzero[np.array(list(itertools.combinations(range(len(nonzero)), n - 1)), dtype=int)]
+    unit = (gens[:, subsets] / np.linalg.norm(gens, axis=0)[subsets]).transpose(1, 0, 2)
+    minors = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    cofactors = np.linalg.det(unit[:, minors, :]) * (-1.0) ** np.arange(n)
+    volume = np.linalg.norm(cofactors, axis=1)
+    kept = volume > RANK_RTOL
+    normals = cofactors[kept] / volume[kept, None]
     normals = np.vstack([normals, -normals])
-    centered = normals @ center
-    width = np.abs(normals @ gens).sum(axis=1)
-    return Zonotope(
-        normals=normals,
-        support=centered + width,
-        extent=np.abs(centered) + width,
-        scale=scale,
-    )
+    uses = np.zeros((len(normals), m.shape[1]), dtype=bool)
+    uses[np.arange(len(normals))[:, None], np.tile(subsets[kept], (2, 1))] = True
+    return Zonotope(normals, scale, uses, np.abs(normals @ gens), normals @ centers, gens)

@@ -7,7 +7,9 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
 `lp_solves` counts the lp.solve calls a test makes, `sim_integrations` its
-sampled sim.integrate_constant / integrate_with_lag calls.
+sampled sim.integrate_with_lag calls.  `reports_agree`
+compares a resilience report with its LP-path reference, `lambdas_agree` two
+(lam+, lam-) pairs.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -47,8 +49,53 @@ def lp_solves(monkeypatch):
 
 @pytest.fixture
 def sim_integrations(monkeypatch):
-    """Count every sampled sim.integrate_* call made while the test runs."""
-    return _count_calls(monkeypatch, sim, ["integrate_constant", "integrate_with_lag"])
+    """Count every sampled sim.integrate_with_lag call made while the test runs."""
+    return _count_calls(monkeypatch, sim, ["integrate_with_lag"])
+
+
+#: Agreement of a report with its LP-path reference: lam+/- to LAMBDA_RTOL
+#: relative, or to LAMBDA_WIDTH_TOL of the kept image's width along C (lam+ +
+#: lam-) when lam is small: near the image's boundary a support is the
+#: difference of much larger terms, and there the simplex and HiGHS differ by
+#: up to 6.2e-12 of that width themselves.  r(+/-C), r_q and r_kq to R_ATOL
+#: on resilient columns: r(-C) = 1 - w_max/lam- when w_min = 0 turns a
+#: relative lam error into |1 - r| times that in r (the simplex is off HiGHS
+#: by 1.7e-11 relative at lam- = 1.35, r(-C) = 0.27 in one of 2500 draws of
+#: test_zonotope.py's sweep property).  Off them r_q = r_kq = 0.
+LAMBDA_RTOL = 1e-12
+LAMBDA_WIDTH_TOL = 1e-11
+R_ATOL = 1e-11
+
+
+def _lambdas_agree(got: tuple, ref: tuple) -> bool:
+    """(lam+, lam-) pairs equal to LAMBDA_RTOL, or LAMBDA_WIDTH_TOL of ref's width."""
+    width = sum(ref)
+    return all(
+        lam == want or abs(lam - want) <= max(LAMBDA_RTOL * want, LAMBDA_WIDTH_TOL * width)
+        for lam, want in zip(got, ref)
+    )
+
+
+def _assert_reports_agree(got, ref) -> None:
+    """Same column, order, verdicts and diagnostics; lam+/- and r values as above."""
+    assert (got.lost_column, got.order) == (ref.lost_column, ref.order)
+    assert (got.controllable, got.resilient) == (ref.controllable, ref.resilient)
+    assert got.diagnostics == ref.diagnostics
+    pair = lambda rep: (rep.lambda_plus, rep.lambda_minus)  # noqa: E731
+    assert _lambdas_agree(pair(got), pair(ref)), (pair(got), pair(ref))
+    names = ("r_plus", "r_minus", "r_q", "r_kq") if ref.resilient else ("r_q", "r_kq")
+    for name in names:
+        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=0.0, abs=R_ATOL)
+
+
+@pytest.fixture(scope="session")
+def reports_agree():
+    return _assert_reports_agree
+
+
+@pytest.fixture(scope="session")
+def lambdas_agree():
+    return _lambdas_agree
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from resil import catalog, cli, lp, reach, resilience
+from resil import catalog, cli, lp, reach, resilience, zonotope
 from resil.model import IntegratorSystem, split, to_machine
 
 CATALOG = ["spacecraft-printed", "spacecraft-appendix", "octocopter-rot", "octocopter-trans:0"]
@@ -27,13 +27,35 @@ def unbounded_lp(monkeypatch):
 
 
 def test_check_all_spacecraft_lp_count(lp_solves, capsys):
-    sys = catalog.spacecraft_printed()
-    nonzero = int(np.count_nonzero(np.any(sys.b_bar != 0.0, axis=0)))
     code = cli.main(["check", "--model", "catalog:spacecraft-printed", "--lost", "all"])
     capsys.readouterr()
     assert code == 0
-    # One controllability decision (2n LPs) plus the lambda+/- pair per column.
-    assert lp_solves[0] == 2 * sys.n + 2 * nonzero == 40
+    # One build of B_bar's image decides controllability and every lambda+/-.
+    assert lp_solves[0] == 0
+
+
+def test_check_declined_build_lp_count(lp_solves, capsys):
+    sys = catalog.spacecraft_printed()
+    code = cli.main(["check", "--model", "catalog:spacecraft-printed", "--lost", "1"])
+    capsys.readouterr()
+    assert code == 0
+    # 2 C(14, 5) = 4004 candidates exceed FACETS_PER_LP times the 2n + 2 LPs of
+    # one column: one controllability decision (2n LPs) plus its lambda+/- pair.
+    assert zonotope.candidate_count(sys.n, 14) > zonotope.FACETS_PER_LP * (2 * sys.n + 2)
+    assert lp_solves[0] == 2 * sys.n + 2 == 14
+
+
+def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, monkeypatch):
+    # Column 2 is TOY1's only one along e2: without it the kept generators
+    # have rank 1, so that column alone takes its two lambda+/- LPs.
+    image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
+    assert image is not None and image.without(1) is None
+    assert image.without(0) is not None and image.without(2) is not None
+    reports = resilience.sweep(toy1, range(3))
+    assert lp_solves[0] == 2
+    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    for got, ref in zip(reports, resilience.sweep(toy1, range(3))):
+        reports_agree(got, ref)
 
 
 def _ratio_case(model, lost, d, p, lps):
@@ -73,36 +95,43 @@ def test_simulate_out_dir_lp_count(lp_solves, capsys, tmp_path):
     assert lp_solves[0] - without == without == 2
 
 
-def _assert_sweep_matches(sys, order):
+def _assert_sweep_matches(sys, order, reports_agree):
+    """sweep equals per-column reports on the image it builds, and the LP path to 1e-12."""
     reports = resilience.sweep(sys, range(sys.n_inputs), order)
     assert [r.lost_column for r in reports] == list(range(sys.n_inputs))
+    # The budget of a sweep over every column: 2n + 2 per column.
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
     for rep in reports:
-        single = resilience.quantitative_resilience(split(sys, rep.lost_column), order)
+        sp = split(sys, rep.lost_column)
+        single = resilience.quantitative_resilience(sp, order, image=image)
         assert rep.to_dict() == single.to_dict()
+        reports_agree(rep, resilience.quantitative_resilience(sp, order))
     return reports
 
 
 @pytest.mark.parametrize("name", CATALOG)
 @pytest.mark.parametrize("order", [None, 2])
-def test_sweep_matches_single_reports_catalog(name, order):
-    _assert_sweep_matches(catalog.resolve(name), order)
+def test_sweep_matches_single_reports_catalog(name, order, reports_agree):
+    _assert_sweep_matches(catalog.resolve(name), order, reports_agree)
 
 
-def test_sweep_matches_single_reports_not_controllable():
+def test_sweep_matches_single_reports_not_controllable(reports_agree):
     sys = IntegratorSystem("nc", 1, np.array([[1.0, 2.0], [0.0, 0.0]]),
                            -np.ones(2), np.ones(2))
-    reports = _assert_sweep_matches(sys, None)
+    reports = _assert_sweep_matches(sys, None, reports_agree)
     assert not any(r.controllable for r in reports)
 
 
-def test_sweep_matches_single_reports_zero_column():
+def test_sweep_matches_single_reports_zero_column(reports_agree):
     sys = IntegratorSystem("zc", 1, np.array([[1.0, -1.0, 0.0]]), -np.ones(3), np.ones(3))
-    reports = _assert_sweep_matches(sys, None)
+    reports = _assert_sweep_matches(sys, None, reports_agree)
     assert reports[2].diagnostics.get("zero_column")
 
 
-def test_sweep_matches_single_reports_unbounded_lambda(toy1, unbounded_lp):
-    reports = _assert_sweep_matches(toy1, 3)
+def test_sweep_matches_single_reports_unbounded_lambda(toy1, unbounded_lp, monkeypatch, reports_agree):
+    # The stub acts on the LP path only: keep the sweep off the gauge.
+    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    reports = _assert_sweep_matches(toy1, 3, reports_agree)
     assert all(r.diagnostics.get("unbounded_lambda") for r in reports)
 
 
