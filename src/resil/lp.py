@@ -1,18 +1,17 @@
 """Dense linear-program kernel: maximize c.x subject to A x = b, l <= x <= u.
 
-This is the oracle behind every reach-time and lambda+/- computation, and the
-fallback of the batched zonotope gauge (zonotope.py).  It solves every reported
-reach time and optimizer (T_M* screens its vertices with the gauge, then
-solves one LP at the worst one), the lambda+/- and controllability problems
-of one-off reports (resilience.sweep answers them from one build of B_bar),
-and every batch or column whose H-representation zonotope.build declines or
-finds rank-deficient.  The problems are
-tiny (at most ~15 variables, ~6 equality rows), so the solver is a hand-rolled
-two-phase bounded-variable simplex rather than a call into a general-purpose
-package: it is bitwise deterministic (Bland's anti-cycling rule, no randomized
-or tie-breaking-by-magnitude pivoting), and one solve has a median time of
-0.28-0.51 ms depending on the workload (lp.solve p50 on a 2-vCPU x86_64 VM,
-recorded in resilbench/trajectory.json).
+This is the oracle behind reach times and lambda+/-, and the fallback of the
+batched zonotope gauge (zonotope.py).  It solves every reported reach time and
+optimizer (T_M* screens its vertices with the gauge, then solves one LP at the
+worst one), lambda+/- and controllability outside resilience.sweep, and every
+batch or column whose H-representation zonotope.build declines or finds
+rank-deficient.  The problems are tiny (at most ~15 variables, ~6 equality
+rows), so the solver is a hand-rolled two-phase bounded-variable simplex rather
+than a call into a general-purpose package: it is bitwise deterministic
+(Bland's anti-cycling rule, no randomized or tie-breaking-by-magnitude
+pivoting), and one solve has a median time of 0.28-0.51 ms depending on the
+workload (lp.solve p50 on a 2-vCPU x86_64 VM, recorded in
+resilbench/trajectory.json).
 
 Statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED.  A
 well-posed instance of the sizes used here is always resolved; the solver has

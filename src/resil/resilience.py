@@ -9,9 +9,7 @@ For a single lost column C with box [w_min, w_max], the closed form is
 
 and the system is resilient to that loss iff it is controllable and both
 values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k).
-Two engines give lam+/- and controllability: one simplex LP per problem, or
-the facets of one zonotope.build of B_bar's box image (sweep), whose
-Zonotope.without(j) is the kept image of every single-column loss.  The
+sweep answers lam+/- and controllability from one zonotope.build of B_bar.  The
 reach-time route (four reach times along +/-C) is kept as an independent
 cross-check: both verdicts must agree.
 """
@@ -27,6 +25,7 @@ import numpy as np
 from . import lp, reach, zonotope
 from .errors import UnsupportedLossError
 from .model import ActuatorSplit, IntegratorSystem, split as make_split, to_machine
+from .zonotope import Zonotope
 
 #: Relative margin for the interior-membership tests of Prop-style diagnostics.
 INTERIOR_MARGIN = 1e-7
@@ -75,31 +74,22 @@ class ReachTimeVerdict:
     resilient: bool
 
 
-def _lambdas(m, lower, upper, directions: np.ndarray, image: zonotope.Zonotope | None):
-    """Yield max{lam : M x = lam d, x in box} per row d (0 unless optimal or unbounded).
-
-    From one gauge batch of `image`, the box image of M, when given; else lazily,
-    one lp.max_scaled_direction per row.
-    """
+def _lambdas(m, lower, upper, directions: np.ndarray, image: Zonotope | None):
+    """max{lam : M x = lam d, x in box} per row d, 0 unless optimal or unbounded: one
+    gauge batch of `image`, the box image of M, if given, else lazily one LP per row."""
     if image is not None:
         lam_hat = image.scalings(directions, np.zeros((1, directions.shape[1])))[:, 0]
         reaches = lam_hat > lp.lambda_threshold(np.ones(1))
-        yield from np.where(reaches, lam_hat / np.linalg.norm(directions, axis=1), 0.0).tolist()
-        return
-    for d in directions:
-        scaling = lp.max_scaled_direction(m, lower, upper, d)
-        yield scaling.value if scaling.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0
+        return iter(np.where(reaches, lam_hat / np.linalg.norm(directions, axis=1), 0.0).tolist())
+    scalings = (lp.max_scaled_direction(m, lower, upper, d) for d in directions)
+    return (s.value if s.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0 for s in scalings)
 
 
-def check_controllability(
-    sys: IntegratorSystem, *, image: zonotope.Zonotope | None = None
-) -> bool:
+def check_controllability(sys: IntegratorSystem, *, image: Zonotope | None = None) -> bool:
     """rank(B_bar) = n and 0 interior to the image polytope {B_bar u : u in box}.
 
-    Interiority is established along +e_j and -e_j for every basis direction:
-    the image must extend a positive distance along each, decided by up to 2n
-    directional LPs, or by one gauge batch when `image` passes in
-    zonotope.build of B_bar (see sweep).
+    Interiority: the image extends a positive distance along +e_j and -e_j for
+    every basis direction, by up to 2n LPs or one gauge batch of `image` (sweep).
     """
     sv = np.linalg.svd(sys.b_bar, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -118,20 +108,16 @@ def _single_column(split: ActuatorSplit) -> np.ndarray:
     return split.c[:, 0]
 
 
-def lambda_pair(
-    split: ActuatorSplit, *, image: zonotope.Zonotope | None = None
-) -> tuple[float, float]:
+def lambda_pair(split: ActuatorSplit, *, image: Zonotope | None = None) -> tuple[float, float]:
     """(lam+, lam-): max speeds of the remaining actuators along +/-C.
 
-    `image` passes in zonotope.build of B_bar (see sweep): the pair then comes
-    from image.without(lost column), and from two LPs where that is None.
+    From image.without(lost column) when `image` (see sweep) gives it, else 2 LPs.
     """
     c = _single_column(split)
     if not np.any(c):
         raise UnsupportedLossError("C = 0 has no lambda pair; see quantitative_resilience")
     kept = None if image is None else image.without(split.lost_columns[0])
-    lam_p, lam_m = _lambdas(split.b, split.u_min, split.u_max, np.vstack([c, -c]), kept)
-    return lam_p, lam_m
+    return tuple(_lambdas(split.b, split.u_min, split.u_max, np.vstack([c, -c]), kept))
 
 
 def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tuple[float, float]:
@@ -160,29 +146,24 @@ def sweep(
 ) -> list[ResilienceReport]:
     """Single-loss reports for each (0-based) lost column in `columns`.
 
-    One zonotope.build of B_bar decides controllability and every column's
-    lam+/-; where it declines, controllability costs 2n LPs and each nonzero
-    column 2 (and where a column's kept image is rank-deficient, that column 2).
+    One zonotope.build of B_bar answers controllability and every lam+/- (see
+    lambda_pair); where it declines, LPs do: 2n, plus 2 per nonzero column.
     """
     reach._resolve_order(sys, order)
     splits = [make_split(sys, col) for col in columns]
     lps = 2 * sys.n + 2 * sum(bool(np.any(sp.c)) for sp in splits)
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=lps)
-    controllable = check_controllability(sys, image=image)
-    return [
-        quantitative_resilience(sp, order, controllable=controllable, image=image)
-        for sp in splits
-    ]
+    ctrl = check_controllability(sys, image=image)
+    return [quantitative_resilience(sp, order, controllable=ctrl, image=image) for sp in splits]
 
 
 def quantitative_resilience(
     split: ActuatorSplit, order: int | None = None, *, controllable: bool | None = None,
-    image: zonotope.Zonotope | None = None,
+    image: Zonotope | None = None,
 ) -> ResilienceReport:
     """Full single-loss resilience report for a split (Algorithm-1 style).
 
-    `controllable` passes in check_controllability(split.base) and `image`
-    zonotope.build of B_bar (see sweep); without them both come from LPs.
+    `controllable` and `image` pass in what sweep computes once for all columns.
     """
     k = reach._resolve_order(split.base, order)
     c = _single_column(split)

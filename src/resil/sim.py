@@ -1,16 +1,18 @@
-"""Trajectories and crossing times under first-order propeller lag.
+"""Trajectories and crossing times: constant inputs and first-order propeller lag.
 
-The lag u' = (u_c - u)/tau admits an exact closed form, so no generic ODE
-stepping (and no solver tolerance) enters the results: it gives
-exponential-plus-constant forcing, whose repeated integrals follow the
-recurrence
-    E_0(h) = exp(-h/tau),   E_r(h) = tau * (h^(r-1)/(r-1)! - E_(r-1)(h)),
-evaluated for all samples of a command segment at once; each segment starts
-from the previous one's end state (Taylor shift plus E_r).
+Both models admit exact closed forms, so no generic ODE stepping (and no
+solver tolerance) enters the results:
+
+- constant forcing: x^(k) = const gives polynomial states;
+- first-order lag u' = (u_c - u)/tau gives exponential-plus-constant forcing,
+  whose repeated integrals follow the recurrence
+      E_0(h) = exp(-h/tau),   E_r(h) = tau * (h^(r-1)/(r-1)! - E_(r-1)(h)),
+  evaluated for all samples of a command segment at once; each segment
+  starts from the previous one's end state (Taylor shift plus E_r).
 
 The scenario ratios of `smooth_reach_ratio` come from the closed-form
 crossing times (target/rate without lag, `lag_crossing` with it); sampled
-trajectories serve CSV export.
+trajectories and `first_crossing` serve CSV export and tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from . import catalog, reach
 from .errors import ModelError, NonReachError
 from .model import IntegratorSystem, split as make_split
 
-#: Samples over the horizon that bound the default lag spacing from below.
+#: Default sample spacing for non-lag runs (s).
+DT_DEFAULT = 1e-3
+
+#: Default lag spacing: tau/100, coarsened up to tau/10 for about this many samples.
 LAG_SAMPLES = 1000
 
 #: Box-membership tolerance for inputs, relative to the box magnitude.
@@ -79,6 +84,36 @@ def _check_in_box(u: np.ndarray, sys: IntegratorSystem, what: str) -> None:
         raise ModelError(f"{what} outside the input box")
 
 
+def integrate_constant(
+    sys: IntegratorSystem,
+    u_bar: np.ndarray,
+    horizon: float,
+    dt: float = DT_DEFAULT,
+    x0: np.ndarray | None = None,
+) -> Trajectory:
+    """Propagate x^(k) = B_bar u_bar for a constant input (exact polynomials)."""
+    u_bar = np.atleast_1d(np.asarray(u_bar, dtype=float))
+    if u_bar.shape != (sys.n_inputs,):
+        raise ModelError(f"input must have length {sys.n_inputs}")
+    _check_in_box(u_bar, sys, "constant input")
+    k = sys.order
+    n = sys.n
+    x_init = np.zeros(n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    accel = sys.b_bar @ u_bar
+
+    times = _sample_grid(horizon, dt)
+    states = np.zeros((times.size, n * k))
+    for j in range(k):
+        # x^(j)(t) = accel * t^(k-j) / (k-j)!  (+ x_init for j = 0).
+        power = k - j
+        states[:, j * n : (j + 1) * n] = np.outer(
+            times**power / math.factorial(power), accel
+        )
+    states[:, :n] += x_init
+    inputs = np.tile(u_bar, (times.size, 1))
+    return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
+
+
 def integrate_with_lag(
     sys: IntegratorSystem,
     commands: "list[tuple[float, np.ndarray]] | np.ndarray",
@@ -91,8 +126,7 @@ def integrate_with_lag(
     """Propagate with first-order input lag u' = (u_c - u)/tau (exact per segment).
 
     commands is either a single command vector or a piecewise-constant schedule
-    [(t_start, vector), ...] with t_start increasing from 0.  dt defaults to
-    tau/100, coarsened up to tau/10 to keep about LAG_SAMPLES samples.
+    [(t_start, vector), ...] with t_start increasing from 0.
     """
     if tau <= 0.0:
         raise ModelError(f"tau must be positive, got {tau}")
@@ -161,6 +195,30 @@ def integrate_with_lag(
         end_state, end_input = segment(np.array([t_end - t_start]), state, u, u_c)
         state, u = end_state[0], end_input[0]
     return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
+
+
+def first_crossing(
+    traj: Trajectory, component: np.ndarray, target: float, derivative: int = 0
+) -> float:
+    """First time the projection of a state block onto `component` reaches target.
+
+    Linear interpolation between samples (exact for order-1 constant runs).
+    Raises NonReachError when the target is never crossed.
+    """
+    values = traj.derivative(derivative) @ np.atleast_1d(np.asarray(component, dtype=float))
+    hits = np.flatnonzero(values >= target)
+    if hits.size == 0:
+        raise NonReachError(
+            f"target {target} never crossed within horizon {traj.times[-1]:.6g} s"
+        )
+    i = int(hits[0])
+    if i == 0:
+        return float(traj.times[0])
+    v0, v1 = values[i - 1], values[i]
+    t0, t1 = traj.times[i - 1], traj.times[i]
+    if v1 == v0:
+        return float(t1)
+    return float(t0 + (target - v0) / (v1 - v0) * (t1 - t0))
 
 
 def lag_crossing(rate: float, target: float, tau: float) -> float:

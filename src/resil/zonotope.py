@@ -3,13 +3,12 @@
 The image is a zonotope Z = c + sum_j g_j [-1, 1] with center c = M (lower +
 upper)/2 and generators g_j = m_j (upper_j - lower_j)/2.  When rank M = n it is
 the polytope {y : a.y <= h(a)} over its facet normals a: each normal is the
-cofactor vector (generalized cross product) of n - 1 linearly independent
-generators, taken with both signs, and h(a) = a.c + sum_j |a.g_j| is the
-support function of Z (Girard, HSCC 2005).  There are at most 2 C(m, n-1)
-candidate normals for m nonzero generators (McMullen's facet bound for
-zonotopes).  The image without column j has as facets the candidates whose
-generators exclude j, less g_j and c_j = m_j (upper_j + lower_j)/2 in their
-supports (Zonotope.without): one build of B_bar serves every single loss.
+generalized cross product (cofactor vector) of n - 1 independent generators,
+taken with both signs, and h(a) = a.c + sum_j |a.g_j| is the support function
+of Z (Girard, HSCC 2005).  There are at most 2 C(m, n-1) candidate normals for
+m nonzero generators (McMullen's facet bound for zonotopes).  Without column j
+(Zonotope.without) those whose generators exclude j remain, their supports
+re-evaluated: subtracting |a.g_j| + a.c_j would cancel away small ones.
 
 Every reach time is a gauge of such an image: lp.max_scaled_direction(M,
 lower, upper, d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +38,13 @@ from . import lp
 from .errors import LpError
 
 #: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64
-#: VM: build() costs 1.2-4.3 us per candidate with cofactor normals (n = 3..6;
-#: SVD normals took 2.5-6.4 us), a gauge resilience.sweep 3.0-5.3 us at n = 6
-#: and one lp.solve 0.4-1.3 ms: the sweep breaks even at 155-250 per LP.
+#: VM: build() costs 1.3-4.0 us per candidate with cofactor normals (n = 3..6;
+#: SVD normals took 2.5-6.4 us), a gauge resilience.sweep 4.2-7.0 us at n = 6
+#: and one lp.solve 0.5-1.5 ms: the sweep breaks even at 190-270 per LP.
 FACETS_PER_LP = 150
 
-#: Rank tolerance on unit-normalized generators: singular values at or below
-#: this fraction of the largest count as zero (rank n of M), and n - 1
-#: generators spanning an (n-1)-volume at or below it give no facet.
+#: Singular values at or below this fraction of the largest count as zero (rank
+#: of M), and so do (n-1)-volumes of n - 1 unit generators (no facet).
 RANK_RTOL = 1e-10
 
 #: A facet whose normal makes |a.d| at or below this fraction of |d| with the
@@ -68,41 +66,28 @@ def candidate_count(n: int, generators: int) -> int:
 class Zonotope:
     """{y : normals @ (y / scale) <= support}: an image in row-scaled coordinates.
 
-    normals are unit vectors in the scaled coordinates y / scale.  uses[i, j]
-    marks the n - 1 columns of M whose generators normal i was computed from;
-    widths[i, j] = |a_i.g_j| and offsets[i, j] = a_i.c_j are column j's shares
-    of support = sum_j (offsets + widths), and generators holds the scaled g_j
-    (0 for a column outside the image).  extent holds |a.c| + sum_j |a.g_j|
-    per facet, the magnitude its feasibility tolerance is relative to.
+    normals are unit vectors in the scaled coordinates y / scale; extent holds
+    |a.c| + sum_j |a.g_j| per facet, the magnitude its feasibility tolerance
+    is relative to.  subsets holds the n - 1 columns of M each normal came
+    from, generators and centers the scaled g_j and c_j (0 outside the image).
     """
 
     normals: np.ndarray
+    support: np.ndarray
+    extent: np.ndarray
     scale: np.ndarray
-    uses: np.ndarray
-    widths: np.ndarray
-    offsets: np.ndarray
+    subsets: np.ndarray
     generators: np.ndarray
-    support: np.ndarray = field(init=False)
-    extent: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        ones = np.ones(self.widths.shape[1])
-        centered, width = self.offsets @ ones, self.widths @ ones
-        object.__setattr__(self, "support", centered + width)
-        object.__setattr__(self, "extent", np.abs(centered) + width)
+    centers: np.ndarray
 
     def without(self, j: int) -> Zonotope | None:
         """The image with column j of M removed, or None when the rest has rank < n."""
-        generators = self.generators.copy()
-        generators[:, j] = 0.0
+        generators, centers = self.generators.copy(), self.centers.copy()
+        generators[:, j] = centers[:, j] = 0.0
         if not _full_rank(generators):
             return None
-        rows = np.flatnonzero(~self.uses[:, j])
-        normals, uses, widths, offsets = (
-            a.take(rows, axis=0) for a in (self.normals, self.uses, self.widths, self.offsets)
-        )
-        widths[:, j] = offsets[:, j] = 0.0
-        return Zonotope(normals, self.scale, uses, widths, offsets, generators)
+        rows = ~np.any(self.subsets == j, axis=1)
+        return _facets(self.normals[rows], self.scale, self.subsets[rows], generators, centers)
 
     def scalings(self, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         """lam_hat[i, j] = max{lam >= 0 : lam d_i/|d_i| + s_j in Z}.
@@ -152,10 +137,8 @@ class Zonotope:
 def _full_rank(generators: np.ndarray) -> bool:
     """rank n for the unit-normalized nonzero generators (RANK_RTOL on singular values)."""
     unit = generators[:, np.any(generators != 0.0, axis=0)]
-    if unit.shape[1] < unit.shape[0]:
-        return False
     sv = np.linalg.svd(unit / np.linalg.norm(unit, axis=0), compute_uv=False)
-    return bool(sv[-1] > RANK_RTOL * sv[0])
+    return unit.shape[1] >= unit.shape[0] and bool(sv[-1] > RANK_RTOL * sv[0])
 
 
 def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zonotope | None:
@@ -180,9 +163,8 @@ def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zono
         return None
     centers = m * ((lower + upper) / 2.0) / scale[:, None]
 
-    # Each normal is the cofactor vector of n - 1 unit generators, a_i = (-1)^i
-    # det(rows other than i), whose length is the (n-1)-volume they span: at
-    # most RANK_RTOL means rank below n - 1 to within rounding, and no facet.
+    # Normal a_i = (-1)^i det(rows other than i) of n - 1 unit generators: its
+    # length is their (n-1)-volume; at most RANK_RTOL means rank < n - 1, no facet.
     subsets = nonzero[np.array(list(itertools.combinations(range(len(nonzero)), n - 1)), dtype=int)]
     unit = (gens[:, subsets] / np.linalg.norm(gens, axis=0)[subsets]).transpose(1, 0, 2)
     minors = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
@@ -190,7 +172,12 @@ def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zono
     volume = np.linalg.norm(cofactors, axis=1)
     kept = volume > RANK_RTOL
     normals = cofactors[kept] / volume[kept, None]
-    normals = np.vstack([normals, -normals])
-    uses = np.zeros((len(normals), m.shape[1]), dtype=bool)
-    uses[np.arange(len(normals))[:, None], np.tile(subsets[kept], (2, 1))] = True
-    return Zonotope(normals, scale, uses, np.abs(normals @ gens), normals @ centers, gens)
+    subsets = np.tile(subsets[kept], (2, 1))
+    return _facets(np.vstack([normals, -normals]), scale, subsets, gens, centers)
+
+
+def _facets(normals, scale, subsets, gens, centers) -> Zonotope:
+    """The Zonotope of these facet normals, each support evaluated at its normal."""
+    offset = normals @ centers.sum(axis=1)
+    width = np.abs(normals @ gens).sum(axis=1)
+    return Zonotope(normals, offset + width, np.abs(offset) + width, scale, subsets, gens, centers)

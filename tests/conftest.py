@@ -7,9 +7,8 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
 `lp_solves` counts the lp.solve calls a test makes, `sim_integrations` its
-sampled sim.integrate_with_lag calls.  `reports_agree`
-compares a resilience report with its LP-path reference, `lambdas_agree` two
-(lam+, lam-) pairs.
+sampled sim.integrate_constant / integrate_with_lag calls.  `reports_agree`
+compares a resilience report with its LP-path reference.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -49,53 +48,45 @@ def lp_solves(monkeypatch):
 
 @pytest.fixture
 def sim_integrations(monkeypatch):
-    """Count every sampled sim.integrate_with_lag call made while the test runs."""
-    return _count_calls(monkeypatch, sim, ["integrate_with_lag"])
+    """Count every sampled sim.integrate_* call made while the test runs."""
+    return _count_calls(monkeypatch, sim, ["integrate_constant", "integrate_with_lag"])
 
 
 #: Agreement of a report with its LP-path reference: lam+/- to LAMBDA_RTOL
-#: relative, or to LAMBDA_WIDTH_TOL of the kept image's width along C (lam+ +
-#: lam-) when lam is small: near the image's boundary a support is the
-#: difference of much larger terms, and there the simplex and HiGHS differ by
-#: up to 6.2e-12 of that width themselves.  r(+/-C), r_q and r_kq to R_ATOL
-#: on resilient columns: r(-C) = 1 - w_max/lam- when w_min = 0 turns a
-#: relative lam error into |1 - r| times that in r (the simplex is off HiGHS
-#: by 1.7e-11 relative at lam- = 1.35, r(-C) = 0.27 in one of 2500 draws of
-#: test_zonotope.py's sweep property).  Off them r_q = r_kq = 0.
+#: relative, r(+/-C), r_q and r_kq to R_ATOL on resilient columns (off them
+#: r_q = r_kq = 0).  loose=True, for the mixed-scale random draws of
+#: test_zonotope.py's sweep property, also accepts lam within LOOSE_WIDTH_TOL
+#: of the kept image's width along C (lam+ + lam-) and r within LOOSE_R_ATOL.
+#: Those draws hold ill-conditioned lam problems on which the simplex itself
+#: is off: against exact rational arithmetic it errs by 4.6e-11 relative at
+#: seed 4333 column 3 and 1.7e-11 at seed 2268 column 8 (r(-C) moves by
+#: 1.0e-11), where the gauge errs by 1.2e-11 and 7e-16; at seed 16197 the two
+#: differ by 1.9e-11 of the width, the largest over 8000 seeds.
 LAMBDA_RTOL = 1e-12
-LAMBDA_WIDTH_TOL = 1e-11
-R_ATOL = 1e-11
+R_ATOL = 1e-12
+LOOSE_WIDTH_TOL = 1e-10
+LOOSE_R_ATOL = 1e-10
 
 
-def _lambdas_agree(got: tuple, ref: tuple) -> bool:
-    """(lam+, lam-) pairs equal to LAMBDA_RTOL, or LAMBDA_WIDTH_TOL of ref's width."""
-    width = sum(ref)
-    return all(
-        lam == want or abs(lam - want) <= max(LAMBDA_RTOL * want, LAMBDA_WIDTH_TOL * width)
-        for lam, want in zip(got, ref)
-    )
-
-
-def _assert_reports_agree(got, ref) -> None:
+def _assert_reports_agree(got, ref, loose: bool = False) -> None:
     """Same column, order, verdicts and diagnostics; lam+/- and r values as above."""
     assert (got.lost_column, got.order) == (ref.lost_column, ref.order)
     assert (got.controllable, got.resilient) == (ref.controllable, ref.resilient)
     assert got.diagnostics == ref.diagnostics
-    pair = lambda rep: (rep.lambda_plus, rep.lambda_minus)  # noqa: E731
-    assert _lambdas_agree(pair(got), pair(ref)), (pair(got), pair(ref))
+    pair, want = (got.lambda_plus, got.lambda_minus), (ref.lambda_plus, ref.lambda_minus)
+    width = LOOSE_WIDTH_TOL * sum(want) if loose else 0.0
+    for lam, lam_ref in zip(pair, want):
+        tol = max(LAMBDA_RTOL * lam_ref, width)
+        assert lam == lam_ref or abs(lam - lam_ref) <= tol, (pair, want)
     names = ("r_plus", "r_minus", "r_q", "r_kq") if ref.resilient else ("r_q", "r_kq")
+    atol = LOOSE_R_ATOL if loose else R_ATOL
     for name in names:
-        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=0.0, abs=R_ATOL)
+        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=0.0, abs=atol)
 
 
 @pytest.fixture(scope="session")
 def reports_agree():
     return _assert_reports_agree
-
-
-@pytest.fixture(scope="session")
-def lambdas_agree():
-    return _lambdas_agree
 
 
 @pytest.fixture

@@ -128,7 +128,9 @@ def test_sweep_matches_single_reports_zero_column(reports_agree):
     assert reports[2].diagnostics.get("zero_column")
 
 
-def test_sweep_matches_single_reports_unbounded_lambda(toy1, unbounded_lp, monkeypatch, reports_agree):
+def test_sweep_matches_single_reports_unbounded_lambda(
+    toy1, unbounded_lp, monkeypatch, reports_agree
+):
     # The stub acts on the LP path only: keep the sweep off the gauge.
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
     reports = _assert_sweep_matches(toy1, 3, reports_agree)

@@ -1,5 +1,4 @@
-"""Simulator: exact lag propagation, crossings, scenario ratios; the sampled
-constant-input reference of sim_reference.py."""
+"""Simulator: exact constant/lag propagation, crossings, scenario ratios."""
 
 import math
 
@@ -9,17 +8,16 @@ import pytest
 from resil import catalog, cli, reach, sim
 from resil.errors import ModelError, NonReachError
 from resil.model import IntegratorSystem, split
-from sim_reference import first_crossing, integrate_constant
 
 
 def test_constant_toy2(toy2):
-    traj = integrate_constant(toy2, [-1.0, 1.0], horizon=0.5)
+    traj = sim.integrate_constant(toy2, [-1.0, 1.0], horizon=0.5)
     assert traj.position()[-1, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_constant_double_integrator_closed_form():
     sys = IntegratorSystem("di", 2, np.array([[1.0]]), np.array([-1.0]), np.array([1.0]))
-    traj = integrate_constant(sys, [0.8], horizon=3.0, dt=0.1)
+    traj = sim.integrate_constant(sys, [0.8], horizon=3.0, dt=0.1)
     t = traj.times
     assert traj.position()[:, 0] == pytest.approx(0.8 * t**2 / 2.0, abs=1e-14)
     assert traj.derivative(1)[:, 0] == pytest.approx(0.8 * t, abs=1e-14)
@@ -31,7 +29,7 @@ def test_constant_exactness_random_orders():
         n, v = 2, 3
         sys = IntegratorSystem("r", k, rng.standard_normal((n, v)), -np.ones(v), np.ones(v))
         u = rng.uniform(-1, 1, v)
-        traj = integrate_constant(sys, u, horizon=1.7, dt=0.3)
+        traj = sim.integrate_constant(sys, u, horizon=1.7, dt=0.3)
         acc = sys.b_bar @ u
         for j in range(k):
             expected = np.outer(traj.times ** (k - j) / math.factorial(k - j), acc)
@@ -40,7 +38,7 @@ def test_constant_exactness_random_orders():
 
 def test_constant_input_outside_box(toy2):
     with pytest.raises(ModelError, match="outside"):
-        integrate_constant(toy2, [5.0, 0.5], horizon=1.0)
+        sim.integrate_constant(toy2, [5.0, 0.5], horizon=1.0)
 
 
 def test_lag_exponential_convergence():
@@ -67,7 +65,8 @@ def test_simulate_out_dir_rows(tmp_path, capsys):
     # 907 rows (header included) at the default tau = 0.1, as with dt = tau/100;
     # tau = 1e-3 writes dt = tau/10 rows over the same horizon, not tau/100.
     for tau, rows in (("0.1", 907), ("1e-3", 9043)):
-        assert cli.main(["simulate", "octo-vertical-lag", "--tau", tau, "--out-dir", str(tmp_path)]) == 0
+        argv = ["simulate", "octo-vertical-lag", "--tau", tau, "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
         for tag in ("nominal", "malfunctioning"):
             text = (tmp_path / f"octo-vertical-lag-{tag}.csv").read_text()
             assert text.count("\n") == rows
@@ -88,7 +87,7 @@ def test_lag_command_outside_box():
 
 def test_lag_vanishing_tau_approaches_constant(toy2):
     u = np.array([-1.0, 1.0])
-    const = integrate_constant(toy2, u, horizon=0.5, dt=1e-3)
+    const = sim.integrate_constant(toy2, u, horizon=0.5, dt=1e-3)
     lag = sim.integrate_with_lag(toy2, u, tau=1e-4, horizon=0.5, dt=1e-5)
     # Compare on the common grid via interpolation of the lag run; the sup-norm
     # gap is of order tau * |B u|.
@@ -159,11 +158,11 @@ def test_lag_state_matches_quadrature():
 
 
 def test_first_crossing_and_nonreach(toy2):
-    traj = integrate_constant(toy2, [-1.0, 1.0], horizon=1.0)
-    t = first_crossing(traj, [-1.0], 1.0)  # -x crosses 1 at t = 0.5
+    traj = sim.integrate_constant(toy2, [-1.0, 1.0], horizon=1.0)
+    t = sim.first_crossing(traj, [-1.0], 1.0)  # -x crosses 1 at t = 0.5
     assert t == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(NonReachError):
-        first_crossing(traj, [1.0], 1.0)
+        sim.first_crossing(traj, [1.0], 1.0)
 
 
 def test_first_crossing_matches_sample_scan():
@@ -178,11 +177,11 @@ def test_first_crossing_matches_sample_scan():
         else:
             t0, t1, v0, v1 = times[i - 1], times[i], values[i - 1], values[i]
             expected = t0 + (target - v0) / (v1 - v0) * (t1 - t0)
-        assert first_crossing(traj, [1.0], target) == expected
+        assert sim.first_crossing(traj, [1.0], target) == expected
 
 
 def test_csv_export(tmp_path, toy2):
-    traj = integrate_constant(toy2, [-1.0, 1.0], horizon=0.2, dt=0.1)
+    traj = sim.integrate_constant(toy2, [-1.0, 1.0], horizon=0.2, dt=0.1)
     path = tmp_path / "traj.csv"
     traj.to_csv(str(path))
     lines = path.read_text().strip().splitlines()
@@ -196,15 +195,15 @@ def test_cross_validation_reach_vs_sim():
     d = np.array([0.0, 0.0, -1.0])
     dt = 1e-3
     nominal = reach.nominal_reach_time(sys, d)
-    traj = integrate_constant(sys, nominal.optimizer_u, horizon=2 * nominal.time, dt=dt)
-    crossing = first_crossing(traj, d, 1.0)
+    traj = sim.integrate_constant(sys, nominal.optimizer_u, horizon=2 * nominal.time, dt=dt)
+    crossing = sim.first_crossing(traj, d, 1.0)
     assert abs(crossing - nominal.time) <= 2 * dt
 
     sp = split(sys, 0)
     malf = reach.malfunctioning_reach_time(sp, d)
     u_full = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
-    traj_m = integrate_constant(sys, u_full, horizon=2 * malf.time, dt=dt)
-    crossing_m = first_crossing(traj_m, d, 1.0)
+    traj_m = sim.integrate_constant(sys, u_full, horizon=2 * malf.time, dt=dt)
+    crossing_m = sim.first_crossing(traj_m, d, 1.0)
     assert abs(crossing_m - malf.time) <= 2 * dt
 
 

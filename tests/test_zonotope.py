@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resil import catalog, lp, oracle, reach, resilience, zonotope
 from resil.model import IntegratorSystem, split
@@ -135,7 +135,10 @@ def _highs_lambdas(highs, sp) -> tuple:
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, lambdas_agree):
+@example(seed=2268)  # the simplex errs by 1.7e-11 in lam-, 1.0e-11 in r(-C)
+@example(seed=4333)  # the simplex errs by 4.6e-11 and 7.1e-9 in two lam-
+@example(seed=16197)  # the gauge and the simplex differ by 1.9e-11 of the width
+def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree):
     sys = _random_sweep_system(seed)
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
     assert image is not None or np.linalg.matrix_rank(sys.b_bar) < sys.n
@@ -149,14 +152,14 @@ def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, lambdas_agr
             checked = got.controllable and np.any(sp.c)
             if checked:
                 ref = _highs_lambdas(highs, sp)
-                assert lambdas_agree((got.lambda_plus, got.lambda_minus), ref)
+                assert (got.lambda_plus, got.lambda_minus) == pytest.approx(ref, rel=REL)
             try:
                 want = quantitative_resilience(sp, controllable=controllable)
             except lp.LpError:
                 continue  # the simplex fault of test_simplex_singular_basis
-            if checked and not lambdas_agree((want.lambda_plus, want.lambda_minus), ref):
+            if checked and (want.lambda_plus, want.lambda_minus) != pytest.approx(ref, rel=1e-6):
                 continue  # the simplex fault of test_simplex_lambda_matches_highs
-            reports_agree(got, want)
+            reports_agree(got, want, loose=True)
 
 
 @pytest.mark.xfail(strict=True, reason="simplex fault: a wrong optimum of a degenerate lam LP")
