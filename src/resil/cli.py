@@ -138,20 +138,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     columns = _parse_lost(args.lost, sys_model.n_inputs)
     d = _parse_direction(args.direction)
     sp = split(sys_model, tuple(columns))
-    reports = {}
-    grid = oracle.grid_worst_w(sp, d, args.grid)
+    reports, scales = {}, [0.5, 2.0, 10.0]
+    image = oracle.op_image(sp, args.grid, args.samples, len(scales))
+    grid = oracle.grid_worst_w(sp, d, args.grid, image=image)
     reports["grid_worst_w"] = grid.to_dict()
     print(f"grid_worst_w: worst={_human(grid.worst_value)} theory={_human(grid.theory_value)} "
           f"violation={grid.max_violation:.3g}")
     if sp.p == 1 and args.samples > 0:
         try:
-            scan = oracle.direction_scan(sp, args.samples, args.seed)
+            scan = oracle.direction_scan(sp, args.samples, args.seed, image=image)
             reports["direction_scan"] = scan.to_dict()
             print(f"direction_scan: worst={_human(scan.worst_value)} "
                   f"theory={_human(scan.theory_value)} violation={scan.max_violation:.3g}")
         except ResilError as exc:
             print(f"direction_scan skipped: {exc}")
-    homog = oracle.homogeneity_probe(sp, d, [0.5, 2.0, 10.0])
+    homog = oracle.homogeneity_probe(sp, d, scales, image=image)
     reports["homogeneity_error"] = homog
     print(f"homogeneity error: {homog:.3g}")
     _write_out(args.out, reports)

@@ -7,7 +7,8 @@ quasi-random sampling and reports the worst observed violation.
 
 The scans evaluate all grid points or sampled directions in gauge batches of
 the box images of B and B_bar (reach.malfunction_times, reach.time_ratios;
-zonotope.py), falling back to one LP per query where the H-representation is
+zonotope.py): one image of B per op (op_image), and one of B_bar that
+direction_scan builds and also gates on; one LP per query where a build is
 declined.  Each theory value still comes from the scalar reach path, whose
 reported times are LP solutions, so a scan compares two engines.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import reach
+from . import reach, zonotope
 from .errors import CapacityError, LpError, UnsupportedLossError
 from .model import ActuatorSplit, IntegratorSystem, to_machine
 from .resilience import quantitative_resilience
@@ -60,8 +61,19 @@ def _relative_excess(found: float, theory: float) -> float:
     return 0.0 if excess <= VIOLATION_CLAMP else excess
 
 
+def op_image(split: ActuatorSplit, points_per_axis: int, samples: int, probes: int):
+    """The image of B (None: declined) shared by one oracle op's scans, offered the LPs
+    of its grid and its 2^p-vertex T_M* screens: grid_worst_w's, homogeneity_probe's
+    at d and `probes` scales, and direction_scan's (p = 1, samples > 0) 2 + samples."""
+    grid = points_per_axis**split.p
+    if points_per_axis < 2 or grid > GRID_CAP:
+        return None  # grid_worst_w rejects the op
+    screens = 2 + probes + (2 + samples if split.p == 1 and samples > 0 else 0)
+    return zonotope.build(split.b, split.u_min, split.u_max, lps=grid + 2**split.p * screens)
+
+
 def grid_worst_w(
-    split: ActuatorSplit, d: np.ndarray, points_per_axis: int
+    split: ActuatorSplit, d: np.ndarray, points_per_axis: int, *, image=reach._BUILD
 ) -> ScanReport:
     """Scan a uniform grid over W_c for a w worse than the vertex-enumeration T_M*."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -73,13 +85,13 @@ def grid_worst_w(
         raise CapacityError(
             f"grid of {points_per_axis}^{split.p} points exceeds the cap of {GRID_CAP}"
         )
-    theory = reach.malfunctioning_reach_time(split, d).time
+    theory = reach.malfunctioning_reach_time(split, d, image=image).time
     axes = [
         np.linspace(lo, hi, points_per_axis)
         for lo, hi in zip(split.w_min, split.w_max)
     ]
     grid = np.array(list(itertools.product(*axes)))
-    times = reach.malfunction_times(split, grid, d)
+    times = reach.malfunction_times(split, grid, d, image=image)
     worst = float(times.max())
     return ScanReport(
         worst_value=worst,
@@ -118,31 +130,34 @@ def _unit_directions(n: int, samples: int, seed: int) -> np.ndarray:
     return vec / norms[:, None]
 
 
-def direction_scan(split: ActuatorSplit, samples: int, seed: int) -> ScanReport:
+def direction_scan(
+    split: ActuatorSplit, samples: int, seed: int, *, image=reach._BUILD, full=reach._BUILD
+) -> ScanReport:
     """Scan unit directions for a time ratio above max(t(C), t(-C)).
 
     Only meaningful on resilient single-loss splits (off the resilient set the
-    ratio is unbounded and the theorem says nothing).
+    ratio is unbounded and the theorem says nothing), decided from `full`.
     """
     if split.p != 1:
         raise UnsupportedLossError("direction_scan requires a single lost column")
     c = split.c[:, 0]
     if not np.any(c):
         raise UnsupportedLossError("direction_scan requires a nonzero lost column")
-    report = quantitative_resilience(split)
-    if not report.resilient:
+    base = split.base
+    full = reach._image(full, base.b_bar, base.u_min, base.u_max, samples + 2 * base.n + 2)
+    if not quantitative_resilience(split, image=full).resilient:
         raise UnsupportedLossError(
             "direction_scan requires a resilient split (ratio is unbounded otherwise)"
         )
     c_unit = c / np.linalg.norm(c)
-    t_plus = reach.time_ratio(split, c_unit)
-    t_minus = reach.time_ratio(split, -c_unit)
+    t_plus = reach.time_ratio(split, c_unit, image=image)
+    t_minus = reach.time_ratio(split, -c_unit, image=image)
     theory = max(t_plus, t_minus)
 
     worst, worst_d = theory, (c_unit if t_plus >= t_minus else -c_unit)
     if samples > 0:
-        directions = _unit_directions(split.base.n, samples, seed)
-        ratios = reach.time_ratios(split, directions)
+        directions = _unit_directions(base.n, samples, seed)
+        ratios = reach.time_ratios(split, directions, image=image, full=full)
         best = int(np.argmax(ratios))
         if ratios[best] > worst:
             worst, worst_d = float(ratios[best]), directions[best]
@@ -158,6 +173,7 @@ def homogeneity_probe(
     obj: "IntegratorSystem | ActuatorSplit",
     d: np.ndarray,
     scales: "list[float] | tuple[float, ...]",
+    *, image=reach._BUILD,
 ) -> float:
     """Max relative error of T*(alpha d) versus alpha T*(d) over the scales.
 
@@ -173,12 +189,10 @@ def homogeneity_probe(
 
     # Homogeneity in d is an order-1 statement; evaluate there regardless of
     # the system's declared order.
-    evaluators = []
+    nominal = obj.base if isinstance(obj, ActuatorSplit) else obj
+    evaluators = [lambda dd: reach.nominal_reach_time(nominal, dd, order=1).time]
     if isinstance(obj, ActuatorSplit):
-        evaluators.append(lambda dd: reach.nominal_reach_time(obj.base, dd, order=1).time)
-        evaluators.append(lambda dd: reach.malfunctioning_reach_time(obj, dd, order=1).time)
-    else:
-        evaluators.append(lambda dd: reach.nominal_reach_time(obj, dd, order=1).time)
+        evaluators.append(lambda dd: reach.malfunctioning_reach_time(obj, dd, 1, image=image).time)
 
     err = 0.0
     for evaluate in evaluators:

@@ -11,9 +11,9 @@ per query, and the facet inequalities of the box image (zonotope.py), one
 batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
 optimizer come from the LP.  T_M* screens its 2^p vertices with one gauge
 batch and solves one LP at the worst vertex; the batched malfunction_times and
-time_ratios answer the oracle scans from the gauge alone.  Each batch falls
-back to the LP path when zonotope.build declines (rank-deficient B, or more
-facet candidates than the LPs are worth).
+time_ratios answer the oracle scans from the gauge alone.  Each takes the image
+as image= (time_ratios B_bar's as full=), built when omitted; a declined build
+(None: rank-deficient, or not worth its LPs) keeps the call on the LP path.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -38,6 +38,8 @@ P_MAX_DEFAULT = 20
 #: tied; the lowest lexicographic index among them is the worst vertex.  The
 #: gauge agrees with the LP to about 1e-13 relative on the catalog systems.
 VERTEX_TIE_RTOL = 1e-12
+
+_BUILD = object()  # default of image= and full=: the function builds the image
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,11 @@ def _check_in_w_box(split: ActuatorSplit, ws: np.ndarray) -> None:
         raise ModelError(f"w {w.tolist()} outside the undesirable-input box W_c")
 
 
+def _image(image, m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int):
+    """`image` as passed (None: declined), or built for lps LPs when omitted (_BUILD)."""
+    return zonotope.build(m, lower, upper, lps=lps) if image is _BUILD else image
+
+
 def _vertex_lp(split: ActuatorSplit, w: np.ndarray, d: np.ndarray) -> lp.DirectionScaling:
     """The scaling LP of T_M(w, d): max{lam >= 0 : B u = lam d - C w, u in U_c}."""
     return lp.max_scaled_direction(split.b, split.u_min, split.u_max, d, rhs_shift=-(split.c @ w))
@@ -136,11 +143,11 @@ def malfunction_time_for_w(
 
 
 def malfunction_times(
-    split: ActuatorSplit, ws: np.ndarray, d: np.ndarray, order: int | None = None
+    split: ActuatorSplit, ws: np.ndarray, d: np.ndarray, order: int | None = None, *, image=_BUILD
 ) -> np.ndarray:
     """T_M(w, d) for each row w of ws: malfunction_time_for_w as one gauge batch.
 
-    One LP per row instead when zonotope.build declines B.
+    One LP per row instead when the image of B is declined.
     """
     k = _resolve_order(split.base, order)
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -148,7 +155,7 @@ def malfunction_times(
     if not np.any(d):
         raise LpError("direction d must be nonzero")
     _check_in_w_box(split, ws)
-    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=len(ws))
+    zono = _image(image, split.b, split.u_min, split.u_max, len(ws))
     if zono is None:
         t1 = np.array([_order1_time(_vertex_lp(split, w, d))[0] for w in ws])
     else:
@@ -175,6 +182,7 @@ def malfunctioning_reach_time(
     d: np.ndarray,
     order: int | None = None,
     p_max: int = P_MAX_DEFAULT,
+    *, image=_BUILD,
 ) -> ReachResult:
     """Worst-case reach time T_M*(d): max over the vertices of W_c.
 
@@ -182,7 +190,7 @@ def malfunctioning_reach_time(
     index, and the first vertex with an infinite time wins, so the reported
     optimizer_w is deterministic.  One gauge batch screens all vertices and one
     LP at the worst of them gives the time and optimizer_u.  Every vertex gets
-    its LP when zonotope.build declines B, or when that LP and the screen
+    its LP when the image of B is declined, or when that LP and the screen
     disagree on whether the time is finite.
     """
     k = _resolve_order(split.base, order)
@@ -190,7 +198,7 @@ def malfunctioning_reach_time(
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
     vertices = _capped_vertices(split, p_max)
-    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=len(vertices))
+    zono = _image(image, split.b, split.u_min, split.u_max, len(vertices))
     if zono is not None:
         screened = _gauge_times(zono, d, -(vertices @ split.c.T))[0]
         worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
@@ -218,12 +226,13 @@ def time_ratio(
     d: np.ndarray,
     order: int | None = None,
     p_max: int = P_MAX_DEFAULT,
+    *, image=_BUILD,
 ) -> float:
     """Ratio of reach times t_k(d) = T_{k,M}*(d) / T_{k,N}*(d); see ratio_of_times.
 
     T_N* is not computed when T_M* is infinite: the ratio is +inf regardless.
     """
-    t_m = malfunctioning_reach_time(split, d, order=order, p_max=p_max).time
+    t_m = malfunctioning_reach_time(split, d, order=order, p_max=p_max, image=image).time
     if math.isinf(t_m):
         return math.inf
     return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order).time)
@@ -234,12 +243,13 @@ def time_ratios(
     directions: np.ndarray,
     order: int | None = None,
     p_max: int = P_MAX_DEFAULT,
+    *, image=_BUILD, full=_BUILD,
 ) -> np.ndarray:
     """t_k(d) for each (nonzero) row d of directions: time_ratio as two gauge batches.
 
     One batch over the directions and W_c vertices for B, one over the
-    directions for B_bar; time_ratio per row instead when zonotope.build
-    declines either matrix.
+    directions for B_bar (`full`); time_ratio per row instead when either image
+    is declined.
     """
     k = _resolve_order(split.base, order)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -247,10 +257,10 @@ def time_ratios(
         raise LpError("every direction must be nonzero")
     vertices = _capped_vertices(split, p_max)
     base = split.base
-    lost = zonotope.build(split.b, split.u_min, split.u_max, lps=len(directions) * len(vertices))
-    full = zonotope.build(base.b_bar, base.u_min, base.u_max, lps=len(directions))
+    lost = _image(image, split.b, split.u_min, split.u_max, len(directions) * len(vertices))
+    full = _image(full, base.b_bar, base.u_min, base.u_max, len(directions))
     if lost is None or full is None:
-        return np.array([time_ratio(split, d, order=k, p_max=p_max) for d in directions])
+        return np.array([time_ratio(split, d, k, p_max, image=lost) for d in directions])
     t_m = _gauge_times(lost, directions, -(vertices @ split.c.T)).max(axis=1)
     t_n = _gauge_times(full, directions, np.zeros(base.n))[:, 0]
     return ratio_of_times(order_k_time(t_m, k), order_k_time(t_n, k))

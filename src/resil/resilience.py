@@ -240,7 +240,6 @@ def polytope_containment_check(split: ActuatorSplit) -> bool:
         for j in range(n):
             for sign in (1.0, -1.0):
                 target = -x
-                target = target.copy()
                 target[j] += sign * eps
                 out = lp.solve(
                     lp.LpProblem(

@@ -6,8 +6,9 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
       Losing column 2: lambda+/- = (1,3), r(C) = 1/2, r(-C) = 2/3.
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
-`lp_solves` counts the lp.solve calls a test makes, `sim_integrations` its
-sampled sim.integrate_constant / integrate_with_lag calls.  `reports_agree`
+`lp_solves` counts the lp.solve calls a test makes, `zonotope_builds` its
+zonotope.build calls, `sim_integrations` its sampled sim.integrate_constant /
+integrate_with_lag calls.  `reports_agree`
 compares a resilience report with its LP-path reference.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
@@ -20,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from resil import lp, sim
+from resil import lp, sim, zonotope
 from resil.model import IntegratorSystem, split
 
 
@@ -44,6 +45,12 @@ def _count_calls(monkeypatch, module, names) -> list:
 def lp_solves(monkeypatch):
     """Count every lp.solve call made while the test runs."""
     return _count_calls(monkeypatch, lp, ["solve"])
+
+
+@pytest.fixture
+def zonotope_builds(monkeypatch):
+    """Count every zonotope.build call made while the test runs."""
+    return _count_calls(monkeypatch, zonotope, ["build"])
 
 
 @pytest.fixture

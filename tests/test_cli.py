@@ -122,8 +122,8 @@ def test_oracle_corrupted_theory_exits_nonzero(toy2_file, monkeypatch, capsys):
     # Harness self-test: corrupt T_M* and the oracle must catch it (exit 3).
     real = oracle_module.reach.malfunctioning_reach_time
 
-    def corrupted(split, d, order=None, p_max=20):
-        res = real(split, d, order=order, p_max=p_max)
+    def corrupted(split, d, order=None, p_max=20, **kwargs):
+        res = real(split, d, order=order, p_max=p_max, **kwargs)
         return ReachResult(time=res.time * 0.5, order=res.order,
                            optimizer_u=res.optimizer_u, optimizer_w=res.optimizer_w)
 

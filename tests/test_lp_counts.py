@@ -85,6 +85,29 @@ def test_ratio_lp_count(lp_solves, capsys, tmp_path, model, lost, d, p, lps):
     assert lp_solves[0] == lps
 
 
+SCAN_OP = ["oracle", "--model", "catalog:octocopter-trans:0", "--lost", "1", "-d", "0,0,-1",
+           "--grid", "21", "--samples", "60"]
+
+
+def test_oracle_scan_op_counts(lp_solves, zonotope_builds, capsys):
+    assert cli.main(SCAN_OP) == 0
+    capsys.readouterr()
+    # One image of B serves the grid, direction scan and homogeneity probe; one of
+    # B_bar the scan's directions and its resilience gate.  LPs: the T_M* of the
+    # grid theory, t(+C), t(-C) and 4 homogeneity points (one each) and the T_N*
+    # of t(+C), t(-C) and the 4 points.
+    assert zonotope_builds[0] == 2
+    assert lp_solves[0] == 13
+
+
+def test_oracle_declined_build_counts(zonotope_builds, monkeypatch, capsys):
+    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    assert cli.main(SCAN_OP) == 0
+    capsys.readouterr()
+    # The declined images reach every scan as declined: no call builds again.
+    assert zonotope_builds[0] <= 2
+
+
 def test_simulate_out_dir_lp_count(lp_solves, capsys, tmp_path):
     argv = ["simulate", "octo-vertical-lag", "--tau", "0.05"]
     assert cli.main(argv) == 0

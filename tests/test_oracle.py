@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from resil import oracle
+from resil import catalog, oracle, zonotope
 from resil.errors import CapacityError, LpError, UnsupportedLossError
 from resil.model import IntegratorSystem, split
+from resil.resilience import quantitative_resilience
 
 
 def test_grid_toy2(toy2_split):
@@ -99,3 +100,58 @@ def test_report_serialization(toy2_split):
     doc = oracle.grid_worst_w(toy2_split, [-1.0], 11).to_dict()
     assert doc["max_violation"] == 0.0
     assert isinstance(doc["worst_argument"], list)
+
+
+
+#: Splits for the image-passing tests: the toys and one catalog loss.
+IMAGE_SPLITS = ["toy1_split", "toy2_split", "toy3_split", "octocopter-trans:0/1"]
+SCALES = [0.5, 2.0, 10.0]
+
+
+@pytest.fixture(params=IMAGE_SPLITS)
+def image_split(request):
+    if request.param.startswith("toy"):
+        return request.getfixturevalue(request.param)
+    name, lost = request.param.split("/")
+    return split(catalog.resolve(name), int(lost) - 1)
+
+
+def _op_scans(sp, image=oracle.reach._BUILD, full=oracle.reach._BUILD):
+    """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1."""
+    d = np.linspace(1.0, -0.5, sp.base.n)
+    out = {
+        "grid": oracle.grid_worst_w(sp, d, 11, image=image).to_dict(),
+        "homogeneity": oracle.homogeneity_probe(sp, d, SCALES, image=image),
+    }
+    if sp.p == 1:
+        out["scan"] = oracle.direction_scan(sp, 40, seed=3, image=image, full=full).to_dict()
+    return out
+
+
+def test_scans_same_with_given_images(image_split):
+    base = image_split.base
+    image = oracle.op_image(image_split, 11, 40 if image_split.p == 1 else 0, len(SCALES))
+    full = zonotope.build(base.b_bar, base.u_min, base.u_max, lps=40 + 2 * base.n + 2)
+    assert image is not None and full is not None
+    assert _op_scans(image_split, image, full) == _op_scans(image_split)
+
+
+def test_scans_declined_images_take_lp_path(image_split, monkeypatch):
+    # Images passed as declined (None) give what declined builds give.
+    given = _op_scans(image_split, None, None)
+    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    assert given == _op_scans(image_split)
+
+
+@pytest.mark.parametrize(
+    "model", ["toy1", "toy2", "octocopter-trans:0", "octocopter-rot", "spacecraft-printed"]
+)
+def test_gate_from_full_image_matches_lp_verdict(request, model):
+    sys = request.getfixturevalue(model) if model.startswith("toy") else catalog.resolve(model)
+    full = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**4)
+    assert full is not None
+    for col in range(sys.n_inputs):
+        sp = split(sys, col)
+        assert quantitative_resilience(sp, image=full).resilient == (
+            quantitative_resilience(sp).resilient
+        )
