@@ -139,14 +139,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     d = _parse_direction(args.direction)
     sp = split(sys_model, tuple(columns))
     reports, scales = {}, [0.5, 2.0, 10.0]
-    image = oracle.op_image(sp, args.grid, args.samples, len(scales))
+    samples = args.samples if sp.p == 1 else 0
+    image, full = oracle.op_images(sp, d, args.grid, samples, len(scales))
     grid = oracle.grid_worst_w(sp, d, args.grid, image=image)
     reports["grid_worst_w"] = grid.to_dict()
     print(f"grid_worst_w: worst={_human(grid.worst_value)} theory={_human(grid.theory_value)} "
           f"violation={grid.max_violation:.3g}")
-    if sp.p == 1 and args.samples > 0:
+    if samples > 0:
         try:
-            scan = oracle.direction_scan(sp, args.samples, args.seed, image=image)
+            scan = oracle.direction_scan(sp, samples, args.seed, image=image, full=full)
             reports["direction_scan"] = scan.to_dict()
             print(f"direction_scan: worst={_human(scan.worst_value)} "
                   f"theory={_human(scan.theory_value)} violation={scan.max_violation:.3g}")

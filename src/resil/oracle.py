@@ -7,10 +7,9 @@ quasi-random sampling and reports the worst observed violation.
 
 The scans evaluate all grid points or sampled directions in gauge batches of
 the box images of B and B_bar (reach.malfunction_times, reach.time_ratios;
-zonotope.py): one image of B per op (op_image), and one of B_bar that
-direction_scan builds and also gates on; one LP per query where a build is
-declined.  Each theory value still comes from the scalar reach path, whose
-reported times are LP solutions, so a scan compares two engines.
+zonotope.py), one LP per query where a build is declined; op_images builds
+both once per oracle op.  Each theory value still comes from the scalar reach
+path, whose reported times are LP solutions, so a scan compares two engines.
 """
 
 from __future__ import annotations
@@ -61,21 +60,8 @@ def _relative_excess(found: float, theory: float) -> float:
     return 0.0 if excess <= VIOLATION_CLAMP else excess
 
 
-def op_image(split: ActuatorSplit, points_per_axis: int, samples: int, probes: int):
-    """The image of B (None: declined) shared by one oracle op's scans, offered the LPs
-    of its grid and its 2^p-vertex T_M* screens: grid_worst_w's, homogeneity_probe's
-    at d and `probes` scales, and direction_scan's (p = 1, samples > 0) 2 + samples."""
-    grid = points_per_axis**split.p
-    if points_per_axis < 2 or grid > GRID_CAP:
-        return None  # grid_worst_w rejects the op
-    screens = 2 + probes + (2 + samples if split.p == 1 and samples > 0 else 0)
-    return zonotope.build(split.b, split.u_min, split.u_max, lps=grid + 2**split.p * screens)
-
-
-def grid_worst_w(
-    split: ActuatorSplit, d: np.ndarray, points_per_axis: int, *, image=reach._BUILD
-) -> ScanReport:
-    """Scan a uniform grid over W_c for a w worse than the vertex-enumeration T_M*."""
+def _grid_direction(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -> np.ndarray:
+    """d as an array, once d and the grid of a grid_worst_w scan are checked valid."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
         raise LpError("direction d must be nonzero")
@@ -85,6 +71,30 @@ def grid_worst_w(
         raise CapacityError(
             f"grid of {points_per_axis}^{split.p} points exceeds the cap of {GRID_CAP}"
         )
+    return d
+
+
+def op_images(split: ActuatorSplit, d: np.ndarray, points_per_axis: int, samples: int, probes: int):
+    """Images of B and B_bar (None: declined) for one oracle op, after grid_worst_w's checks.
+
+    B's is offered the grid points and 2^p LPs per T_M* screen (grid theory, 1 + `probes`
+    homogeneity points, t(+/-C) and each scan direction); B_bar's, built only when the
+    direction scan runs (samples > 0), its directions and the 2n + 2 LPs of its gate.
+    """
+    _grid_direction(split, d, points_per_axis)
+    screens = 2 + probes + (2 + samples if samples > 0 else 0)
+    lps = points_per_axis**split.p + 2**split.p * screens
+    base, image = split.base, zonotope.build(split.b, split.u_min, split.u_max, lps=lps)
+    if samples <= 0:
+        return image, None
+    return image, zonotope.build(base.b_bar, base.u_min, base.u_max, lps=samples + 2 * base.n + 2)
+
+
+def grid_worst_w(
+    split: ActuatorSplit, d: np.ndarray, points_per_axis: int, *, image=reach._BUILD
+) -> ScanReport:
+    """Scan a uniform grid over W_c for a w worse than the vertex-enumeration T_M*."""
+    d = _grid_direction(split, d, points_per_axis)
     theory = reach.malfunctioning_reach_time(split, d, image=image).time
     axes = [
         np.linspace(lo, hi, points_per_axis)
@@ -136,16 +146,15 @@ def direction_scan(
     """Scan unit directions for a time ratio above max(t(C), t(-C)).
 
     Only meaningful on resilient single-loss splits (off the resilient set the
-    ratio is unbounded and the theorem says nothing), decided from `full`.
+    ratio is unbounded and the theorem says nothing); decided from `full` if given.
     """
     if split.p != 1:
         raise UnsupportedLossError("direction_scan requires a single lost column")
     c = split.c[:, 0]
     if not np.any(c):
         raise UnsupportedLossError("direction_scan requires a nonzero lost column")
-    base = split.base
-    full = reach._image(full, base.b_bar, base.u_min, base.u_max, samples + 2 * base.n + 2)
-    if not quantitative_resilience(split, image=full).resilient:
+    report = quantitative_resilience(split, image=None if full is reach._BUILD else full)
+    if not report.resilient:
         raise UnsupportedLossError(
             "direction_scan requires a resilient split (ratio is unbounded otherwise)"
         )
@@ -156,7 +165,7 @@ def direction_scan(
 
     worst, worst_d = theory, (c_unit if t_plus >= t_minus else -c_unit)
     if samples > 0:
-        directions = _unit_directions(base.n, samples, seed)
+        directions = _unit_directions(split.base.n, samples, seed)
         ratios = reach.time_ratios(split, directions, image=image, full=full)
         best = int(np.argmax(ratios))
         if ratios[best] > worst:

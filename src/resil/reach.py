@@ -131,15 +131,10 @@ def malfunction_time_for_w(
     """Reach time of the malfunctioning system for one frozen undesirable input w.
 
     T_M(w, d) = 1 / max{lam >= 0 : B u + C w = lam d, u in U_c}, +inf when the
-    maximum is 0 or the constraint is infeasible.
+    maximum is 0 or the constraint is infeasible; solved as one LP.
     """
     k = _resolve_order(split.base, order)
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if not np.any(d):
-        raise LpError("direction d must be nonzero")
-    _check_in_w_box(split, w[None])
-    return order_k_time(_order1_time(_vertex_lp(split, w, d))[0], k)
+    return order_k_time(float(malfunction_times(split, w, d, 1, image=None)[0]), k)
 
 
 def malfunction_times(

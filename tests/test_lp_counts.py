@@ -100,12 +100,15 @@ def test_oracle_scan_op_counts(lp_solves, zonotope_builds, capsys):
     assert lp_solves[0] == 13
 
 
-def test_oracle_declined_build_counts(zonotope_builds, monkeypatch, capsys):
+def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, capsys):
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # The declined images reach every scan as declined: no call builds again.
-    assert zonotope_builds[0] <= 2
+    # LPs: grid theory 2 (both vertices) + 21 grid points, the gate's 2n + 2 = 8,
+    # t(+/-C) 2 x 3 and 60 directions x 3, 4 homogeneity points x (2 + 1).
+    assert zonotope_builds[0] == 2
+    assert lp_solves[0] == 2 + 21 + 8 + 6 + 180 + 12
 
 
 def test_simulate_out_dir_lp_count(lp_solves, capsys, tmp_path):

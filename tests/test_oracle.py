@@ -102,7 +102,6 @@ def test_report_serialization(toy2_split):
     assert isinstance(doc["worst_argument"], list)
 
 
-
 #: Splits for the image-passing tests: the toys and one catalog loss.
 IMAGE_SPLITS = ["toy1_split", "toy2_split", "toy3_split", "octocopter-trans:0/1"]
 SCALES = [0.5, 2.0, 10.0]
@@ -116,9 +115,13 @@ def image_split(request):
     return split(catalog.resolve(name), int(lost) - 1)
 
 
+def _op_direction(sp):
+    return np.linspace(1.0, -0.5, sp.base.n)
+
+
 def _op_scans(sp, image=oracle.reach._BUILD, full=oracle.reach._BUILD):
     """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1."""
-    d = np.linspace(1.0, -0.5, sp.base.n)
+    d = _op_direction(sp)
     out = {
         "grid": oracle.grid_worst_w(sp, d, 11, image=image).to_dict(),
         "homogeneity": oracle.homogeneity_probe(sp, d, SCALES, image=image),
@@ -129,11 +132,18 @@ def _op_scans(sp, image=oracle.reach._BUILD, full=oracle.reach._BUILD):
 
 
 def test_scans_same_with_given_images(image_split):
-    base = image_split.base
-    image = oracle.op_image(image_split, 11, 40 if image_split.p == 1 else 0, len(SCALES))
-    full = zonotope.build(base.b_bar, base.u_min, base.u_max, lps=40 + 2 * base.n + 2)
-    assert image is not None and full is not None
+    samples = 40 if image_split.p == 1 else 0
+    image, full = oracle.op_images(image_split, _op_direction(image_split), 11, samples, len(SCALES))
+    assert image is not None and (full is not None) == (samples > 0)
     assert _op_scans(image_split, image, full) == _op_scans(image_split)
+
+
+def test_op_images_checks_op_before_building(toy2_split, zonotope_builds):
+    with pytest.raises(LpError):
+        oracle.op_images(toy2_split, [0.0], 11, 40, len(SCALES))
+    with pytest.raises(CapacityError):
+        oracle.op_images(toy2_split, [-1.0], 1, 40, len(SCALES))
+    assert zonotope_builds[0] == 0
 
 
 def test_scans_declined_images_take_lp_path(image_split, monkeypatch):
