@@ -19,7 +19,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import catalog, oracle, reach, resilience, sim
+from . import catalog, lp, oracle, reach, resilience, sim
 from .errors import CapacityError, ResilError
 from .model import IntegratorSystem, load_system, split, to_machine
 
@@ -267,7 +267,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with lp.reuse_scope():  # an LP posed twice within the op is solved once
+            return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=_sys.stderr)
         return EXIT_CAPACITY

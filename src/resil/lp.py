@@ -13,13 +13,20 @@ pivoting), and one solve has a median time of 0.28-0.51 ms depending on the
 workload (lp.solve p50 on a 2-vCPU x86_64 VM, recorded in
 resilbench/trajectory.json).
 
-Statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED.  A
-well-posed instance of the sizes used here is always resolved; the solver has
-no "numerical failure" escape hatch.
+Statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED, with
+no "numerical failure" status.  Degenerate lambda LPs (every u_min = 0, two
+equal columns) can still get a wrong optimum or LpError("singular basis
+encountered"): ROADMAP item 4, the strict xfails in tests/test_zonotope.py.
+
+Inside reuse_scope, opened by the CLI around each op, max_scaled_direction
+reuses the outcome of a problem whose bytes it has solved before (T*(alpha d)
+normalizes to the LP of T*(d)); the simplex is deterministic, so results
+are unchanged.  Outside a scope every call solves.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +45,11 @@ FEAS_TOL = 1e-9
 _RCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 10_000
+
+#: Outcomes a reuse_scope stores (1.6 kB each at 6 x 13), then it solves unstored:
+#: an oracle grid on a declined build poses up to 10^6 distinct LPs.
+REUSE_ENTRIES = 10_000
+_reused: dict | None = None  # LpOutcome by problem bytes while a reuse_scope is open
 
 
 @dataclass(frozen=True)
@@ -256,6 +268,17 @@ class DirectionScaling:
     argument: np.ndarray | None = None
 
 
+@contextlib.contextmanager
+def reuse_scope():
+    """Solve each distinct max_scaled_direction problem once while open; nested scopes share."""
+    global _reused
+    outer, _reused = _reused, {} if _reused is None else _reused
+    try:
+        yield
+    finally:
+        _reused = outer
+
+
 def lambda_threshold(d: np.ndarray) -> float:
     """Strict positivity threshold for lam decisions, scaled by the direction."""
     return 1e-9 * (1.0 + float(np.linalg.norm(d)))
@@ -297,14 +320,20 @@ def max_scaled_direction(
     a = np.hstack([m, -d_unit[:, None]])
     lo = np.concatenate([np.atleast_1d(lower).astype(float), [0.0]])
     hi = np.concatenate([np.atleast_1d(upper).astype(float), [np.inf]])
-    out = solve(LpProblem(objective=obj, eq_matrix=a, eq_rhs=shift, lower=lo, upper=hi))
+    problem = LpProblem(objective=obj, eq_matrix=a, eq_rhs=shift, lower=lo, upper=hi)
+    key = None if _reused is None else (a.shape, *(x.tobytes() for x in (a, shift, lo, hi)))
+    out = _reused.get(key) if key else None
+    if out is None:
+        out = solve(problem)
+        if key and len(_reused) < REUSE_ENTRIES:
+            _reused[key] = out
 
     if out.status == INFEASIBLE:
         return DirectionScaling(status=NEGATIVE_CERTIFICATE)
     if out.status == UNBOUNDED:
         return DirectionScaling(status=UNBOUNDED, value=np.inf)
     lam_hat = max(out.value, 0.0)
-    x = out.argument[:v]
+    x = out.argument[:v].copy()
     if lam_hat > lambda_threshold(d_unit):
         return DirectionScaling(status=OPTIMAL, value=lam_hat / norm, argument=x)
     return DirectionScaling(status=ZERO, value=lam_hat / norm, argument=x)

@@ -187,7 +187,12 @@ def homogeneity_probe(
     """Max relative error of T*(alpha d) versus alpha T*(d) over the scales.
 
     Checks T_N* always, and T_M* additionally when given a split.  Infinite
-    times are skipped (homogeneity is trivial there).
+    times are skipped (homogeneity is trivial there).  What it can see is the
+    normalization of d in lp.max_scaled_direction and the division of lam by
+    |d|: alpha d and d pose the same LP up to rounding of d/|d|, and inside
+    one lp.reuse_scope an LP that normalizes to the same bytes is not solved
+    again.  A fault that makes the LP of alpha d differ from that of d poses
+    a different problem, which is solved.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):

@@ -23,7 +23,7 @@ kept inequality is valid for Z.
 
 build() returns None, and callers keep to the LP path, when M is rank-deficient
 or when the candidate count exceeds FACETS_PER_LP times the LPs the batch would
-otherwise solve.
+otherwise solve, or MAX_CANDIDATES.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ from .errors import LpError
 #: SVD normals took 2.5-6.4 us), a gauge resilience.sweep 4.2-7.0 us at n = 6
 #: and one lp.solve 0.5-1.5 ms: the sweep breaks even at 190-270 per LP.
 FACETS_PER_LP = 150
+
+#: Facet candidates no build exceeds, whatever LPs it replaces: about 77 MB and
+#: 0.8 s at n = 6 (some 770 bytes and 8 us per candidate on the VM above).
+MAX_CANDIDATES = 100_000
 
 #: Singular values at or below this fraction of the largest count as zero (rank
 #: of M), and so do (n-1)-volumes of n - 1 unit generators (no facet).
@@ -145,14 +149,15 @@ def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zono
     """H-representation of {M x : x in [lower, upper]}, or None for the LP path.
 
     None when M has rank below n, or when its candidate count exceeds
-    FACETS_PER_LP * lps, lps being the LP solves the caller's batch replaces.
+    FACETS_PER_LP * lps, lps being the LP solves the caller's batch replaces, or
+    MAX_CANDIDATES; the count is checked before any work on M.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = m.shape[0]
     nonzero = np.flatnonzero(np.any(m != 0.0, axis=0))
-    if candidate_count(n, len(nonzero)) > FACETS_PER_LP * lps:
+    if candidate_count(n, len(nonzero)) > min(MAX_CANDIDATES, FACETS_PER_LP * lps):
         return None
     gens = m * ((upper - lower) / 2.0)
     scale = np.abs(gens).max(axis=1)

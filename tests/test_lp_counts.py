@@ -93,11 +93,12 @@ def test_oracle_scan_op_counts(lp_solves, zonotope_builds, capsys):
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # One image of B serves the grid, direction scan and homogeneity probe; one of
-    # B_bar the scan's directions and its resilience gate.  LPs: the T_M* of the
-    # grid theory, t(+C), t(-C) and 4 homogeneity points (one each) and the T_N*
-    # of t(+C), t(-C) and the 4 points.
+    # B_bar the scan's directions and its resilience gate.  The op poses 13 LPs and
+    # solves its 6 distinct problems once each: T_M*(d) (grid theory, then the
+    # probe's T_M* at d, 0.5d, 2d and 10d, which normalize to the same LP), T_N*(d)
+    # (the probe's four points), and the T_M* and T_N* of t(+C) and of t(-C).
     assert zonotope_builds[0] == 2
-    assert lp_solves[0] == 13
+    assert lp_solves[0] == 6
 
 
 def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, capsys):
@@ -105,10 +106,71 @@ def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, c
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # The declined images reach every scan as declined: no call builds again.
-    # LPs: grid theory 2 (both vertices) + 21 grid points, the gate's 2n + 2 = 8,
-    # t(+/-C) 2 x 3 and 60 directions x 3, 4 homogeneity points x (2 + 1).
+    # Distinct LPs: grid theory 2 (both vertices), the other 19 grid points (the
+    # grid's two end points are those vertices), the gate's 2n + 2 = 8 (its
+    # T_N* along +/-e3 are t(+/-C)'s, the lost column lying along e3), t(+/-C)'s
+    # 2 x 2 vertex LPs, 60 directions x 3, and T_N*(d) of the homogeneity probe,
+    # whose other 3 T_N* and 4 x 2 vertex LPs repeat T_N*(d) and the grid theory.
     assert zonotope_builds[0] == 2
-    assert lp_solves[0] == 2 + 21 + 8 + 6 + 180 + 12
+    assert lp_solves[0] == 2 + 19 + 8 + 4 + 180 + 1 == 214
+
+
+def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, capsys):
+    # The reuse scope closes with each op: the second op solves its 6 again.
+    assert cli.main(SCAN_OP) == 0
+    assert lp_solves[0] == 6
+    assert cli.main(SCAN_OP) == 0
+    capsys.readouterr()
+    assert lp_solves[0] == 12
+    assert lp._reused is None
+
+
+def test_reuse_scope_hits_hand_out_fresh_arrays(toy1, lp_solves):
+    d = np.array([1.0, 0.5])
+    with lp.reuse_scope():
+        first = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
+        # 3d normalizes to the bytes of d: the same problem, not solved again.
+        second = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, 3.0 * d)
+        third = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
+    assert lp_solves[0] == 1
+    assert second.value == pytest.approx(first.value / 3.0, rel=1e-15)
+    assert np.array_equal(first.argument, third.argument)
+    assert not np.shares_memory(second.argument, third.argument)
+    assert not np.shares_memory(first.argument, third.argument)
+
+
+def test_reuse_scope_nested_joins_outer(toy1, lp_solves):
+    d = np.array([1.0, 0.5])
+    with lp.reuse_scope():
+        lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
+        with lp.reuse_scope():
+            lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
+        # Closing the inner scope keeps the outer one's outcomes.
+        lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
+        assert lp_solves[0] == 1
+    assert lp._reused is None
+
+
+def test_reuse_scope_stores_at_most_reuse_entries(toy1, lp_solves, monkeypatch):
+    monkeypatch.setattr(lp, "REUSE_ENTRIES", 1)
+    first, second = np.array([1.0, 0.5]), np.array([0.5, 1.0])
+    with lp.reuse_scope():
+        for d in (first, second, first, second):
+            lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
+        # Only the first problem was stored: the second is solved each time.
+        assert len(lp._reused) == 1
+    assert lp_solves[0] == 3
+
+
+def test_library_calls_outside_a_scope_solve_every_lp(lp_solves):
+    sp = split(catalog.octocopter_translational(), 0)
+    d = np.array([0.0, 0.0, -1.0])
+    reach.time_ratio(sp, d)
+    once = lp_solves[0]
+    reach.time_ratio(sp, d)
+    # T_N* plus the T_M* at the gauge's worst vertex, both times.
+    assert once == 2
+    assert lp_solves[0] == 2 * once
 
 
 def test_simulate_out_dir_lp_count(lp_solves, capsys, tmp_path):

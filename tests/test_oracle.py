@@ -1,9 +1,13 @@
 """Brute-force oracle scans on the toy fixtures."""
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
-from resil import catalog, oracle, zonotope
+from resil import catalog, cli, lp, oracle, zonotope
 from resil.errors import CapacityError, LpError, UnsupportedLossError
 from resil.model import IntegratorSystem, split
 from resil.resilience import quantitative_resilience
@@ -88,6 +92,34 @@ def test_homogeneity_toy2(toy2_split):
 
 def test_homogeneity_identity_scale(toy2):
     assert oracle.homogeneity_probe(toy2, [-1.0], [1.0]) == 0.0
+
+
+@pytest.fixture
+def inhomogeneous_lp(monkeypatch):
+    """max_scaled_direction with lam scaled by 1 + 1e-6 |d|: a homogeneity fault."""
+    real = lp.max_scaled_direction
+
+    def faulty(m, lower, upper, d, rhs_shift=None):
+        out = real(m, lower, upper, d, rhs_shift=rhs_shift)
+        if out.value is None or not math.isfinite(out.value):
+            return out
+        return dataclasses.replace(out, value=out.value * (1.0 + 1e-6 * np.linalg.norm(d)))
+
+    monkeypatch.setattr(lp, "max_scaled_direction", faulty)
+
+
+def test_homogeneity_fault_caught_in_op_scope(inhomogeneous_lp, tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", "--model", "catalog:octocopter-trans:0", "--lost", "1",
+            "-d", "0,0,-1", "--grid", "5", "--samples", "20", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    capsys.readouterr()
+    assert json.loads(out.read_text())["homogeneity_error"] > 1e-6
+
+
+def test_homogeneity_fault_caught_without_scope(inhomogeneous_lp, toy2_split):
+    assert lp._reused is None
+    assert oracle.homogeneity_probe(toy2_split, [-1.0], SCALES) > 1e-6
 
 
 def test_unit_directions_shape_and_norm():

@@ -1,6 +1,7 @@
 """The zonotope gauge against the simplex LP and HiGHS, and the LP fallback rule."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,6 +256,20 @@ def test_over_facet_budget_takes_lp_path(lp_solves):
     assert lp_solves[0] == 2**sp.p
     # Within budget the same matrix is built and screened: one LP.
     assert zonotope.build(sp.b, sp.u_min, sp.u_max, lps=30) is not None
+
+
+def test_over_absolute_cap_declines_before_any_work(monkeypatch):
+    # 2 C(40, 5) = 1 316 016 candidates would take about 1 GB: no LP budget,
+    # however large, builds them, and build declines before touching M.
+    b = np.random.default_rng(0).standard_normal((6, 40))
+    assert zonotope.candidate_count(6, 40) > zonotope.MAX_CANDIDATES
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("build worked on a matrix over MAX_CANDIDATES")
+
+    monkeypatch.setattr(zonotope, "_full_rank", no_work)
+    monkeypatch.setattr(zonotope, "itertools", SimpleNamespace(combinations=no_work))
+    assert zonotope.build(b, -np.ones(40), np.ones(40), lps=10**12) is None
 
 
 def test_scalings_chunked_like_unchunked(monkeypatch):
