@@ -153,7 +153,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                   f"theory={_human(scan.theory_value)} violation={scan.max_violation:.3g}")
         except ResilError as exc:
             print(f"direction_scan skipped: {exc}")
-    homog = oracle.homogeneity_probe(sp, d, scales, image=image)
+    homog = oracle.homogeneity_probe(sp, d, scales, image=image, full=full)
     reports["homogeneity_error"] = homog
     print(f"homogeneity error: {homog:.3g}")
     _write_out(args.out, reports)

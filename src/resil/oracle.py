@@ -9,7 +9,8 @@ The scans evaluate all grid points or sampled directions in gauge batches of
 the box images of B and B_bar (reach.malfunction_times, reach.time_ratios;
 zonotope.py), one LP per query where a build is declined; op_images builds
 both once per oracle op.  Each theory value still comes from the scalar reach
-path, whose reported times are LP solutions, so a scan compares two engines.
+path, whose reported times are LP optima (started at the facet of an image
+where the ray leaves it), so a scan compares two engines.
 """
 
 from __future__ import annotations
@@ -153,14 +154,15 @@ def direction_scan(
     c = split.c[:, 0]
     if not np.any(c):
         raise UnsupportedLossError("direction_scan requires a nonzero lost column")
-    report = quantitative_resilience(split, image=None if full is reach._BUILD else full)
+    given = None if full is reach._BUILD else full
+    report = quantitative_resilience(split, image=given)
     if not report.resilient:
         raise UnsupportedLossError(
             "direction_scan requires a resilient split (ratio is unbounded otherwise)"
         )
     c_unit = c / np.linalg.norm(c)
-    t_plus = reach.time_ratio(split, c_unit, image=image)
-    t_minus = reach.time_ratio(split, -c_unit, image=image)
+    t_plus = reach.time_ratio(split, c_unit, image=image, full=given)
+    t_minus = reach.time_ratio(split, -c_unit, image=image, full=given)
     theory = max(t_plus, t_minus)
 
     worst, worst_d = theory, (c_unit if t_plus >= t_minus else -c_unit)
@@ -182,7 +184,7 @@ def homogeneity_probe(
     obj: "IntegratorSystem | ActuatorSplit",
     d: np.ndarray,
     scales: "list[float] | tuple[float, ...]",
-    *, image=reach._BUILD,
+    *, image=reach._BUILD, full=None,
 ) -> float:
     """Max relative error of T*(alpha d) versus alpha T*(d) over the scales.
 
@@ -192,7 +194,8 @@ def homogeneity_probe(
     |d|: alpha d and d pose the same LP up to rounding of d/|d|, and inside
     one lp.reuse_scope an LP that normalizes to the same bytes is not solved
     again.  A fault that makes the LP of alpha d differ from that of d poses
-    a different problem, which is solved.
+    a different problem, which is solved.  T_N*'s LPs start from B_bar's image
+    `full` when given.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
@@ -204,7 +207,7 @@ def homogeneity_probe(
     # Homogeneity in d is an order-1 statement; evaluate there regardless of
     # the system's declared order.
     nominal = obj.base if isinstance(obj, ActuatorSplit) else obj
-    evaluators = [lambda dd: reach.nominal_reach_time(nominal, dd, order=1).time]
+    evaluators = [lambda dd: reach.nominal_reach_time(nominal, dd, order=1, image=full).time]
     if isinstance(obj, ActuatorSplit):
         evaluators.append(lambda dd: reach.malfunctioning_reach_time(obj, dd, 1, image=image).time)
 

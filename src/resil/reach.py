@@ -9,11 +9,13 @@ maximum over the 2^p vertices.
 Two engines compute lam*: the simplex LP of lp.max_scaled_direction, one solve
 per query, and the facet inequalities of the box image (zonotope.py), one
 batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
-optimizer come from the LP.  T_M* screens its 2^p vertices with one gauge
-batch and solves one LP at the worst vertex; the batched malfunction_times and
-time_ratios answer the oracle scans from the gauge alone.  Each takes the image
-as image= (time_ratios B_bar's as full=), built when omitted; a declined build
-(None: rank-deficient, or not worth its LPs) keeps the call on the LP path.
+optimizer are LP optima, started at the facet where the ray leaves the image
+(zonotope.Zonotope.binding) when B's was built or B_bar's given.  T_M* screens
+its 2^p vertices with one gauge batch and solves one LP at the worst vertex;
+the batched malfunction_times and time_ratios answer the oracle scans from
+the gauge alone.  Each takes the image as image= (time_ratios B_bar's as
+full=), built when omitted; a declined build (None: rank-deficient, or not
+worth its LPs) keeps the call on the LP path.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -78,7 +80,7 @@ def _order1_time(scaling: lp.DirectionScaling) -> tuple[float, np.ndarray | None
 
 
 def nominal_reach_time(
-    sys: IntegratorSystem, d: np.ndarray, order: int | None = None
+    sys: IntegratorSystem, d: np.ndarray, order: int | None = None, *, image=None
 ) -> ReachResult:
     """Shortest time for the fully functional system to cover the distance d.
 
@@ -88,7 +90,7 @@ def nominal_reach_time(
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
-    t1, u = _order1_time(lp.max_scaled_direction(sys.b_bar, sys.u_min, sys.u_max, d))
+    t1, u = _order1_time(_scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), image))
     return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u)
 
 
@@ -107,9 +109,17 @@ def _image(image, m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int)
     return zonotope.build(m, lower, upper, lps=lps) if image is _BUILD else image
 
 
-def _vertex_lp(split: ActuatorSplit, w: np.ndarray, d: np.ndarray) -> lp.DirectionScaling:
+def _scaling_lp(m, lower, upper, d, shift, image) -> lp.DirectionScaling:
+    """lp.max_scaled_direction, started at the binding facet of M's image when it is given."""
+    hint = None if image is None else (lambda: image.binding(d, shift))
+    return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=hint)
+
+
+def _vertex_lp(
+    split: ActuatorSplit, w: np.ndarray, d: np.ndarray, image=None
+) -> lp.DirectionScaling:
     """The scaling LP of T_M(w, d): max{lam >= 0 : B u = lam d - C w, u in U_c}."""
-    return lp.max_scaled_direction(split.b, split.u_min, split.u_max, d, rhs_shift=-(split.c @ w))
+    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image)
 
 
 def _gauge_times(zono: zonotope.Zonotope, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -197,7 +207,7 @@ def malfunctioning_reach_time(
     if zono is not None:
         screened = _gauge_times(zono, d, -(vertices @ split.c.T))[0]
         worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
-        t1, u = _order1_time(_vertex_lp(split, vertices[worst], d))
+        t1, u = _order1_time(_vertex_lp(split, vertices[worst], d, zono))
         if math.isinf(t1) == math.isinf(screened[worst]):
             return ReachResult(
                 time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=vertices[worst]
@@ -206,7 +216,7 @@ def malfunctioning_reach_time(
     best_w: np.ndarray | None = None
     best_u: np.ndarray | None = None
     for w in vertices:
-        t1, u = _order1_time(_vertex_lp(split, w, d))
+        t1, u = _order1_time(_vertex_lp(split, w, d, zono))
         if math.isinf(t1):
             return ReachResult(time=math.inf, order=k, optimizer_w=w)
         if t1 > best_time:
@@ -221,7 +231,7 @@ def time_ratio(
     d: np.ndarray,
     order: int | None = None,
     p_max: int = P_MAX_DEFAULT,
-    *, image=_BUILD,
+    *, image=_BUILD, full=None,
 ) -> float:
     """Ratio of reach times t_k(d) = T_{k,M}*(d) / T_{k,N}*(d); see ratio_of_times.
 
@@ -230,7 +240,7 @@ def time_ratio(
     t_m = malfunctioning_reach_time(split, d, order=order, p_max=p_max, image=image).time
     if math.isinf(t_m):
         return math.inf
-    return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order).time)
+    return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order, image=full).time)
 
 
 def time_ratios(
@@ -255,7 +265,7 @@ def time_ratios(
     lost = _image(image, split.b, split.u_min, split.u_max, len(directions) * len(vertices))
     full = _image(full, base.b_bar, base.u_min, base.u_max, len(directions))
     if lost is None or full is None:
-        return np.array([time_ratio(split, d, k, p_max, image=lost) for d in directions])
+        return np.array([time_ratio(split, d, k, p_max, image=lost, full=full) for d in directions])
     t_m = _gauge_times(lost, directions, -(vertices @ split.c.T)).max(axis=1)
     t_n = _gauge_times(full, directions, np.zeros(base.n))[:, 0]
     return ratio_of_times(order_k_time(t_m, k), order_k_time(t_n, k))

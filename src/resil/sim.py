@@ -12,7 +12,7 @@ solver tolerance) enters the results:
 
 The scenario ratios of `smooth_reach_ratio` come from the closed-form
 crossing times (target/rate without lag, `lag_crossing` with it); sampled
-trajectories and `first_crossing` serve CSV export and tests.
+trajectories serve CSV export.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 from . import catalog, reach
 from .errors import ModelError, NonReachError
 from .model import IntegratorSystem, split as make_split
-
-#: Default sample spacing for non-lag runs (s).
-DT_DEFAULT = 1e-3
 
 #: Default lag spacing: tau/100, coarsened up to tau/10 for about this many samples.
 LAG_SAMPLES = 1000
@@ -49,12 +46,6 @@ class Trajectory:
     def position(self) -> np.ndarray:
         """The x block of the state (first n columns)."""
         return self.states[:, : self.n]
-
-    def derivative(self, j: int) -> np.ndarray:
-        """The j-th derivative block of the state (j in 0..order-1)."""
-        if not 0 <= j < self.order:
-            raise ModelError(f"derivative order {j} outside 0..{self.order - 1}")
-        return self.states[:, j * self.n : (j + 1) * self.n]
 
     def to_csv(self, path: str) -> None:
         header = ["t"]
@@ -82,36 +73,6 @@ def _check_in_box(u: np.ndarray, sys: IntegratorSystem, what: str) -> None:
     scale = 1.0 + max(np.abs(sys.u_min).max(), np.abs(sys.u_max).max())
     if np.any(u < sys.u_min - BOX_TOL * scale) or np.any(u > sys.u_max + BOX_TOL * scale):
         raise ModelError(f"{what} outside the input box")
-
-
-def integrate_constant(
-    sys: IntegratorSystem,
-    u_bar: np.ndarray,
-    horizon: float,
-    dt: float = DT_DEFAULT,
-    x0: np.ndarray | None = None,
-) -> Trajectory:
-    """Propagate x^(k) = B_bar u_bar for a constant input (exact polynomials)."""
-    u_bar = np.atleast_1d(np.asarray(u_bar, dtype=float))
-    if u_bar.shape != (sys.n_inputs,):
-        raise ModelError(f"input must have length {sys.n_inputs}")
-    _check_in_box(u_bar, sys, "constant input")
-    k = sys.order
-    n = sys.n
-    x_init = np.zeros(n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    accel = sys.b_bar @ u_bar
-
-    times = _sample_grid(horizon, dt)
-    states = np.zeros((times.size, n * k))
-    for j in range(k):
-        # x^(j)(t) = accel * t^(k-j) / (k-j)!  (+ x_init for j = 0).
-        power = k - j
-        states[:, j * n : (j + 1) * n] = np.outer(
-            times**power / math.factorial(power), accel
-        )
-    states[:, :n] += x_init
-    inputs = np.tile(u_bar, (times.size, 1))
-    return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
 
 
 def integrate_with_lag(
@@ -195,30 +156,6 @@ def integrate_with_lag(
         end_state, end_input = segment(np.array([t_end - t_start]), state, u, u_c)
         state, u = end_state[0], end_input[0]
     return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
-
-
-def first_crossing(
-    traj: Trajectory, component: np.ndarray, target: float, derivative: int = 0
-) -> float:
-    """First time the projection of a state block onto `component` reaches target.
-
-    Linear interpolation between samples (exact for order-1 constant runs).
-    Raises NonReachError when the target is never crossed.
-    """
-    values = traj.derivative(derivative) @ np.atleast_1d(np.asarray(component, dtype=float))
-    hits = np.flatnonzero(values >= target)
-    if hits.size == 0:
-        raise NonReachError(
-            f"target {target} never crossed within horizon {traj.times[-1]:.6g} s"
-        )
-    i = int(hits[0])
-    if i == 0:
-        return float(traj.times[0])
-    v0, v1 = values[i - 1], values[i]
-    t0, t1 = traj.times[i - 1], traj.times[i]
-    if v1 == v0:
-        return float(t1)
-    return float(t0 + (target - v0) / (v1 - v0) * (t1 - t0))
 
 
 def lag_crossing(rate: float, target: float, tau: float) -> float:

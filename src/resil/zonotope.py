@@ -114,6 +114,16 @@ class Zonotope:
             out[i : i + step] = self._block(d[i : i + step] / norms[i : i + step, None], s)
         return out
 
+    def binding(self, d: np.ndarray, shift: np.ndarray) -> np.ndarray | None:
+        """subsets row of the facet where lam d/|d| + shift leaves Z, or None if none bounds it."""
+        scaled = d / np.linalg.norm(d) / self.scale
+        toward = self.normals @ scaled
+        bounding = np.flatnonzero(toward > PARALLEL_RTOL * np.linalg.norm(scaled))
+        if not len(bounding):
+            return None
+        slack = self.support[bounding] - self.normals[bounding] @ (shift / self.scale)
+        return self.subsets[bounding[np.argmin(slack / toward[bounding])]]
+
     def _block(self, unit: np.ndarray, s: np.ndarray) -> np.ndarray:
         """scalings of unit directions whose (directions x facets) products fit a block."""
         scaled = unit / self.scale

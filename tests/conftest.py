@@ -6,9 +6,9 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
       Losing column 2: lambda+/- = (1,3), r(C) = 1/2, r(-C) = 2/3.
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
-`lp_solves` counts the lp.solve calls a test makes, `zonotope_builds` its
-zonotope.build calls, `sim_integrations` its sampled sim.integrate_constant /
-integrate_with_lag calls.  `reports_agree`
+`lp_solves` counts the lp.solve calls a test makes, `lp_pivots` sums their
+simplex pivots, `zonotope_builds` counts its zonotope.build calls and
+`sim_integrations` its sampled sim.integrate_with_lag calls.  `reports_agree`
 compares a resilience report with its LP-path reference.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
@@ -48,6 +48,21 @@ def lp_solves(monkeypatch):
 
 
 @pytest.fixture
+def lp_pivots(monkeypatch):
+    """Sum the simplex pivots of every lp.solve call made while the test runs."""
+    pivots = [0]
+    real = lp.solve
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        pivots[0] += out.pivots
+        return out
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return pivots
+
+
+@pytest.fixture
 def zonotope_builds(monkeypatch):
     """Count every zonotope.build call made while the test runs."""
     return _count_calls(monkeypatch, zonotope, ["build"])
@@ -55,8 +70,8 @@ def zonotope_builds(monkeypatch):
 
 @pytest.fixture
 def sim_integrations(monkeypatch):
-    """Count every sampled sim.integrate_* call made while the test runs."""
-    return _count_calls(monkeypatch, sim, ["integrate_constant", "integrate_with_lag"])
+    """Count every sampled sim.integrate_with_lag call made while the test runs."""
+    return _count_calls(monkeypatch, sim, ["integrate_with_lag"])
 
 
 #: Agreement of a report with its LP-path reference: lam+/- to LAMBDA_RTOL

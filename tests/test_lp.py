@@ -196,3 +196,53 @@ def test_scale_invariance(toy1):
     for alpha in (0.5, 2.0, 10.0):
         scaled = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, alpha * d)
         assert scaled.value == pytest.approx(base.value / alpha, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Hinted starting basis
+# ---------------------------------------------------------------------------
+
+
+def _bits(out: lp.LpOutcome) -> tuple:
+    """Every field of an outcome, arrays as bytes: equal tuples mean equal bits."""
+    arg = None if out.argument is None else out.argument.tobytes()
+    return out.status, out.value, arg, out.pivots
+
+
+def _scaling_problem(m, lo, hi, d, shift) -> lp.LpProblem:
+    """The LP of max_scaled_direction(m, lo, hi, d, rhs_shift=shift) for a unit d."""
+    v = m.shape[1]
+    return lp.LpProblem(
+        np.r_[np.zeros(v), 1.0], np.hstack([m, -np.asarray(d)[:, None]]), shift,
+        np.r_[lo, 0.0], np.r_[hi, np.inf],
+    )
+
+
+def test_hint_at_optimal_basis_takes_no_pivots(toy1):
+    # Along e1 the ray leaves TOY1's image at x1 = 3, a facet spanned by column 2.
+    problem = _scaling_problem(toy1.b_bar, toy1.u_min, toy1.u_max, [1.0, 0.0], np.zeros(2))
+    cold, hinted = lp.solve(problem), lp.solve(problem, basis=[1, 3])
+    assert cold.pivots > 0 and hinted.pivots == 0
+    assert hinted.status == lp.OPTIMAL and hinted.value == cold.value == 3.0
+
+
+@pytest.mark.parametrize(
+    "problem, basis",
+    [
+        # Singular: columns 1 and 3 of M are equal.
+        (_scaling_problem(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), -np.ones(3),
+                          np.ones(3), [0.6, 0.8], np.zeros(2)), [0, 2]),
+        # Infeasible: the shift (5, 0) lies outside the image [-2, 2]^2 (lam = -3).
+        (_scaling_problem(np.eye(2), -2 * np.ones(2), 2 * np.ones(2), [1.0, 0.0],
+                          np.array([5.0, 0.0])), [1, 2]),
+        # Unbounded lam: its reduced cost favours its infinite upper bound.
+        (lp.LpProblem(np.array([0.0, 1.0]), np.array([[1.0, 0.0]]), np.array([0.0]),
+                      np.array([-1.0, 0.0]), np.array([1.0, np.inf])), [0]),
+        # Wrong: {x1, lam} gives x1 = 3, outside [0, 1] ({x2, lam} is optimal).
+        (_scaling_problem(np.array([[1.0, 0.0], [1.0, 1.0]]), np.zeros(2), np.ones(2),
+                          [0.6, 0.8], np.zeros(2)), [0, 2]),
+    ],
+    ids=["singular", "infeasible-shift", "unbounded", "wrong-basis"],
+)
+def test_rejected_hint_returns_the_cold_outcome(problem, basis):
+    assert _bits(lp.solve(problem, basis=basis)) == _bits(lp.solve(problem))

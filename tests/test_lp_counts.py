@@ -89,7 +89,7 @@ SCAN_OP = ["oracle", "--model", "catalog:octocopter-trans:0", "--lost", "1", "-d
            "--grid", "21", "--samples", "60"]
 
 
-def test_oracle_scan_op_counts(lp_solves, zonotope_builds, capsys):
+def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # One image of B serves the grid, direction scan and homogeneity probe; one of
@@ -97,8 +97,36 @@ def test_oracle_scan_op_counts(lp_solves, zonotope_builds, capsys):
     # solves its 6 distinct problems once each: T_M*(d) (grid theory, then the
     # probe's T_M* at d, 0.5d, 2d and 10d, which normalize to the same LP), T_N*(d)
     # (the probe's four points), and the T_M* and T_N* of t(+C) and of t(-C).
+    # Each starts at its image's binding facet, an optimal basis: no pivots.
     assert zonotope_builds[0] == 2
     assert lp_solves[0] == 6
+    assert lp_pivots[0] == 0
+
+
+def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
+    # The same 6 solves from the cold two-phase start.
+    monkeypatch.setattr(zonotope.Zonotope, "binding", lambda self, d, shift: None)
+    assert cli.main(SCAN_OP) == 0
+    capsys.readouterr()
+    assert lp_solves[0] == 6
+    assert lp_pivots[0] == 45
+
+
+@pytest.mark.parametrize(
+    "argv, solves, pivots",
+    [
+        # T_M* starts at B's binding facet (0 pivots), T_N* has no image (8 cold).
+        (["simulate", "octo-vertical-lag"], 2, 8),
+        # The build of B is declined: every LP takes the cold start.
+        (["ratio", "--model", "catalog:spacecraft-printed", "--lost", "3",
+          "-d", "1,0,0,0,0,0"], 3, 41),
+    ],
+    ids=["simulate-lag", "ratio-declined"],
+)
+def test_op_pivots(lp_solves, lp_pivots, capsys, argv, solves, pivots):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert (lp_solves[0], lp_pivots[0]) == (solves, pivots)
 
 
 def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, capsys):

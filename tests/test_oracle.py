@@ -99,8 +99,8 @@ def inhomogeneous_lp(monkeypatch):
     """max_scaled_direction with lam scaled by 1 + 1e-6 |d|: a homogeneity fault."""
     real = lp.max_scaled_direction
 
-    def faulty(m, lower, upper, d, rhs_shift=None):
-        out = real(m, lower, upper, d, rhs_shift=rhs_shift)
+    def faulty(m, lower, upper, d, rhs_shift=None, **kwargs):
+        out = real(m, lower, upper, d, rhs_shift=rhs_shift, **kwargs)
         if out.value is None or not math.isfinite(out.value):
             return out
         return dataclasses.replace(out, value=out.value * (1.0 + 1e-6 * np.linalg.norm(d)))

@@ -1,4 +1,8 @@
-"""Simulator: exact constant/lag propagation, crossings, scenario ratios."""
+"""Simulator: exact lag propagation, crossings, scenario ratios.
+
+The constant-input propagator and the sampled crossing search below are test
+references: the program computes crossings in closed form.
+"""
 
 import math
 
@@ -9,18 +13,64 @@ from resil import catalog, cli, reach, sim
 from resil.errors import ModelError, NonReachError
 from resil.model import IntegratorSystem, split
 
+#: Sample spacing of the constant-input reference (s).
+DT = 1e-3
+
+
+def derivative(traj: sim.Trajectory, j: int) -> np.ndarray:
+    """The j-th derivative block of the state (j in 0..order-1)."""
+    assert 0 <= j < traj.order
+    return traj.states[:, j * traj.n : (j + 1) * traj.n]
+
+
+def integrate_constant(sys, u_bar, horizon, dt=DT) -> sim.Trajectory:
+    """Propagate x^(k) = B_bar u_bar for a constant input (exact polynomials)."""
+    u_bar = np.atleast_1d(np.asarray(u_bar, dtype=float))
+    assert u_bar.shape == (sys.n_inputs,)
+    sim._check_in_box(u_bar, sys, "constant input")
+    k, n = sys.order, sys.n
+    accel = sys.b_bar @ u_bar
+    times = sim._sample_grid(horizon, dt)
+    states = np.zeros((times.size, n * k))
+    for j in range(k):
+        # x^(j)(t) = accel * t^(k-j) / (k-j)!, from rest at 0.
+        power = k - j
+        states[:, j * n : (j + 1) * n] = np.outer(times**power / math.factorial(power), accel)
+    inputs = np.tile(u_bar, (times.size, 1))
+    return sim.Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
+
+
+def first_crossing(traj, component, target, order=0) -> float:
+    """First time the projection of a state block onto `component` reaches target.
+
+    Linear interpolation between samples (exact for order-1 constant runs).
+    Raises NonReachError when the target is never crossed.
+    """
+    values = derivative(traj, order) @ np.atleast_1d(np.asarray(component, dtype=float))
+    hits = np.flatnonzero(values >= target)
+    if hits.size == 0:
+        raise NonReachError(f"target {target} never crossed within horizon {traj.times[-1]:.6g} s")
+    i = int(hits[0])
+    if i == 0:
+        return float(traj.times[0])
+    v0, v1 = values[i - 1], values[i]
+    t0, t1 = traj.times[i - 1], traj.times[i]
+    if v1 == v0:
+        return float(t1)
+    return float(t0 + (target - v0) / (v1 - v0) * (t1 - t0))
+
 
 def test_constant_toy2(toy2):
-    traj = sim.integrate_constant(toy2, [-1.0, 1.0], horizon=0.5)
+    traj = integrate_constant(toy2, [-1.0, 1.0], horizon=0.5)
     assert traj.position()[-1, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_constant_double_integrator_closed_form():
     sys = IntegratorSystem("di", 2, np.array([[1.0]]), np.array([-1.0]), np.array([1.0]))
-    traj = sim.integrate_constant(sys, [0.8], horizon=3.0, dt=0.1)
+    traj = integrate_constant(sys, [0.8], horizon=3.0, dt=0.1)
     t = traj.times
     assert traj.position()[:, 0] == pytest.approx(0.8 * t**2 / 2.0, abs=1e-14)
-    assert traj.derivative(1)[:, 0] == pytest.approx(0.8 * t, abs=1e-14)
+    assert derivative(traj, 1)[:, 0] == pytest.approx(0.8 * t, abs=1e-14)
 
 
 def test_constant_exactness_random_orders():
@@ -29,16 +79,16 @@ def test_constant_exactness_random_orders():
         n, v = 2, 3
         sys = IntegratorSystem("r", k, rng.standard_normal((n, v)), -np.ones(v), np.ones(v))
         u = rng.uniform(-1, 1, v)
-        traj = sim.integrate_constant(sys, u, horizon=1.7, dt=0.3)
+        traj = integrate_constant(sys, u, horizon=1.7, dt=0.3)
         acc = sys.b_bar @ u
         for j in range(k):
             expected = np.outer(traj.times ** (k - j) / math.factorial(k - j), acc)
-            assert traj.derivative(j) == pytest.approx(expected, abs=1e-12)
+            assert derivative(traj, j) == pytest.approx(expected, abs=1e-12)
 
 
 def test_constant_input_outside_box(toy2):
     with pytest.raises(ModelError, match="outside"):
-        sim.integrate_constant(toy2, [5.0, 0.5], horizon=1.0)
+        integrate_constant(toy2, [5.0, 0.5], horizon=1.0)
 
 
 def test_lag_exponential_convergence():
@@ -87,7 +137,7 @@ def test_lag_command_outside_box():
 
 def test_lag_vanishing_tau_approaches_constant(toy2):
     u = np.array([-1.0, 1.0])
-    const = sim.integrate_constant(toy2, u, horizon=0.5, dt=1e-3)
+    const = integrate_constant(toy2, u, horizon=0.5, dt=1e-3)
     lag = sim.integrate_with_lag(toy2, u, tau=1e-4, horizon=0.5, dt=1e-5)
     # Compare on the common grid via interpolation of the lag run; the sup-norm
     # gap is of order tau * |B u|.
@@ -136,7 +186,7 @@ def test_lag_two_switch_schedule_matches_piecewise_closed_form():
     assert 0.3 in traj.times and 0.55 in traj.times
     expected = np.array([at(t) for t in traj.times])
     assert np.abs(traj.position()[:, 0] - expected[:, 0]).max() <= 1e-12
-    assert np.abs(traj.derivative(1)[:, 0] - expected[:, 1]).max() <= 1e-12
+    assert np.abs(derivative(traj, 1)[:, 0] - expected[:, 1]).max() <= 1e-12
     assert np.abs(traj.inputs[:, 0] - expected[:, 2]).max() <= 1e-12
 
 
@@ -158,11 +208,11 @@ def test_lag_state_matches_quadrature():
 
 
 def test_first_crossing_and_nonreach(toy2):
-    traj = sim.integrate_constant(toy2, [-1.0, 1.0], horizon=1.0)
-    t = sim.first_crossing(traj, [-1.0], 1.0)  # -x crosses 1 at t = 0.5
+    traj = integrate_constant(toy2, [-1.0, 1.0], horizon=1.0)
+    t = first_crossing(traj, [-1.0], 1.0)  # -x crosses 1 at t = 0.5
     assert t == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(NonReachError):
-        sim.first_crossing(traj, [1.0], 1.0)
+        first_crossing(traj, [1.0], 1.0)
 
 
 def test_first_crossing_matches_sample_scan():
@@ -177,11 +227,11 @@ def test_first_crossing_matches_sample_scan():
         else:
             t0, t1, v0, v1 = times[i - 1], times[i], values[i - 1], values[i]
             expected = t0 + (target - v0) / (v1 - v0) * (t1 - t0)
-        assert sim.first_crossing(traj, [1.0], target) == expected
+        assert first_crossing(traj, [1.0], target) == expected
 
 
 def test_csv_export(tmp_path, toy2):
-    traj = sim.integrate_constant(toy2, [-1.0, 1.0], horizon=0.2, dt=0.1)
+    traj = integrate_constant(toy2, [-1.0, 1.0], horizon=0.2, dt=0.1)
     path = tmp_path / "traj.csv"
     traj.to_csv(str(path))
     lines = path.read_text().strip().splitlines()
@@ -195,15 +245,15 @@ def test_cross_validation_reach_vs_sim():
     d = np.array([0.0, 0.0, -1.0])
     dt = 1e-3
     nominal = reach.nominal_reach_time(sys, d)
-    traj = sim.integrate_constant(sys, nominal.optimizer_u, horizon=2 * nominal.time, dt=dt)
-    crossing = sim.first_crossing(traj, d, 1.0)
+    traj = integrate_constant(sys, nominal.optimizer_u, horizon=2 * nominal.time, dt=dt)
+    crossing = first_crossing(traj, d, 1.0)
     assert abs(crossing - nominal.time) <= 2 * dt
 
     sp = split(sys, 0)
     malf = reach.malfunctioning_reach_time(sp, d)
     u_full = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
-    traj_m = sim.integrate_constant(sys, u_full, horizon=2 * malf.time, dt=dt)
-    crossing_m = sim.first_crossing(traj_m, d, 1.0)
+    traj_m = integrate_constant(sys, u_full, horizon=2 * malf.time, dt=dt)
+    crossing_m = first_crossing(traj_m, d, 1.0)
     assert abs(crossing_m - malf.time) <= 2 * dt
 
 

@@ -14,6 +14,14 @@ from resil.resilience import quantitative_resilience
 #: Relative agreement required between the gauge and either LP.
 REL = 1e-9
 
+#: Relative agreement required between an LP started at the gauge's facet and a
+#: cold one.  On the mixed-scale draws neither is exact to 1e-12: against exact
+#: rational arithmetic at the same basis the cold simplex errs by 3.4e-12 (seed
+#: 1618) and the started one by 1.9e-12 (seed 3090), where they differ by 4.0e-12,
+#: the largest gap over 12 000 seeds.  A lam near 0 is compared to HINT_REL of
+#: the image's extent instead (seed 6090: lam = 6.8e-11, 1.9e-11 apart).
+HINT_REL = 1e-11
+
 
 def _random_system(rng):
     """A mixed-scale system with repeated, anti-parallel and zero columns.
@@ -108,6 +116,42 @@ def test_batched_reach_matches_scalar(seed):
     for w, t in zip(ws, times):
         ref = reach.malfunction_time_for_w(sp, w, directions[0])
         assert t == pytest.approx(ref, rel=REL) if math.isfinite(ref) else t == ref
+
+
+def _assert_hint_matches_cold(m, lo, hi, d, s, basis) -> None:
+    """A hinted max_scaled_direction has the cold status; an optimal one also the
+    cold value and an optimizer in the box with M x = lam d + s, each row to
+    FEAS_TOL of its magnitude: the same LP's optimum."""
+    cold = lp.max_scaled_direction(m, lo, hi, d, rhs_shift=s)
+    hinted = lp.max_scaled_direction(m, lo, hi, d, rhs_shift=s, basis=basis)
+    assert hinted.status == cold.status
+    if cold.status != lp.OPTIMAL:
+        return
+    width = np.maximum(np.abs(lo), np.abs(hi))
+    extent = np.abs(m) @ width + np.abs(s)
+    norm = float(np.linalg.norm(d))
+    assert hinted.value * norm == pytest.approx(
+        cold.value * norm, rel=HINT_REL, abs=HINT_REL * extent.max()
+    )
+    x, lam_d = hinted.argument, hinted.value * d
+    assert np.all(x >= lo - lp.FEAS_TOL * width) and np.all(x <= hi + lp.FEAS_TOL * width)
+    assert np.all(np.abs(m @ x - lam_d - s) <= lp.FEAS_TOL * (extent + np.abs(lam_d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@example(seed=3090)  # the two LPs differ by 4.0e-12 relative
+@example(seed=11912)  # a shift outside the image: the start puts lam at -5.8e-10
+def test_hinted_lp_matches_cold(seed):
+    sp, rng = _random_split(seed)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    if zono is None:
+        assert np.linalg.matrix_rank(sp.b) < sp.base.n
+        return
+    directions = rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+    for d in directions:
+        for s in -(reach.w_vertices(sp) @ sp.c.T):
+            _assert_hint_matches_cold(sp.b, sp.u_min, sp.u_max, d, s, zono.binding(d, s))
 
 
 def _lp_only(monkeypatch):
