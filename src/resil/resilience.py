@@ -74,13 +74,8 @@ class ReachTimeVerdict:
     resilient: bool
 
 
-def _lambdas(m, lower, upper, directions: np.ndarray, image: Zonotope | None):
-    """max{lam : M x = lam d, x in box} per row d, 0 unless optimal or unbounded: one
-    gauge batch of `image`, the box image of M, if given, else lazily one LP per row."""
-    if image is not None:
-        lam_hat = image.scalings(directions, np.zeros((1, directions.shape[1])))[:, 0]
-        reaches = lam_hat > lp.lambda_threshold(np.ones(1))
-        return iter(np.where(reaches, lam_hat / np.linalg.norm(directions, axis=1), 0.0).tolist())
+def _lp_lambdas(m, lower, upper, directions):
+    """max{lam : M x = lam d, x in box} per d, lazily by LP: 0 unless optimal or unbounded."""
     scalings = (lp.max_scaled_direction(m, lower, upper, d) for d in directions)
     return (s.value if s.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0 for s in scalings)
 
@@ -97,7 +92,10 @@ def check_controllability(sys: IntegratorSystem, *, image: Zonotope | None = Non
     if np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
         return False
     axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
-    return all(lam > 0.0 for lam in _lambdas(sys.b_bar, sys.u_min, sys.u_max, axes, image))
+    if image is None:
+        return all(lam > 0.0 for lam in _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, axes))
+    lam_hat = image.scalings(axes, np.zeros((1, sys.n)))[:, 0]
+    return bool(np.all(lam_hat > lp.lambda_threshold(np.ones(1))))
 
 
 def _single_column(split: ActuatorSplit) -> np.ndarray:
@@ -111,13 +109,29 @@ def _single_column(split: ActuatorSplit) -> np.ndarray:
 def lambda_pair(split: ActuatorSplit, *, image: Zonotope | None = None) -> tuple[float, float]:
     """(lam+, lam-): max speeds of the remaining actuators along +/-C.
 
-    From image.without(lost column) when `image` (see sweep) gives it, else 2 LPs.
+    From the leave-one-out pass of `image`, B_bar's (see sweep), if given, else 2 LPs.
     """
     c = _single_column(split)
     if not np.any(c):
         raise UnsupportedLossError("C = 0 has no lambda pair; see quantitative_resilience")
-    kept = None if image is None else image.without(split.lost_columns[0])
-    return tuple(_lambdas(split.b, split.u_min, split.u_max, np.vstack([c, -c]), kept))
+    if image is None:
+        return tuple(_lp_lambdas(split.b, split.u_min, split.u_max, [c, -c]))
+    return _lambda_pairs(split.base, split.lost_columns, image)[0]
+
+
+def _lambda_pairs(sys: IntegratorSystem, columns, image: Zonotope | None) -> list[tuple]:
+    """lambda_pair of each nonzero column of sys from one image.lambdas_without pass, lam
+    kept where lam |C| passes lp.lambda_threshold; 2 LPs where the other columns have
+    rank < n, or without an image."""
+    cols = np.asarray(columns, dtype=int)
+    if image is None:
+        return [lambda_pair(make_split(sys, col)) for col in cols.tolist()]
+    lams, solid = image.lambdas_without(cols)
+    lams = lams * ((sys.u_max - sys.u_min) / 2.0)[cols, None]
+    norms = np.linalg.norm(sys.b_bar, axis=0)[cols, None]
+    lams = np.where(lams * norms > lp.lambda_threshold(np.ones(1)), lams, 0.0)
+    return [tuple(lam) if full else lambda_pair(make_split(sys, col))
+            for col, lam, full in zip(cols.tolist(), lams.tolist(), solid)]
 
 
 def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tuple[float, float]:
@@ -146,15 +160,17 @@ def sweep(
 ) -> list[ResilienceReport]:
     """Single-loss reports for each (0-based) lost column in `columns`.
 
-    One zonotope.build of B_bar answers controllability and every lam+/- (see
-    lambda_pair); where it declines, LPs do: 2n, plus 2 per nonzero column.
+    One zonotope.build of B_bar decides controllability, and one leave-one-out pass
+    of its image (Zonotope.lambdas_without) every lam+/-; where the build declines,
+    LPs do: 2n, plus 2 per nonzero column (and 2 per column the pass leaves).
     """
-    reach._resolve_order(sys, order)
+    k = reach._resolve_order(sys, order)
     splits = [make_split(sys, col) for col in columns]
-    lps = 2 * sys.n + 2 * sum(bool(np.any(sp.c)) for sp in splits)
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=lps)
+    cols = [sp.lost_columns[0] for sp in splits if np.any(sp.c)]
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * sys.n + 2 * len(cols))
     ctrl = check_controllability(sys, image=image)
-    return [quantitative_resilience(sp, order, controllable=ctrl, image=image) for sp in splits]
+    pairs = dict(zip(cols, _lambda_pairs(sys, cols, image))) if ctrl else {}
+    return [_report(sp, k, ctrl, pairs.get(sp.lost_columns[0])) for sp in splits]
 
 
 def quantitative_resilience(
@@ -167,27 +183,33 @@ def quantitative_resilience(
     """
     k = reach._resolve_order(split.base, order)
     c = _single_column(split)
-    col = split.lost_columns[0]
     if controllable is None:
         controllable = check_controllability(split.base, image=image)
+    pair = lambda_pair(split, image=image) if controllable and np.any(c) else None
+    return _report(split, k, controllable, pair)
+
+
+def _report(split: ActuatorSplit, k: int, controllable: bool, pair) -> ResilienceReport:
+    """The report of a single loss from its lam pair (None: not controllable, or C = 0)."""
+    col = split.lost_columns[0]
     diagnostics: dict = {}
 
     if not controllable:
         diagnostics["note"] = "system not controllable; not resilient to any loss"
         return ResilienceReport(col, k, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, False, diagnostics)
 
-    if not np.any(c):
+    if pair is None:
         # Losing a zero column costs nothing: the malfunctioning system equals
         # the nominal one for every w.
         diagnostics["zero_column"] = True
         return ResilienceReport(col, k, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, True, True, diagnostics)
 
-    lam_p, lam_m = lambda_pair(split, image=image)
+    lam_p, lam_m = pair
     r_p, r_m = r_closed_form(lam_p, lam_m, float(split.w_min[0]), float(split.w_max[0]))
     if math.isinf(lam_p) or math.isinf(lam_m):
         diagnostics["unbounded_lambda"] = True
 
-    threshold = lp.lambda_threshold(c)
+    threshold = lp.lambda_threshold(split.c[:, 0])
     in_unit = lambda r: threshold < r <= 1.0 + threshold  # noqa: E731
     resilient = in_unit(r_p) and in_unit(r_m)
     for name, r in (("r_plus", r_p), ("r_minus", r_m)):

@@ -7,8 +7,9 @@ generalized cross product (cofactor vector) of n - 1 independent generators,
 taken with both signs, and h(a) = a.c + sum_j |a.g_j| is the support function
 of Z (Girard, HSCC 2005).  There are at most 2 C(m, n-1) candidate normals for
 m nonzero generators (McMullen's facet bound for zonotopes).  Without column j
-(Zonotope.without) those whose generators exclude j remain, their supports
-re-evaluated: subtracting |a.g_j| + a.c_j would cancel away small ones.
+those whose generators exclude j remain, their supports summed over the other
+columns (Zonotope.lambdas_without): subtracting |a.g_j| + a.c_j would cancel
+away small ones.
 
 Every reach time is a gauge of such an image: lp.max_scaled_direction(M,
 lower, upper, d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in
@@ -38,9 +39,10 @@ from . import lp
 from .errors import LpError
 
 #: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64
-#: VM: build() costs 1.3-4.0 us per candidate with cofactor normals (n = 3..6;
-#: SVD normals took 2.5-6.4 us), a gauge resilience.sweep 4.2-7.0 us at n = 6
-#: and one lp.solve 0.5-1.5 ms: the sweep breaks even at 190-270 per LP.
+#: VM, one BLAS thread, n = 6, 924-4004 candidates: build() costs 1.0-1.3 us per
+#: candidate with cofactor normals (SVD ones 1.6-1.9 times that), a gauge
+#: resilience.sweep 1.3-2.6 us and one lp.solve 0.4-0.55 ms: the sweep breaks
+#: even at 180-300 per LP.  150 stays so that no build decision moves.
 FACETS_PER_LP = 150
 
 #: Facet candidates no build exceeds, whatever LPs it replaces: about 77 MB and
@@ -57,7 +59,8 @@ PARALLEL_RTOL = 1e-12
 
 #: Elements of one (directions x shifts x facets) block.  scalings takes
 #: directions and shifts in chunks that fit it (at least one pair per block), so
-#: its working memory stays O(facets + BLOCK_ELEMENTS) whatever the batch size.
+#: its working memory stays O(facets + BLOCK_ELEMENTS) whatever the batch size;
+#: lambdas_without takes facets in blocks of BLOCK_ELEMENTS / m rows.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -84,15 +87,6 @@ class Zonotope:
     generators: np.ndarray
     centers: np.ndarray
 
-    def without(self, j: int) -> Zonotope | None:
-        """The image with column j of M removed, or None when the rest has rank < n."""
-        generators, centers = self.generators.copy(), self.centers.copy()
-        generators[:, j] = centers[:, j] = 0.0
-        if not _full_rank(generators):
-            return None
-        rows = ~np.any(self.subsets == j, axis=1)
-        return _facets(self.normals[rows], self.scale, self.subsets[rows], generators, centers)
-
     def scalings(self, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         """lam_hat[i, j] = max{lam >= 0 : lam d_i/|d_i| + s_j in Z}.
 
@@ -113,6 +107,50 @@ class Zonotope:
         for i in range(0, len(d), step):
             out[i : i + step] = self._block(d[i : i + step] / norms[i : i + step, None], s)
         return out
+
+    def lambdas_without(self, columns) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, solid): lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].
+
+        g_j = M_j (upper_j - lower_j)/2 and Z_j is the image without column j.
+        lam is decided as scalings decides it (nan: infeasible); solid[i] is
+        False where the other generators have rank < n (Z_j is flat).  Facets
+        are taken in blocks of BLOCK_ELEMENTS / m, the n x m rank stacks in
+        chunks of BLOCK_ELEMENTS / (n m).
+        """
+        cols, norms = np.asarray(columns, dtype=int), np.linalg.norm(self.generators, axis=0)
+        if not np.all(norms[cols] > 0.0):
+            raise LpError("a zero column has no lambda pair")
+        n, m = self.generators.shape
+        solid, step = np.empty(len(cols), dtype=bool), max(1, BLOCK_ELEMENTS // (n * m))
+        for i in range(0, len(cols), step):
+            stacks = self.generators * (cols[i : i + step, None, None] != np.arange(m))
+            solid[i : i + step] = _full_rank(stacks)
+        level = PARALLEL_RTOL * norms[cols, None]
+        least, floor = np.full((2, len(cols)), np.inf), np.full((2, len(cols)), -np.inf)
+        centers, rows = _others(self.centers.T), max(1, BLOCK_ELEMENTS // m)
+        for f in range(0, len(self.support), rows):
+            normals = self.normals[f : f + rows].T
+            toward = self.generators.T @ normals
+            offset, width = (centers @ normals)[cols], _others(np.abs(toward))[cols]
+            holds = np.zeros(toward.shape, dtype=bool)
+            holds[self.subsets[f : f + rows].T, np.arange(toward.shape[1])] = True
+            slack = np.where(holds[cols], np.inf, offset + width)
+            tol = lp.FEAS_TOL * (np.abs(offset) + width)
+            toward = toward[cols]
+            toward[np.abs(toward) <= level] = 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                limits, floors = slack / toward, (slack + tol) / toward
+            # scalings' test at lam = max(least, 0), one block at a time: along
+            # +g_j the facets with toward > 0 bound lam, those with toward < 0
+            # hold from their floor on, and the rest at every lam or at none;
+            # along -g_j the first two swap.
+            up, down, fails = toward > 0.0, toward < 0.0, np.where(slack >= -tol, -np.inf, np.inf)
+            least = np.minimum(least, [np.where(up, limits, np.inf).min(axis=1),
+                                       -np.where(down, limits, -np.inf).max(axis=1)])
+            floor = np.maximum(floor, [np.where(down, floors, fails).max(axis=1),
+                                       -np.where(up, floors, -fails).min(axis=1)])
+        lam = np.maximum(least, 0.0)
+        return np.where((lam >= floor) | np.isinf(lam), lam, np.nan).T, solid
 
     def binding(self, d: np.ndarray, shift: np.ndarray) -> np.ndarray | None:
         """subsets row of the facet where lam d/|d| + shift leaves Z, or None if none bounds it."""
@@ -148,11 +186,24 @@ class Zonotope:
         return out
 
 
-def _full_rank(generators: np.ndarray) -> bool:
-    """rank n for the unit-normalized nonzero generators (RANK_RTOL on singular values)."""
-    unit = generators[:, np.any(generators != 0.0, axis=0)]
-    sv = np.linalg.svd(unit / np.linalg.norm(unit, axis=0), compute_uv=False)
-    return unit.shape[1] >= unit.shape[0] and bool(sv[-1] > RANK_RTOL * sv[0])
+def _full_rank(generators: np.ndarray) -> np.ndarray:
+    """rank n per (..., n, m) stack of unit-normalized generators: n nonzero ones
+    at least, and RANK_RTOL on the singular values (zero ones add none)."""
+    norms = np.sqrt((generators * generators).sum(axis=-2, keepdims=True))
+    nonzero = norms > 0.0
+    sv = np.linalg.svd(generators / np.where(nonzero, norms, 1.0), compute_uv=False)
+    enough = nonzero.sum(axis=(-2, -1)) >= generators.shape[-2]
+    return enough & (sv[..., -1] > RANK_RTOL * sv[..., 0])
+
+
+def _others(terms: np.ndarray) -> np.ndarray:
+    """Row j: the sum of the other rows, a product with the 0/1 matrix 1 - I taken
+    BLOCK_ELEMENTS / m rows at a time.  No row's share is subtracted from a total,
+    which would cancel small sums away."""
+    rows = np.arange(len(terms))
+    step = max(1, BLOCK_ELEMENTS // len(rows))
+    chunks = range(0, len(rows), step)
+    return np.concatenate([(rows[i : i + step, None] != rows) @ terms for i in chunks])
 
 
 def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zonotope | None:
@@ -187,12 +238,7 @@ def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zono
     volume = np.linalg.norm(cofactors, axis=1)
     kept = volume > RANK_RTOL
     normals = cofactors[kept] / volume[kept, None]
+    normals = np.vstack([normals, -normals])
+    offset, width = normals @ centers.sum(axis=1), np.abs(normals @ gens).sum(axis=1)
     subsets = np.tile(subsets[kept], (2, 1))
-    return _facets(np.vstack([normals, -normals]), scale, subsets, gens, centers)
-
-
-def _facets(normals, scale, subsets, gens, centers) -> Zonotope:
-    """The Zonotope of these facet normals, each support evaluated at its normal."""
-    offset = normals @ centers.sum(axis=1)
-    width = np.abs(normals @ gens).sum(axis=1)
     return Zonotope(normals, offset + width, np.abs(offset) + width, scale, subsets, gens, centers)

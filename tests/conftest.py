@@ -7,7 +7,8 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
 `lp_solves` counts the lp.solve calls a test makes, `lp_pivots` sums their
-simplex pivots, `zonotope_builds` counts its zonotope.build calls and
+simplex pivots, `zonotope_builds` counts its zonotope.build calls,
+`gauge_calls` its Zonotope.scalings batches and lambdas_without passes, and
 `sim_integrations` its sampled sim.integrate_with_lag calls.  `reports_agree`
 compares a resilience report with its LP-path reference.
 
@@ -66,6 +67,13 @@ def lp_pivots(monkeypatch):
 def zonotope_builds(monkeypatch):
     """Count every zonotope.build call made while the test runs."""
     return _count_calls(monkeypatch, zonotope, ["build"])
+
+
+@pytest.fixture
+def gauge_calls(monkeypatch):
+    """Count Zonotope.scalings batches and Zonotope.lambdas_without passes, in that order."""
+    return tuple(_count_calls(monkeypatch, zonotope.Zonotope, [name])
+                 for name in ("scalings", "lambdas_without"))
 
 
 @pytest.fixture
@@ -215,7 +223,26 @@ class HighsOracle:
         if res.status == 3:
             return math.inf
         assert res.status == 0, f"HiGHS status {res.status}: {res.message}"
-        return max(-res.fun, 0.0) / norm
+        polished = self._polish(a, b, res.x)
+        return max(-res.fun if polished is None else polished, 0.0) / norm
+
+    @staticmethod
+    def _polish(a, b, x):
+        """lam at the vertex HiGHS stops at, solved exactly: the inputs it leaves at
+        +/-1 fixed there and A x = b solved for the rest.  None (keep HiGHS's lam)
+        unless those columns have full column rank and the point stays in its
+        bounds.  HiGHS's own lam can be 1e-9 relative off (ds, ipm and presolve
+        off alike), where exact rational arithmetic over the facets and the
+        polished vertex agree to 4e-15 (sweep seed 78979)."""
+        fixed = np.append(np.abs(np.abs(x[:-1]) - 1.0) <= 1e-9, False)
+        free = a[:, ~fixed]
+        if np.linalg.matrix_rank(free) < free.shape[1]:
+            return None
+        rhs = b - a[:, fixed] @ np.sign(x[fixed])
+        v = np.linalg.lstsq(free, rhs, rcond=None)[0]
+        if np.any(np.abs(v[:-1]) > 1.0 + 1e-9) or v[-1] < 0.0:
+            return None
+        return float(v[-1])
 
     def reach_time(self, m, lo, hi, d, shift=None) -> float:
         """1/lam* for the scaling LP; +inf when only lam = 0 (or nothing) is feasible."""

@@ -26,12 +26,15 @@ def unbounded_lp(monkeypatch):
     )
 
 
-def test_check_all_spacecraft_lp_count(lp_solves, capsys):
-    code = cli.main(["check", "--model", "catalog:spacecraft-printed", "--lost", "all"])
+@pytest.mark.parametrize("name", ["spacecraft-printed", "octocopter-trans:0"])
+def test_check_all_work(name, lp_solves, zonotope_builds, gauge_calls, capsys):
+    code = cli.main(["check", "--model", "catalog:" + name, "--lost", "all"])
     capsys.readouterr()
     assert code == 0
-    # One build of B_bar's image decides controllability and every lambda+/-.
-    assert lp_solves[0] == 0
+    # One build of B_bar's image, one gauge batch for controllability and one
+    # leave-one-out pass for every column's lambda+/-, for 14 columns as for 8.
+    scalings, passes = gauge_calls
+    assert (zonotope_builds[0], scalings[0], passes[0], lp_solves[0]) == (1, 1, 1, 0)
 
 
 def test_check_declined_build_lp_count(lp_solves, capsys):
@@ -49,8 +52,8 @@ def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, monkeypatc
     # Column 2 is TOY1's only one along e2: without it the kept generators
     # have rank 1, so that column alone takes its two lambda+/- LPs.
     image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
-    assert image is not None and image.without(1) is None
-    assert image.without(0) is not None and image.without(2) is not None
+    assert image is not None
+    assert image.lambdas_without([0, 1, 2])[1].tolist() == [True, False, True]
     reports = resilience.sweep(toy1, range(3))
     assert lp_solves[0] == 2
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)

@@ -183,6 +183,7 @@ def _highs_lambdas(highs, sp) -> tuple:
 @example(seed=2268)  # the simplex errs by 1.7e-11 in lam-, 1.0e-11 in r(-C)
 @example(seed=4333)  # the simplex errs by 4.6e-11 and 7.1e-9 in two lam-
 @example(seed=16197)  # the gauge and the simplex differ by 1.9e-11 of the width
+@example(seed=78979)  # unpolished, HiGHS's lam+/- of column 6 are 1.0e-9 relative off
 def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree):
     sys = _random_sweep_system(seed)
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
@@ -224,27 +225,39 @@ def test_simplex_singular_basis(highs):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_without_matches_build(seed):
+def test_lambdas_without_matches_build(seed):
+    # The boxes hold 0 inside in most draws, on a vertex (every u_min = 0: 0 on
+    # each kept image's boundary) or outside it (every u_min > 0) in the rest.
     rng = np.random.default_rng(seed)
     b, lo, hi = _random_system(rng)
+    box = rng.random()
+    if box < 0.2:
+        lo[:] = 0.0
+    elif box < 0.4:
+        lo, hi = rng.uniform(0.1, 0.5, len(lo)), rng.uniform(0.6, 1.0, len(lo))
     image = zonotope.build(b, lo, hi, lps=10**6)
     if image is None:
         assert np.linalg.matrix_rank(b) < b.shape[0]
         return
-    directions = rng.standard_normal((4, b.shape[0]))
-    shifts = np.vstack([np.zeros(b.shape[0]), 0.5 * b @ rng.uniform(lo, hi)])
-    for j in range(b.shape[1]):
+    nonzero = [j for j in range(b.shape[1]) if np.any(b[:, j])]
+    lams, solid = image.lambdas_without(nonzero)
+    for j, lam, full in zip(nonzero, lams, solid):
         others = [k for k in range(b.shape[1]) if k != j]
-        kept = image.without(j)
         ref = zonotope.build(b[:, others], lo[others], hi[others], lps=10**6)
-        assert (kept is None) == (ref is None), j
+        assert full == (ref is not None), j
         if ref is not None:
             # Two row scalings of one image: the normals of nearly degenerate
-            # generator subsets differ by up to about 1e-11 (8.0e-12 at worst
-            # over 3000 draws).
-            np.testing.assert_allclose(
-                kept.scalings(directions, shifts), ref.scalings(directions, shifts), rtol=1e-10
-            )
+            # generator subsets differ by up to about 1e-11 (8.1e-12 at worst
+            # over 3000 draws).  A lam that is 0 up to rounding (0 on the
+            # boundary) is compared to the kept generators' width along C
+            # instead (5.4e-13 of it at worst).
+            unit = b[:, j] / np.linalg.norm(b[:, j])
+            width = np.abs(unit @ b[:, others]) @ (hi - lo)[others] / 2.0
+            lam_hat = lam * ((hi[j] - lo[j]) / 2.0) * np.linalg.norm(b[:, j])
+            want = ref.scalings(np.vstack([unit, -unit]), np.zeros((1, b.shape[0])))[:, 0]
+            np.testing.assert_allclose(lam_hat, want, rtol=1e-10, atol=1e-10 * width)
+    with pytest.raises(lp.LpError, match="zero column"):
+        image.lambdas_without([b.shape[1] - 3])
 
 
 @settings(max_examples=30, deadline=None)
