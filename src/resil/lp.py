@@ -13,7 +13,7 @@ pivoting).
 
 solve can start from a given basis (a crash basis, Bixby 1992): reach LPs pass
 the n - 1 columns of M spanning the facet of the box image where the ray
-leaves it (zonotope.Zonotope.binding), plus lam.  That basis is optimal, so
+leaves it (zonotope.Zonotope.start), plus lam.  That basis is optimal, so
 one factorization and the simplex's own pricing settle the LP with no pivot; a
 singular basis, or one whose point leaves the bounds, gets the cold start.  On
 the 720 LPs of 100 scan-workload ops a started solve has a median time of 82 us

@@ -140,13 +140,6 @@ class ActuatorSplit:
     def w_max(self) -> np.ndarray:
         return self.base.u_max[list(self.lost_columns)]
 
-    def reassemble(self) -> np.ndarray:
-        """Put [B C] columns back in their original positions; equals b_bar exactly."""
-        out = np.empty_like(self.base.b_bar)
-        out[:, list(self.kept_columns)] = self.b
-        out[:, list(self.lost_columns)] = self.c
-        return out
-
     def assemble_input(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Full input vector u_bar: kept columns from u, lost columns from w."""
         out = np.empty(self.base.n_inputs)

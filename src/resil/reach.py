@@ -10,12 +10,13 @@ Two engines compute lam*: the simplex LP of lp.max_scaled_direction, one solve
 per query, and the facet inequalities of the box image (zonotope.py), one
 batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
 optimizer are LP optima, started at the facet where the ray leaves the image
-(zonotope.Zonotope.binding) when B's was built or B_bar's given.  T_M* screens
-its 2^p vertices with one gauge batch and solves one LP at the worst vertex;
-the batched malfunction_times and time_ratios answer the oracle scans from
-the gauge alone.  Each takes the image as image= (time_ratios B_bar's as
-full=), built when omitted; a declined build (None: rank-deficient, or not
-worth its LPs) keeps the call on the LP path.
+(zonotope.Zonotope.start) when B's was built or B_bar's given: for T_M* the
+facet its screen named, else one ray's, asked only when the LP is solved.
+T_M* screens its 2^p vertices with one gauge batch and solves one LP at the
+worst vertex; the batched malfunction_times and time_ratios answer the oracle
+scans from the gauge alone.  Each takes the image as image= (time_ratios
+B_bar's as full=), built when omitted; a declined build (None: rank-deficient,
+or not worth its LPs) keeps the call on the LP path.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -109,27 +110,26 @@ def _image(image, m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int)
     return zonotope.build(m, lower, upper, lps=lps) if image is _BUILD else image
 
 
-def _scaling_lp(m, lower, upper, d, shift, image) -> lp.DirectionScaling:
-    """lp.max_scaled_direction, started at the binding facet of M's image when it is given."""
-    hint = None if image is None else (lambda: image.binding(d, shift))
-    return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=hint)
+def _scaling_lp(m, lower, upper, d, shift, image, facet=None) -> lp.DirectionScaling:
+    """lp.max_scaled_direction, started at M's image's Zonotope.start when it is given."""
+    basis = None if image is None else (lambda: image.start(d, shift, facet))
+    return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=basis)
 
 
 def _vertex_lp(
-    split: ActuatorSplit, w: np.ndarray, d: np.ndarray, image=None
+    split: ActuatorSplit, w: np.ndarray, d: np.ndarray, image=None, facet=None
 ) -> lp.DirectionScaling:
     """The scaling LP of T_M(w, d): max{lam >= 0 : B u = lam d - C w, u in U_c}."""
-    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image)
+    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image, facet)
 
 
-def _gauge_times(zono: zonotope.Zonotope, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Order-1 reach times (directions x shifts) from the gauge, as _order1_time maps the LP.
+def _gauge_times(directions: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Order-1 reach times from the gauge's lam (directions x shifts), as _order1_time maps the LP.
 
     Time 0 when lam is unbounded, +inf when the normalized lam is at or below the
     threshold lp.max_scaled_direction applies to a unit direction, or infeasible.
     """
     directions = np.atleast_2d(directions)
-    lam = zono.scalings(directions, shifts)
     with np.errstate(divide="ignore"):
         times = np.linalg.norm(directions, axis=1)[:, None] / lam
     return np.where(lam > lp.lambda_threshold(np.ones(1)), times, math.inf)
@@ -164,7 +164,7 @@ def malfunction_times(
     if zono is None:
         t1 = np.array([_order1_time(_vertex_lp(split, w, d))[0] for w in ws])
     else:
-        t1 = _gauge_times(zono, d, -(ws @ split.c.T))[0]
+        t1 = _gauge_times(d, zono.scalings(d, -(ws @ split.c.T)))[0]
     return order_k_time(t1, k)
 
 
@@ -205,9 +205,10 @@ def malfunctioning_reach_time(
     vertices = _capped_vertices(split, p_max)
     zono = _image(image, split.b, split.u_min, split.u_max, len(vertices))
     if zono is not None:
-        screened = _gauge_times(zono, d, -(vertices @ split.c.T))[0]
+        lam, facets = zono.scalings(d, -(vertices @ split.c.T), facets=True)
+        screened = _gauge_times(d, lam)[0]
         worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
-        t1, u = _order1_time(_vertex_lp(split, vertices[worst], d, zono))
+        t1, u = _order1_time(_vertex_lp(split, vertices[worst], d, zono, facets[0, worst]))
         if math.isinf(t1) == math.isinf(screened[worst]):
             return ReachResult(
                 time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=vertices[worst]
@@ -266,8 +267,8 @@ def time_ratios(
     full = _image(full, base.b_bar, base.u_min, base.u_max, len(directions))
     if lost is None or full is None:
         return np.array([time_ratio(split, d, k, p_max, image=lost, full=full) for d in directions])
-    t_m = _gauge_times(lost, directions, -(vertices @ split.c.T)).max(axis=1)
-    t_n = _gauge_times(full, directions, np.zeros(base.n))[:, 0]
+    t_m = _gauge_times(directions, lost.scalings(directions, -(vertices @ split.c.T))).max(axis=1)
+    t_n = _gauge_times(directions, full.scalings(directions, np.zeros(base.n)))[:, 0]
     return ratio_of_times(order_k_time(t_m, k), order_k_time(t_n, k))
 
 

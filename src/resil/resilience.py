@@ -174,17 +174,15 @@ def sweep(
 
 
 def quantitative_resilience(
-    split: ActuatorSplit, order: int | None = None, *, controllable: bool | None = None,
-    image: Zonotope | None = None,
+    split: ActuatorSplit, order: int | None = None, *, image: Zonotope | None = None
 ) -> ResilienceReport:
     """Full single-loss resilience report for a split (Algorithm-1 style).
 
-    `controllable` and `image` pass in what sweep computes once for all columns.
+    `image`, B_bar's, if given, answers controllability and lam+/- as in sweep.
     """
     k = reach._resolve_order(split.base, order)
     c = _single_column(split)
-    if controllable is None:
-        controllable = check_controllability(split.base, image=image)
+    controllable = check_controllability(split.base, image=image)
     pair = lambda_pair(split, image=image) if controllable and np.any(c) else None
     return _report(split, k, controllable, pair)
 

@@ -15,7 +15,9 @@ Every reach time is a gauge of such an image: lp.max_scaled_direction(M,
 lower, upper, d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in
 Z.  Zonotope.scalings answers a whole batch of (direction, shift) pairs from
 the facet inequalities with a few array products, where the LP path solves
-one simplex per pair.  Two choices keep it exact on badly scaled matrices:
+one simplex per pair.  One kernel, _exit, decides how far each ray goes for
+scalings, lambdas_without and Zonotope.start (the facet an LP starts at), in
+one pass over the facets.  Two choices keep it exact on badly scaled matrices:
 the state coordinates are scaled so each row of the generators has max-norm 1
 (lam is invariant under that scaling), and the generators are normalized to
 unit length before their cofactors are taken.  Normals are never rounded;
@@ -57,10 +59,11 @@ RANK_RTOL = 1e-10
 #: (scaled) direction is parallel to it: it bounds no lam, it only has to hold.
 PARALLEL_RTOL = 1e-12
 
-#: Elements of one (directions x shifts x facets) block.  scalings takes
-#: directions and shifts in chunks that fit it (at least one pair per block), so
-#: its working memory stays O(facets + BLOCK_ELEMENTS) whatever the batch size;
-#: lambdas_without takes facets in blocks of BLOCK_ELEMENTS / m rows.
+#: Elements of one block of rays x facets that _exit takes at once.  scalings
+#: passes it every facet for a chunk of directions x shifts that fits (at least
+#: one pair), so its working memory stays O(facets + BLOCK_ELEMENTS) whatever
+#: the batch size; lambdas_without passes blocks of BLOCK_ELEMENTS / m facet
+#: rows, each for the rays +g_j and -g_j of every column asked.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -87,7 +90,7 @@ class Zonotope:
     generators: np.ndarray
     centers: np.ndarray
 
-    def scalings(self, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    def scalings(self, directions: np.ndarray, shifts: np.ndarray, facets: bool = False):
         """lam_hat[i, j] = max{lam >= 0 : lam d_i/|d_i| + s_j in Z}.
 
         The same normalized multiplier as the lam_hat of
@@ -95,24 +98,45 @@ class Zonotope:
         no lam >= 0 is feasible (its negative certificate) and +inf when lam is
         unbounded.  Feasibility is decided at the largest lam every facet
         allows, within a relative tolerance of lp.FEAS_TOL, so lam_hat = 0
-        when s_j lies on the boundary of Z and d_i points out of it.
+        when s_j lies on the boundary of Z and d_i points out of it.  With
+        facets=True also (lam_hat, facet): the row of normals where each ray
+        leaves Z, as _exit names it.
         """
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         s = np.atleast_2d(np.asarray(shifts, dtype=float))
-        norms = np.linalg.norm(d, axis=1)
-        if np.any(norms == 0.0):
+        norms = np.sqrt((d * d).sum(axis=1))
+        if not norms.all():
             raise LpError("direction d must be nonzero")
+        lam, facet = np.empty((len(d), len(s))), np.empty((len(d), len(s)), dtype=int)
         step = max(1, BLOCK_ELEMENTS // len(self.support))
-        out = np.empty((len(d), len(s)))
         for i in range(0, len(d), step):
-            out[i : i + step] = self._block(d[i : i + step] / norms[i : i + step, None], s)
-        return out
+            scaled = d[i : i + step] / norms[i : i + step, None] / self.scale
+            toward, size = scaled @ self.normals.T, np.sqrt((scaled * scaled).sum(axis=1))
+            pairs = max(1, BLOCK_ELEMENTS // toward.size)
+            for j in range(0, len(s), pairs):
+                shifted = (s[j : j + pairs] / self.scale) @ self.normals.T
+                slack, extent = (self.support - shifted)[None], self.extent + np.abs(shifted)
+                at = slice(i, i + step), slice(j, j + pairs)
+                block = (0, slack, toward[:, None], size[:, None, None], extent)
+                lam[at], facet[at] = _exit([block], facets)
+        return (lam, facet) if facets else lam
+
+    def start(self, d: np.ndarray, shift: np.ndarray, facet=None) -> np.ndarray | None:
+        """subsets row of the facet where lam d/|d| + shift leaves Z, None if none bounds it:
+        `facet` where a scalings screen named it, else _exit's on this one ray."""
+        if facet is None:
+            scaled = d / np.linalg.norm(d) / self.scale
+            shifted = self.normals @ (shift / self.scale)
+            block = (0, self.support - shifted, self.normals @ scaled, np.linalg.norm(scaled),
+                     self.extent + np.abs(shifted))
+            facet = _exit([block], facets=True)[1]
+        return None if facet < 0 else self.subsets[facet]
 
     def lambdas_without(self, columns) -> tuple[np.ndarray, np.ndarray]:
         """(lam, solid): lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].
 
         g_j = M_j (upper_j - lower_j)/2 and Z_j is the image without column j.
-        lam is decided as scalings decides it (nan: infeasible); solid[i] is
+        lam is decided by _exit, as scalings' is (nan: infeasible); solid[i] is
         False where the other generators have rank < n (Z_j is flat).  Facets
         are taken in blocks of BLOCK_ELEMENTS / m, the n x m rank stacks in
         chunks of BLOCK_ELEMENTS / (n m).
@@ -125,65 +149,47 @@ class Zonotope:
         for i in range(0, len(cols), step):
             stacks = self.generators * (cols[i : i + step, None, None] != np.arange(m))
             solid[i : i + step] = _full_rank(stacks)
-        level = PARALLEL_RTOL * norms[cols, None]
-        least, floor = np.full((2, len(cols)), np.inf), np.full((2, len(cols)), -np.inf)
         centers, rows = _others(self.centers.T), max(1, BLOCK_ELEMENTS // m)
-        for f in range(0, len(self.support), rows):
-            normals = self.normals[f : f + rows].T
-            toward = self.generators.T @ normals
-            offset, width = (centers @ normals)[cols], _others(np.abs(toward))[cols]
-            holds = np.zeros(toward.shape, dtype=bool)
-            holds[self.subsets[f : f + rows].T, np.arange(toward.shape[1])] = True
-            slack = np.where(holds[cols], np.inf, offset + width)
-            tol = lp.FEAS_TOL * (np.abs(offset) + width)
-            toward = toward[cols]
-            toward[np.abs(toward) <= level] = 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                limits, floors = slack / toward, (slack + tol) / toward
-            # scalings' test at lam = max(least, 0), one block at a time: along
-            # +g_j the facets with toward > 0 bound lam, those with toward < 0
-            # hold from their floor on, and the rest at every lam or at none;
-            # along -g_j the first two swap.
-            up, down, fails = toward > 0.0, toward < 0.0, np.where(slack >= -tol, -np.inf, np.inf)
-            least = np.minimum(least, [np.where(up, limits, np.inf).min(axis=1),
-                                       -np.where(down, limits, -np.inf).max(axis=1)])
-            floor = np.maximum(floor, [np.where(down, floors, fails).max(axis=1),
-                                       -np.where(up, floors, -fails).min(axis=1)])
-        lam = np.maximum(least, 0.0)
-        return np.where((lam >= floor) | np.isinf(lam), lam, np.nan).T, solid
 
-    def binding(self, d: np.ndarray, shift: np.ndarray) -> np.ndarray | None:
-        """subsets row of the facet where lam d/|d| + shift leaves Z, or None if none bounds it."""
-        scaled = d / np.linalg.norm(d) / self.scale
-        toward = self.normals @ scaled
-        bounding = np.flatnonzero(toward > PARALLEL_RTOL * np.linalg.norm(scaled))
-        if not len(bounding):
-            return None
-        slack = self.support[bounding] - self.normals[bounding] @ (shift / self.scale)
-        return self.subsets[bounding[np.argmin(slack / toward[bounding])]]
+        def blocks():  # Z_j's facets lack j in subsets (the rest hold at every lam)
+            for f in range(0, len(self.support), rows):
+                normals = self.normals[f : f + rows].T
+                toward = self.generators.T @ normals
+                offset, width = (centers @ normals)[cols], _others(np.abs(toward))[cols]
+                holds = np.zeros(toward.shape, dtype=bool)
+                holds[self.subsets[f : f + rows].T, np.arange(toward.shape[1])] = True
+                slack, toward = np.where(holds[cols], np.inf, offset + width), toward[cols]
+                rays = np.stack([toward, -toward])  # along +g_j and -g_j
+                yield f, slack, rays, norms[cols, None], np.abs(offset) + width
 
-    def _block(self, unit: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """scalings of unit directions whose (directions x facets) products fit a block."""
-        scaled = unit / self.scale
-        toward = scaled @ self.normals.T
-        level = PARALLEL_RTOL * np.linalg.norm(scaled, axis=1)[:, None]
-        bounding = toward > level
-        toward[np.abs(toward) <= level] = 0.0
-        out = np.empty((len(unit), len(s)))
-        step = max(1, BLOCK_ELEMENTS // toward.size)
-        for j in range(0, len(s), step):
-            shifted = (s[j : j + step] / self.scale) @ self.normals.T
-            slack = (self.support - shifted)[None]
-            limits = np.divide(
-                slack, toward[:, None], where=bounding[:, None],
-                out=np.full((len(unit), len(shifted), len(self.support)), np.inf),
-            )
-            lam = np.maximum(limits.min(axis=2), 0.0)
-            tol = lp.FEAS_TOL * (self.extent + np.abs(shifted))
-            with np.errstate(invalid="ignore"):
-                feasible = np.all(slack - lam[..., None] * toward[:, None] >= -tol, axis=2)
-            out[:, j : j + step] = np.where(feasible | np.isinf(lam), lam, np.nan)
-        return out
+        return _exit(blocks())[0].T, solid
+
+
+def _exit(blocks, facets: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, facet) per ray: max{lam >= 0 : slack - lam toward >= -tol on every facet}.
+
+    blocks yields (first, slack, toward, size, extent) for the facets first, first + 1,
+    ...: arrays over (rays..., facets), tol = lp.FEAS_TOL extent.  A facet with |toward|
+    at most PARALLEL_RTOL size (the ray's length) is parallel to the ray.  One pass keeps
+    the least slack/toward over the facets the ray moves toward, the greatest (slack +
+    tol)/toward over those it moves away from (they hold from there on), and whether the
+    rest hold (slack >= -tol, as the bounding ones must at lam = 0).  lam is nan where
+    no lam >= 0 holds and +inf where no facet bounds it.  facet (-1 unless facets=True)
+    attains lam, the lowest on ties as one argmin over all facets gives; -1 at lam = +inf.
+    """
+    least, floor, facet = np.inf, -np.inf, -1
+    for first, slack, toward, size, extent in blocks:
+        level, loose = PARALLEL_RTOL * size, slack + lp.FEAS_TOL * extent
+        fails = np.where(loose >= 0.0, -np.inf, np.inf)  # exactly where slack >= -tol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limits = np.where(toward > level, slack / toward, np.inf)
+            floors = np.where(toward < -level, loose / toward, fails)
+        bound = limits.min(axis=-1)
+        if facets:
+            facet = np.where(bound < least, limits.argmin(axis=-1) + first, facet)
+        least, floor = np.minimum(least, bound), np.maximum(floor, floors.max(axis=-1))
+    lam = np.maximum(least, 0.0)
+    return np.where(lam >= floor, lam, np.nan), facet  # floor is never nan: +inf stays
 
 
 def _full_rank(generators: np.ndarray) -> np.ndarray:

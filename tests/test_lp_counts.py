@@ -100,7 +100,8 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
     # solves its 6 distinct problems once each: T_M*(d) (grid theory, then the
     # probe's T_M* at d, 0.5d, 2d and 10d, which normalize to the same LP), T_N*(d)
     # (the probe's four points), and the T_M* and T_N* of t(+C) and of t(-C).
-    # Each starts at its image's binding facet, an optimal basis: no pivots.
+    # Each starts at the facet where its ray leaves its image, an optimal basis:
+    # no pivots.
     assert zonotope_builds[0] == 2
     assert lp_solves[0] == 6
     assert lp_pivots[0] == 0
@@ -108,7 +109,7 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
     # The same 6 solves from the cold two-phase start.
-    monkeypatch.setattr(zonotope.Zonotope, "binding", lambda self, d, shift: None)
+    monkeypatch.setattr(zonotope.Zonotope, "start", lambda *args: None)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     assert lp_solves[0] == 6
@@ -118,7 +119,8 @@ def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, solves, pivots",
     [
-        # T_M* starts at B's binding facet (0 pivots), T_N* has no image (8 cold).
+        # T_M* starts at its screen's facet of B's image (0 pivots), T_N* has no
+        # image (8 cold).
         (["simulate", "octo-vertical-lag"], 2, 8),
         # The build of B is declined: every LP takes the cold start.
         (["ratio", "--model", "catalog:spacecraft-printed", "--lost", "3",
@@ -130,6 +132,26 @@ def test_op_pivots(lp_solves, lp_pivots, capsys, argv, solves, pivots):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert (lp_solves[0], lp_pivots[0]) == (solves, pivots)
+
+
+def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch, capsys):
+    solves = []  # (started, pivots) per lp.solve
+    real = lp.solve
+
+    def recording(problem, basis=None):
+        out = real(problem, basis)
+        solves.append((basis is not None, out.pivots))
+        return out
+
+    monkeypatch.setattr(lp, "solve", recording)
+    argv = ["ratio", "--model", "catalog:octocopter-trans", "--lost", "1", "-d", "0,0,-1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # T_N* has no image and starts cold.  One build of B and one gauge pass, the
+    # T_M* screen: the facet it names at the worst vertex starts the T_M* LP,
+    # which takes no pivot.
+    assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (1, 1, 0)
+    assert solves == [(False, 8), (True, 0)]
 
 
 def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, capsys):

@@ -149,9 +149,33 @@ def test_hinted_lp_matches_cold(seed):
         assert np.linalg.matrix_rank(sp.b) < sp.base.n
         return
     directions = rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+    shifts = -(reach.w_vertices(sp) @ sp.c.T)
     for d in directions:
-        for s in -(reach.w_vertices(sp) @ sp.c.T):
-            _assert_hint_matches_cold(sp.b, sp.u_min, sp.u_max, d, s, zono.binding(d, s))
+        # The facets T_M*'s screen names, and the one-ray start of the other LPs.
+        screened = zono.scalings(d, shifts, facets=True)[1][0]
+        for s, facet in zip(shifts, screened):
+            for start in (zono.start(d, s, facet), zono.start(d, s)):
+                _assert_hint_matches_cold(sp.b, sp.u_min, sp.u_max, d, s, start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_exit_facet_is_tight(seed):
+    sp, rng = _random_split(seed)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    if zono is None:
+        return
+    directions = rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+    shifts = np.vstack([-(reach.w_vertices(sp) @ sp.c.T), _boundary_point(sp, rng)])
+    lam_hat, facet = zono.scalings(directions, shifts, facets=True)
+    assert np.array_equal(facet == -1, np.isinf(lam_hat))
+    units = directions / np.linalg.norm(directions, axis=1)[:, None]
+    for (i, j), lam in np.ndenumerate(lam_hat):
+        if 0.0 < lam < math.inf:
+            # The named facet's inequality holds with equality at the exit point.
+            f = facet[i, j]
+            gap = zono.normals[f] @ ((lam * units[i] + shifts[j]) / zono.scale) - zono.support[f]
+            assert abs(gap) <= lp.FEAS_TOL * zono.extent[f], (i, j, gap)
 
 
 def _lp_only(monkeypatch):
@@ -192,7 +216,6 @@ def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree):
     assert reports[0].controllable == highs.controllable(sys)
     with pytest.MonkeyPatch.context() as mp:
         _lp_only(mp)
-        controllable = resilience.check_controllability(sys)
         for got in reports:
             sp = split(sys, got.lost_column)
             checked = got.controllable and np.any(sp.c)
@@ -200,7 +223,7 @@ def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree):
                 ref = _highs_lambdas(highs, sp)
                 assert (got.lambda_plus, got.lambda_minus) == pytest.approx(ref, rel=REL)
             try:
-                want = quantitative_resilience(sp, controllable=controllable)
+                want = quantitative_resilience(sp)
             except lp.LpError:
                 continue  # the simplex fault of test_simplex_singular_basis
             if checked and (want.lambda_plus, want.lambda_minus) != pytest.approx(ref, rel=1e-6):
@@ -282,9 +305,11 @@ def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solve
         enumerated = reach.malfunctioning_reach_time(toy1_split, d)
     lp_solves[0] = 0
     # A screen that finds every vertex infeasible: the LP at vertex 0 is finite.
-    monkeypatch.setattr(
-        zonotope.Zonotope, "scalings", lambda self, dirs, shifts: np.full((1, len(shifts)), np.nan)
-    )
+    def infeasible(self, dirs, shifts, facets=False):
+        lam = np.full((1, len(np.atleast_2d(shifts))), np.nan)
+        return (lam, np.full(lam.shape, -1)) if facets else lam
+
+    monkeypatch.setattr(zonotope.Zonotope, "scalings", infeasible)
     result = reach.malfunctioning_reach_time(toy1_split, d)
     assert result.time == enumerated.time
     assert np.array_equal(result.optimizer_w, enumerated.optimizer_w)
@@ -335,10 +360,36 @@ def test_scalings_chunked_like_unchunked(monkeypatch):
     rng = np.random.default_rng(4)
     directions = rng.standard_normal((7, 3))
     shifts = -(rng.uniform(sp.w_min, sp.w_max, size=(50, 1)) @ sp.c.T)
-    whole = zono.scalings(directions, shifts)
+    whole, facets = zono.scalings(directions, shifts, facets=True)
+    sc = catalog.spacecraft_printed()
+    image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**6)
+    lams = image.lambdas_without(range(14))[0]
     monkeypatch.setattr(zonotope, "BLOCK_ELEMENTS", 1)
-    # One pair per block: equal up to the rounding of differently shaped products.
-    np.testing.assert_allclose(zono.scalings(directions, shifts), whole, rtol=1e-14)
+    # One pair, or one facet row, per block: equal up to the rounding of
+    # differently shaped products, and the same facets.
+    chunked, chunked_facets = zono.scalings(directions, shifts, facets=True)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-14)
+    assert np.array_equal(chunked_facets, facets)
+    np.testing.assert_allclose(image.lambdas_without(range(14))[0], lams, rtol=1e-14)
+
+
+def test_exit_ties_go_to_the_lowest_row_across_blocks():
+    # Propellers 1-4 of the octocopter are one column repeated: their facets
+    # repeat, and every ray leaving through one ties with its copies.
+    sys = catalog.octocopter_translational()
+    zono = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6)
+    rng = np.random.default_rng(5)
+    toward = (rng.standard_normal((40, 3)) / zono.scale) @ zono.normals.T
+    slack, size, extent = zono.support, np.zeros((40, 1)), zono.extent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limits = np.where(toward > 0.0, slack / toward, np.inf)
+    lowest = np.argmax(limits == limits.min(axis=1)[:, None], axis=1)
+    assert np.any((limits == limits.min(axis=1)[:, None]).sum(axis=1) > 1)
+    rows = [(f, slack[f : f + 1], toward[:, f : f + 1], size, extent[f : f + 1])
+            for f in range(len(slack))]
+    whole = zonotope._exit([(0, slack, toward, size, extent)], facets=True)
+    for lam, facet in (whole, zonotope._exit(rows, facets=True)):
+        assert np.array_equal(lam, whole[0]) and np.array_equal(facet, lowest)
 
 
 def test_zero_direction_rejected():
