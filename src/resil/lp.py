@@ -26,8 +26,8 @@ encountered"): ROADMAP item 4, the strict xfails in tests/test_zonotope.py.
 
 Inside reuse_scope, opened by the CLI around each op, max_scaled_direction
 reuses the outcome of a problem whose bytes it has solved before (T*(alpha d)
-normalizes to the LP of T*(d)); the simplex is deterministic, so results
-are unchanged.  Outside a scope every call solves.
+normalizes to the LP of T*(d)), and zonotope.build the image it has built; both
+are deterministic, so results are unchanged.  Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ _RCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 10_000
 
-#: Outcomes a reuse_scope stores (1.6 kB each at 6 x 13), then it solves unstored:
-#: an oracle grid on a declined build poses up to 10^6 distinct LPs.
+#: LP outcomes a reuse_scope stores (1.6 kB each at 6 x 13; images uncounted), then it
+#: solves unstored: an oracle grid on a declined build poses up to 10^6 distinct LPs.
 REUSE_ENTRIES = 10_000
 _reused: dict | None = None  # LpOutcome by problem bytes while a reuse_scope is open
+_images: dict | None = None  # zonotope.build's images by matrix bytes, likewise
 
 
 @dataclass(frozen=True)
@@ -306,18 +307,23 @@ class DirectionScaling:
 
 @contextlib.contextmanager
 def reuse_scope():
-    """Solve each distinct max_scaled_direction problem once while open; nested scopes share."""
-    global _reused
-    outer, _reused = _reused, {} if _reused is None else _reused
+    """While open, solve each scaling LP and build each image once; nested scopes share."""
+    global _reused, _images
+    outer = _reused, _images
+    _reused, _images = ({}, {}) if _reused is None else outer
     try:
         yield
     finally:
-        _reused = outer
+        _reused, _images = outer
 
 
 def lambda_threshold(d: np.ndarray) -> float:
     """Strict positivity threshold for lam decisions, scaled by the direction."""
     return 1e-9 * (1.0 + float(np.linalg.norm(d)))
+
+
+#: lambda_threshold of a unit direction, the one the gauge's normalized lam is held to.
+UNIT_THRESHOLD = lambda_threshold(np.ones(1))
 
 
 def max_scaled_direction(

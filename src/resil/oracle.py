@@ -8,9 +8,9 @@ quasi-random sampling and reports the worst observed violation.
 The scans evaluate all grid points or sampled directions in gauge batches of
 the box images of B and B_bar (reach.malfunction_times, reach.time_ratios;
 zonotope.py), one LP per query where a build is declined; op_images builds
-both once per oracle op.  Each theory value still comes from the scalar reach
-path, whose reported times are LP optima (started at the facet of an image
-where the ray leaves it), so a scan compares two engines.
+both once per oracle op, kept by its lp.reuse_scope.  Each theory value still
+comes from the scalar reach path, whose reported times are LP optima (started
+at the facet of an image where the ray leaves it), so a scan compares two engines.
 """
 
 from __future__ import annotations
@@ -76,33 +76,31 @@ def _grid_direction(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -
 
 
 def op_images(split: ActuatorSplit, d: np.ndarray, points_per_axis: int, samples: int, probes: int):
-    """Images of B and B_bar (None: declined) for one oracle op, after grid_worst_w's checks.
+    """Build B's and B_bar's images into the op's lp.reuse_scope, after grid_worst_w's checks.
 
-    B's is offered the grid points and 2^p LPs per T_M* screen (grid theory, 1 + `probes`
-    homogeneity points, t(+/-C) and each scan direction); B_bar's, built only when the
-    direction scan runs (samples > 0), its directions and the 2n + 2 LPs of its gate.
+    Each is offered every scan's LPs, so the scans find it kept (or declined): B's the grid
+    points and 2^p LPs per T_M* screen (grid theory, 1 + `probes` homogeneity points,
+    t(+/-C) and each scan direction); B_bar's, built only when the direction scan runs
+    (samples > 0), its directions and the 2n + 2 LPs of its gate.
     """
     _grid_direction(split, d, points_per_axis)
     screens = 2 + probes + (2 + samples if samples > 0 else 0)
-    lps = points_per_axis**split.p + 2**split.p * screens
-    base, image = split.base, zonotope.build(split.b, split.u_min, split.u_max, lps=lps)
-    if samples <= 0:
-        return image, None
-    return image, zonotope.build(base.b_bar, base.u_min, base.u_max, lps=samples + 2 * base.n + 2)
+    base, lps = split.base, points_per_axis**split.p + 2**split.p * screens
+    zonotope.build(split.b, split.u_min, split.u_max, lps=lps)
+    if samples > 0:
+        zonotope.build(base.b_bar, base.u_min, base.u_max, lps=samples + 2 * base.n + 2)
 
 
-def grid_worst_w(
-    split: ActuatorSplit, d: np.ndarray, points_per_axis: int, *, image=reach._BUILD
-) -> ScanReport:
+def grid_worst_w(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -> ScanReport:
     """Scan a uniform grid over W_c for a w worse than the vertex-enumeration T_M*."""
     d = _grid_direction(split, d, points_per_axis)
-    theory = reach.malfunctioning_reach_time(split, d, image=image).time
+    theory = reach.malfunctioning_reach_time(split, d).time
     axes = [
         np.linspace(lo, hi, points_per_axis)
         for lo, hi in zip(split.w_min, split.w_max)
     ]
     grid = np.array(list(itertools.product(*axes)))
-    times = reach.malfunction_times(split, grid, d, image=image)
+    times = reach.malfunction_times(split, grid, d)
     worst = float(times.max())
     return ScanReport(
         worst_value=worst,
@@ -141,34 +139,30 @@ def _unit_directions(n: int, samples: int, seed: int) -> np.ndarray:
     return vec / norms[:, None]
 
 
-def direction_scan(
-    split: ActuatorSplit, samples: int, seed: int, *, image=reach._BUILD, full=reach._BUILD
-) -> ScanReport:
+def direction_scan(split: ActuatorSplit, samples: int, seed: int) -> ScanReport:
     """Scan unit directions for a time ratio above max(t(C), t(-C)).
 
     Only meaningful on resilient single-loss splits (off the resilient set the
-    ratio is unbounded and the theorem says nothing); decided from `full` if given.
+    ratio is unbounded and the theorem says nothing).
     """
     if split.p != 1:
         raise UnsupportedLossError("direction_scan requires a single lost column")
     c = split.c[:, 0]
     if not np.any(c):
         raise UnsupportedLossError("direction_scan requires a nonzero lost column")
-    given = None if full is reach._BUILD else full
-    report = quantitative_resilience(split, image=given)
-    if not report.resilient:
+    if not quantitative_resilience(split).resilient:
         raise UnsupportedLossError(
             "direction_scan requires a resilient split (ratio is unbounded otherwise)"
         )
     c_unit = c / np.linalg.norm(c)
-    t_plus = reach.time_ratio(split, c_unit, image=image, full=given)
-    t_minus = reach.time_ratio(split, -c_unit, image=image, full=given)
+    t_plus = reach.time_ratio(split, c_unit)
+    t_minus = reach.time_ratio(split, -c_unit)
     theory = max(t_plus, t_minus)
 
     worst, worst_d = theory, (c_unit if t_plus >= t_minus else -c_unit)
     if samples > 0:
         directions = _unit_directions(split.base.n, samples, seed)
-        ratios = reach.time_ratios(split, directions, image=image, full=full)
+        ratios = reach.time_ratios(split, directions)
         best = int(np.argmax(ratios))
         if ratios[best] > worst:
             worst, worst_d = float(ratios[best]), directions[best]
@@ -184,7 +178,6 @@ def homogeneity_probe(
     obj: "IntegratorSystem | ActuatorSplit",
     d: np.ndarray,
     scales: "list[float] | tuple[float, ...]",
-    *, image=reach._BUILD, full=None,
 ) -> float:
     """Max relative error of T*(alpha d) versus alpha T*(d) over the scales.
 
@@ -194,8 +187,7 @@ def homogeneity_probe(
     |d|: alpha d and d pose the same LP up to rounding of d/|d|, and inside
     one lp.reuse_scope an LP that normalizes to the same bytes is not solved
     again.  A fault that makes the LP of alpha d differ from that of d poses
-    a different problem, which is solved.  T_N*'s LPs start from B_bar's image
-    `full` when given.
+    a different problem, which is solved.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
@@ -207,9 +199,9 @@ def homogeneity_probe(
     # Homogeneity in d is an order-1 statement; evaluate there regardless of
     # the system's declared order.
     nominal = obj.base if isinstance(obj, ActuatorSplit) else obj
-    evaluators = [lambda dd: reach.nominal_reach_time(nominal, dd, order=1, image=full).time]
+    evaluators = [lambda dd: reach.nominal_reach_time(nominal, dd, order=1).time]
     if isinstance(obj, ActuatorSplit):
-        evaluators.append(lambda dd: reach.malfunctioning_reach_time(obj, dd, 1, image=image).time)
+        evaluators.append(lambda dd: reach.malfunctioning_reach_time(obj, dd, 1).time)
 
     err = 0.0
     for evaluate in evaluators:

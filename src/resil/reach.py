@@ -10,13 +10,13 @@ Two engines compute lam*: the simplex LP of lp.max_scaled_direction, one solve
 per query, and the facet inequalities of the box image (zonotope.py), one
 batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
 optimizer are LP optima, started at the facet where the ray leaves the image
-(zonotope.Zonotope.start) when B's was built or B_bar's given: for T_M* the
-facet its screen named, else one ray's, asked only when the LP is solved.
-T_M* screens its 2^p vertices with one gauge batch and solves one LP at the
-worst vertex; the batched malfunction_times and time_ratios answer the oracle
-scans from the gauge alone.  Each takes the image as image= (time_ratios
-B_bar's as full=), built when omitted; a declined build (None: rank-deficient,
-or not worth its LPs) keeps the call on the LP path.
+(zonotope.Zonotope.start): B's for T_M* (the facet its screen named, else one
+ray's), B_bar's for T_N* only when the op's lp.reuse_scope keeps it.  T_M*
+screens its 2^p vertices with one gauge batch and solves one LP at the worst
+vertex; the batched malfunction_times and time_ratios answer the oracle scans
+from the gauge alone.  Each asks zonotope.build for the image its LPs are
+worth; a declined build (None: rank-deficient, or not worth its LPs) keeps the
+call on the LP path.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -34,15 +34,13 @@ from . import lp, zonotope
 from .errors import CapacityError, LpError, ModelError
 from .model import ActuatorSplit, IntegratorSystem
 
-#: Default cap on the number of lost columns in vertex enumeration (2^p vertices).
+#: Cap on the number of lost columns in vertex enumeration (2^p vertices).
 P_MAX_DEFAULT = 20
 
 #: Screened vertex times within this relative distance of the largest count as
 #: tied; the lowest lexicographic index among them is the worst vertex.  The
 #: gauge agrees with the LP to about 1e-13 relative on the catalog systems.
 VERTEX_TIE_RTOL = 1e-12
-
-_BUILD = object()  # default of image= and full=: the function builds the image
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def _order1_time(scaling: lp.DirectionScaling) -> tuple[float, np.ndarray | None
 
 
 def nominal_reach_time(
-    sys: IntegratorSystem, d: np.ndarray, order: int | None = None, *, image=None
+    sys: IntegratorSystem, d: np.ndarray, order: int | None = None
 ) -> ReachResult:
     """Shortest time for the fully functional system to cover the distance d.
 
@@ -91,11 +89,17 @@ def nominal_reach_time(
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=0)  # only a kept one
     t1, u = _order1_time(_scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), image))
     return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u)
 
 
-def _check_in_w_box(split: ActuatorSplit, ws: np.ndarray) -> None:
+def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray]:
+    """(ws, d) as 2-D and 1-D arrays, once d is nonzero and every row w of ws lies in W_c."""
+    ws = np.atleast_2d(np.asarray(ws, dtype=float))
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if not np.any(d):
+        raise LpError("direction d must be nonzero")
     w_scale = 1.0 + max(np.abs(split.w_min).max(), np.abs(split.w_max).max())
     outside = np.any(ws < split.w_min - 1e-9 * w_scale, axis=1) | np.any(
         ws > split.w_max + 1e-9 * w_scale, axis=1
@@ -103,11 +107,7 @@ def _check_in_w_box(split: ActuatorSplit, ws: np.ndarray) -> None:
     if outside.any():
         w = ws[int(np.argmax(outside))]
         raise ModelError(f"w {w.tolist()} outside the undesirable-input box W_c")
-
-
-def _image(image, m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int):
-    """`image` as passed (None: declined), or built for lps LPs when omitted (_BUILD)."""
-    return zonotope.build(m, lower, upper, lps=lps) if image is _BUILD else image
+    return ws, d
 
 
 def _scaling_lp(m, lower, upper, d, shift, image, facet=None) -> lp.DirectionScaling:
@@ -116,9 +116,7 @@ def _scaling_lp(m, lower, upper, d, shift, image, facet=None) -> lp.DirectionSca
     return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=basis)
 
 
-def _vertex_lp(
-    split: ActuatorSplit, w: np.ndarray, d: np.ndarray, image=None, facet=None
-) -> lp.DirectionScaling:
+def _vertex_lp(split: ActuatorSplit, w, d, image=None, facet=None) -> lp.DirectionScaling:
     """The scaling LP of T_M(w, d): max{lam >= 0 : B u = lam d - C w, u in U_c}."""
     return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image, facet)
 
@@ -132,7 +130,7 @@ def _gauge_times(directions: np.ndarray, lam: np.ndarray) -> np.ndarray:
     directions = np.atleast_2d(directions)
     with np.errstate(divide="ignore"):
         times = np.linalg.norm(directions, axis=1)[:, None] / lam
-    return np.where(lam > lp.lambda_threshold(np.ones(1)), times, math.inf)
+    return np.where(lam > lp.UNIT_THRESHOLD, times, math.inf)
 
 
 def malfunction_time_for_w(
@@ -144,23 +142,20 @@ def malfunction_time_for_w(
     maximum is 0 or the constraint is infeasible; solved as one LP.
     """
     k = _resolve_order(split.base, order)
-    return order_k_time(float(malfunction_times(split, w, d, 1, image=None)[0]), k)
+    ws, d = _checked_inputs(split, w, d)
+    return float(order_k_time(_order1_time(_vertex_lp(split, ws[0], d))[0], k))
 
 
 def malfunction_times(
-    split: ActuatorSplit, ws: np.ndarray, d: np.ndarray, order: int | None = None, *, image=_BUILD
+    split: ActuatorSplit, ws: np.ndarray, d: np.ndarray, order: int | None = None
 ) -> np.ndarray:
     """T_M(w, d) for each row w of ws: malfunction_time_for_w as one gauge batch.
 
     One LP per row instead when the image of B is declined.
     """
     k = _resolve_order(split.base, order)
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    ws = np.atleast_2d(np.asarray(ws, dtype=float))
-    if not np.any(d):
-        raise LpError("direction d must be nonzero")
-    _check_in_w_box(split, ws)
-    zono = _image(image, split.b, split.u_min, split.u_max, len(ws))
+    ws, d = _checked_inputs(split, ws, d)
+    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=len(ws))
     if zono is None:
         t1 = np.array([_order1_time(_vertex_lp(split, w, d))[0] for w in ws])
     else:
@@ -174,20 +169,16 @@ def w_vertices(split: ActuatorSplit) -> np.ndarray:
     return np.array(list(itertools.product(*axes)), dtype=float)
 
 
-def _capped_vertices(split: ActuatorSplit, p_max: int) -> np.ndarray:
-    if split.p > p_max:
+def _capped_vertices(split: ActuatorSplit) -> np.ndarray:
+    if split.p > P_MAX_DEFAULT:
         raise CapacityError(
-            f"vertex enumeration needs 2^{split.p} vertices; cap is p_max={p_max}"
+            f"vertex enumeration needs 2^{split.p} vertices; cap is p_max={P_MAX_DEFAULT}"
         )
     return w_vertices(split)
 
 
 def malfunctioning_reach_time(
-    split: ActuatorSplit,
-    d: np.ndarray,
-    order: int | None = None,
-    p_max: int = P_MAX_DEFAULT,
-    *, image=_BUILD,
+    split: ActuatorSplit, d: np.ndarray, order: int | None = None
 ) -> ReachResult:
     """Worst-case reach time T_M*(d): max over the vertices of W_c.
 
@@ -202,8 +193,8 @@ def malfunctioning_reach_time(
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
-    vertices = _capped_vertices(split, p_max)
-    zono = _image(image, split.b, split.u_min, split.u_max, len(vertices))
+    vertices = _capped_vertices(split)
+    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=len(vertices))
     if zono is not None:
         lam, facets = zono.scalings(d, -(vertices @ split.c.T), facets=True)
         screened = _gauge_times(d, lam)[0]
@@ -227,46 +218,36 @@ def malfunctioning_reach_time(
     )
 
 
-def time_ratio(
-    split: ActuatorSplit,
-    d: np.ndarray,
-    order: int | None = None,
-    p_max: int = P_MAX_DEFAULT,
-    *, image=_BUILD, full=None,
-) -> float:
+def time_ratio(split: ActuatorSplit, d: np.ndarray, order: int | None = None) -> float:
     """Ratio of reach times t_k(d) = T_{k,M}*(d) / T_{k,N}*(d); see ratio_of_times.
 
     T_N* is not computed when T_M* is infinite: the ratio is +inf regardless.
     """
-    t_m = malfunctioning_reach_time(split, d, order=order, p_max=p_max, image=image).time
+    t_m = malfunctioning_reach_time(split, d, order=order).time
     if math.isinf(t_m):
         return math.inf
-    return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order, image=full).time)
+    return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order).time)
 
 
 def time_ratios(
-    split: ActuatorSplit,
-    directions: np.ndarray,
-    order: int | None = None,
-    p_max: int = P_MAX_DEFAULT,
-    *, image=_BUILD, full=_BUILD,
+    split: ActuatorSplit, directions: np.ndarray, order: int | None = None
 ) -> np.ndarray:
     """t_k(d) for each (nonzero) row d of directions: time_ratio as two gauge batches.
 
     One batch over the directions and W_c vertices for B, one over the
-    directions for B_bar (`full`); time_ratio per row instead when either image
-    is declined.
+    directions for B_bar; time_ratio per row instead when either image is
+    declined.
     """
     k = _resolve_order(split.base, order)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if not np.all(np.any(directions, axis=1)):
         raise LpError("every direction must be nonzero")
-    vertices = _capped_vertices(split, p_max)
+    vertices = _capped_vertices(split)
     base = split.base
-    lost = _image(image, split.b, split.u_min, split.u_max, len(directions) * len(vertices))
-    full = _image(full, base.b_bar, base.u_min, base.u_max, len(directions))
+    lost = zonotope.build(split.b, split.u_min, split.u_max, lps=len(directions) * len(vertices))
+    full = zonotope.build(base.b_bar, base.u_min, base.u_max, lps=len(directions))
     if lost is None or full is None:
-        return np.array([time_ratio(split, d, k, p_max, image=lost, full=full) for d in directions])
+        return np.array([time_ratio(split, d, k) for d in directions])
     t_m = _gauge_times(directions, lost.scalings(directions, -(vertices @ split.c.T))).max(axis=1)
     t_n = _gauge_times(directions, full.scalings(directions, np.zeros(base.n)))[:, 0]
     return ratio_of_times(order_k_time(t_m, k), order_k_time(t_n, k))

@@ -9,9 +9,9 @@ For a single lost column C with box [w_min, w_max], the closed form is
 
 and the system is resilient to that loss iff it is controllable and both
 values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k).
-sweep answers lam+/- and controllability from one zonotope.build of B_bar.  The
-reach-time route (four reach times along +/-C) is kept as an independent
-cross-check: both verdicts must agree.
+sweep answers lam+/- and controllability from one zonotope.build of B_bar, and
+quantitative_resilience is its row.  lambda_pair (LPs) and the reach-time route
+(four reach times along +/-C) are kept as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -80,12 +80,17 @@ def _lp_lambdas(m, lower, upper, directions):
     return (s.value if s.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0 for s in scalings)
 
 
-def check_controllability(sys: IntegratorSystem, *, image: Zonotope | None = None) -> bool:
+def check_controllability(sys: IntegratorSystem) -> bool:
     """rank(B_bar) = n and 0 interior to the image polytope {B_bar u : u in box}.
 
     Interiority: the image extends a positive distance along +e_j and -e_j for
-    every basis direction, by up to 2n LPs or one gauge batch of `image` (sweep).
+    every basis direction, by up to 2n LPs.
     """
+    return _controllable(sys, None)
+
+
+def _controllable(sys: IntegratorSystem, image: Zonotope | None) -> bool:
+    """check_controllability, by one gauge batch of B_bar's image when there is one."""
     sv = np.linalg.svd(sys.b_bar, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return False
@@ -95,7 +100,7 @@ def check_controllability(sys: IntegratorSystem, *, image: Zonotope | None = Non
     if image is None:
         return all(lam > 0.0 for lam in _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, axes))
     lam_hat = image.scalings(axes, np.zeros((1, sys.n)))[:, 0]
-    return bool(np.all(lam_hat > lp.lambda_threshold(np.ones(1))))
+    return bool(np.all(lam_hat > lp.UNIT_THRESHOLD))
 
 
 def _single_column(split: ActuatorSplit) -> np.ndarray:
@@ -106,17 +111,12 @@ def _single_column(split: ActuatorSplit) -> np.ndarray:
     return split.c[:, 0]
 
 
-def lambda_pair(split: ActuatorSplit, *, image: Zonotope | None = None) -> tuple[float, float]:
-    """(lam+, lam-): max speeds of the remaining actuators along +/-C.
-
-    From the leave-one-out pass of `image`, B_bar's (see sweep), if given, else 2 LPs.
-    """
+def lambda_pair(split: ActuatorSplit) -> tuple[float, float]:
+    """(lam+, lam-): max speeds of the remaining actuators along +/-C, by 2 LPs."""
     c = _single_column(split)
     if not np.any(c):
         raise UnsupportedLossError("C = 0 has no lambda pair; see quantitative_resilience")
-    if image is None:
-        return tuple(_lp_lambdas(split.b, split.u_min, split.u_max, [c, -c]))
-    return _lambda_pairs(split.base, split.lost_columns, image)[0]
+    return tuple(_lp_lambdas(split.b, split.u_min, split.u_max, [c, -c]))
 
 
 def _lambda_pairs(sys: IntegratorSystem, columns, image: Zonotope | None) -> list[tuple]:
@@ -129,7 +129,7 @@ def _lambda_pairs(sys: IntegratorSystem, columns, image: Zonotope | None) -> lis
     lams, solid = image.lambdas_without(cols)
     lams = lams * ((sys.u_max - sys.u_min) / 2.0)[cols, None]
     norms = np.linalg.norm(sys.b_bar, axis=0)[cols, None]
-    lams = np.where(lams * norms > lp.lambda_threshold(np.ones(1)), lams, 0.0)
+    lams = np.where(lams * norms > lp.UNIT_THRESHOLD, lams, 0.0)
     return [tuple(lam) if full else lambda_pair(make_split(sys, col))
             for col, lam, full in zip(cols.tolist(), lams.tolist(), solid)]
 
@@ -168,23 +168,15 @@ def sweep(
     splits = [make_split(sys, col) for col in columns]
     cols = [sp.lost_columns[0] for sp in splits if np.any(sp.c)]
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * sys.n + 2 * len(cols))
-    ctrl = check_controllability(sys, image=image)
+    ctrl = _controllable(sys, image)
     pairs = dict(zip(cols, _lambda_pairs(sys, cols, image))) if ctrl else {}
     return [_report(sp, k, ctrl, pairs.get(sp.lost_columns[0])) for sp in splits]
 
 
-def quantitative_resilience(
-    split: ActuatorSplit, order: int | None = None, *, image: Zonotope | None = None
-) -> ResilienceReport:
-    """Full single-loss resilience report for a split (Algorithm-1 style).
-
-    `image`, B_bar's, if given, answers controllability and lam+/- as in sweep.
-    """
-    k = reach._resolve_order(split.base, order)
-    c = _single_column(split)
-    controllable = check_controllability(split.base, image=image)
-    pair = lambda_pair(split, image=image) if controllable and np.any(c) else None
-    return _report(split, k, controllable, pair)
+def quantitative_resilience(split: ActuatorSplit, order: int | None = None) -> ResilienceReport:
+    """Full single-loss resilience report for a split (Algorithm-1 style): sweep's row."""
+    _single_column(split)
+    return sweep(split.base, split.lost_columns, order)[0]
 
 
 def _report(split: ActuatorSplit, k: int, controllable: bool, pair) -> ResilienceReport:

@@ -199,8 +199,6 @@ def smooth_reach_ratio(
     target_speed: float,
     tau: float | None = None,
     lost_column: int = 0,
-    *,
-    optima: "tuple[reach.ReachResult, reach.ReachResult] | None" = None,
 ) -> tuple[float, float]:
     """(ratio_smooth, ratio_bangbang) for the vertical octocopter scenario.
 
@@ -209,9 +207,7 @@ def smooth_reach_ratio(
     given by lost_column), with and without first-order propeller lag, and
     returns the ratios of the times the speed along d first reaches
     target_speed.  Both crossings are closed forms in the rate a = d . B u:
-    target/a without lag, `lag_crossing(a, target, tau)` with it.  optima
-    passes in the (T_N*(d), T_M*(d)) reach results of that split when the
-    caller has solved them already.
+    target/a without lag, `lag_crossing(a, target, tau)` with it.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not (d.shape == (3,) and d[0] == 0.0 and d[1] == 0.0 and d[2] in (-1.0, 1.0)):
@@ -224,9 +220,7 @@ def smooth_reach_ratio(
     sys = catalog.octocopter_translational(params)
     sp = make_split(sys, lost_column)
 
-    if optima is None:
-        optima = (reach.nominal_reach_time(sys, d), reach.malfunctioning_reach_time(sp, d))
-    nominal, malf = optima
+    nominal, malf = reach.nominal_reach_time(sys, d), reach.malfunctioning_reach_time(sp, d)
     if not (math.isfinite(nominal.time) and math.isfinite(malf.time)):
         raise NonReachError("scenario direction not reachable under the worst input")
 

@@ -26,7 +26,8 @@ kept inequality is valid for Z.
 
 build() returns None, and callers keep to the LP path, when M is rank-deficient
 or when the candidate count exceeds FACETS_PER_LP times the LPs the batch would
-otherwise solve, or MAX_CANDIDATES.
+otherwise solve, or MAX_CANDIDATES.  Inside an lp.reuse_scope it keeps each image
+and each decline for rank, and hands them to later calls whatever LPs they offer.
 """
 
 from __future__ import annotations
@@ -215,17 +216,27 @@ def _others(terms: np.ndarray) -> np.ndarray:
 def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zonotope | None:
     """H-representation of {M x : x in [lower, upper]}, or None for the LP path.
 
-    None when M has rank below n, or when its candidate count exceeds
-    FACETS_PER_LP * lps, lps being the LP solves the caller's batch replaces, or
-    MAX_CANDIDATES; the count is checked before any work on M.
+    Inside an lp.reuse_scope, first the image kept for the same bytes of (M, lower,
+    upper), whatever lps.  Else None when the candidate count exceeds FACETS_PER_LP
+    * lps, lps being the LP solves the caller's batch replaces, or MAX_CANDIDATES
+    (checked before any work on M, and not kept), or when M has rank below n.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = m.shape[0]
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    kept = {} if lp._images is None else lp._images
+    key = (m.shape, m.tobytes(), lower.tobytes(), upper.tobytes())
+    if key in kept:
+        return kept[key]
     nonzero = np.flatnonzero(np.any(m != 0.0, axis=0))
-    if candidate_count(n, len(nonzero)) > min(MAX_CANDIDATES, FACETS_PER_LP * lps):
+    if candidate_count(m.shape[0], len(nonzero)) > min(MAX_CANDIDATES, FACETS_PER_LP * lps):
         return None
+    kept[key] = image = _image(m, lower, upper, nonzero)
+    return image
+
+
+def _image(m, lower, upper, nonzero) -> Zonotope | None:
+    """build's image once its budget holds: None when M has rank below n."""
+    n = m.shape[0]
     gens = m * ((upper - lower) / 2.0)
     scale = np.abs(gens).max(axis=1)
     if np.any(scale == 0.0):

@@ -7,8 +7,8 @@ TOY2: B = [[1,-1]], column 1 in [-1,3], column 2 in [0,1].
 TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
 `lp_solves` counts the lp.solve calls a test makes, `lp_pivots` sums their
-simplex pivots, `zonotope_builds` counts its zonotope.build calls,
-`gauge_calls` its Zonotope.scalings batches and lambdas_without passes, and
+simplex pivots, `zonotope_builds` counts the images zonotope.build makes (not
+its calls: a kept image or a decline is no build), `gauge_calls` its Zonotope.scalings batches and lambdas_without passes, and
 `sim_integrations` its sampled sim.integrate_with_lag calls.  `reports_agree`
 compares a resilience report with its LP-path reference.
 
@@ -65,8 +65,17 @@ def lp_pivots(monkeypatch):
 
 @pytest.fixture
 def zonotope_builds(monkeypatch):
-    """Count every zonotope.build call made while the test runs."""
-    return _count_calls(monkeypatch, zonotope, ["build"])
+    """Count the images zonotope.build makes while the test runs."""
+    images = [0]
+    real = zonotope._image
+
+    def counting(*args):
+        image = real(*args)
+        images[0] += image is not None
+        return image
+
+    monkeypatch.setattr(zonotope, "_image", counting)
+    return images
 
 
 @pytest.fixture

@@ -158,24 +158,58 @@ def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, c
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    # The declined images reach every scan as declined: no call builds again.
-    # Distinct LPs: grid theory 2 (both vertices), the other 19 grid points (the
+    # Both builds are declined for their budget, and so is every scan's own:
+    # no image is built.  Distinct LPs: grid theory 2 (both vertices), the other 19 grid points (the
     # grid's two end points are those vertices), the gate's 2n + 2 = 8 (its
     # T_N* along +/-e3 are t(+/-C)'s, the lost column lying along e3), t(+/-C)'s
     # 2 x 2 vertex LPs, 60 directions x 3, and T_N*(d) of the homogeneity probe,
     # whose other 3 T_N* and 4 x 2 vertex LPs repeat T_N*(d) and the grid theory.
-    assert zonotope_builds[0] == 2
+    assert zonotope_builds[0] == 0
     assert lp_solves[0] == 2 + 19 + 8 + 4 + 180 + 1 == 214
 
 
-def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, capsys):
-    # The reuse scope closes with each op: the second op solves its 6 again.
+def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, zonotope_builds, capsys):
+    # The reuse scope closes with each op: the second op builds its 2 images
+    # and solves its 6 LPs again.
     assert cli.main(SCAN_OP) == 0
-    assert lp_solves[0] == 6
+    assert (zonotope_builds[0], lp_solves[0]) == (2, 6)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    assert lp_solves[0] == 12
-    assert lp._reused is None
+    assert (zonotope_builds[0], lp_solves[0]) == (4, 12)
+    assert lp._reused is None and lp._images is None
+
+
+def test_reuse_scope_keeps_images_whatever_lps(zonotope_builds):
+    sc = catalog.spacecraft_printed()
+    with lp.reuse_scope():
+        image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**4)
+        assert image is not None
+        # 4004 candidates are worth more than 1 LP, but the kept image is handed out.
+        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=1) is image
+    with lp.reuse_scope():
+        # A decline for budget is not kept: a later call worth the build makes it.
+        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=1) is None
+        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**4) is not None
+    assert zonotope_builds[0] == 2
+
+
+def test_reuse_scope_keeps_rank_declines(monkeypatch):
+    flat, lo, hi = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]), -np.ones(3), np.ones(3)
+    tried = []  # builds past the budget check
+    real = zonotope._image
+    monkeypatch.setattr(zonotope, "_image", lambda *args: tried.append(1) or real(*args))
+    with lp.reuse_scope():
+        # Rank 1: declined once, and the decline is handed out again.
+        assert zonotope.build(flat, lo, hi, lps=10**4) is None
+        assert zonotope.build(flat, lo, hi, lps=10**4) is None
+    assert len(tried) == 1
+
+
+def test_builds_outside_a_scope_keep_nothing(toy1, zonotope_builds):
+    first = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
+    second = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
+    assert first is not second
+    assert zonotope_builds[0] == 2
 
 
 def test_reuse_scope_hits_hand_out_fresh_arrays(toy1, lp_solves):
@@ -237,16 +271,23 @@ def test_simulate_out_dir_lp_count(lp_solves, capsys, tmp_path):
 
 
 def _assert_sweep_matches(sys, order, reports_agree):
-    """sweep equals per-column reports on the image it builds, and the LP path to 1e-12."""
+    """sweep equals per-column reports in a scope that keeps the image it builds; it
+    and the per-column reports without a scope agree with the LP path to 1e-12."""
     reports = resilience.sweep(sys, range(sys.n_inputs), order)
     assert [r.lost_column for r in reports] == list(range(sys.n_inputs))
-    # The budget of a sweep over every column: 2n + 2 per column.
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
-    for rep in reports:
-        sp = split(sys, rep.lost_column)
-        single = resilience.quantitative_resilience(sp, order, image=image)
-        assert rep.to_dict() == single.to_dict()
-        reports_agree(rep, resilience.quantitative_resilience(sp, order))
+    splits = [split(sys, rep.lost_column) for rep in reports]
+    with lp.reuse_scope():
+        # The budget of a sweep over every column: 2n + 2 per column.
+        zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
+        kept = [resilience.quantitative_resilience(sp, order) for sp in splits]
+    own = [resilience.quantitative_resilience(sp, order) for sp in splits]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zonotope, "FACETS_PER_LP", 0)
+        for rep, single, free, sp in zip(reports, kept, own, splits):
+            assert rep.to_dict() == single.to_dict()
+            ref = resilience.quantitative_resilience(sp, order)
+            reports_agree(rep, ref)
+            reports_agree(free, ref)
     return reports
 
 

@@ -1,5 +1,6 @@
 """Brute-force oracle scans on the toy fixtures."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -134,7 +135,7 @@ def test_report_serialization(toy2_split):
     assert isinstance(doc["worst_argument"], list)
 
 
-#: Splits for the image-passing tests: the toys and one catalog loss.
+#: Splits for the kept-image tests: the toys and one catalog loss.
 IMAGE_SPLITS = ["toy1_split", "toy2_split", "toy3_split", "octocopter-trans:0/1"]
 SCALES = [0.5, 2.0, 10.0]
 
@@ -151,23 +152,29 @@ def _op_direction(sp):
     return np.linspace(1.0, -0.5, sp.base.n)
 
 
-def _op_scans(sp, image=oracle.reach._BUILD, full=oracle.reach._BUILD):
-    """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1."""
-    d = _op_direction(sp)
-    out = {
-        "grid": oracle.grid_worst_w(sp, d, 11, image=image).to_dict(),
-        "homogeneity": oracle.homogeneity_probe(sp, d, SCALES, image=image),
-    }
-    if sp.p == 1:
-        out["scan"] = oracle.direction_scan(sp, 40, seed=3, image=image, full=full).to_dict()
+def _op_scans(sp, scope: bool):
+    """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1;
+    with scope=True inside an lp.reuse_scope that op_images has built the op's images in."""
+    d, samples = _op_direction(sp), 40 if sp.p == 1 else 0
+    with lp.reuse_scope() if scope else contextlib.nullcontext():
+        if scope:
+            oracle.op_images(sp, d, 11, samples, len(SCALES))
+        out = {
+            "grid": oracle.grid_worst_w(sp, d, 11).to_dict(),
+            "homogeneity": oracle.homogeneity_probe(sp, d, SCALES),
+        }
+        if samples:
+            out["scan"] = oracle.direction_scan(sp, samples, seed=3).to_dict()
     return out
 
 
-def test_scans_same_with_given_images(image_split):
-    samples = 40 if image_split.p == 1 else 0
-    image, full = oracle.op_images(image_split, _op_direction(image_split), 11, samples, len(SCALES))
-    assert image is not None and (full is not None) == (samples > 0)
-    assert _op_scans(image_split, image, full) == _op_scans(image_split)
+def test_scans_same_with_given_images(image_split, zonotope_builds):
+    # In the op's scope the scans find the images op_images built (B's, and
+    # B_bar's when the direction scan runs), and give what their own builds
+    # give without a scope.
+    scoped = _op_scans(image_split, scope=True)
+    assert zonotope_builds[0] == 1 + (image_split.p == 1)
+    assert scoped == _op_scans(image_split, scope=False)
 
 
 def test_op_images_checks_op_before_building(toy2_split, zonotope_builds):
@@ -179,21 +186,20 @@ def test_op_images_checks_op_before_building(toy2_split, zonotope_builds):
 
 
 def test_scans_declined_images_take_lp_path(image_split, monkeypatch):
-    # Images passed as declined (None) give what declined builds give.
-    given = _op_scans(image_split, None, None)
+    # Builds declined for their budget are not kept: in the op's scope, where
+    # LP outcomes are reused, the scans give what they give without one.
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
-    assert given == _op_scans(image_split)
+    assert _op_scans(image_split, scope=True) == _op_scans(image_split, scope=False)
 
 
 @pytest.mark.parametrize(
     "model", ["toy1", "toy2", "octocopter-trans:0", "octocopter-rot", "spacecraft-printed"]
 )
-def test_gate_from_full_image_matches_lp_verdict(request, model):
+def test_gate_from_full_image_matches_lp_verdict(request, model, monkeypatch):
     sys = request.getfixturevalue(model) if model.startswith("toy") else catalog.resolve(model)
-    full = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**4)
-    assert full is not None
-    for col in range(sys.n_inputs):
-        sp = split(sys, col)
-        assert quantitative_resilience(sp, image=full).resilient == (
-            quantitative_resilience(sp).resilient
-        )
+    columns = range(sys.n_inputs)
+    with lp.reuse_scope():  # the gate's report from B_bar's kept image
+        assert zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**4) is not None
+        gauge = [quantitative_resilience(split(sys, col)).resilient for col in columns]
+    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    assert gauge == [quantitative_resilience(split(sys, col)).resilient for col in columns]
