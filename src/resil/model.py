@@ -99,6 +99,8 @@ class ActuatorSplit:
         for i in lost:
             if not 0 <= i < total:
                 raise ModelError(f"lost column {i} out of range [0, {total})")
+        if len(lost) == total:
+            raise ModelError("at least one kept column is required")
         object.__setattr__(self, "lost_columns", lost)
         object.__setattr__(
             self, "kept_columns", tuple(j for j in range(total) if j not in set(lost))

@@ -87,6 +87,8 @@ def nominal_reach_time(
     """
     k = _resolve_order(sys, order)
     d = np.atleast_1d(np.asarray(d, dtype=float))
+    if d.shape != (sys.n,):
+        raise LpError(f"direction must have length {sys.n}, got shape {d.shape}")
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=0)  # only a kept one
@@ -191,6 +193,8 @@ def malfunctioning_reach_time(
     """
     k = _resolve_order(split.base, order)
     d = np.atleast_1d(np.asarray(d, dtype=float))
+    if d.shape != (split.base.n,):
+        raise LpError(f"direction must have length {split.base.n}, got shape {d.shape}")
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
     vertices = _capped_vertices(split)

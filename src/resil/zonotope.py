@@ -2,27 +2,27 @@
 
 The image is a zonotope Z = c + sum_j g_j [-1, 1] with center c = M (lower +
 upper)/2 and generators g_j = m_j (upper_j - lower_j)/2.  When rank M = n it is
-the polytope {y : a.y <= h(a)} over its facet normals a: each normal is the
-generalized cross product (cofactor vector) of n - 1 independent generators,
-taken with both signs, and h(a) = a.c + sum_j |a.g_j| is the support function
-of Z (Girard, HSCC 2005).  There are at most 2 C(m, n-1) candidate normals for
-m nonzero generators (McMullen's facet bound for zonotopes).  Without column j
-those whose generators exclude j remain, their supports summed over the other
-columns (Zonotope.lambdas_without): subtracting |a.g_j| + a.c_j would cancel
-away small ones.
+the polytope {y : a.y <= h(a)}, h(a) = a.c + sum_j |a.g_j| the support function
+of Z, over its facet normals a: the cofactor vectors of n - 1 independent
+generators, with both signs (Girard, HSCC 2005), at most 2 C(m, n-1) of them for
+m nonzero generators.  Cofactor vectors are wedge products, and subsets taken in
+itertools.combinations order share their prefixes' (Gritzmann & Sturmfels, SIAM
+J. Discrete Math. 1993): _image extends the k x k minors of each k-prefix by a
+later column through a Laplace expansion along it, level by level, with index
+and sign tables (_wedges) made once per (m, n).  State rows scaled to max-norm 1
+(lam is invariant under that scaling) and generators normalized to unit length
+keep the normals exact on badly scaled matrices.  Normals are never rounded;
+each support value is evaluated at the normal actually computed, so every kept
+inequality is valid for Z.  Without column j the normals of subsets without j
+remain, their supports summed over the other columns (Zonotope.lambdas_without):
+subtracting |a.g_j| + a.c_j would cancel away small ones.
 
-Every reach time is a gauge of such an image: lp.max_scaled_direction(M,
-lower, upper, d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in
-Z.  Zonotope.scalings answers a whole batch of (direction, shift) pairs from
-the facet inequalities with a few array products, where the LP path solves
-one simplex per pair.  One kernel, _exit, decides how far each ray goes for
-scalings, lambdas_without and Zonotope.start (the facet an LP starts at), in
-one pass over the facets.  Two choices keep it exact on badly scaled matrices:
-the state coordinates are scaled so each row of the generators has max-norm 1
-(lam is invariant under that scaling), and the generators are normalized to
-unit length before their cofactors are taken.  Normals are never rounded;
-each support value is evaluated at the normal actually computed, so every
-kept inequality is valid for Z.
+Every reach time is a gauge of such an image: lp.max_scaled_direction(M, lower,
+upper, d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in Z, one
+simplex per pair; Zonotope.scalings answers a batch of (direction, shift) pairs
+with a few array products over the facet inequalities.  One kernel, _exit, decides
+how far each ray goes for scalings, lambdas_without and Zonotope.start (the facet
+an LP starts at), in one pass over the facets.
 
 build() returns None, and callers keep to the LP path, when M is rank-deficient
 or when the candidate count exceeds FACETS_PER_LP times the LPs the batch would
@@ -32,6 +32,7 @@ and each decline for rank, and hands them to later calls whatever LPs they offer
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,14 +43,14 @@ from . import lp
 from .errors import LpError
 
 #: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64
-#: VM, one BLAS thread, n = 6, 924-4004 candidates: build() costs 1.0-1.3 us per
-#: candidate with cofactor normals (SVD ones 1.6-1.9 times that), a gauge
-#: resilience.sweep 1.3-2.6 us and one lp.solve 0.4-0.55 ms: the sweep breaks
-#: even at 180-300 per LP.  150 stays so that no build decision moves.
+#: VM, one BLAS thread, n = 6, 924-4004 candidates: build() costs 0.2-0.5 us per
+#: candidate (det cofactors took 1.4-2.7), a gauge resilience.sweep 1.6-2.5 us and
+#: one max_scaled_direction 0.3-0.9 ms: the sweep breaks even at 120-560 per LP.
+#: 150 stays so that no build decision moves.
 FACETS_PER_LP = 150
 
-#: Facet candidates no build exceeds, whatever LPs it replaces: about 77 MB and
-#: 0.8 s at n = 6 (some 770 bytes and 8 us per candidate on the VM above).
+#: Facet candidates no build exceeds, whatever LPs it replaces: about 47 MB and
+#: 0.04 s at n = 6 (some 470 traced bytes and 0.3-0.4 us per candidate, VM above).
 MAX_CANDIDATES = 100_000
 
 #: Singular values at or below this fraction of the largest count as zero (rank
@@ -246,16 +247,33 @@ def _image(m, lower, upper, nonzero) -> Zonotope | None:
         return None
     centers = m * ((lower + upper) / 2.0) / scale[:, None]
 
-    # Normal a_i = (-1)^i det(rows other than i) of n - 1 unit generators: its
-    # length is their (n-1)-volume; at most RANK_RTOL means rank < n - 1, no facet.
-    subsets = nonzero[np.array(list(itertools.combinations(range(len(nonzero)), n - 1)), dtype=int)]
-    unit = (gens[:, subsets] / np.linalg.norm(gens, axis=0)[subsets]).transpose(1, 0, 2)
-    minors = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-    cofactors = np.linalg.det(unit[:, minors, :]) * (-1.0) ** np.arange(n)
+    # Normal a_i = (-1)^i det(rows other than i) of n - 1 unit generators, grown along
+    # _wedges' levels; its length is their (n-1)-volume, at most RANK_RTOL: no facet.
+    unit, cofactors = gens[:, nonzero] / np.linalg.norm(gens[:, nonzero], axis=0), np.ones((1, 1))
+    subsets, levels = _wedges(len(nonzero), n)
+    for table, parent, column in levels:
+        cofactors = (unit.T @ (cofactors @ table).reshape(len(cofactors), n, -1))[parent, column]
     volume = np.linalg.norm(cofactors, axis=1)
     kept = volume > RANK_RTOL
     normals = cofactors[kept] / volume[kept, None]
     normals = np.vstack([normals, -normals])
     offset, width = normals @ centers.sum(axis=1), np.abs(normals @ gens).sum(axis=1)
-    subsets = np.tile(subsets[kept], (2, 1))
+    subsets = np.tile(nonzero[subsets[kept]], (2, 1))
     return Zonotope(normals, offset + width, np.abs(offset) + width, scale, subsets, gens, centers)
+
+
+@functools.lru_cache(maxsize=32)
+def _wedges(count: int, n: int) -> tuple[np.ndarray, list]:
+    """(n-1)-subsets of range(count) in combinations order; per level (table, parent, column)."""
+    levels, columns, column = [], np.arange(count), np.full(1, -1)  # the empty prefix's end
+    for k in range(n - 1):
+        rows = {r: i for i, r in enumerate(itertools.combinations(range(n), k))}
+        last = k + 2 == n  # list entry i as (-1)^i det(rows other than i)
+        grown = list(itertools.combinations(range(n), k + 1))[:: -1 if last else 1]
+        table = np.zeros((len(rows), n, len(grown)))
+        for j, r in enumerate(grown):
+            for t, a in enumerate(r):
+                table[rows[r[:t] + r[t + 1 :]], a, j] = (-1.0) ** (t + k + j * last)
+        parent, column = np.nonzero((column[:, None] < columns) & (columns <= count - n + k + 1))
+        levels.append((table.reshape(len(rows), -1), parent, column))
+    return np.array(list(itertools.combinations(range(count), n - 1)), dtype=int), levels

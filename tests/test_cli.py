@@ -92,6 +92,36 @@ def test_input_error_exit_code(capsys):
     assert cli.main(["check", "--model", "catalog:octocopter-rot", "--lost", "9"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("cmd", [["oracle", "-d", "1,0,0", "--grid", "2", "--samples", "5"],
+                                 ["ratio", "-d", "1,0,0"]])
+def test_every_column_lost_is_an_input_error(cmd, capsys):
+    argv = [cmd[0], "--model", "catalog:octocopter-rot", "--lost", "1,2,3,4,5,6,7,8", *cmd[1:]]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "error: at least one kept column is required" in capsys.readouterr().err
+
+
+def test_check_every_column_is_single_losses(capsys):
+    lost = ["--lost", "1,2,3,4,5,6,7,8"]
+    code = cli.main(["check", "--model", "catalog:octocopter-rot", *lost])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert cli.main(["check", "--model", "catalog:octocopter-rot", "--lost", "all"]) == 0
+    assert out == capsys.readouterr().out and out.count("resilient") == 8
+
+
+def test_ratio_zero_direction(capsys):
+    argv = ["ratio", "--model", "catalog:octocopter-trans:0", "--lost", "1", "-d", "0,0,0"]
+    assert cli.main(argv) == 0
+    assert "T_N*(d) = 0\nT_M*(d) = 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("d", ["0,0", "0,0,0,0", "1,0"])
+def test_ratio_direction_of_wrong_length(d, capsys):
+    argv = ["ratio", "--model", "catalog:octocopter-trans:0", "--lost", "1", "-d", d]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "direction must have length 3" in capsys.readouterr().err
+
+
 def test_check_order_zero(capsys):
     code = cli.main(["check", "--model", "catalog:octocopter-rot", "--lost", "1", "--order", "0"])
     assert code == cli.EXIT_INPUT

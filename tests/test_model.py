@@ -65,6 +65,11 @@ def test_split_out_of_range():
         split(sys, (1, 1))
 
 
+def test_split_keeps_a_column(toy2):
+    with pytest.raises(ModelError, match="at least one kept column"):
+        split(toy2, (0, 1))
+
+
 def test_split_reassembly_exact(toy3):
     # assemble_input puts row i of [B C] back in b_bar's column order.
     for lost in [(2, 3), (3, 0)]:

@@ -67,6 +67,14 @@ def test_malfunctioning_reach_zero_d(toy3_split):
     assert reach.malfunctioning_reach_time(toy3_split, [0.0, 0.0]).time == 0.0
 
 
+@pytest.mark.parametrize("d", [[0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def test_direction_length_checked_before_zero(toy3, toy3_split, d):
+    for call in (lambda: reach.nominal_reach_time(toy3, d),
+                 lambda: reach.malfunctioning_reach_time(toy3_split, d)):
+        with pytest.raises(LpError, match="direction must have length 2"):
+            call()
+
+
 def test_capacity_cap():
     sys = IntegratorSystem("wide", 1, np.ones((1, 25)), np.zeros(25), np.ones(25))
     sp = split(sys, tuple(range(22)))

@@ -1,5 +1,6 @@
 """The zonotope gauge against the simplex LP and HiGHS, and the LP fallback rule."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -176,6 +177,69 @@ def test_exit_facet_is_tight(seed):
             f = facet[i, j]
             gap = zono.normals[f] @ ((lam * units[i] + shifts[j]) / zono.scale) - zono.support[f]
             assert abs(gap) <= lp.FEAS_TOL * zono.extent[f], (i, j, gap)
+
+
+def _det_cofactors(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference normals: per (n-1)-subset of the n x m unit generators, in
+    itertools.combinations order, a_i = (-1)^i det(rows other than i) by np.linalg.det
+    over the (subsets, n, n-1, n-1) stack of minors."""
+    n, m = unit.shape
+    subsets = np.array(list(itertools.combinations(range(m), n - 1)), dtype=int)
+    stacks = unit[:, subsets].transpose(1, 0, 2)
+    minors = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    return subsets, np.linalg.det(stacks[:, minors, :]) * (-1.0) ** np.arange(n)
+
+
+def _wedge_cofactors(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same from zonotope._wedges' levels, grown as zonotope._image grows them."""
+    n, m = unit.shape
+    subsets, levels = zonotope._wedges(m, n)
+    cofactors = np.ones((1, 1))
+    for table, parent, column in levels:
+        cofactors = (unit.T @ (cofactors @ table).reshape(len(cofactors), n, -1))[parent, column]
+    return subsets, cofactors
+
+
+def _assert_wedges_match_det(b, lo, hi) -> None:
+    """build's subsets and kept facets are the reference's, its normals the wedge
+    cofactors normalized, and those within 1e-15 of the reference's (absolute: the
+    unit generators' cofactors are at most 1 in size, and both forms round to about
+    1e-13 of a small facet's volume)."""
+    image = zonotope.build(b, lo, hi, lps=10**6)
+    if image is None:
+        assert np.linalg.matrix_rank(b) < b.shape[0]
+        return
+    nonzero = np.flatnonzero(np.any(b != 0.0, axis=0))
+    unit = image.generators[:, nonzero] / np.linalg.norm(image.generators[:, nonzero], axis=0)
+    subsets, want = _det_cofactors(unit)
+    got_subsets, got = _wedge_cofactors(unit)
+    assert np.array_equal(got_subsets, subsets)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    volume = np.linalg.norm(got, axis=1)
+    kept = volume > zonotope.RANK_RTOL
+    assert np.array_equal(kept, np.linalg.norm(want, axis=1) > zonotope.RANK_RTOL)
+    assert np.array_equal(image.subsets, np.tile(nonzero[subsets[kept]], (2, 1)))
+    normals = got[kept] / volume[kept, None]
+    assert np.array_equal(image.normals, np.vstack([normals, -normals]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@example(seed=11)  # n = 1: the one normal [1]
+@example(seed=21)  # n = 2: no Laplace step past the first column
+def test_wedge_normals_match_det(seed):
+    _assert_wedges_match_det(*_random_system(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("name", ["spacecraft-printed", "spacecraft-appendix", "octocopter-rot",
+                                  "octocopter-trans:0", "octocopter-trans:30",
+                                  "toy1", "toy2", "toy3"])
+def test_wedge_normals_match_det_on_catalog(name, request):
+    sys = request.getfixturevalue(name) if name.startswith("toy") else catalog.resolve(name)
+    _assert_wedges_match_det(sys.b_bar, sys.u_min, sys.u_max)
+    for j in range(sys.n_inputs):  # each single loss's kept image
+        sp = split(sys, j)
+        _assert_wedges_match_det(sp.b, sp.u_min, sp.u_max)
 
 
 def _lp_only(monkeypatch):
