@@ -68,8 +68,8 @@ def _write_out(path: str | None, doc: object) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     sys_model = _load_model(args.model)
     columns = _parse_lost(args.lost, sys_model.n_inputs)
+    reports = resilience.sweep(sys_model, columns, order=args.order)  # raises before any output
     print(f"system: {sys_model.name}  (n={sys_model.n}, inputs={sys_model.n_inputs})")
-    reports = resilience.sweep(sys_model, columns, order=args.order)
     # --lost names at least one column; every report holds the system's decision.
     print(f"controllable: {reports[0].controllable}")
     if not reports[0].controllable:

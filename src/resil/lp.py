@@ -365,10 +365,10 @@ def max_scaled_direction(
     a = np.hstack([m, -d_unit[:, None]])
     lo = np.concatenate([np.atleast_1d(lower).astype(float), [0.0]])
     hi = np.concatenate([np.atleast_1d(upper).astype(float), [np.inf]])
-    problem = LpProblem(objective=obj, eq_matrix=a, eq_rhs=shift, lower=lo, upper=hi)
     key = None if _reused is None else (a.shape, *(x.tobytes() for x in (a, shift, lo, hi)))
     out = _reused.get(key) if key else None
-    if out is None:
+    if out is None:  # a hit has the bytes of a problem LpProblem already checked
+        problem = LpProblem(objective=obj, eq_matrix=a, eq_rhs=shift, lower=lo, upper=hi)
         hint = basis() if callable(basis) else basis
         out = solve(problem, None if hint is None else [*hint, v])
         if key and len(_reused) < REUSE_ENTRIES:

@@ -1,33 +1,29 @@
 """Exact H-representation of a box image {M x : x in [lower, upper]}.
 
-The image is a zonotope Z = c + sum_j g_j [-1, 1] with center c = M (lower +
-upper)/2 and generators g_j = m_j (upper_j - lower_j)/2.  When rank M = n it is
-the polytope {y : a.y <= h(a)}, h(a) = a.c + sum_j |a.g_j| the support function
-of Z, over its facet normals a: the cofactor vectors of n - 1 independent
-generators, with both signs (Girard, HSCC 2005), at most 2 C(m, n-1) of them for
-m nonzero generators.  Cofactor vectors are wedge products, and subsets taken in
-itertools.combinations order share their prefixes' (Gritzmann & Sturmfels, SIAM
-J. Discrete Math. 1993): _image extends the k x k minors of each k-prefix by a
-later column through a Laplace expansion along it, level by level, with index
-and sign tables (_wedges) made once per (m, n).  State rows scaled to max-norm 1
-(lam is invariant under that scaling) and generators normalized to unit length
-keep the normals exact on badly scaled matrices.  Normals are never rounded;
-each support value is evaluated at the normal actually computed, so every kept
-inequality is valid for Z.  Without column j the normals of subsets without j
-remain, their supports summed over the other columns (Zonotope.lambdas_without):
-subtracting |a.g_j| + a.c_j would cancel away small ones.
+The image is a zonotope Z = c + sum_j g_j [-1, 1] with center c = M (lower + upper)/2
+and generators g_j = m_j (upper_j - lower_j)/2.  When rank M = n it is the polytope
+{y : a.y <= h(a)}, h(a) = a.c + sum_j |a.g_j| the support function of Z, over its facet
+normals a: the cofactor vectors of n - 1 independent generators, with both signs
+(Girard, HSCC 2005), at most 2 C(m, n-1) of them for m nonzero generators.  Z is
+centrally symmetric: it is kept as slabs -h(-a) <= a.y <= h(a), one per normal, with the
+supports h+ = a.c + w and h- = w - a.c, w = sum_j |a.g_j|.  Cofactor vectors are wedge
+products, and subsets taken in itertools.combinations order share their prefixes'
+(Gritzmann & Sturmfels, SIAM J. Discrete Math. 1993): _image extends the k x k minors of
+each k-prefix by a later column through a Laplace expansion along it, level by level,
+with index and sign tables (_wedges) made once per (m, n).  Rows scaled to max-norm 1 (lam
+is invariant under that scaling) and unit generators keep the normals exact on badly
+scaled matrices; supports are evaluated at the normals computed, so every kept inequality
+is valid for Z.  Without column j the normals of subsets without j remain, their supports
+summed over the other columns (Zonotope.lambdas_without): no share is subtracted.
 
-Every reach time is a gauge of such an image: lp.max_scaled_direction(M, lower,
-upper, d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in Z, one
-simplex per pair; Zonotope.scalings answers a batch of (direction, shift) pairs
-with a few array products over the facet inequalities.  One kernel, _exit, decides
-how far each ray goes for scalings, lambdas_without and Zonotope.start (the facet
-an LP starts at), in one pass over the facets.
+Every reach time is a gauge of such an image: lp.max_scaled_direction(M, lower, upper,
+d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in Z, one simplex per pair;
+Zonotope.scalings answers a batch of (direction, shift) pairs from a few array products
+over the slabs.  One kernel, _exit, reads each slab once to decide how far each ray
+goes, for scalings, lambdas_without and Zonotope.start (the facet an LP starts at).
 
-build() returns None, and callers keep to the LP path, when M is rank-deficient
-or when the candidate count exceeds FACETS_PER_LP times the LPs the batch would
-otherwise solve, or MAX_CANDIDATES.  Inside an lp.reuse_scope it keeps each image
-and each decline for rank, and hands them to later calls whatever LPs they offer.
+build() declines (None: callers keep to the LP path) as its docstring says, and keeps
+each image in the op's lp.reuse_scope.
 """
 
 from __future__ import annotations
@@ -42,11 +38,11 @@ import numpy as np
 from . import lp
 from .errors import LpError
 
-#: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64
-#: VM, one BLAS thread, n = 6, 924-4004 candidates: build() costs 0.2-0.5 us per
-#: candidate (det cofactors took 1.4-2.7), a gauge resilience.sweep 1.6-2.5 us and
-#: one max_scaled_direction 0.3-0.9 ms: the sweep breaks even at 120-560 per LP.
-#: 150 stays so that no build decision moves.
+#: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64 VM, one BLAS
+#: thread, n = 6, 924-4004 candidates: build() costs 0.2-0.5 us per candidate (det cofactors
+#: took 1.4-2.7), a gauge resilience.sweep 0.9-1.9 us (1.2-2.1 with stacked facets, same runs)
+#: and one max_scaled_direction 0.6-1.3 ms: the sweep breaks even at 300-1400 per LP.  150
+#: stays so that no build decision moves.
 FACETS_PER_LP = 150
 
 #: Facet candidates no build exceeds, whatever LPs it replaces: about 47 MB and
@@ -61,12 +57,13 @@ RANK_RTOL = 1e-10
 #: (scaled) direction is parallel to it: it bounds no lam, it only has to hold.
 PARALLEL_RTOL = 1e-12
 
-#: Elements of one block of rays x facets that _exit takes at once.  scalings
-#: passes it every facet for a chunk of directions x shifts that fits (at least
-#: one pair), so its working memory stays O(facets + BLOCK_ELEMENTS) whatever
-#: the batch size; lambdas_without passes blocks of BLOCK_ELEMENTS / m facet
-#: rows, each for the rays +g_j and -g_j of every column asked.
-BLOCK_ELEMENTS = 1 << 15
+#: Elements of one block of rays x slabs that _exit takes at once (scalings: all slabs for a
+#: chunk of directions x shifts, at least one pair; lambdas_without: BLOCK_ELEMENTS / 2m slabs
+#: for the rays +/-g_j asked).  64 KiB of float64 stays under glibc's default 128 KiB mmap
+#: and heap-trim thresholds, so no block temporary is mapped and faulted in afresh: at 2^15 a
+#: spacecraft-printed `check --lost all` took some 910 minor faults, now about 1, and traced
+#: peaks fell from 3.9 to 0.71 MB (lambdas_without, 14 columns), 1.0 to 0.45 MB (12 axes).
+BLOCK_ELEMENTS = 1 << 13
 
 
 def candidate_count(n: int, generators: int) -> int:
@@ -76,16 +73,18 @@ def candidate_count(n: int, generators: int) -> int:
 
 @dataclass(frozen=True)
 class Zonotope:
-    """{y : normals @ (y / scale) <= support}: an image in row-scaled coordinates.
+    """{y : -minus <= normals @ (y / scale) <= plus}: an image's K slabs, row-scaled.
 
-    normals are unit vectors in the scaled coordinates y / scale; extent holds
-    |a.c| + sum_j |a.g_j| per facet, the magnitude its feasibility tolerance
-    is relative to.  subsets holds the n - 1 columns of M each normal came
-    from, generators and centers the scaled g_j and c_j (0 outside the image).
+    normals are unit vectors a in the scaled coordinates y / scale, one per facet pair +a,
+    -a, with the supports h+ = a.c + w (plus), h- = w - a.c (minus) and max(h+, h-) =
+    |a.c| + w exactly (extent, what both sides' tolerances are relative to).  subsets holds
+    the n - 1 columns of M each normal came from, generators and centers the scaled g_j and
+    c_j (0 outside the image).  A facet is named by its row of [normals; -normals].
     """
 
     normals: np.ndarray
-    support: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
     extent: np.ndarray
     scale: np.ndarray
     subsets: np.ndarray
@@ -95,101 +94,103 @@ class Zonotope:
     def scalings(self, directions: np.ndarray, shifts: np.ndarray, facets: bool = False):
         """lam_hat[i, j] = max{lam >= 0 : lam d_i/|d_i| + s_j in Z}.
 
-        The same normalized multiplier as the lam_hat of
-        lp.max_scaled_direction(M, lower, upper, d_i, rhs_shift=s_j): nan when
-        no lam >= 0 is feasible (its negative certificate) and +inf when lam is
-        unbounded.  Feasibility is decided at the largest lam every facet
-        allows, within a relative tolerance of lp.FEAS_TOL, so lam_hat = 0
-        when s_j lies on the boundary of Z and d_i points out of it.  With
-        facets=True also (lam_hat, facet): the row of normals where each ray
-        leaves Z, as _exit names it.
+        The same normalized multiplier as the lam_hat of lp.max_scaled_direction(M,
+        lower, upper, d_i, rhs_shift=s_j): nan when no lam >= 0 is feasible (its
+        negative certificate) and +inf when lam is unbounded.  Feasibility is decided at
+        the largest lam every facet allows, within a relative tolerance of lp.FEAS_TOL,
+        so lam_hat = 0 when s_j lies on the boundary of Z and d_i points out of it.
+        With facets=True also (lam_hat, facet): the facet where each ray leaves Z.
         """
-        d = np.atleast_2d(np.asarray(directions, dtype=float))
-        s = np.atleast_2d(np.asarray(shifts, dtype=float))
-        norms = np.sqrt((d * d).sum(axis=1))
+        d, s = np.array(directions, dtype=float, ndmin=2), np.array(shifts, dtype=float, ndmin=2)
+        norms = np.sqrt(np.add.reduce(d * d, axis=1))
         if not norms.all():
             raise LpError("direction d must be nonzero")
         lam, facet = np.empty((len(d), len(s))), np.empty((len(d), len(s)), dtype=int)
-        step = max(1, BLOCK_ELEMENTS // len(self.support))
+        named, step = (len(self.plus) if facets else 0), max(1, BLOCK_ELEMENTS // len(self.plus))
         for i in range(0, len(d), step):
             scaled = d[i : i + step] / norms[i : i + step, None] / self.scale
-            toward, size = scaled @ self.normals.T, np.sqrt((scaled * scaled).sum(axis=1))
+            toward, size = scaled @ self.normals.T, np.sqrt(np.add.reduce(scaled * scaled, axis=1))
             pairs = max(1, BLOCK_ELEMENTS // toward.size)
             for j in range(0, len(s), pairs):
                 shifted = (s[j : j + pairs] / self.scale) @ self.normals.T
-                slack, extent = (self.support - shifted)[None], self.extent + np.abs(shifted)
-                at = slice(i, i + step), slice(j, j + pairs)
-                block = (0, slack, toward[:, None], size[:, None, None], extent)
-                lam[at], facet[at] = _exit([block], facets)
+                got = _exit([(0, self.plus - shifted, self.minus + shifted, toward[:, None],
+                              size[:, None, None], self.extent + np.abs(shifted))], named)
+                if len(d) <= step and len(s) <= pairs:  # one block
+                    return got if facets else got[0]
+                lam[i : i + step, j : j + pairs], facet[i : i + step, j : j + pairs] = got
         return (lam, facet) if facets else lam
 
     def start(self, d: np.ndarray, shift: np.ndarray, facet=None) -> np.ndarray | None:
         """subsets row of the facet where lam d/|d| + shift leaves Z, None if none bounds it:
         `facet` where a scalings screen named it, else _exit's on this one ray."""
         if facet is None:
-            scaled = d / np.linalg.norm(d) / self.scale
+            scaled = d / np.sqrt(d @ d) / self.scale
             shifted = self.normals @ (shift / self.scale)
-            block = (0, self.support - shifted, self.normals @ scaled, np.linalg.norm(scaled),
-                     self.extent + np.abs(shifted))
-            facet = _exit([block], facets=True)[1]
-        return None if facet < 0 else self.subsets[facet]
+            facet = _exit([(0, self.plus - shifted, self.minus + shifted, self.normals @ scaled,
+                            np.sqrt(scaled @ scaled), None)], len(self.plus))[1]
+        return None if facet < 0 else self.subsets[facet % len(self.plus)]
 
     def lambdas_without(self, columns) -> tuple[np.ndarray, np.ndarray]:
         """(lam, solid): lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].
 
-        g_j = M_j (upper_j - lower_j)/2 and Z_j is the image without column j.
-        lam is decided by _exit, as scalings' is (nan: infeasible); solid[i] is
-        False where the other generators have rank < n (Z_j is flat).  Facets
-        are taken in blocks of BLOCK_ELEMENTS / m, the n x m rank stacks in
-        chunks of BLOCK_ELEMENTS / (n m).
+        g_j = M_j (upper_j - lower_j)/2 and Z_j is the image without column j.  lam is
+        decided by _exit, as scalings' is (nan: infeasible); solid[i] is False where the
+        other generators have rank < n (Z_j is flat).
         """
-        cols, norms = np.asarray(columns, dtype=int), np.linalg.norm(self.generators, axis=0)
-        if not np.all(norms[cols] > 0.0):
+        cols, norms = np.asarray(columns, dtype=int), np.sqrt((self.generators**2).sum(axis=0))
+        if not (norms[cols] > 0.0).all():
             raise LpError("a zero column has no lambda pair")
         n, m = self.generators.shape
         solid, step = np.empty(len(cols), dtype=bool), max(1, BLOCK_ELEMENTS // (n * m))
         for i in range(0, len(cols), step):
             stacks = self.generators * (cols[i : i + step, None, None] != np.arange(m))
             solid[i : i + step] = _full_rank(stacks)
-        centers, rows = _others(self.centers.T), max(1, BLOCK_ELEMENTS // m)
+        centers, rows = _others(self.centers.T), max(1, BLOCK_ELEMENTS // (2 * m))
 
-        def blocks():  # Z_j's facets lack j in subsets (the rest hold at every lam)
-            for f in range(0, len(self.support), rows):
+        def blocks():  # Z_j's slabs lack j in subsets; -g_j meets (h+, h-) as g_j (h-, h+)
+            for f in range(0, len(self.plus), rows):
                 normals = self.normals[f : f + rows].T
                 toward = self.generators.T @ normals
                 offset, width = (centers @ normals)[cols], _others(np.abs(toward))[cols]
                 holds = np.zeros(toward.shape, dtype=bool)
                 holds[self.subsets[f : f + rows].T, np.arange(toward.shape[1])] = True
-                slack, toward = np.where(holds[cols], np.inf, offset + width), toward[cols]
-                rays = np.stack([toward, -toward])  # along +g_j and -g_j
-                yield f, slack, rays, norms[cols, None], np.abs(offset) + width
+                sides = np.where(holds[cols], np.inf, [offset + width, width - offset])
+                yield f, sides, sides[::-1], toward[cols], norms[cols, None], np.maximum(*sides)
 
         return _exit(blocks())[0].T, solid
 
 
-def _exit(blocks, facets: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, facet) per ray: max{lam >= 0 : slack - lam toward >= -tol on every facet}.
+def _exit(blocks, facets: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, facet) per ray: max{lam >= 0 : -minus - tol <= lam toward <= plus + tol}.
 
-    blocks yields (first, slack, toward, size, extent) for the facets first, first + 1,
-    ...: arrays over (rays..., facets), tol = lp.FEAS_TOL extent.  A facet with |toward|
-    at most PARALLEL_RTOL size (the ray's length) is parallel to the ray.  One pass keeps
-    the least slack/toward over the facets the ray moves toward, the greatest (slack +
-    tol)/toward over those it moves away from (they hold from there on), and whether the
-    rest hold (slack >= -tol, as the bounding ones must at lam = 0).  lam is nan where
-    no lam >= 0 holds and +inf where no facet bounds it.  facet (-1 unless facets=True)
-    attains lam, the lowest on ties as one argmin over all facets gives; -1 at lam = +inf.
+    blocks yields (first, plus, minus, toward, size, extent) for slabs first, first + 1, ...:
+    arrays over (rays..., slabs), plus and minus the slacks of the +a and -a sides, toward =
+    a.(ray), tol = lp.FEAS_TOL extent.  Where |toward| <= PARALLEL_RTOL size (the ray's length)
+    both sides must hold; else the side the ray moves toward must hold at lam = 0 and bounds
+    lam by slack/|toward|, the other sets the floor -(slack + tol)/|toward|.  lam: nan below a
+    floor, +inf if no slab bounds it.  facets = K: also the row of [+a; -a] attaining lam, the
+    lowest on ties (-1 at lam = +inf); extent None asks only that row.
     """
     least, floor, facet = np.inf, -np.inf, -1
-    for first, slack, toward, size, extent in blocks:
-        level, loose = PARALLEL_RTOL * size, slack + lp.FEAS_TOL * extent
-        fails = np.where(loose >= 0.0, -np.inf, np.inf)  # exactly where slack >= -tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            limits = np.where(toward > level, slack / toward, np.inf)
-            floors = np.where(toward < -level, loose / toward, fails)
-        bound = limits.min(axis=-1)
-        if facets:
-            facet = np.where(bound < least, limits.argmin(axis=-1) + first, facet)
-        least, floor = np.minimum(least, bound), np.maximum(floor, floors.max(axis=-1))
+    for first, plus, minus, toward, size, extent in blocks:
+        rate, ahead = np.abs(toward), toward > 0.0
+        moving, near = rate > PARALLEL_RTOL * size, np.where(ahead, plus, minus)
+        if extent is not None:  # start's ray asks only the facet
+            ntol = -lp.FEAS_TOL * extent
+            far = np.where(near >= ntol, ntol - np.where(ahead, minus, plus), np.inf)
+            far = np.divide(far, rate, out=np.where(far > 0.0, np.inf, -np.inf), where=moving)
+            far = np.maximum.reduce(far, axis=-1)  # +inf where the near side fails
+            floor = np.maximum(floor, far) if first else far
+        limits = np.where(moving, near, np.inf) / rate  # inf / 0 is inf, with no warning
+        bound = np.minimum.reduce(limits, axis=-1)
+        if facets:  # the + sides, then the - sides: the lowest row of [+a; -a] on ties
+            row = np.concatenate([np.where(ahead, limits, np.inf), np.where(ahead, np.inf, limits)],
+                                 axis=-1).argmin(axis=-1)
+            count = limits.shape[-1]  # this block's slabs
+            row = row if count == facets else first + row % count + row // count * facets
+            facet = np.where(bound == least, np.minimum(facet, row), facet) if first else facet
+            facet = np.where(bound < least, row, facet)
+        least = np.minimum(least, bound) if first else bound
     lam = np.maximum(least, 0.0)
     return np.where(lam >= floor, lam, np.nan), facet  # floor is never nan: +inf stays
 
@@ -208,8 +209,7 @@ def _others(terms: np.ndarray) -> np.ndarray:
     """Row j: the sum of the other rows, a product with the 0/1 matrix 1 - I taken
     BLOCK_ELEMENTS / m rows at a time.  No row's share is subtracted from a total,
     which would cancel small sums away."""
-    rows = np.arange(len(terms))
-    step = max(1, BLOCK_ELEMENTS // len(rows))
+    rows, step = np.arange(len(terms)), max(1, BLOCK_ELEMENTS // len(terms))
     chunks = range(0, len(rows), step)
     return np.concatenate([(rows[i : i + step, None] != rows) @ terms for i in chunks])
 
@@ -256,10 +256,10 @@ def _image(m, lower, upper, nonzero) -> Zonotope | None:
     volume = np.linalg.norm(cofactors, axis=1)
     kept = volume > RANK_RTOL
     normals = cofactors[kept] / volume[kept, None]
-    normals = np.vstack([normals, -normals])
     offset, width = normals @ centers.sum(axis=1), np.abs(normals @ gens).sum(axis=1)
-    subsets = np.tile(nonzero[subsets[kept]], (2, 1))
-    return Zonotope(normals, offset + width, np.abs(offset) + width, scale, subsets, gens, centers)
+    subsets = nonzero[subsets[kept]]
+    plus, minus = offset + width, width - offset
+    return Zonotope(normals, plus, minus, np.maximum(plus, minus), scale, subsets, gens, centers)
 
 
 @functools.lru_cache(maxsize=32)

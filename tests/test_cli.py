@@ -100,6 +100,14 @@ def test_every_column_lost_is_an_input_error(cmd, capsys):
     assert "error: at least one kept column is required" in capsys.readouterr().err
 
 
+def test_check_failing_model_prints_no_report(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    save_system(IntegratorSystem("one", 1, np.ones((1, 1)), -np.ones(1), np.ones(1)), str(path))
+    assert cli.main(["check", "--model", str(path), "--lost", "all"]) == cli.EXIT_INPUT == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: at least one kept column is required" in err
+
+
 def test_check_every_column_is_single_losses(capsys):
     lost = ["--lost", "1,2,3,4,5,6,7,8"]
     code = cli.main(["check", "--model", "catalog:octocopter-rot", *lost])

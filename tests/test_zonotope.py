@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -171,12 +172,132 @@ def test_exit_facet_is_tight(seed):
     lam_hat, facet = zono.scalings(directions, shifts, facets=True)
     assert np.array_equal(facet == -1, np.isinf(lam_hat))
     units = directions / np.linalg.norm(directions, axis=1)[:, None]
+    count = len(zono.plus)
     for (i, j), lam in np.ndenumerate(lam_hat):
         if 0.0 < lam < math.inf:
-            # The named facet's inequality holds with equality at the exit point.
-            f = facet[i, j]
-            gap = zono.normals[f] @ ((lam * units[i] + shifts[j]) / zono.scale) - zono.support[f]
-            assert abs(gap) <= lp.FEAS_TOL * zono.extent[f], (i, j, gap)
+            # The named facet (row k of [+a; -a], or K + k) holds with equality at the exit point.
+            k, minus = facet[i, j] % count, facet[i, j] >= count
+            along = zono.normals[k] @ ((lam * units[i] + shifts[j]) / zono.scale)
+            gap = -along - zono.minus[k] if minus else along - zono.plus[k]
+            assert abs(gap) <= lp.FEAS_TOL * zono.extent[k], (i, j, gap)
+
+
+def _stacked_exit(blocks, facets: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The reference ray exit over 2K half-spaces [+a; -a] . y <= [h+; h-].
+
+    blocks yields (first, slack, toward, size, extent) over (rays..., rows).  Each row
+    the ray moves toward bounds lam by slack/toward; each it moves away from sets the
+    floor (slack + tol)/toward; the rest must hold (slack >= -tol, as the bounding ones
+    at lam = 0).  facet: the lowest row attaining lam, as one argmin over all rows.
+    """
+    least, floor, facet = np.inf, -np.inf, -1
+    for first, slack, toward, size, extent in blocks:
+        level, loose = zonotope.PARALLEL_RTOL * size, slack + lp.FEAS_TOL * extent
+        fails = np.where(loose >= 0.0, -np.inf, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limits = np.where(toward > level, slack / toward, np.inf)
+            floors = np.where(toward < -level, loose / toward, fails)
+        bound = limits.min(axis=-1)
+        if facets:
+            facet = np.where(bound < least, limits.argmin(axis=-1) + first, facet)
+        least, floor = np.minimum(least, bound), np.maximum(floor, floors.max(axis=-1))
+    lam = np.maximum(least, 0.0)
+    return np.where(lam >= floor, lam, np.nan), facet
+
+
+def _pm(x: np.ndarray) -> np.ndarray:
+    """[x, -x] along the last axis: a slab product as the rows +a and -a see it."""
+    return np.concatenate([x, -x], axis=-1)
+
+
+def _stacked_scalings(image, directions, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Zonotope.scalings(..., facets=True) by _stacked_exit, blocked as scalings blocks."""
+    d, s = np.atleast_2d(directions), np.atleast_2d(shifts)
+    norms = np.sqrt((d * d).sum(axis=1))
+    support, extent = np.concatenate([image.plus, image.minus]), np.tile(image.extent, 2)
+    lam, facet = np.empty((len(d), len(s))), np.empty((len(d), len(s)), dtype=int)
+    step = max(1, zonotope.BLOCK_ELEMENTS // len(image.plus))
+    for i in range(0, len(d), step):
+        scaled = d[i : i + step] / norms[i : i + step, None] / image.scale
+        toward, size = scaled @ image.normals.T, np.sqrt((scaled * scaled).sum(axis=1))
+        pairs = max(1, zonotope.BLOCK_ELEMENTS // toward.size)
+        for j in range(0, len(s), pairs):
+            shifted = _pm((s[j : j + pairs] / image.scale) @ image.normals.T)
+            block = (0, (support - shifted)[None], _pm(toward)[:, None], size[:, None, None],
+                     extent + np.abs(shifted))
+            lam[i : i + step, j : j + pairs], facet[i : i + step, j : j + pairs] = (
+                _stacked_exit([block], facets=True))
+    return lam, facet
+
+
+def _stacked_lambdas_without(image, columns) -> np.ndarray:
+    """Zonotope.lambdas_without(columns)[0] by _stacked_exit, over the same slab blocks."""
+    cols, norms = np.asarray(columns), np.linalg.norm(image.generators, axis=0)
+    m = image.generators.shape[1]
+    centers, rows = zonotope._others(image.centers.T), max(1, zonotope.BLOCK_ELEMENTS // (2 * m))
+
+    def blocks():
+        for f in range(0, len(image.plus), rows):
+            normals = image.normals[f : f + rows].T
+            toward = image.generators.T @ normals
+            offset, width = (centers @ normals)[cols], zonotope._others(np.abs(toward))[cols]
+            holds = np.zeros(toward.shape, dtype=bool)
+            holds[image.subsets[f : f + rows].T, np.arange(toward.shape[1])] = True
+            slack = np.where(np.tile(holds[cols], 2), np.inf, _pm(offset) + np.tile(width, 2))
+            toward = _pm(toward[cols])
+            yield f, slack, np.stack([toward, -toward]), norms[cols, None], np.tile(
+                np.abs(offset) + width, 2)
+
+    return _stacked_exit(blocks())[0].T
+
+
+def _assert_slabs_match_stacked(image, rng) -> None:
+    """scalings' lam and named facets, and lambdas_without's lam, equal the stacked
+    reference's bit for bit (nan included): both form the same products, so only the
+    exit rule could differ."""
+    n = image.normals.shape[1]
+    directions = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((4, n))]) * image.scale
+    support = [image.generators @ np.where(a @ image.generators >= 0.0, 1.0, -1.0)
+               for a in rng.standard_normal((3, n))]  # support points: on the boundary
+    centre = image.centers.sum(axis=1)
+    shifts = np.vstack([np.zeros(n), centre, centre + support[0], centre + 0.5 * support[1],
+                        centre + 1.5 * support[2]]) * image.scale
+    lam, facet = image.scalings(directions, shifts, facets=True)
+    want_lam, want_facet = _stacked_scalings(image, directions, shifts)
+    assert np.array_equal(lam, want_lam, equal_nan=True)
+    assert np.array_equal(facet, want_facet)
+    nonzero = np.flatnonzero(np.any(image.generators != 0.0, axis=0))
+    got = image.lambdas_without(nonzero)[0]
+    assert np.array_equal(got, _stacked_lambdas_without(image, nonzero), equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000), small=st.booleans())
+def test_slabs_match_stacked_reference(seed, small):
+    rng = np.random.default_rng(seed)
+    b, lo, hi = _random_system(rng)
+    if rng.random() < 0.3:
+        lo[:] = 0.0  # 0 a vertex of the box: on the image's boundary
+    image = zonotope.build(b, lo, hi, lps=10**6)
+    if image is None:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        if small:  # one pair per scalings block, one slab per lambdas_without block
+            mp.setattr(zonotope, "BLOCK_ELEMENTS", 1)
+        _assert_slabs_match_stacked(image, rng)
+
+
+@pytest.mark.parametrize("name", ["spacecraft-printed", "spacecraft-appendix", "octocopter-rot",
+                                  "octocopter-trans:0", "octocopter-trans:30"])
+def test_slabs_match_stacked_reference_on_catalog(name):
+    sys = catalog.resolve(name)
+    _assert_slabs_match_stacked(zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6),
+                                np.random.default_rng(7))
+    for j in range(sys.n_inputs):  # each single loss's kept image
+        sp = split(sys, j)
+        image = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+        if image is not None:
+            _assert_slabs_match_stacked(image, np.random.default_rng(j))
 
 
 def _det_cofactors(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,9 +339,8 @@ def _assert_wedges_match_det(b, lo, hi) -> None:
     volume = np.linalg.norm(got, axis=1)
     kept = volume > zonotope.RANK_RTOL
     assert np.array_equal(kept, np.linalg.norm(want, axis=1) > zonotope.RANK_RTOL)
-    assert np.array_equal(image.subsets, np.tile(nonzero[subsets[kept]], (2, 1)))
-    normals = got[kept] / volume[kept, None]
-    assert np.array_equal(image.normals, np.vstack([normals, -normals]))
+    assert np.array_equal(image.subsets, nonzero[subsets[kept]])
+    assert np.array_equal(image.normals, got[kept] / volume[kept, None])
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,23 +557,58 @@ def test_scalings_chunked_like_unchunked(monkeypatch):
     np.testing.assert_allclose(image.lambdas_without(range(14))[0], lams, rtol=1e-14)
 
 
+def test_block_temporaries_stay_small():
+    # NumPy reports its buffers to tracemalloc, so these peaks do not depend on
+    # the machine: 3.9 MB and 1.0 MB with the stacked rows and 256 KiB blocks.
+    sys = catalog.spacecraft_printed()
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6)
+    axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
+    for work, cap in ((lambda: image.lambdas_without(range(14)), 1 << 20),
+                      (lambda: image.scalings(axes, np.zeros((1, sys.n))), 1 << 19)):
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, (peak, cap)
+
+
+def _stacked_limits(toward, plus, minus) -> np.ndarray:
+    """Per ray, slack/toward over the rows of [+a; -a] it moves toward, +inf over the rest."""
+    toward, slack = np.hstack([toward, -toward]), np.concatenate([plus, minus])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(toward > 0.0, slack / toward, np.inf)
+
+
+def _assert_ties_go_to_the_lowest_row(toward, plus, minus, extent) -> np.ndarray:
+    """_exit names the lowest tied row of [+a; -a], in one block as in one block per slab."""
+    limits = _stacked_limits(toward, plus, minus)
+    lowest = np.argmax(limits == limits.min(axis=1)[:, None], axis=1)
+    assert np.any((limits == limits.min(axis=1)[:, None]).sum(axis=1) > 1)
+    count, size = len(plus), np.zeros((len(toward), 1))
+    rows = [(f, plus[f : f + 1], minus[f : f + 1], toward[:, f : f + 1], size, extent[f : f + 1])
+            for f in range(count)]
+    whole = zonotope._exit([(0, plus, minus, toward, size, extent)], count)
+    for lam, facet in (whole, zonotope._exit(rows, count)):
+        assert np.array_equal(lam, whole[0]) and np.array_equal(facet, lowest)
+    return lowest
+
+
 def test_exit_ties_go_to_the_lowest_row_across_blocks():
-    # Propellers 1-4 of the octocopter are one column repeated: their facets
+    # Propellers 1-4 of the octocopter are one column repeated: their slabs
     # repeat, and every ray leaving through one ties with its copies.
     sys = catalog.octocopter_translational()
     zono = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6)
     rng = np.random.default_rng(5)
     toward = (rng.standard_normal((40, 3)) / zono.scale) @ zono.normals.T
-    slack, size, extent = zono.support, np.zeros((40, 1)), zono.extent
-    with np.errstate(divide="ignore", invalid="ignore"):
-        limits = np.where(toward > 0.0, slack / toward, np.inf)
-    lowest = np.argmax(limits == limits.min(axis=1)[:, None], axis=1)
-    assert np.any((limits == limits.min(axis=1)[:, None]).sum(axis=1) > 1)
-    rows = [(f, slack[f : f + 1], toward[:, f : f + 1], size, extent[f : f + 1])
-            for f in range(len(slack))]
-    whole = zonotope._exit([(0, slack, toward, size, extent)], facets=True)
-    for lam, facet in (whole, zonotope._exit(rows, facets=True)):
-        assert np.array_equal(lam, whole[0]) and np.array_equal(facet, lowest)
+    _assert_ties_go_to_the_lowest_row(toward, zono.plus, zono.minus, zono.extent)
+    # Ray 0 leaves through slab 0's -a side (row 3) and slab 2's +a side (row 2)
+    # at once: the +a row is the lower.  Ray 1 ties between two -a sides.
+    toward = np.array([[-1.0, 0.5, 2.0], [-1.0, 0.5, -2.0]])
+    plus, minus = np.array([1.0, 1.0, 2.0]), np.array([1.0, 3.0, 2.0])
+    lowest = _assert_ties_go_to_the_lowest_row(toward, plus, minus, np.full(3, 3.0))
+    assert lowest.tolist() == [2, 3]
 
 
 def test_zero_direction_rejected():
