@@ -28,7 +28,6 @@ from .resilience import (
     ResilienceReport,
     check_controllability,
     lambda_pair,
-    polytope_containment_check,
     quantitative_resilience,
     r_pair,
     resilience_via_reach_times,
@@ -55,7 +54,6 @@ __all__ = [
     "malfunctioning_reach_time",
     "nominal_reach_time",
     "order_k_time",
-    "polytope_containment_check",
     "quantitative_resilience",
     "r_pair",
     "resilience_via_reach_times",

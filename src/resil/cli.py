@@ -134,6 +134,10 @@ def cmd_reach(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise ResilError(f"--samples must be >= 0, got {args.samples}")
+    if not args.tol >= 0.0:  # nan fails it too
+        raise ResilError(f"--tol must be >= 0, got {args.tol}")
     sys_model = _load_model(args.model)
     columns = _parse_lost(args.lost, sys_model.n_inputs)
     d = _parse_direction(args.direction)
@@ -177,11 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"ratio_bangbang = {bang:.4f}")
         print(f"ordering: ratio_smooth < ratio_bangbang is {smooth < bang}")
         if args.out_dir:  # the scenario's optima again: reuse hits in the op's scope
-            sys_model = catalog.octocopter_translational(params)
-            sp = split(sys_model, 0)
-            nominal = reach.nominal_reach_time(sys_model, d)
-            malf = reach.malfunctioning_reach_time(sp, d)
-            u_malf = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
+            sys_model, nominal, malf, u_malf = sim.vertical_scenario(params, d)
             horizon = 5.0 * max(nominal.time, malf.time) * args.target_speed
             for tag, u in (("nominal", nominal.optimizer_u), ("malfunctioning", u_malf)):
                 traj = sim.integrate_with_lag(

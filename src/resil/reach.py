@@ -9,14 +9,14 @@ maximum over the 2^p vertices.
 Two engines compute lam*: the simplex LP of lp.max_scaled_direction, one solve
 per query, and the facet inequalities of the box image (zonotope.py), one
 batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
-optimizer are LP optima, started at the facet where the ray leaves the image
-(zonotope.Zonotope.start): B's for T_M* (the facet its screen named, else one
-ray's), B_bar's for T_N* only when the op's lp.reuse_scope keeps it.  T_M*
-screens its 2^p vertices with one gauge batch and solves one LP at the worst
-vertex; the batched malfunction_times and time_ratios answer the oracle scans
-from the gauge alone.  Each asks zonotope.build for the image its LPs are
-worth; a declined build (None: rank-deficient, or not worth its LPs) keeps the
-call on the LP path.
+optimizer are LP optima, started at the facet where the LP's own ray leaves
+the image (zonotope.Zonotope.start, named only when that LP is solved): B's for
+T_M*, B_bar's for T_N* only when the op's lp.reuse_scope keeps it.  T_M*
+screens its 2^p vertices with one gauge batch, which returns lam only, and
+solves one LP at the worst vertex; the batched malfunction_times and
+time_ratios answer the oracle scans from the gauge alone.  Each asks
+zonotope.build for the image its LPs are worth; a declined build (None:
+rank-deficient, or not worth its LPs) keeps the call on the LP path.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -112,15 +112,15 @@ def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray
     return ws, d
 
 
-def _scaling_lp(m, lower, upper, d, shift, image, facet=None) -> lp.DirectionScaling:
+def _scaling_lp(m, lower, upper, d, shift, image) -> lp.DirectionScaling:
     """lp.max_scaled_direction, started at M's image's Zonotope.start when it is given."""
-    basis = None if image is None else (lambda: image.start(d, shift, facet))
+    basis = None if image is None else (lambda: image.start(d, shift))
     return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=basis)
 
 
-def _vertex_lp(split: ActuatorSplit, w, d, image=None, facet=None) -> lp.DirectionScaling:
+def _vertex_lp(split: ActuatorSplit, w, d, image=None) -> lp.DirectionScaling:
     """The scaling LP of T_M(w, d): max{lam >= 0 : B u = lam d - C w, u in U_c}."""
-    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image, facet)
+    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image)
 
 
 def _gauge_times(directions: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -200,10 +200,9 @@ def malfunctioning_reach_time(
     vertices = _capped_vertices(split)
     zono = zonotope.build(split.b, split.u_min, split.u_max, lps=len(vertices))
     if zono is not None:
-        lam, facets = zono.scalings(d, -(vertices @ split.c.T), facets=True)
-        screened = _gauge_times(d, lam)[0]
+        screened = _gauge_times(d, zono.scalings(d, -(vertices @ split.c.T)))[0]
         worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
-        t1, u = _order1_time(_vertex_lp(split, vertices[worst], d, zono, facets[0, worst]))
+        t1, u = _order1_time(_vertex_lp(split, vertices[worst], d, zono))
         if math.isinf(t1) == math.isinf(screened[worst]):
             return ReachResult(
                 time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=vertices[worst]

@@ -27,10 +27,6 @@ from .errors import UnsupportedLossError
 from .model import ActuatorSplit, IntegratorSystem, split as make_split, to_machine
 from .zonotope import Zonotope
 
-#: Relative margin for the interior-membership tests of Prop-style diagnostics.
-INTERIOR_MARGIN = 1e-7
-
-
 @dataclass(frozen=True)
 class ResilienceReport:
     """Per-lost-column resilience record."""
@@ -230,38 +226,3 @@ def resilience_via_reach_times(split: ActuatorSplit) -> ReachTimeVerdict:
         and math.isfinite(t_m_m)
     )
     return ReachTimeVerdict(t_n_p, t_m_p, t_n_m, t_m_m, resilient)
-
-
-def polytope_containment_check(split: ActuatorSplit) -> bool:
-    """Diagnostic: -X subset of the interior of Y, X = C W_c, Y = B U_c.
-
-    Tested per vertex x of X with 2n feasibility LPs: -x + eps*(+/-e_j) must be
-    reachable in Y for a positive margin eps.  Resilience implies this holds;
-    the converse is not asserted.
-    """
-    b = split.b
-    n = split.base.n
-    scale = float(
-        np.abs(b).max(initial=0.0)
-        * max(np.abs(split.u_min).max(initial=0.0), np.abs(split.u_max).max(initial=0.0), 1.0)
-    )
-    eps = INTERIOR_MARGIN * max(scale, 1.0)
-    obj = np.zeros(split.m)
-    for w in reach.w_vertices(split):
-        x = split.c @ w
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                target = -x
-                target[j] += sign * eps
-                out = lp.solve(
-                    lp.LpProblem(
-                        objective=obj,
-                        eq_matrix=b,
-                        eq_rhs=target,
-                        lower=split.u_min,
-                        upper=split.u_max,
-                    )
-                )
-                if out.status != lp.OPTIMAL:
-                    return False
-    return True

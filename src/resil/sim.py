@@ -12,7 +12,7 @@ solver tolerance) enters the results:
 
 The scenario ratios of `smooth_reach_ratio` come from the closed-form
 crossing times (target/rate without lag, `lag_crossing` with it); sampled
-trajectories serve CSV export.
+trajectories of `vertical_scenario`'s commands serve CSV export.
 """
 
 from __future__ import annotations
@@ -193,21 +193,30 @@ def lag_crossing(rate: float, target: float, tau: float) -> float:
     return float(s * tau)
 
 
+def vertical_scenario(params: catalog.OctocopterParams, d: np.ndarray):
+    """(system, T_N* result, T_M* result, full malfunctioning command u_bar) along d of
+    the velocity-level translational octocopter with propeller 1 lost: the optimal
+    constant nominal input and the worst-case malfunctioning one (u and worst w)."""
+    sys = catalog.octocopter_translational(params)
+    sp = make_split(sys, 0)
+    nominal, malf = reach.nominal_reach_time(sys, d), reach.malfunctioning_reach_time(sp, d)
+    if not (math.isfinite(nominal.time) and math.isfinite(malf.time)):
+        raise NonReachError("scenario direction not reachable under the worst input")
+    return sys, nominal, malf, sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
+
+
 def smooth_reach_ratio(
     params: catalog.OctocopterParams,
     d: np.ndarray,
     target_speed: float,
     tau: float | None = None,
-    lost_column: int = 0,
 ) -> tuple[float, float]:
     """(ratio_smooth, ratio_bangbang) for the vertical octocopter scenario.
 
-    Drives the velocity-level translational system from hover with the optimal
-    constant nominal and worst-case malfunctioning commands (lost propeller
-    given by lost_column), with and without first-order propeller lag, and
-    returns the ratios of the times the speed along d first reaches
-    target_speed.  Both crossings are closed forms in the rate a = d . B u:
-    target/a without lag, `lag_crossing(a, target, tau)` with it.
+    Drives vertical_scenario's system from hover with its two commands, with and
+    without first-order propeller lag, and returns the ratios of the times the
+    speed along d first reaches target_speed.  Both crossings are closed forms in
+    the rate a = d . B u: target/a without lag, `lag_crossing(a, target, tau)` with it.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not (d.shape == (3,) and d[0] == 0.0 and d[1] == 0.0 and d[2] in (-1.0, 1.0)):
@@ -217,14 +226,7 @@ def smooth_reach_ratio(
     if tau is None:
         tau = params.tau
 
-    sys = catalog.octocopter_translational(params)
-    sp = make_split(sys, lost_column)
-
-    nominal, malf = reach.nominal_reach_time(sys, d), reach.malfunctioning_reach_time(sp, d)
-    if not (math.isfinite(nominal.time) and math.isfinite(malf.time)):
-        raise NonReachError("scenario direction not reachable under the worst input")
-
-    u_bar_malf = sp.assemble_input(malf.optimizer_u, malf.optimizer_w)
+    sys, nominal, _malf, u_bar_malf = vertical_scenario(params, d)
     rate_n = float(d @ (sys.b_bar @ nominal.optimizer_u))
     rate_m = float(d @ (sys.b_bar @ u_bar_malf))
     smooth = lag_crossing(rate_m, target_speed, tau) / lag_crossing(rate_n, target_speed, tau)

@@ -20,7 +20,8 @@ Every reach time is a gauge of such an image: lp.max_scaled_direction(M, lower, 
 d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in Z, one simplex per pair;
 Zonotope.scalings answers a batch of (direction, shift) pairs from a few array products
 over the slabs.  One kernel, _exit, reads each slab once to decide how far each ray
-goes, for scalings, lambdas_without and Zonotope.start (the facet an LP starts at).
+goes, for scalings and lambdas_without, which return lam only; for Zonotope.start's
+one ray it names the facet where that ray leaves Z instead, the basis an LP starts at.
 
 build() declines (None: callers keep to the LP path) as its docstring says, and keeps
 each image in the op's lp.reuse_scope.
@@ -79,7 +80,7 @@ class Zonotope:
     -a, with the supports h+ = a.c + w (plus), h- = w - a.c (minus) and max(h+, h-) =
     |a.c| + w exactly (extent, what both sides' tolerances are relative to).  subsets holds
     the n - 1 columns of M each normal came from, generators and centers the scaled g_j and
-    c_j (0 outside the image).  A facet is named by its row of [normals; -normals].
+    c_j (0 outside the image).  start names a facet by the subsets row of its slab.
     """
 
     normals: np.ndarray
@@ -91,7 +92,7 @@ class Zonotope:
     generators: np.ndarray
     centers: np.ndarray
 
-    def scalings(self, directions: np.ndarray, shifts: np.ndarray, facets: bool = False):
+    def scalings(self, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         """lam_hat[i, j] = max{lam >= 0 : lam d_i/|d_i| + s_j in Z}.
 
         The same normalized multiplier as the lam_hat of lp.max_scaled_direction(M,
@@ -99,36 +100,31 @@ class Zonotope:
         negative certificate) and +inf when lam is unbounded.  Feasibility is decided at
         the largest lam every facet allows, within a relative tolerance of lp.FEAS_TOL,
         so lam_hat = 0 when s_j lies on the boundary of Z and d_i points out of it.
-        With facets=True also (lam_hat, facet): the facet where each ray leaves Z.
         """
         d, s = np.array(directions, dtype=float, ndmin=2), np.array(shifts, dtype=float, ndmin=2)
         norms = np.sqrt(np.add.reduce(d * d, axis=1))
         if not norms.all():
             raise LpError("direction d must be nonzero")
-        lam, facet = np.empty((len(d), len(s))), np.empty((len(d), len(s)), dtype=int)
-        named, step = (len(self.plus) if facets else 0), max(1, BLOCK_ELEMENTS // len(self.plus))
+        lam, step = np.empty((len(d), len(s))), max(1, BLOCK_ELEMENTS // len(self.plus))
         for i in range(0, len(d), step):
             scaled = d[i : i + step] / norms[i : i + step, None] / self.scale
             toward, size = scaled @ self.normals.T, np.sqrt(np.add.reduce(scaled * scaled, axis=1))
             pairs = max(1, BLOCK_ELEMENTS // toward.size)
             for j in range(0, len(s), pairs):
                 shifted = (s[j : j + pairs] / self.scale) @ self.normals.T
-                got = _exit([(0, self.plus - shifted, self.minus + shifted, toward[:, None],
-                              size[:, None, None], self.extent + np.abs(shifted))], named)
-                if len(d) <= step and len(s) <= pairs:  # one block
-                    return got if facets else got[0]
-                lam[i : i + step, j : j + pairs], facet[i : i + step, j : j + pairs] = got
-        return (lam, facet) if facets else lam
+                lam[i : i + step, j : j + pairs] = _exit([(
+                    0, self.plus - shifted, self.minus + shifted, toward[:, None],
+                    size[:, None, None], self.extent + np.abs(shifted))])
+        return lam
 
-    def start(self, d: np.ndarray, shift: np.ndarray, facet=None) -> np.ndarray | None:
-        """subsets row of the facet where lam d/|d| + shift leaves Z, None if none bounds it:
-        `facet` where a scalings screen named it, else _exit's on this one ray."""
-        if facet is None:
-            scaled = d / np.sqrt(d @ d) / self.scale
-            shifted = self.normals @ (shift / self.scale)
-            facet = _exit([(0, self.plus - shifted, self.minus + shifted, self.normals @ scaled,
-                            np.sqrt(scaled @ scaled), None)], len(self.plus))[1]
-        return None if facet < 0 else self.subsets[facet % len(self.plus)]
+    def start(self, d: np.ndarray, shift: np.ndarray) -> np.ndarray | None:
+        """subsets row of the facet where lam d/|d| + shift leaves Z (_exit's on this one
+        ray), None if none bounds it."""
+        scaled = d / np.sqrt(d @ d) / self.scale
+        shifted = self.normals @ (shift / self.scale)
+        row = _exit([(0, self.plus - shifted, self.minus + shifted, self.normals @ scaled,
+                      np.sqrt(scaled @ scaled), None)])
+        return None if row < 0 else self.subsets[row % len(self.plus)]
 
     def lambdas_without(self, columns) -> tuple[np.ndarray, np.ndarray]:
         """(lam, solid): lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].
@@ -157,21 +153,21 @@ class Zonotope:
                 sides = np.where(holds[cols], np.inf, [offset + width, width - offset])
                 yield f, sides, sides[::-1], toward[cols], norms[cols, None], np.maximum(*sides)
 
-        return _exit(blocks())[0].T, solid
+        return _exit(blocks()).T, solid
 
 
-def _exit(blocks, facets: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, facet) per ray: max{lam >= 0 : -minus - tol <= lam toward <= plus + tol}.
+def _exit(blocks):
+    """lam per ray: max{lam >= 0 : -minus - tol <= lam toward <= plus + tol}.
 
     blocks yields (first, plus, minus, toward, size, extent) for slabs first, first + 1, ...:
     arrays over (rays..., slabs), plus and minus the slacks of the +a and -a sides, toward =
     a.(ray), tol = lp.FEAS_TOL extent.  Where |toward| <= PARALLEL_RTOL size (the ray's length)
     both sides must hold; else the side the ray moves toward must hold at lam = 0 and bounds
     lam by slack/|toward|, the other sets the floor -(slack + tol)/|toward|.  lam: nan below a
-    floor, +inf if no slab bounds it.  facets = K: also the row of [+a; -a] attaining lam, the
-    lowest on ties (-1 at lam = +inf); extent None asks only that row.
+    floor, +inf if no slab bounds it.  extent None, start's one ray in one block: instead the
+    row of [+a; -a] attaining lam, the +a rows first on ties (-1 at lam = +inf).
     """
-    least, floor, facet = np.inf, -np.inf, -1
+    least, floor = np.inf, -np.inf
     for first, plus, minus, toward, size, extent in blocks:
         rate, ahead = np.abs(toward), toward > 0.0
         moving, near = rate > PARALLEL_RTOL * size, np.where(ahead, plus, minus)
@@ -182,17 +178,13 @@ def _exit(blocks, facets: int = 0) -> tuple[np.ndarray, np.ndarray]:
             far = np.maximum.reduce(far, axis=-1)  # +inf where the near side fails
             floor = np.maximum(floor, far) if first else far
         limits = np.where(moving, near, np.inf) / rate  # inf / 0 is inf, with no warning
+        if extent is None:  # the + sides, then the - sides: the lowest row of [+a; -a] on ties
+            rows = np.concatenate([np.where(ahead, limits, np.inf), np.where(ahead, np.inf, limits)])
+            return rows.argmin() if limits.min() < np.inf else -1
         bound = np.minimum.reduce(limits, axis=-1)
-        if facets:  # the + sides, then the - sides: the lowest row of [+a; -a] on ties
-            row = np.concatenate([np.where(ahead, limits, np.inf), np.where(ahead, np.inf, limits)],
-                                 axis=-1).argmin(axis=-1)
-            count = limits.shape[-1]  # this block's slabs
-            row = row if count == facets else first + row % count + row // count * facets
-            facet = np.where(bound == least, np.minimum(facet, row), facet) if first else facet
-            facet = np.where(bound < least, row, facet)
         least = np.minimum(least, bound) if first else bound
     lam = np.maximum(least, 0.0)
-    return np.where(lam >= floor, lam, np.nan), facet  # floor is never nan: +inf stays
+    return np.where(lam >= floor, lam, np.nan)  # floor is never nan: +inf stays
 
 
 def _full_rank(generators: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ TOY3: B = [[1,0,0.5,0],[0,1,0,0.5]], all columns in [-1,1], lost {3,4} (p=2).
 
 `lp_solves` counts the lp.solve calls a test makes, `lp_pivots` sums their
 simplex pivots, `zonotope_builds` counts the images zonotope.build makes (not
-its calls: a kept image or a decline is no build), `gauge_calls` its Zonotope.scalings batches and lambdas_without passes, and
-`sim_integrations` its sampled sim.integrate_with_lag calls.  `reports_agree`
-compares a resilience report with its LP-path reference.
+its calls: a kept image or a decline is no build), `gauge_calls` its
+Zonotope.scalings batches and lambdas_without passes, `zonotope_starts` its
+Zonotope.start calls, and `sim_integrations` its sampled sim.integrate_with_lag
+calls.  `reports_agree` compares a resilience report with its LP-path reference.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -83,6 +84,12 @@ def gauge_calls(monkeypatch):
     """Count Zonotope.scalings batches and Zonotope.lambdas_without passes, in that order."""
     return tuple(_count_calls(monkeypatch, zonotope.Zonotope, [name])
                  for name in ("scalings", "lambdas_without"))
+
+
+@pytest.fixture
+def zonotope_starts(monkeypatch):
+    """Count Zonotope.start calls: the start facets named for LPs."""
+    return _count_calls(monkeypatch, zonotope.Zonotope, ["start"])
 
 
 @pytest.fixture

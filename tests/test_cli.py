@@ -171,6 +171,25 @@ def test_oracle_corrupted_theory_exits_nonzero(toy2_file, monkeypatch, capsys):
     assert code == cli.EXIT_VIOLATION
 
 
+def test_oracle_negative_samples_is_an_input_error(toy2_file, capsys):
+    argv = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "11"]
+    assert cli.main(argv + ["--samples", "-4"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --samples must be >= 0, got -4" in err
+    # 0 still skips the direction scan.
+    assert cli.main(argv + ["--samples", "0"]) == 0
+    assert "direction_scan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["-1e-9", "nan"])
+def test_oracle_negative_or_nan_tol_is_an_input_error(toy2_file, tol, capsys):
+    argv = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "11",
+            "--samples", "0", f"--tol={tol}"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: --tol must be >= 0, got {float(tol)}" in err
+
+
 def test_simulate_bang(capsys):
     code = cli.main(["simulate", "octo-vertical-bang"])
     out = capsys.readouterr().out

@@ -107,6 +107,15 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
     assert lp_pivots[0] == 0
 
 
+def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys):
+    assert cli.main(SCAN_OP) == 0
+    capsys.readouterr()
+    # Every T_M* screens its vertices, reuse hit or not: the grid theory, t(+/-C) and
+    # the probe's four; with the grid scan, the gate's axes and time_ratios' two
+    # batches, 11 scalings.  Only a solved LP names its start facet: 6, one per solve.
+    assert (gauge_calls[0][0], zonotope_starts[0]) == (11, 6)
+
+
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
     # The same 6 solves from the cold two-phase start.
     monkeypatch.setattr(zonotope.Zonotope, "start", lambda *args: None)
@@ -119,8 +128,8 @@ def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, solves, pivots",
     [
-        # T_M* starts at its screen's facet of B's image (0 pivots), T_N* has no
-        # image (8 cold).
+        # T_M* starts at the facet of B's image where its ray leaves (0 pivots),
+        # T_N* has no image (8 cold).
         (["simulate", "octo-vertical-lag"], 2, 8),
         # The build of B is declined: every LP takes the cold start.
         (["ratio", "--model", "catalog:spacecraft-printed", "--lost", "3",
@@ -148,8 +157,8 @@ def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch
     assert cli.main(argv) == 0
     capsys.readouterr()
     # T_N* has no image and starts cold.  One build of B and one gauge pass, the
-    # T_M* screen: the facet it names at the worst vertex starts the T_M* LP,
-    # which takes no pivot.
+    # T_M* screen; the facet where the worst vertex's ray leaves B's image starts
+    # the T_M* LP, which takes no pivot.
     assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (1, 1, 0)
     assert solves == [(False, 8), (True, 0)]
 

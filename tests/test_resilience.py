@@ -1,14 +1,14 @@
-"""lambda pairs, closed-form r values, verdicts, diagnostics."""
+"""lambda pairs, closed-form r values, verdicts, diagnostics, and the LP containment reference."""
 
 import math
 
 import numpy as np
 import pytest
 
-from resil import resilience
+from resil import lp, resilience
 from resil.errors import UnsupportedLossError
-from resil.model import IntegratorSystem, split
-from resil.reach import time_ratio
+from resil.model import ActuatorSplit, IntegratorSystem, split
+from resil.reach import time_ratio, w_vertices
 
 
 def test_controllability_rank_deficient():
@@ -150,14 +150,53 @@ def test_symmetric_box_reduction():
         assert r_p == pytest.approx(r_m, abs=1e-10)
 
 
+#: Relative margin of the interior-membership LPs of polytope_containment_check.
+INTERIOR_MARGIN = 1e-7
+
+
+def polytope_containment_check(split: ActuatorSplit) -> bool:
+    """Diagnostic: -X subset of the interior of Y, X = C W_c, Y = B U_c.
+
+    Tested per vertex x of X with 2n feasibility LPs: -x + eps*(+/-e_j) must be
+    reachable in Y for a positive margin eps.  Resilience implies this holds;
+    the converse is not asserted.
+    """
+    b = split.b
+    n = split.base.n
+    scale = float(
+        np.abs(b).max(initial=0.0)
+        * max(np.abs(split.u_min).max(initial=0.0), np.abs(split.u_max).max(initial=0.0), 1.0)
+    )
+    eps = INTERIOR_MARGIN * max(scale, 1.0)
+    obj = np.zeros(split.m)
+    for w in w_vertices(split):
+        x = split.c @ w
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                target = -x
+                target[j] += sign * eps
+                out = lp.solve(
+                    lp.LpProblem(
+                        objective=obj,
+                        eq_matrix=b,
+                        eq_rhs=target,
+                        lower=split.u_min,
+                        upper=split.u_max,
+                    )
+                )
+                if out.status != lp.OPTIMAL:
+                    return False
+    return True
+
+
 def test_polytope_containment_toy2(toy2_split):
-    assert resilience.polytope_containment_check(toy2_split)
+    assert polytope_containment_check(toy2_split)
 
 
 def test_polytope_containment_shrunk():
     sys = IntegratorSystem("shrunk", 1, np.array([[1.0, -1.0]]),
                            np.array([-1.0, 0.0]), np.array([0.5, 1.0]))
-    assert not resilience.polytope_containment_check(split(sys, 1))
+    assert not polytope_containment_check(split(sys, 1))
 
 
 def test_resilient_implies_containment():
@@ -174,4 +213,4 @@ def test_resilient_implies_containment():
             continue
         sp = split(sys, col)
         if resilience.quantitative_resilience(sp).resilient:
-            assert resilience.polytope_containment_check(sp)
+            assert polytope_containment_check(sp)

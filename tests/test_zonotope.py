@@ -153,11 +153,8 @@ def test_hinted_lp_matches_cold(seed):
     directions = rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
     shifts = -(reach.w_vertices(sp) @ sp.c.T)
     for d in directions:
-        # The facets T_M*'s screen names, and the one-ray start of the other LPs.
-        screened = zono.scalings(d, shifts, facets=True)[1][0]
-        for s, facet in zip(shifts, screened):
-            for start in (zono.start(d, s, facet), zono.start(d, s)):
-                _assert_hint_matches_cold(sp.b, sp.u_min, sp.u_max, d, s, start)
+        for s in shifts:
+            _assert_hint_matches_cold(sp.b, sp.u_min, sp.u_max, d, s, zono.start(d, s))
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,16 +166,19 @@ def test_exit_facet_is_tight(seed):
         return
     directions = rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
     shifts = np.vstack([-(reach.w_vertices(sp) @ sp.c.T), _boundary_point(sp, rng)])
-    lam_hat, facet = zono.scalings(directions, shifts, facets=True)
-    assert np.array_equal(facet == -1, np.isinf(lam_hat))
+    lam_hat = zono.scalings(directions, shifts)
     units = directions / np.linalg.norm(directions, axis=1)[:, None]
-    count = len(zono.plus)
+    slabs = {tuple(subset): k for k, subset in enumerate(zono.subsets.tolist())}
     for (i, j), lam in np.ndenumerate(lam_hat):
+        subset = zono.start(directions[i], shifts[j])
+        assert (subset is None) == math.isinf(lam), (i, j)
         if 0.0 < lam < math.inf:
-            # The named facet (row k of [+a; -a], or K + k) holds with equality at the exit point.
-            k, minus = facet[i, j] % count, facet[i, j] >= count
+            # start's facet holds with equality at the exit point, on the side of its slab
+            # (+a or -a) that the ray moves toward.
+            k = slabs[tuple(subset.tolist())]
             along = zono.normals[k] @ ((lam * units[i] + shifts[j]) / zono.scale)
-            gap = -along - zono.minus[k] if minus else along - zono.plus[k]
+            ahead = zono.normals[k] @ (units[i] / zono.scale) > 0.0
+            gap = along - zono.plus[k] if ahead else -along - zono.minus[k]
             assert abs(gap) <= lp.FEAS_TOL * zono.extent[k], (i, j, gap)
 
 
@@ -210,12 +210,12 @@ def _pm(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, -x], axis=-1)
 
 
-def _stacked_scalings(image, directions, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """Zonotope.scalings(..., facets=True) by _stacked_exit, blocked as scalings blocks."""
+def _stacked_scalings(image, directions, shifts) -> np.ndarray:
+    """Zonotope.scalings by _stacked_exit, blocked as scalings blocks."""
     d, s = np.atleast_2d(directions), np.atleast_2d(shifts)
     norms = np.sqrt((d * d).sum(axis=1))
     support, extent = np.concatenate([image.plus, image.minus]), np.tile(image.extent, 2)
-    lam, facet = np.empty((len(d), len(s))), np.empty((len(d), len(s)), dtype=int)
+    lam = np.empty((len(d), len(s)))
     step = max(1, zonotope.BLOCK_ELEMENTS // len(image.plus))
     for i in range(0, len(d), step):
         scaled = d[i : i + step] / norms[i : i + step, None] / image.scale
@@ -225,9 +225,18 @@ def _stacked_scalings(image, directions, shifts) -> tuple[np.ndarray, np.ndarray
             shifted = _pm((s[j : j + pairs] / image.scale) @ image.normals.T)
             block = (0, (support - shifted)[None], _pm(toward)[:, None], size[:, None, None],
                      extent + np.abs(shifted))
-            lam[i : i + step, j : j + pairs], facet[i : i + step, j : j + pairs] = (
-                _stacked_exit([block], facets=True))
-    return lam, facet
+            lam[i : i + step, j : j + pairs] = _stacked_exit([block])[0]
+    return lam
+
+
+def _stacked_start(image, d, shift) -> np.ndarray | None:
+    """Zonotope.start by _stacked_exit's row % K, from the products start forms."""
+    scaled = d / np.sqrt(d @ d) / image.scale
+    shifted = _pm(image.normals @ (shift / image.scale))
+    block = (0, np.concatenate([image.plus, image.minus]) - shifted, _pm(image.normals @ scaled),
+             np.sqrt(scaled @ scaled), np.tile(image.extent, 2) + np.abs(shifted))
+    row = int(_stacked_exit([block], facets=True)[1])
+    return None if row < 0 else image.subsets[row % len(image.plus)]
 
 
 def _stacked_lambdas_without(image, columns) -> np.ndarray:
@@ -252,9 +261,9 @@ def _stacked_lambdas_without(image, columns) -> np.ndarray:
 
 
 def _assert_slabs_match_stacked(image, rng) -> None:
-    """scalings' lam and named facets, and lambdas_without's lam, equal the stacked
-    reference's bit for bit (nan included): both form the same products, so only the
-    exit rule could differ."""
+    """scalings' and lambdas_without's lam, and the facet start names on each ray, equal
+    the stacked reference's bit for bit (nan included): both form the same products, so
+    only the exit rule could differ."""
     n = image.normals.shape[1]
     directions = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((4, n))]) * image.scale
     support = [image.generators @ np.where(a @ image.generators >= 0.0, 1.0, -1.0)
@@ -262,10 +271,11 @@ def _assert_slabs_match_stacked(image, rng) -> None:
     centre = image.centers.sum(axis=1)
     shifts = np.vstack([np.zeros(n), centre, centre + support[0], centre + 0.5 * support[1],
                         centre + 1.5 * support[2]]) * image.scale
-    lam, facet = image.scalings(directions, shifts, facets=True)
-    want_lam, want_facet = _stacked_scalings(image, directions, shifts)
-    assert np.array_equal(lam, want_lam, equal_nan=True)
-    assert np.array_equal(facet, want_facet)
+    assert np.array_equal(image.scalings(directions, shifts),
+                          _stacked_scalings(image, directions, shifts), equal_nan=True)
+    for d, s in itertools.product(directions, shifts):
+        got, want = image.start(d, s), _stacked_start(image, d, s)
+        assert (got is None and want is None) or np.array_equal(got, want), (d, s)
     nonzero = np.flatnonzero(np.any(image.generators != 0.0, axis=0))
     got = image.lambdas_without(nonzero)[0]
     assert np.array_equal(got, _stacked_lambdas_without(image, nonzero), equal_nan=True)
@@ -489,9 +499,8 @@ def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solve
         enumerated = reach.malfunctioning_reach_time(toy1_split, d)
     lp_solves[0] = 0
     # A screen that finds every vertex infeasible: the LP at vertex 0 is finite.
-    def infeasible(self, dirs, shifts, facets=False):
-        lam = np.full((1, len(np.atleast_2d(shifts))), np.nan)
-        return (lam, np.full(lam.shape, -1)) if facets else lam
+    def infeasible(self, dirs, shifts):
+        return np.full((1, len(np.atleast_2d(shifts))), np.nan)
 
     monkeypatch.setattr(zonotope.Zonotope, "scalings", infeasible)
     result = reach.malfunctioning_reach_time(toy1_split, d)
@@ -544,16 +553,14 @@ def test_scalings_chunked_like_unchunked(monkeypatch):
     rng = np.random.default_rng(4)
     directions = rng.standard_normal((7, 3))
     shifts = -(rng.uniform(sp.w_min, sp.w_max, size=(50, 1)) @ sp.c.T)
-    whole, facets = zono.scalings(directions, shifts, facets=True)
+    whole = zono.scalings(directions, shifts)
     sc = catalog.spacecraft_printed()
     image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**6)
     lams = image.lambdas_without(range(14))[0]
     monkeypatch.setattr(zonotope, "BLOCK_ELEMENTS", 1)
     # One pair, or one facet row, per block: equal up to the rounding of
-    # differently shaped products, and the same facets.
-    chunked, chunked_facets = zono.scalings(directions, shifts, facets=True)
-    np.testing.assert_allclose(chunked, whole, rtol=1e-14)
-    assert np.array_equal(chunked_facets, facets)
+    # differently shaped products.
+    np.testing.assert_allclose(zono.scalings(directions, shifts), whole, rtol=1e-14)
     np.testing.assert_allclose(image.lambdas_without(range(14))[0], lams, rtol=1e-14)
 
 
@@ -581,34 +588,31 @@ def _stacked_limits(toward, plus, minus) -> np.ndarray:
         return np.where(toward > 0.0, slack / toward, np.inf)
 
 
-def _assert_ties_go_to_the_lowest_row(toward, plus, minus, extent) -> np.ndarray:
-    """_exit names the lowest tied row of [+a; -a], in one block as in one block per slab."""
+def _assert_ties_go_to_the_lowest_row(toward, plus, minus) -> np.ndarray:
+    """_exit names, for start's one ray per row of toward, the lowest tied row of [+a; -a]."""
     limits = _stacked_limits(toward, plus, minus)
-    lowest = np.argmax(limits == limits.min(axis=1)[:, None], axis=1)
-    assert np.any((limits == limits.min(axis=1)[:, None]).sum(axis=1) > 1)
-    count, size = len(plus), np.zeros((len(toward), 1))
-    rows = [(f, plus[f : f + 1], minus[f : f + 1], toward[:, f : f + 1], size, extent[f : f + 1])
-            for f in range(count)]
-    whole = zonotope._exit([(0, plus, minus, toward, size, extent)], count)
-    for lam, facet in (whole, zonotope._exit(rows, count)):
-        assert np.array_equal(lam, whole[0]) and np.array_equal(facet, lowest)
+    tied = limits == limits.min(axis=1)[:, None]
+    assert np.any(tied.sum(axis=1) > 1)
+    lowest = np.argmax(tied, axis=1)
+    assert [zonotope._exit([(0, plus, minus, t, 0.0, None)]) for t in toward] == lowest.tolist()
     return lowest
 
 
-def test_exit_ties_go_to_the_lowest_row_across_blocks():
+def test_start_ties_go_to_the_lowest_row():
     # Propellers 1-4 of the octocopter are one column repeated: their slabs
     # repeat, and every ray leaving through one ties with its copies.
     sys = catalog.octocopter_translational()
     zono = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6)
-    rng = np.random.default_rng(5)
-    toward = (rng.standard_normal((40, 3)) / zono.scale) @ zono.normals.T
-    _assert_ties_go_to_the_lowest_row(toward, zono.plus, zono.minus, zono.extent)
+    rays = np.random.default_rng(5).standard_normal((40, 3))
+    toward = np.array([zono.normals @ (d / np.sqrt(d @ d) / zono.scale) for d in rays])
+    lowest = _assert_ties_go_to_the_lowest_row(toward, zono.plus, zono.minus)
+    for d, row in zip(rays, lowest):
+        assert np.array_equal(zono.start(d, np.zeros(3)), zono.subsets[row % len(zono.plus)])
     # Ray 0 leaves through slab 0's -a side (row 3) and slab 2's +a side (row 2)
     # at once: the +a row is the lower.  Ray 1 ties between two -a sides.
     toward = np.array([[-1.0, 0.5, 2.0], [-1.0, 0.5, -2.0]])
     plus, minus = np.array([1.0, 1.0, 2.0]), np.array([1.0, 3.0, 2.0])
-    lowest = _assert_ties_go_to_the_lowest_row(toward, plus, minus, np.full(3, 3.0))
-    assert lowest.tolist() == [2, 3]
+    assert _assert_ties_go_to_the_lowest_row(toward, plus, minus).tolist() == [2, 3]
 
 
 def test_zero_direction_rejected():
