@@ -177,17 +177,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.scenario == "octo-vertical-lag":
         smooth, bang = sim.smooth_reach_ratio(params, d, args.target_speed, tau=args.tau)
-        print(f"ratio_smooth   = {smooth:.4f}")
-        print(f"ratio_bangbang = {bang:.4f}")
-        print(f"ordering: ratio_smooth < ratio_bangbang is {smooth < bang}")
-        if args.out_dir:  # the scenario's optima again: reuse hits in the op's scope
-            sys_model, nominal, malf, u_malf = sim.vertical_scenario(params, d)
+        if args.out_dir:  # before any output, so that a bad --dt prints nothing
+            sys_model, nominal, malf, u_malf = sim.vertical_scenario(params, d)  # reuse hits
             horizon = 5.0 * max(nominal.time, malf.time) * args.target_speed
             for tag, u in (("nominal", nominal.optimizer_u), ("malfunctioning", u_malf)):
                 traj = sim.integrate_with_lag(
                     sys_model, u, tau=args.tau, horizon=horizon, dt=args.dt
                 )
                 traj.to_csv(f"{args.out_dir}/{args.scenario}-{tag}.csv")
+        print(f"ratio_smooth   = {smooth:.4f}")
+        print(f"ratio_bangbang = {bang:.4f}")
+        print(f"ordering: ratio_smooth < ratio_bangbang is {smooth < bang}")
+        if args.out_dir:
             print(f"trajectories written to {args.out_dir}/")
         _write_out(
             args.out,

@@ -5,12 +5,13 @@ These are falsifiers, not estimators: each scan hammers one closed-form claim
 collinear with +/-C, positive homogeneity of reach times) with exhaustive or
 quasi-random sampling and reports the worst observed violation.
 
-The scans evaluate all grid points or sampled directions in gauge batches of
-the box images of B and B_bar (reach.malfunction_times, reach.time_ratios;
-zonotope.py), one LP per query where a build is declined; op_images builds
-both once per oracle op, kept by its lp.reuse_scope.  Each theory value still
-comes from the scalar reach path, whose reported times are LP optima (started
-at the facet of an image where the ray leaves it), so a scan compares two engines.
+The scans evaluate all grid points, sampled directions or homogeneity rays in
+gauge batches of the box images of B and B_bar (reach.malfunction_times,
+reach.time_ratios, reach.nominal_times, reach.worst_times; zonotope.py), one LP
+per query where a build is declined; op_images builds both once per oracle op,
+kept by its lp.reuse_scope.  Each theory value, and the probe's T*(a d), comes
+from the scalar reach path, whose reported times are LP optima (started at the
+facet of an image where the ray leaves it), so every scan compares two engines.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reach, zonotope
-from .errors import CapacityError, LpError, UnsupportedLossError
+from .errors import CapacityError, LpError, ResilError, UnsupportedLossError
 from .model import ActuatorSplit, IntegratorSystem, to_machine
 from .resilience import quantitative_resilience
 
@@ -67,7 +68,7 @@ def _grid_direction(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -
     if not np.any(d):
         raise LpError("direction d must be nonzero")
     if points_per_axis < 2:
-        raise CapacityError("points_per_axis must be >= 2 (vertices must be included)")
+        raise ResilError("points_per_axis must be >= 2 (vertices must be included)")
     if points_per_axis**split.p > GRID_CAP:
         raise CapacityError(
             f"grid of {points_per_axis}^{split.p} points exceeds the cap of {GRID_CAP}"
@@ -80,15 +81,15 @@ def op_images(split: ActuatorSplit, d: np.ndarray, points_per_axis: int, samples
 
     Each is offered every scan's LPs, so the scans find it kept (or declined): B's the grid
     points and 2^p LPs per T_M* screen (grid theory, 1 + `probes` homogeneity points,
-    t(+/-C) and each scan direction); B_bar's, built only when the direction scan runs
-    (samples > 0), its directions and the 2n + 2 LPs of its gate.
+    t(+/-C) and each scan direction); B_bar's the 1 + `probes` homogeneity points and,
+    when the direction scan runs (samples > 0), its directions and the 2n + 2 LPs of its gate.
     """
     _grid_direction(split, d, points_per_axis)
-    screens = 2 + probes + (2 + samples if samples > 0 else 0)
-    base, lps = split.base, points_per_axis**split.p + 2**split.p * screens
+    base, scan = split.base, (2 + samples if samples > 0 else 0)
+    lps = points_per_axis**split.p + 2**split.p * (2 + probes + scan)
     zonotope.build(split.b, split.u_min, split.u_max, lps=lps)
-    if samples > 0:
-        zonotope.build(base.b_bar, base.u_min, base.u_max, lps=samples + 2 * base.n + 2)
+    lps = 1 + probes + scan + (scan and 2 * base.n)
+    zonotope.build(base.b_bar, base.u_min, base.u_max, lps=lps)
 
 
 def grid_worst_w(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -> ScanReport:
@@ -179,36 +180,34 @@ def homogeneity_probe(
     d: np.ndarray,
     scales: "list[float] | tuple[float, ...]",
 ) -> float:
-    """Max relative error of T*(alpha d) versus alpha T*(d) over the scales.
+    """Max relative error of the gauge's T*(alpha d) against (alpha/a) T*(a d) from the LP,
+    over alpha = 1 and each scale, a the largest of them.
 
-    Checks T_N* always, and T_M* additionally when given a split.  Infinite
-    times are skipped (homogeneity is trivial there).  What it can see is the
-    normalization of d in lp.max_scaled_direction and the division of lam by
-    |d|: alpha d and d pose the same LP up to rounding of d/|d|, and inside
-    one lp.reuse_scope an LP that normalizes to the same bytes is not solved
-    again.  A fault that makes the LP of alpha d differ from that of d poses
-    a different problem, which is solved.
+    Checks T_N* always, and T_M* additionally when given a split.  Infinite LP times are
+    skipped (homogeneity is trivial there).  One gauge batch per image answers every
+    alpha d (reach.nominal_times, reach.worst_times) and one LP the point a d, so the
+    probe compares two engines and sees a homogeneity fault in either.  A declined image
+    answers each alpha d by the LP path instead, which sees only the rounding of d/|d|:
+    alpha d and d pose the same LP up to it, solved once inside one lp.reuse_scope.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
         raise LpError("direction d must be nonzero")
-    scales = [float(a) for a in scales]
-    if any(a <= 0.0 for a in scales):
+    alphas = np.array([1.0, *scales], dtype=float)
+    if np.any(alphas <= 0.0):
         raise LpError("scales must be positive")
 
     # Homogeneity in d is an order-1 statement; evaluate there regardless of
     # the system's declared order.
+    rays, top = alphas[:, None] * d, alphas.max()
     nominal = obj.base if isinstance(obj, ActuatorSplit) else obj
-    evaluators = [lambda dd: reach.nominal_reach_time(nominal, dd, order=1).time]
+    pairs = [(reach.nominal_reach_time(nominal, top * d, 1), reach.nominal_times(nominal, rays))]
     if isinstance(obj, ActuatorSplit):
-        evaluators.append(lambda dd: reach.malfunctioning_reach_time(obj, dd, 1).time)
-
+        pairs.append(
+            (reach.malfunctioning_reach_time(obj, top * d, 1), reach.worst_times(obj, rays)))
     err = 0.0
-    for evaluate in evaluators:
-        base = evaluate(d)
-        if not math.isfinite(base) or base == 0.0:
-            continue
-        for a in scales:
-            scaled = evaluate(a * d)
-            err = max(err, abs(scaled - a * base) / (a * base))
+    for anchor, gauge in pairs:
+        lp_times = alphas / top * anchor.time
+        if math.isfinite(lp_times[0]) and lp_times[0] > 0.0:
+            err = max(err, float((np.abs(gauge - lp_times) / lp_times).max()))
     return err

@@ -13,10 +13,10 @@ optimizer are LP optima, started at the facet where the LP's own ray leaves
 the image (zonotope.Zonotope.start, named only when that LP is solved): B's for
 T_M*, B_bar's for T_N* only when the op's lp.reuse_scope keeps it.  T_M*
 screens its 2^p vertices with one gauge batch, which returns lam only, and
-solves one LP at the worst vertex; the batched malfunction_times and
-time_ratios answer the oracle scans from the gauge alone.  Each asks
-zonotope.build for the image its LPs are worth; a declined build (None:
-rank-deficient, or not worth its LPs) keeps the call on the LP path.
+solves one LP at the worst vertex; malfunction_times, nominal_times and
+worst_times (and time_ratios, their ratio) answer the oracle scans from the
+gauge alone, each asking zonotope.build for the image its LPs are worth; a
+declined build (None: rank-deficient, or not worth its LPs) keeps the LP path.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -232,28 +232,36 @@ def time_ratio(split: ActuatorSplit, d: np.ndarray, order: int | None = None) ->
     return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order).time)
 
 
+def nominal_times(sys: IntegratorSystem, directions: np.ndarray) -> np.ndarray:
+    """Order-1 T_N*(d) per row d: one gauge batch of B_bar's image with a zero shift, or
+    nominal_reach_time per row when that image is declined."""
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=len(directions))
+    if image is None:
+        return np.array([nominal_reach_time(sys, d, order=1).time for d in directions])
+    return _gauge_times(directions, image.scalings(directions, np.zeros(sys.n)))[:, 0]
+
+
+def worst_times(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
+    """Order-1 T_M*(d) per row d: one gauge batch of B's image over the W_c vertex shifts,
+    max over them, or malfunctioning_reach_time per row when that image is declined."""
+    vertices = _capped_vertices(split)
+    image = zonotope.build(split.b, split.u_min, split.u_max, lps=len(directions) * len(vertices))
+    if image is None:
+        return np.array([malfunctioning_reach_time(split, d, order=1).time for d in directions])
+    return _gauge_times(directions, image.scalings(directions, -(vertices @ split.c.T))).max(axis=1)
+
+
 def time_ratios(
     split: ActuatorSplit, directions: np.ndarray, order: int | None = None
 ) -> np.ndarray:
-    """t_k(d) for each (nonzero) row d of directions: time_ratio as two gauge batches.
-
-    One batch over the directions and W_c vertices for B, one over the
-    directions for B_bar; time_ratio per row instead when either image is
-    declined.
-    """
+    """t_k(d) for each (nonzero) row d of directions: time_ratio as the ratio of worst_times
+    and nominal_times, two gauge batches."""
     k = _resolve_order(split.base, order)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if not np.all(np.any(directions, axis=1)):
         raise LpError("every direction must be nonzero")
-    vertices = _capped_vertices(split)
-    base = split.base
-    lost = zonotope.build(split.b, split.u_min, split.u_max, lps=len(directions) * len(vertices))
-    full = zonotope.build(base.b_bar, base.u_min, base.u_max, lps=len(directions))
-    if lost is None or full is None:
-        return np.array([time_ratio(split, d, k) for d in directions])
-    t_m = _gauge_times(directions, lost.scalings(directions, -(vertices @ split.c.T))).max(axis=1)
-    t_n = _gauge_times(directions, full.scalings(directions, np.zeros(base.n)))[:, 0]
-    return ratio_of_times(order_k_time(t_m, k), order_k_time(t_n, k))
+    t_m = order_k_time(worst_times(split, directions), k)
+    return ratio_of_times(t_m, order_k_time(nominal_times(split.base, directions), k))
 
 
 def ratio_of_times(t_m, t_n):

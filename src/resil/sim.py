@@ -58,7 +58,7 @@ class Trajectory:
 
 
 def _sample_grid(horizon: float, dt: float) -> np.ndarray:
-    if dt <= 0.0:
+    if not dt > 0.0:  # nan fails it too
         raise ModelError(f"dt must be positive, got {dt}")
     if horizon < 0.0:
         raise ModelError(f"horizon must be nonnegative, got {horizon}")

@@ -207,6 +207,29 @@ def test_simulate_lag_with_trajectories(tmp_path, capsys):
     assert (tmp_path / "octo-vertical-lag-malfunctioning.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "dt, message",
+    [("-1", "dt must be positive"), ("0", "dt must be positive"),
+     ("nan", "dt must be positive"), ("0.05", "too coarse")],
+    ids=["negative", "zero", "nan", "coarser-than-tau-over-10"],
+)
+def test_simulate_bad_dt_is_an_input_error_before_output(tmp_path, capsys, dt, message):
+    argv = ["simulate", "octo-vertical-lag", "--tau", "0.1", f"--dt={dt}",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_oracle_grid_below_two_is_an_input_error(toy2_file, capsys):
+    argv = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "1",
+            "--samples", "0"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "error: points_per_axis must be >= 2" in err
+
+
 def test_simulate_vanishing_tau(capsys):
     code = cli.main(["simulate", "octo-vertical-lag", "--tau", "1e-4"])
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resil import lp
+from resil import lp, zonotope
 from resil.errors import LpError
 
 
@@ -249,6 +249,23 @@ def test_hint_at_optimal_basis_takes_no_pivots(toy1):
     cold, hinted = lp.solve(problem), lp.solve(problem, basis=[1, 3])
     assert cold.pivots > 0 and hinted.pivots == 0
     assert hinted.status == lp.OPTIMAL and hinted.value == cold.value == 3.0
+
+
+def test_hint_with_tied_twin_settles_without_pivots(highs):
+    # Columns 2 and 3 of M are parallel (m_3 = 2 m_2), so the nonbasic twin has
+    # reduced cost 0.  On the bound the start puts it (x3 = -0.5), the basic twin
+    # needs x2 = 3.2, outside [-1, 0.5]; moving x3 to 0.85 at no cost brings it to 0.5.
+    m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+    lo, hi = np.array([-1.0, -1.0, -0.5]), np.array([2.0, 0.5, 1.0])
+    d, shift = np.array([1.0, 0.0]), np.array([0.5, 2.2])
+    facet = zonotope.build(m, lo, hi, lps=1).start(d, shift)
+    assert facet.tolist() == [1]
+    problem = _scaling_problem(m, lo, hi, d, shift)
+    cold, started = lp.solve(problem), lp.solve(problem, basis=[*facet, 3])
+    assert cold.pivots > 0 and started.pivots == 0
+    assert started.status == lp.OPTIMAL and started.value == cold.value == 1.5
+    assert started.value == pytest.approx(highs.scaling(m, lo, hi, d, shift), rel=1e-12)
+    assert lo[2] < started.argument[2] < hi[2]
 
 
 @pytest.mark.parametrize(

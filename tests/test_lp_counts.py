@@ -96,10 +96,10 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # One image of B serves the grid, direction scan and homogeneity probe; one of
-    # B_bar the scan's directions and its resilience gate.  The op poses 13 LPs and
+    # B_bar the probe, the scan's directions and its resilience gate.  The op
     # solves its 6 distinct problems once each: T_M*(d) (grid theory, then the
-    # probe's T_M* at d, 0.5d, 2d and 10d, which normalize to the same LP), T_N*(d)
-    # (the probe's four points), and the T_M* and T_N* of t(+C) and of t(-C).
+    # probe's T_M*(10d), which normalizes to the same LP), the probe's T_N*(10d),
+    # and the T_M* and T_N* of t(+C) and of t(-C).
     # Each starts at the facet where its ray leaves its image, an optimal basis:
     # no pivots.
     assert zonotope_builds[0] == 2
@@ -111,9 +111,10 @@ def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # Every T_M* screens its vertices, reuse hit or not: the grid theory, t(+/-C) and
-    # the probe's four; with the grid scan, the gate's axes and time_ratios' two
-    # batches, 11 scalings.  Only a solved LP names its start facet: 6, one per solve.
-    assert (gauge_calls[0][0], zonotope_starts[0]) == (11, 6)
+    # the probe's T_M*(10d); with the grid scan, the gate's axes, time_ratios' two
+    # batches and the probe's two, 10 scalings.  Only a solved LP names its start
+    # facet: 6, one per solve.
+    assert (gauge_calls[0][0], zonotope_starts[0]) == (10, 6)
 
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
@@ -163,6 +164,42 @@ def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch
     assert solves == [(False, 8), (True, 0)]
 
 
+#: (octocopter-trans yaw, lost column, d, seed) of scan-workload oracle ops (plan seed 1)
+#: whose started LPs fell back to the cold start, 4, 4, 2 and 1 of them, before tied
+#: columns could move: each solves a facet with identical propeller columns.
+TIED_SCAN_OPS = [
+    ("161.4294515996179", "4", "0.49709871326222227,-0.1505085557139634,0.8545408380703287",
+     "43088"),
+    ("213.0624223918022", "1", "0.8771063637542513,0.45491796338586604,-0.15405866821003836",
+     "15094"),
+    ("89.73605492794793", "2", "-0.39328716740296693,-0.8301406211138712,0.39521102354669574",
+     "56226"),
+    ("258.7604700318183", "3", "-0.3288273501628524,0.321941091883503,0.887821213500632",
+     "34010"),
+]
+
+
+@pytest.mark.parametrize(
+    "yaw, lost, d, seed", TIED_SCAN_OPS, ids=[f"yaw{op[0][:3]}-lost{op[1]}" for op in TIED_SCAN_OPS]
+)
+def test_oracle_tied_facets_take_no_cold_start(monkeypatch, capsys, yaw, lost, d, seed):
+    solves = []  # (started, pivots) per lp.solve
+    real = lp.solve
+
+    def recording(problem, basis=None):
+        out = real(problem, basis)
+        solves.append((basis is not None, out.pivots))
+        return out
+
+    monkeypatch.setattr(lp, "solve", recording)
+    argv = ["oracle", "--model", f"catalog:octocopter-trans:{yaw}", "--lost", lost,
+            f"--direction={d}", "--grid", "21", "--samples", "60", "--seed", seed]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # Every LP starts at its facet, and a start that settles takes no pivot.
+    assert solves and solves == [(True, 0)] * len(solves)
+
+
 def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, capsys):
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
     assert cli.main(SCAN_OP) == 0
@@ -172,7 +209,8 @@ def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, c
     # grid's two end points are those vertices), the gate's 2n + 2 = 8 (its
     # T_N* along +/-e3 are t(+/-C)'s, the lost column lying along e3), t(+/-C)'s
     # 2 x 2 vertex LPs, 60 directions x 3, and T_N*(d) of the homogeneity probe,
-    # whose other 3 T_N* and 4 x 2 vertex LPs repeat T_N*(d) and the grid theory.
+    # whose other T_N* (at 0.5d, 2d and 10d) and 5 x 2 vertex LPs repeat T_N*(d)
+    # and the grid theory.
     assert zonotope_builds[0] == 0
     assert lp_solves[0] == 2 + 19 + 8 + 4 + 180 + 1 == 214
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from resil import catalog, cli, lp, oracle, zonotope
-from resil.errors import CapacityError, LpError, UnsupportedLossError
+from resil.errors import CapacityError, LpError, ResilError, UnsupportedLossError
 from resil.model import IntegratorSystem, split
 from resil.resilience import quantitative_resilience
 
@@ -40,8 +40,10 @@ def test_grid_capacity():
     sp = split(sys, tuple(range(1, 9)))
     with pytest.raises(CapacityError, match="exceeds"):
         oracle.grid_worst_w(sp, [1.0], 101)
-    with pytest.raises(CapacityError, match=">= 2"):
+    # Too few points per axis is a bad input, not a capacity fault.
+    with pytest.raises(ResilError, match=">= 2") as info:
         oracle.grid_worst_w(sp, [1.0], 1)
+    assert not isinstance(info.value, CapacityError)
 
 
 def test_grid_zero_direction(toy2_split):
@@ -123,6 +125,29 @@ def test_homogeneity_fault_caught_without_scope(inhomogeneous_lp, toy2_split):
     assert oracle.homogeneity_probe(toy2_split, [-1.0], SCALES) > 1e-6
 
 
+@pytest.fixture
+def inhomogeneous_gauge(monkeypatch):
+    """Zonotope.scalings with lam[i] scaled by 1 + 1e-6 |d_i|: a homogeneity fault."""
+    real = zonotope.Zonotope.scalings
+
+    def faulty(self, directions, shifts):
+        lam = real(self, directions, shifts)
+        return lam * (1.0 + 1e-6 * np.linalg.norm(np.atleast_2d(directions), axis=1))[:, None]
+
+    monkeypatch.setattr(zonotope.Zonotope, "scalings", faulty)
+
+
+def test_homogeneity_fault_in_gauge_caught(inhomogeneous_gauge, tmp_path, capsys):
+    # The scans' rays are unit, so only the probe's 10d sees the fault: its gauge
+    # time there is 1e-5 relative short of the LP's.
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", "--model", "catalog:octocopter-trans:0", "--lost", "1",
+            "-d", "0,0,-1", "--grid", "21", "--samples", "60", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    capsys.readouterr()
+    assert json.loads(out.read_text())["homogeneity_error"] > 1e-6
+
+
 def test_unit_directions_shape_and_norm():
     d = oracle._unit_directions(6, 64, seed=5)
     assert d.shape == (64, 6)
@@ -170,18 +195,19 @@ def _op_scans(sp, scope: bool):
 
 def test_scans_same_with_given_images(image_split, zonotope_builds):
     # In the op's scope the scans find the images op_images built (B's, and
-    # B_bar's when the direction scan runs), and give what their own builds
-    # give without a scope.
+    # B_bar's for the homogeneity probe and the direction scan), and give what
+    # their own builds give without a scope.
     scoped = _op_scans(image_split, scope=True)
-    assert zonotope_builds[0] == 1 + (image_split.p == 1)
+    assert zonotope_builds[0] == 2
     assert scoped == _op_scans(image_split, scope=False)
 
 
 def test_op_images_checks_op_before_building(toy2_split, zonotope_builds):
     with pytest.raises(LpError):
         oracle.op_images(toy2_split, [0.0], 11, 40, len(SCALES))
-    with pytest.raises(CapacityError):
+    with pytest.raises(ResilError, match=">= 2") as info:
         oracle.op_images(toy2_split, [-1.0], 1, 40, len(SCALES))
+    assert not isinstance(info.value, CapacityError)
     assert zonotope_builds[0] == 0
 
 
