@@ -50,12 +50,17 @@ def _parse_lost(text: str, total: int) -> list[int]:
         i = int(part)
         if not 1 <= i <= total:
             raise ResilError(f"--lost index {i} out of range 1..{total}")
+        if i - 1 in out:
+            raise ResilError(f"--lost index {i} repeated")
         out.append(i - 1)
     return out
 
 
 def _parse_direction(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+    d = np.array([float(v) for v in text.split(",")])
+    if not np.isfinite(d).all():
+        raise ResilError(f"--direction {text} has a non-finite component")
+    return d
 
 
 def _write_out(path: str | None, doc: object) -> None:
@@ -112,6 +117,8 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 def cmd_reach(args: argparse.Namespace) -> int:
     sys_model = _load_model(args.model)
     d = _parse_direction(args.direction)
+    columns = _parse_lost(args.lost, sys_model.n_inputs) if args.lost else []
+    sp = split(sys_model, tuple(columns)) if columns else None  # raises before any output
     result = reach.nominal_reach_time(sys_model, d, order=args.order)
     print(f"T_N*(d) = {_human(result.time)}")
     doc: dict = {"system": sys_model.name, "d": [float(v) for v in d]}
@@ -119,9 +126,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
     if result.optimizer_u is not None:
         print(f"optimal u = {np.round(result.optimizer_u, 9).tolist()}")
         doc["optimizer_u"] = [float(v) for v in result.optimizer_u]
-    if args.lost:
-        columns = _parse_lost(args.lost, sys_model.n_inputs)
-        sp = split(sys_model, tuple(columns))
+    if sp is not None:
         m = reach.malfunctioning_reach_time(sp, d, order=args.order)
         print(f"T_M*(d) = {_human(m.time)}")
         doc["lost_columns"] = [c + 1 for c in columns]

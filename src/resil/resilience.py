@@ -117,17 +117,14 @@ def lambda_pair(split: ActuatorSplit) -> tuple[float, float]:
 
 def _lambda_pairs(sys: IntegratorSystem, columns, image: Zonotope | None) -> list[tuple]:
     """lambda_pair of each nonzero column of sys from one image.lambdas_without pass, lam
-    kept where lam |C| passes lp.lambda_threshold; 2 LPs where the other columns have
-    rank < n, or without an image."""
+    kept where lam |C| passes lp.lambda_threshold (so a flat Z_j gives 0, as C_j leaves
+    the span of the other columns); by 2 LPs each without an image."""
     cols = np.asarray(columns, dtype=int)
     if image is None:
         return [lambda_pair(make_split(sys, col)) for col in cols.tolist()]
-    lams, solid = image.lambdas_without(cols)
-    lams = lams * ((sys.u_max - sys.u_min) / 2.0)[cols, None]
+    lams = image.lambdas_without(cols) * ((sys.u_max - sys.u_min) / 2.0)[cols, None]
     norms = np.linalg.norm(sys.b_bar, axis=0)[cols, None]
-    lams = np.where(lams * norms > lp.UNIT_THRESHOLD, lams, 0.0)
-    return [tuple(lam) if full else lambda_pair(make_split(sys, col))
-            for col, lam, full in zip(cols.tolist(), lams.tolist(), solid)]
+    return list(map(tuple, np.where(lams * norms > lp.UNIT_THRESHOLD, lams, 0.0).tolist()))
 
 
 def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tuple[float, float]:
@@ -158,7 +155,7 @@ def sweep(
 
     One zonotope.build of B_bar decides controllability, and one leave-one-out pass
     of its image (Zonotope.lambdas_without) every lam+/-; where the build declines,
-    LPs do: 2n, plus 2 per nonzero column (and 2 per column the pass leaves).
+    LPs do: 2n, plus 2 per nonzero column.
     """
     k = reach._resolve_order(sys, order)
     splits = [make_split(sys, col) for col in columns]

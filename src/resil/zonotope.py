@@ -14,7 +14,8 @@ with index and sign tables (_wedges) made once per (m, n).  Rows scaled to max-n
 is invariant under that scaling) and unit generators keep the normals exact on badly
 scaled matrices; supports are evaluated at the normals computed, so every kept inequality
 is valid for Z.  Without column j the normals of subsets without j remain, their supports
-summed over the other columns (Zonotope.lambdas_without): no share is subtracted.
+summed over the other columns (Zonotope.lambdas_without): no share is subtracted, and
+no rank is tested, since a flat Z_j gives lam = 0 up to rounding.
 
 Every reach time is a gauge of such an image: lp.max_scaled_direction(M, lower, upper,
 d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in Z, one simplex per pair;
@@ -126,21 +127,18 @@ class Zonotope:
                       np.sqrt(scaled @ scaled), None)])
         return None if row < 0 else self.subsets[row % len(self.plus)]
 
-    def lambdas_without(self, columns) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, solid): lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].
+    def lambdas_without(self, columns) -> np.ndarray:
+        """lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].
 
         g_j = M_j (upper_j - lower_j)/2 and Z_j is the image without column j.  lam is
-        decided by _exit, as scalings' is (nan: infeasible); solid[i] is False where the
-        other generators have rank < n (Z_j is flat).
+        decided by _exit, as scalings' is (nan: infeasible).  Where Z_j is flat, its
+        facets from the other columns bound the hyperplane it lies in, which g_j leaves
+        (the whole image has rank n): lam is 0 up to rounding, or nan.
         """
         cols, norms = np.asarray(columns, dtype=int), np.sqrt((self.generators**2).sum(axis=0))
         if not (norms[cols] > 0.0).all():
             raise LpError("a zero column has no lambda pair")
-        n, m = self.generators.shape
-        solid, step = np.empty(len(cols), dtype=bool), max(1, BLOCK_ELEMENTS // (n * m))
-        for i in range(0, len(cols), step):
-            stacks = self.generators * (cols[i : i + step, None, None] != np.arange(m))
-            solid[i : i + step] = _full_rank(stacks)
+        m = self.generators.shape[1]
         centers, rows = _others(self.centers.T), max(1, BLOCK_ELEMENTS // (2 * m))
 
         def blocks():  # Z_j's slabs lack j in subsets; -g_j meets (h+, h-) as g_j (h-, h+)
@@ -153,7 +151,7 @@ class Zonotope:
                 sides = np.where(holds[cols], np.inf, [offset + width, width - offset])
                 yield f, sides, sides[::-1], toward[cols], norms[cols, None], np.maximum(*sides)
 
-        return _exit(blocks()).T, solid
+        return _exit(blocks()).T
 
 
 def _exit(blocks):
@@ -185,16 +183,6 @@ def _exit(blocks):
         least = np.minimum(least, bound) if first else bound
     lam = np.maximum(least, 0.0)
     return np.where(lam >= floor, lam, np.nan)  # floor is never nan: +inf stays
-
-
-def _full_rank(generators: np.ndarray) -> np.ndarray:
-    """rank n per (..., n, m) stack of unit-normalized generators: n nonzero ones
-    at least, and RANK_RTOL on the singular values (zero ones add none)."""
-    norms = np.sqrt((generators * generators).sum(axis=-2, keepdims=True))
-    nonzero = norms > 0.0
-    sv = np.linalg.svd(generators / np.where(nonzero, norms, 1.0), compute_uv=False)
-    enough = nonzero.sum(axis=(-2, -1)) >= generators.shape[-2]
-    return enough & (sv[..., -1] > RANK_RTOL * sv[..., 0])
 
 
 def _others(terms: np.ndarray) -> np.ndarray:
@@ -232,17 +220,18 @@ def _image(m, lower, upper, nonzero) -> Zonotope | None:
     n = m.shape[0]
     gens = m * ((upper - lower) / 2.0)
     scale = np.abs(gens).max(axis=1)
-    if np.any(scale == 0.0):
+    if np.any(scale == 0.0) or len(nonzero) < n:  # an empty matrix never reaches svd
         return None
     gens = gens / scale[:, None]
-    if not _full_rank(gens):
+    unit = gens[:, nonzero] / np.linalg.norm(gens[:, nonzero], axis=0)
+    sv = np.linalg.svd(unit, compute_uv=False)
+    if not sv[-1] > RANK_RTOL * sv[0]:
         return None
     centers = m * ((lower + upper) / 2.0) / scale[:, None]
 
     # Normal a_i = (-1)^i det(rows other than i) of n - 1 unit generators, grown along
     # _wedges' levels; its length is their (n-1)-volume, at most RANK_RTOL: no facet.
-    unit, cofactors = gens[:, nonzero] / np.linalg.norm(gens[:, nonzero], axis=0), np.ones((1, 1))
-    subsets, levels = _wedges(len(nonzero), n)
+    cofactors, (subsets, levels) = np.ones((1, 1)), _wedges(len(nonzero), n)
     for table, parent, column in levels:
         cofactors = (unit.T @ (cofactors @ table).reshape(len(cofactors), n, -1))[parent, column]
     volume = np.linalg.norm(cofactors, axis=1)

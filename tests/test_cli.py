@@ -130,6 +130,31 @@ def test_ratio_direction_of_wrong_length(d, capsys):
     assert "direction must have length 3" in capsys.readouterr().err
 
 
+def test_reach_lost_out_of_range_prints_nothing(capsys):
+    argv = ["reach", "--model", "catalog:octocopter-trans:0", "-d", "0,0,1", "--lost", "9"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "--lost index 9 out of range 1..8" in err
+
+
+@pytest.mark.parametrize("cmd", [["reach"], ["ratio", "--lost", "1"],
+                                 ["oracle", "--lost", "1", "--grid", "2", "--samples", "5"]])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_direction_is_an_input_error(cmd, bad, capsys):
+    argv = [cmd[0], "--model", "catalog:octocopter-trans:0", *cmd[1:], f"--direction={bad},0,1"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "non-finite component" in err
+
+
+@pytest.mark.parametrize("cmd", [["check"], ["reach", "-d", "0,0,1"]])
+def test_repeated_lost_column_is_an_input_error(cmd, capsys):
+    argv = [cmd[0], "--model", "catalog:octocopter-trans:0", *cmd[1:], "--lost", "1,1"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "--lost index 1 repeated" in err
+
+
 def test_check_order_zero(capsys):
     code = cli.main(["check", "--model", "catalog:octocopter-rot", "--lost", "1", "--order", "0"])
     assert code == cli.EXIT_INPUT

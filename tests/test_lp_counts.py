@@ -50,12 +50,13 @@ def test_check_declined_build_lp_count(lp_solves, capsys):
 
 def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, monkeypatch):
     # Column 2 is TOY1's only one along e2: without it the kept generators
-    # have rank 1, so that column alone takes its two lambda+/- LPs.
+    # have rank 1 and C lies outside their span, so the pass gives its
+    # lambda+/- as 0 after the cut, with no LP.
     image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
     assert image is not None
-    assert image.lambdas_without([0, 1, 2])[1].tolist() == [True, False, True]
+    assert resilience._lambda_pairs(toy1, [1], image) == [(0.0, 0.0)]
     reports = resilience.sweep(toy1, range(3))
-    assert lp_solves[0] == 2
+    assert lp_solves[0] == 0
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
     for got, ref in zip(reports, resilience.sweep(toy1, range(3))):
         reports_agree(got, ref)
