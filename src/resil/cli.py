@@ -8,11 +8,14 @@ printed as the symbol "∞" in human output and serialized as the string "inf"
 in machine (JSON) output.
 
 Exit codes: 0 success, 1 input error, 2 capacity error, 3 oracle violation.
+
+`main` parses with one parser per process, built at its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -181,9 +184,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_out(args.out, {"scenario": args.scenario, "ratio_bangbang": bang})
         return EXIT_OK
     if args.scenario == "octo-vertical-lag":
-        smooth, bang = sim.smooth_reach_ratio(params, d, args.target_speed, tau=args.tau)
+        scenario = sim.vertical_scenario(params, d)
+        smooth, bang = sim.smooth_reach_ratio(params, d, args.target_speed, args.tau, scenario)
         if args.out_dir:  # before any output, so that a bad --dt prints nothing
-            sys_model, nominal, malf, u_malf = sim.vertical_scenario(params, d)  # reuse hits
+            sys_model, nominal, malf, u_malf = scenario
             horizon = 5.0 * max(nominal.time, malf.time) * args.target_speed
             for tag, u in (("nominal", nominal.optimizer_u), ("malfunctioning", u_malf)):
                 traj = sim.integrate_with_lag(
@@ -267,9 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main keeps; parse_args writes only to a fresh Namespace.  Its
+#: set_defaults(func=cmd_*) binds the command functions of its first build.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with lp.reuse_scope():  # an LP posed twice within the op is solved once
             return args.func(args)

@@ -210,6 +210,7 @@ def smooth_reach_ratio(
     d: np.ndarray,
     target_speed: float,
     tau: float | None = None,
+    scenario: tuple | None = None,
 ) -> tuple[float, float]:
     """(ratio_smooth, ratio_bangbang) for the vertical octocopter scenario.
 
@@ -217,6 +218,7 @@ def smooth_reach_ratio(
     without first-order propeller lag, and returns the ratios of the times the
     speed along d first reaches target_speed.  Both crossings are closed forms in
     the rate a = d . B u: target/a without lag, `lag_crossing(a, target, tau)` with it.
+    A caller that also needs the scenario passes `vertical_scenario(params, d)`.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not (d.shape == (3,) and d[0] == 0.0 and d[1] == 0.0 and d[2] in (-1.0, 1.0)):
@@ -226,7 +228,7 @@ def smooth_reach_ratio(
     if tau is None:
         tau = params.tau
 
-    sys, nominal, _malf, u_bar_malf = vertical_scenario(params, d)
+    sys, nominal, _malf, u_bar_malf = scenario or vertical_scenario(params, d)
     rate_n = float(d @ (sys.b_bar @ nominal.optimizer_u))
     rate_m = float(d @ (sys.b_bar @ u_bar_malf))
     smooth = lag_crossing(rate_m, target_speed, tau) / lag_crossing(rate_n, target_speed, tau)

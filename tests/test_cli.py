@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, machine-readable output."""
 
+import argparse
 import json
 
 import numpy as np
@@ -277,3 +278,55 @@ def test_machine_output_deterministic(toy2_file, tmp_path):
     cli.main(["check", "--model", toy2_file, "--lost", "all", "--out", str(a)])
     cli.main(["check", "--model", toy2_file, "--lost", "all", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_main_builds_one_parser_per_process(toy2_file, monkeypatch, capsys):
+    inits = [0]
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        inits[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser()
+    one_build = inits[0]
+    cli._parser.cache_clear()
+    for argv in (["catalog-list"],
+                 ["check", "--model", "catalog:octocopter-trans:0", "--lost", "1"],
+                 ["ratio", "--model", "catalog:octocopter-trans:0", "--lost", "1", "-d", "0,0,1"],
+                 ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "11"],
+                 ["simulate", "octo-vertical-bang"]):
+        assert cli.main(argv) == 0
+    assert inits[0] - one_build == one_build
+
+
+def _op(argv, out_path, capsys):
+    """(exit code, stdout, stderr, --out JSON or None) of one cli.main call."""
+    out_path.unlink(missing_ok=True)
+    try:
+        code = cli.main(argv + ["--out", str(out_path)])
+    except SystemExit as exc:  # --help and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, out_path.read_text() if out_path.exists() else None
+
+
+def test_kept_parser_matches_a_fresh_one(toy2_file, tmp_path, monkeypatch, capsys):
+    check = ["check", "--model", "catalog:octocopter-trans:0", "--lost", "1"]
+    oracle = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "11"]
+    ops = [check + ["--order", "2"], check,
+           oracle + ["--samples", "0"], oracle,
+           check + ["--bogus"], check,
+           ["--help"], check,
+           ["check", "--help"], oracle]
+    out_path = tmp_path / "op.json"
+    cli._parser.cache_clear()
+    kept = [_op(argv, out_path, capsys) for argv in ops]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per op
+    fresh = [_op(argv, out_path, capsys) for argv in ops]
+    assert kept == fresh
+    assert [k[0] for k in kept] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert kept[0][1] != kept[1][1] and kept[2][1] != kept[3][1]
+    assert kept[4][1] == "" and kept[4][2].startswith("usage: resil")
+    assert kept[4][3] is None and kept[6][1].startswith("usage: resil")

@@ -308,14 +308,15 @@ def test_library_calls_outside_a_scope_solve_every_lp(lp_solves):
     assert lp_solves[0] == 2 * once
 
 
-def test_simulate_out_dir_lp_count(lp_solves, capsys, tmp_path):
+def test_simulate_out_dir_lp_count(lp_solves, gauge_calls, capsys, tmp_path):
     argv = ["simulate", "octo-vertical-lag", "--tau", "0.05"]
     assert cli.main(argv) == 0
-    without = lp_solves[0]
+    without, screens = lp_solves[0], gauge_calls[0][0]
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    # T_N* and the screened T_M* once each; the trajectories reuse them.
+    # T_N* and the screened T_M* once each; the trajectories reuse the scenario.
     assert lp_solves[0] - without == without == 2
+    assert gauge_calls[0][0] - screens == screens == 1
 
 
 def _assert_sweep_matches(sys, order, reports_agree):

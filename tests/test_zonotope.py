@@ -482,6 +482,22 @@ def test_simplex_singular_basis(highs):
     assert resilience.lambda_pair(sp) == pytest.approx(_highs_lambdas(highs, sp), rel=REL)
 
 
+@pytest.mark.xfail(strict=True, reason="simplex fault: status zero on an infeasible lam LP")
+def test_simplex_zero_status_matches_highs(highs):
+    # test_scalings_match_lp_and_highs's seed 30089: direction 1 and the W_c
+    # vertex shift -C w_max lie 3.5 % of a slab's extent outside B's image.
+    # The simplex returns a point whose residual, 1.3e-4 of |s| = 2.5e-6,
+    # passes its absolute feasibility test.
+    sp, rng = _random_split(30089)
+    d = (rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1)))[1]
+    s = -(reach.w_vertices(sp) @ sp.c.T)[1]
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    assert math.isnan(zono.scalings(d[None], s[None])[0, 0])
+    assert highs.scaling(sp.b, sp.u_min, sp.u_max, d / np.linalg.norm(d), s) is None
+    ref = lp.max_scaled_direction(sp.b, sp.u_min, sp.u_max, d, rhs_shift=s)
+    assert ref.status == lp.NEGATIVE_CERTIFICATE
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_lambdas_without_matches_build(seed):
