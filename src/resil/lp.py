@@ -2,13 +2,14 @@
 
 This is the oracle behind reach times and lambda+/-, and the fallback of the
 batched zonotope gauge (zonotope.py).  It solves every reported reach time and
-optimizer (T_M* screens its vertices with the gauge, then solves one LP at the
-worst one), lambda+/- and controllability outside resilience.sweep, and every
-batch whose H-representation zonotope.build declines.  The problems are tiny
-(at most ~15 variables, ~6 equality rows), so the solver is a hand-rolled
-two-phase bounded-variable simplex rather than a call into a general-purpose
-package: it is bitwise deterministic (Bland's anti-cycling rule, no randomized
-or tie-breaking-by-magnitude pivoting).
+optimizer (T_M* takes its worst vertex from the gauge's eroded facets, or
+screens its vertices with it, then solves one LP there), lambda+/- and
+controllability outside resilience.sweep, and every batch whose
+H-representation zonotope.build declines.  The problems are tiny (at most ~15
+variables, ~6 equality rows), so the solver is a hand-rolled two-phase
+bounded-variable simplex rather than a call into a general-purpose package: it
+is bitwise deterministic (Bland's anti-cycling rule, no randomized or
+tie-breaking-by-magnitude pivoting).
 
 solve can start from a given basis (a crash basis, Bixby 1992): reach LPs pass
 the n - 1 columns of M spanning the facet where the ray leaves the box image

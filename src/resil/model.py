@@ -94,7 +94,8 @@ class ActuatorSplit:
         lost = tuple(int(i) for i in self.lost_columns)
         if len(lost) < 1:
             raise ModelError("at least one lost column is required")
-        if len(set(lost)) != len(lost):
+        lost_set = set(lost)
+        if len(lost_set) != len(lost):
             raise ModelError(f"duplicate lost column in {lost}")
         for i in lost:
             if not 0 <= i < total:
@@ -103,7 +104,7 @@ class ActuatorSplit:
             raise ModelError("at least one kept column is required")
         object.__setattr__(self, "lost_columns", lost)
         object.__setattr__(
-            self, "kept_columns", tuple(j for j in range(total) if j not in set(lost))
+            self, "kept_columns", tuple(j for j in range(total) if j not in lost_set)
         )
 
     @property

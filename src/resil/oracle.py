@@ -80,9 +80,10 @@ def op_images(split: ActuatorSplit, d: np.ndarray, points_per_axis: int, samples
     """Build B's and B_bar's images into the op's lp.reuse_scope, after grid_worst_w's checks.
 
     Each is offered every scan's LPs, so the scans find it kept (or declined): B's the grid
-    points and 2^p LPs per T_M* screen (grid theory, 1 + `probes` homogeneity points,
-    t(+/-C) and each scan direction); B_bar's the 1 + `probes` homogeneity points and,
-    when the direction scan runs (samples > 0), its directions and the 2n + 2 LPs of its gate.
+    points and the 2^p vertex LPs each T_M* replaces (grid theory, 1 + `probes`
+    homogeneity points, t(+/-C) and each scan direction); B_bar's the 1 + `probes`
+    homogeneity points and, when the direction scan runs (samples > 0), its directions and
+    the 2n + 2 LPs of its gate.
     """
     _grid_direction(split, d, points_per_axis)
     base, scan = split.base, (2 + samples if samples > 0 else 0)

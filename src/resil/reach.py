@@ -4,7 +4,10 @@ All computations go through the lam = 1/T transformation: the minimal time to
 cover a target distance d with a constant input is 1/lam*, where lam* is the
 largest nonnegative scaling of d realizable inside the input box.  The worst
 constant adversarial input is always a vertex of the box W_c, so T_M* is a
-maximum over the 2^p vertices.
+maximum over the 2^p vertices.  While every -C w lies inside the image of B, the
+worst vertex is the one attaining the facet where the ray leaves that image
+eroded by -C W_c (its Minkowski difference), read off the facets with no
+vertex enumerated.
 
 Two engines compute lam*: the simplex LP of lp.max_scaled_direction, one solve
 per query, and the facet inequalities of the box image (zonotope.py), one
@@ -12,8 +15,9 @@ batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
 optimizer are LP optima, started at the facet where the LP's own ray leaves
 the image (zonotope.Zonotope.start, named only when that LP is solved): B's for
 T_M*, B_bar's for T_N* only when the op's lp.reuse_scope keeps it.  T_M*
-screens its 2^p vertices with one gauge batch, which returns lam only, and
-solves one LP at the worst vertex; malfunction_times, nominal_times and
+takes its worst vertex from B's eroded facets (zonotope.Zonotope.worst_vertex),
+or else screens its 2^p vertices with one gauge batch, which returns lam only,
+and solves one LP at that vertex; malfunction_times, nominal_times and
 worst_times (and time_ratios, their ratio) answer the oracle scans from the
 gauge alone, each asking zonotope.build for the image its LPs are worth; a
 declined build (None: rank-deficient, or not worth its LPs) keeps the LP path.
@@ -33,14 +37,10 @@ import numpy as np
 from . import lp, zonotope
 from .errors import CapacityError, LpError, ModelError
 from .model import ActuatorSplit, IntegratorSystem
+from .zonotope import VERTEX_TIE_RTOL
 
 #: Cap on the number of lost columns in vertex enumeration (2^p vertices).
 P_MAX_DEFAULT = 20
-
-#: Screened vertex times within this relative distance of the largest count as
-#: tied; the lowest lexicographic index among them is the worst vertex.  The
-#: gauge agrees with the LP to about 1e-13 relative on the catalog systems.
-VERTEX_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,15 @@ def w_vertices(split: ActuatorSplit) -> np.ndarray:
     return np.array(list(itertools.product(*axes)), dtype=float)
 
 
-def _capped_vertices(split: ActuatorSplit) -> np.ndarray:
+def _check_capacity(split: ActuatorSplit) -> None:
     if split.p > P_MAX_DEFAULT:
         raise CapacityError(
             f"vertex enumeration needs 2^{split.p} vertices; cap is p_max={P_MAX_DEFAULT}"
         )
+
+
+def _capped_vertices(split: ActuatorSplit) -> np.ndarray:
+    _check_capacity(split)
     return w_vertices(split)
 
 
@@ -184,12 +188,13 @@ def malfunctioning_reach_time(
 ) -> ReachResult:
     """Worst-case reach time T_M*(d): max over the vertices of W_c.
 
-    Ties between vertices are broken toward the lowest lexicographic vertex
-    index, and the first vertex with an infinite time wins, so the reported
-    optimizer_w is deterministic.  One gauge batch screens all vertices and one
-    LP at the worst of them gives the time and optimizer_u.  Every vertex gets
-    its LP when the image of B is declined, or when that LP and the screen
-    disagree on whether the time is finite.
+    The worst vertex comes from B's eroded slabs (zonotope.Zonotope.worst_vertex, the
+    first in lexicographic order on ties, as the screen's), and one LP there gives the
+    time and optimizer_u.  Where those slabs cannot tell, one gauge batch screens
+    all vertices: ties within VERTEX_TIE_RTOL go to the lowest lexicographic vertex index,
+    and the first vertex with an infinite time wins.  Every vertex gets its LP when the
+    image of B is declined, when the LP at the eroded slabs' vertex is infinite, or when
+    the LP at the screened vertex and the screen disagree on whether the time is finite.
     """
     k = _resolve_order(split.base, order)
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -197,20 +202,23 @@ def malfunctioning_reach_time(
         raise LpError(f"direction must have length {split.base.n}, got shape {d.shape}")
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
-    vertices = _capped_vertices(split)
-    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=len(vertices))
+    _check_capacity(split)
+    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=2**split.p)
+    vertices = None  # enumerated at most once, by the screen or the LP fallback
     if zono is not None:
-        screened = _gauge_times(d, zono.scalings(d, -(vertices @ split.c.T)))[0]
-        worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
-        t1, u = _order1_time(_vertex_lp(split, vertices[worst], d, zono))
-        if math.isinf(t1) == math.isinf(screened[worst]):
-            return ReachResult(
-                time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=vertices[worst]
-            )
+        w, finite = zono.worst_vertex(d, split.c, split.w_min, split.w_max), True
+        if w is None:
+            vertices = w_vertices(split)
+            screened = _gauge_times(d, zono.scalings(d, -(vertices @ split.c.T)))[0]
+            worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
+            w, finite = vertices[worst], math.isfinite(screened[worst])
+        t1, u = _order1_time(_vertex_lp(split, w, d, zono))
+        if math.isfinite(t1) == finite:
+            return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
     best_time = -1.0
     best_w: np.ndarray | None = None
     best_u: np.ndarray | None = None
-    for w in vertices:
+    for w in w_vertices(split) if vertices is None else vertices:
         t1, u = _order1_time(_vertex_lp(split, w, d, zono))
         if math.isinf(t1):
             return ReachResult(time=math.inf, order=k, optimizer_w=w)

@@ -23,6 +23,9 @@ Zonotope.scalings answers a batch of (direction, shift) pairs from a few array p
 over the slabs.  One kernel, _exit, reads each slab once to decide how far each ray
 goes, for scalings and lambdas_without, which return lam only; for Zonotope.start's
 one ray it names the facet where that ray leaves Z instead, the basis an LP starts at.
+Zonotope.worst_vertex asks it how far one ray goes through each slab of Z eroded by
+-C W: the first slabs it leaves by name T_M*'s worst vertex, and no 2^p vertices are
+screened.
 
 build() declines (None: callers keep to the LP path) as its docstring says, and keeps
 each image in the op's lp.reuse_scope.
@@ -58,6 +61,14 @@ RANK_RTOL = 1e-10
 #: A facet whose normal makes |a.d| at or below this fraction of |d| with the
 #: (scaled) direction is parallel to it: it bounds no lam, it only has to hold.
 PARALLEL_RTOL = 1e-12
+
+#: Screened vertex times within this relative distance of the largest count as
+#: tied; the lowest lexicographic index among them is the worst vertex.  The
+#: gauge agrees with the LP to about 1e-13 relative on the catalog systems.
+#: Zonotope.worst_vertex applies the same rule to the eroded facets: those the
+#: ray leaves within this fraction of the first are tied, and so are the two
+#: bounds of an axis that move such a facet's side by at most this fraction.
+VERTEX_TIE_RTOL = 1e-12
 
 #: Elements of one block of rays x slabs that _exit takes at once (scalings: all slabs for a
 #: chunk of directions x shifts, at least one pair; lambdas_without: BLOCK_ELEMENTS / 2m slabs
@@ -126,6 +137,40 @@ class Zonotope:
         row = _exit([(0, self.plus - shifted, self.minus + shifted, self.normals @ scaled,
                       np.sqrt(scaled @ scaled), None)])
         return None if row < 0 else self.subsets[row % len(self.plus)]
+
+    def worst_vertex(self, d: np.ndarray, c: np.ndarray, w_min: np.ndarray,
+                     w_max: np.ndarray) -> np.ndarray | None:
+        """The vertex w of W = [w_min, w_max] minimizing max{lam >= 0 : lam d/|d| - C w in Z},
+        None where the slabs cannot tell.
+
+        While every -C w lies inside Z, that minimum is where the ray leaves Z minus -C W
+        (Minkowski difference): Z's slabs with the eroded sides plus + sum_j min(t_j w_min_j,
+        t_j w_max_j) and minus - sum_j max(...), t = a.C (Althoff, arXiv:1512.02794).  _exit
+        reads each slab's own exit.  On each slab the ray leaves by within VERTEX_TIE_RTOL of
+        the first, w takes the bound minimizing t.w on the +a side, maximizing it on the -a
+        side, and w_min where the two move that side (so lam) by at most VERTEX_TIE_RTOL of it
+        (t_j of a C_j twin to a facet's columns rounds to about 1e-17, not 0).  Of those
+        vertices, all worst, w is the first in lexicographic order, as the screen's.  None
+        when an eroded side is at most lp.FEAS_TOL extent, or the ray leaves unbounded or at
+        lam_hat <= lp.UNIT_THRESHOLD (an infinite time).
+        """
+        t = self.normals @ (c / self.scale[:, None])
+        low, high = t * w_min, t * w_max
+        plus = self.plus + np.minimum(low, high).sum(axis=1)
+        minus = self.minus - np.maximum(low, high).sum(axis=1)
+        if not (np.minimum(plus, minus) > lp.FEAS_TOL * self.extent).all():
+            return None
+        scaled = d / np.sqrt(d @ d) / self.scale
+        toward = self.normals @ scaled
+        lam = _exit([(0, plus[:, None], minus[:, None], toward[:, None],  # lam per slab
+                      np.sqrt(scaled @ scaled), self.extent[:, None])])
+        least = lam.min()
+        if not lp.UNIT_THRESHOLD < least < math.inf:
+            return None
+        # w_max moves the side each slab's ray meets by sign(toward) (high - low): worse past tol
+        near = np.where(toward > 0.0, plus, minus)
+        worse = np.sign(toward)[:, None] * (high - low) < -VERTEX_TIE_RTOL * near[:, None]
+        return np.where(min(worse[lam * (1.0 - VERTEX_TIE_RTOL) <= least].tolist()), w_max, w_min)
 
     def lambdas_without(self, columns) -> np.ndarray:
         """lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].

@@ -70,7 +70,7 @@ def _ratio_case(model, lost, d, p, lps):
 @pytest.mark.parametrize(
     "model, lost, d, p, lps",
     [
-        # One LP at the worst of the 2^p gauge-screened vertices, one for T_N*.
+        # One LP at the worst vertex, from B's eroded slabs, one for T_N*.
         _ratio_case("catalog:octocopter-trans:0", "1", "0,0,-1", 1, 2),
         _ratio_case("catalog:octocopter-rot", "5,6,7,8", "1,0,0", 4, 2),
         # 2 C(13, 5) = 2574 facet candidates exceed FACETS_PER_LP * 2^p: the
@@ -111,11 +111,11 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
 def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys):
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    # Every T_M* screens its vertices, reuse hit or not: the grid theory, t(+/-C) and
-    # the probe's T_M*(10d); with the grid scan, the gate's axes, time_ratios' two
-    # batches and the probe's two, 10 scalings.  Only a solved LP names its start
-    # facet: 6, one per solve.
-    assert (gauge_calls[0][0], zonotope_starts[0]) == (10, 6)
+    # No T_M* screens its vertices: the grid theory, t(+/-C) and the probe's T_M*(10d)
+    # take theirs from B's eroded slabs (10 -> 6 scalings, 4 screens fewer).  The grid
+    # scan, the gate's axes, time_ratios' two batches and the probe's two remain: 6
+    # scalings.  Only a solved LP names its start facet: 6, one per solve.
+    assert (gauge_calls[0][0], zonotope_starts[0]) == (6, 6)
 
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
@@ -158,10 +158,10 @@ def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch
     argv = ["ratio", "--model", "catalog:octocopter-trans", "--lost", "1", "-d", "0,0,-1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # T_N* has no image and starts cold.  One build of B and one gauge pass, the
-    # T_M* screen; the facet where the worst vertex's ray leaves B's image starts
-    # the T_M* LP, which takes no pivot.
-    assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (1, 1, 0)
+    # T_N* has no image and starts cold.  One build of B and no gauge pass: the worst
+    # vertex comes from B's eroded slabs, not a screen ((1, 1, 0) -> (1, 0, 0)).  The
+    # facet where its ray leaves B's image starts the T_M* LP, which takes no pivot.
+    assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (1, 0, 0)
     assert solves == [(False, 8), (True, 0)]
 
 
@@ -303,7 +303,7 @@ def test_library_calls_outside_a_scope_solve_every_lp(lp_solves):
     reach.time_ratio(sp, d)
     once = lp_solves[0]
     reach.time_ratio(sp, d)
-    # T_N* plus the T_M* at the gauge's worst vertex, both times.
+    # T_N* plus the T_M* at the eroded slabs' worst vertex, both times.
     assert once == 2
     assert lp_solves[0] == 2 * once
 
@@ -314,9 +314,10 @@ def test_simulate_out_dir_lp_count(lp_solves, gauge_calls, capsys, tmp_path):
     without, screens = lp_solves[0], gauge_calls[0][0]
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    # T_N* and the screened T_M* once each; the trajectories reuse the scenario.
+    # T_N* and T_M* once each; the trajectories reuse the scenario.  T_M*'s worst
+    # vertex comes from B's eroded slabs: no screen (1 -> 0 scalings).
     assert lp_solves[0] - without == without == 2
-    assert gauge_calls[0][0] - screens == screens == 1
+    assert gauge_calls[0][0] - screens == screens == 0
 
 
 def _assert_sweep_matches(sys, order, reports_agree):

@@ -59,6 +59,26 @@ def _random_split(seed: int):
     return split(sys, lost), rng
 
 
+def _redundant_split(seed: int):
+    """n = 1..4 axis columns a_i e_i (a_i in 1e-3..1) and 2 random kept columns, boxes
+    [-1, 1], and p = 1..8 lost columns loading row i by 0.25..1.5 a_i at their far bounds.
+
+    The kept image holds the box with half-widths a_i, so at a load up to 1 every -C w lies
+    inside it (each vertex time is finite); above, often not.
+    """
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    a = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    kept = np.hstack([np.diag(a), rng.standard_normal((n, 2)) * a[:, None] * 0.3])
+    w_lo, w_hi = -rng.uniform(0.5, 1.0, p), rng.uniform(0.5, 1.0, p)
+    raw = rng.standard_normal((n, p))
+    load = rng.uniform(0.25, 1.5) * a / (np.abs(raw) @ np.maximum(-w_lo, w_hi))
+    b = np.hstack([kept, raw * load[:, None]])
+    lo, hi = np.concatenate([-np.ones(n + 2), w_lo]), np.concatenate([np.ones(n + 2), w_hi])
+    sys = IntegratorSystem("redundant", 1, b, lo, hi)
+    return split(sys, tuple(range(n + 2, n + 2 + p))), rng
+
+
 def _status(lam_hat: float) -> str:
     """The lp.max_scaled_direction status a gauge value stands for."""
     if math.isnan(lam_hat):
@@ -551,21 +571,133 @@ def test_screened_tm_matches_vertex_enumeration(seed):
         assert screened.time == pytest.approx(enumerated.time, rel=REL)
 
 
+def _eroded_sides(zono, sp) -> np.ndarray:
+    """The +a then -a sides of B's image less -C w, each minimized over the W_c vertices:
+    the slabs of the Minkowski difference by enumeration."""
+    shifted = (-(reach.w_vertices(sp) @ sp.c.T) / zono.scale) @ zono.normals.T
+    return np.concatenate([(zono.plus - shifted).min(axis=0), (zono.minus + shifted).min(axis=0)])
+
+
+def _screened_vertex(zono, sp, d) -> tuple[int, np.ndarray]:
+    """The index the T_M* screen picks among the W_c vertices, and its times."""
+    screened = reach._gauge_times(d, zono.scalings(d, -(reach.w_vertices(sp) @ sp.c.T)))[0]
+    return int(np.argmax(screened >= screened.max() * (1.0 - reach.VERTEX_TIE_RTOL))), screened
+
+
+@settings(max_examples=40, deadline=None,  # gauge_calls is reset for each draw
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=100_000), redundant=st.booleans())
+@example(seed=819, redundant=False)  # twin rounding ties, test_worst_vertex_rounding_ties
+@example(seed=1235, redundant=False)
+def test_worst_vertex_matches_enumeration(seed, redundant, highs, gauge_calls):
+    sp, rng = (_redundant_split if redundant else _random_split)(seed)
+    with lp.reuse_scope():  # T_M* below gets this image, whatever its budget
+        zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+        if zono is None:
+            return
+        d = rng.standard_normal(sp.base.n)
+        vertices = reach.w_vertices(sp)
+        w = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+        if _eroded_sides(zono, sp).min() <= 0.0:  # some -C w outside the image or on it
+            assert w is None
+            gauge_calls[0][0] = 0
+            reach.malfunctioning_reach_time(sp, d)
+            assert gauge_calls[0][0] == 1  # the screen ran
+        if w is None:
+            return
+        # Every vertex LP started as T_M*'s is, which HINT_REL would separate from a cold
+        # one: equal where the vertex is, tied within 6.5e-14 (seed 819) where not.
+        times = [reach._order1_time(reach._vertex_lp(sp, v, d, zono))[0] for v in vertices]
+        got = reach.malfunctioning_reach_time(sp, d)
+        assert np.array_equal(got.optimizer_w, w)
+        assert got.time == pytest.approx(max(times), rel=1e-12)
+        ref = max(highs.reach_time(sp.b, sp.u_min, sp.u_max, d, shift=-(sp.c @ v))
+                  for v in vertices)
+        assert got.time == pytest.approx(ref, rel=REL)
+        old, screened = _screened_vertex(zono, sp, d)
+        at = int(np.flatnonzero(np.all(vertices == w, axis=1))[0])
+        assert at == old or screened[at] >= screened.max() * (1.0 - reach.VERTEX_TIE_RTOL)
+
+
+@pytest.mark.parametrize("seed", [819, 1235])
+def test_worst_vertex_rounding_ties(seed, monkeypatch):
+    # A lost column twin to one of the exit facet's own columns: its t_j rounds to
+    # about 1e-17, not 0.  Both bounds give the same screened time; the screen takes
+    # w_min, and so does the tie rule, where the bare sign of t_j takes w_max.
+    sp, rng = _random_split(seed)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    d = rng.standard_normal(sp.base.n)
+    old, screened = _screened_vertex(zono, sp, d)
+    assert np.unique(screened).size < screened.size
+    vertices = reach.w_vertices(sp)
+    tied = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+    assert np.array_equal(tied, vertices[old])
+    monkeypatch.setattr(zonotope, "VERTEX_TIE_RTOL", 0.0)
+    assert not np.array_equal(zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max), tied)
+
+
+@pytest.mark.parametrize("name, resilient", [("octocopter-rot", range(8)),
+                                             ("octocopter-trans:0", range(4))])
+def test_worst_vertex_on_catalog_single_losses(name, resilient):
+    # The eroded slabs answer on every resilient loss, with the screen's vertex; the
+    # others take the screen.  On octocopter-rot, 8 of the 48 (column, axis ray) pairs
+    # leave two eroded facets at once: the first alone would name w_max, where both
+    # vertices tie and the screen takes w_min.
+    sys = catalog.resolve(name)
+    rays = np.random.default_rng(3).standard_normal((10, 3))
+    directions = np.vstack([np.eye(3), -np.eye(3), rays])
+    for j in range(sys.n_inputs):
+        sp = split(sys, j)
+        assert quantitative_resilience(sp).resilient == (j in resilient)
+        zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+        for d in directions:
+            w = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+            if j in resilient:
+                assert np.array_equal(w, reach.w_vertices(sp)[_screened_vertex(zono, sp, d)[0]])
+            else:
+                assert w is None
+
+
 def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solves):
     d = np.array([1.0, 0.3])
     with pytest.MonkeyPatch.context() as mp:
         _lp_only(mp)
         enumerated = reach.malfunctioning_reach_time(toy1_split, d)
     lp_solves[0] = 0
-    # A screen that finds every vertex infeasible: the LP at vertex 0 is finite.
+    # The eroded slabs cannot tell, so the screen runs; it finds every vertex
+    # infeasible, and the LP at vertex 0 is finite.
     def infeasible(self, dirs, shifts):
         return np.full((1, len(np.atleast_2d(shifts))), np.nan)
 
+    monkeypatch.setattr(zonotope.Zonotope, "worst_vertex", lambda *args: None)
     monkeypatch.setattr(zonotope.Zonotope, "scalings", infeasible)
     result = reach.malfunctioning_reach_time(toy1_split, d)
     assert result.time == enumerated.time
     assert np.array_equal(result.optimizer_w, enumerated.optimizer_w)
     assert lp_solves[0] == 1 + 2  # the screened vertex, then both vertices
+
+
+def test_infinite_lp_at_worst_vertex_enumerates(toy3_split, monkeypatch, lp_solves, gauge_calls):
+    d = np.array([1.0, 0.3])
+    with pytest.MonkeyPatch.context() as mp:
+        _lp_only(mp)
+        enumerated = reach.malfunctioning_reach_time(toy3_split, d)
+    lp_solves[0] = 0
+    # The eroded slabs name a vertex with a finite time, and the stubbed LP at it finds
+    # none: no screen runs, and every vertex gets its LP.
+    real, calls = lp.max_scaled_direction, []
+
+    def first_infeasible(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            return lp.DirectionScaling(status=lp.NEGATIVE_CERTIFICATE)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "max_scaled_direction", first_infeasible)
+    result = reach.malfunctioning_reach_time(toy3_split, d)
+    assert result.time == enumerated.time
+    assert np.array_equal(result.optimizer_w, enumerated.optimizer_w)
+    assert (len(calls), lp_solves[0], gauge_calls[0][0]) == (1 + 2**2, 2**2, 0)
 
 
 def test_rank_deficient_takes_lp_path(lp_solves):
