@@ -121,16 +121,17 @@ def cmd_reach(args: argparse.Namespace) -> int:
     sys_model = _load_model(args.model)
     d = _parse_direction(args.direction)
     columns = _parse_lost(args.lost, sys_model.n_inputs) if args.lost else []
-    sp = split(sys_model, tuple(columns)) if columns else None  # raises before any output
+    sp = split(sys_model, tuple(columns)) if columns else None
     result = reach.nominal_reach_time(sys_model, d, order=args.order)
+    # T_M* raises (a capacity error past P_MAX_DEFAULT) before any output.
+    m = None if sp is None else reach.malfunctioning_reach_time(sp, d, order=args.order)
     print(f"T_N*(d) = {_human(result.time)}")
     doc: dict = {"system": sys_model.name, "d": [float(v) for v in d]}
     doc["T_N"] = to_machine(result.time)
     if result.optimizer_u is not None:
         print(f"optimal u = {np.round(result.optimizer_u, 9).tolist()}")
         doc["optimizer_u"] = [float(v) for v in result.optimizer_u]
-    if sp is not None:
-        m = reach.malfunctioning_reach_time(sp, d, order=args.order)
+    if m is not None:
         print(f"T_M*(d) = {_human(m.time)}")
         doc["lost_columns"] = [c + 1 for c in columns]
         doc["T_M"] = to_machine(m.time)

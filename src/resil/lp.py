@@ -13,12 +13,15 @@ tie-breaking-by-magnitude pivoting).
 
 solve can start from a given basis (a crash basis, Bixby 1992): reach LPs pass
 the n - 1 columns of M spanning the facet where the ray leaves the box image
-(zonotope.Zonotope.start), plus lam.  That basis is optimal: one factorization
-and the simplex's pricing settle the LP with no pivot, once _hinted_start has
-moved tied columns (twins of a basic one, as octocopter propellers 1-4) inside
-their boxes; a singular basis, or a point still out of bounds, starts cold.  On
-the 660 LPs of 100 scan-workload ops 651 settle (median 89-108 us over 3 runs)
-and 9 start cold (650-800 us; best of 5 per LP, 2-vCPU x86_64 VM, in process).
+(zonotope.Zonotope.start, or Zonotope.worst_vertex for T_M*), plus lam.  That
+basis is optimal: once _hinted_start has moved tied columns (twins of a basic
+one, as octocopter propellers 1-4) inside their boxes, one factorization settles
+the LP, and solve returns that point with no pricing pass (every nonbasic column
+sits on the bound its reduced cost favours).  A singular basis, or a point still
+out of bounds, starts cold.  On the 660 LPs of 100 scan-workload ops 651 settle
+(median 28.5 us; 36.4 us with a pricing pass) and 9 start cold (267 us, the
+refused start included); a cold octocopter T_N* takes 123-145 us and 7-8 pivots
+(best of 5 per LP, 2-vCPU x86_64 VM, one BLAS thread, in process).
 
 Statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED, with
 no "numerical failure" status.  Degenerate lambda LPs (every u_min = 0, two
@@ -198,11 +201,13 @@ def _simplex(
 
 
 def _hinted_start(a, b, c, lo, hi, basis, b_scale):
-    """(x, basis, binv) at the hinted basis, each nonbasic variable on the bound its
-    reduced cost favours; None when the basis is singular or x infeasible (FEAS_TOL).
-    While x is infeasible, each tied column (nonbasic, reduced cost 0 to _RCOST_TOL)
-    moves at no cost, by a one-variable ratio test: toward the nearest step that puts the
-    basic variables it moves back in their boxes, as far as its box and those in allow."""
+    """x at the hinted basis, each nonbasic variable on the bound its reduced cost
+    favours; None when the basis is singular or x infeasible (FEAS_TOL).  While x is
+    infeasible, each tied column (nonbasic, reduced cost 0 to _RCOST_TOL) moves at no
+    cost, by a one-variable ratio test: toward the nearest step that puts the basic
+    variables it moves back in their boxes, as far as its box and those in allow.  An x
+    returned is optimal: primal feasible, and no nonbasic column can enter (_simplex's
+    pricing would find none eligible)."""
     try:
         binv = np.linalg.inv(a[:, basis])
     except np.linalg.LinAlgError:
@@ -228,7 +233,7 @@ def _hinted_start(a, b, c, lo, hi, basis, b_scale):
         x[rows] -= rate * min(
             max(step, low[~out].max(initial=-np.inf)), high[~out].min(initial=np.inf))
     feasible = not out.any() and np.abs(a @ x - b).max() <= FEAS_TOL * b_scale
-    return (x, basis, binv) if feasible else None
+    return x if feasible else None
 
 
 def _outcome(status: str, x: np.ndarray, c, lo, hi, pivots: int) -> LpOutcome:
@@ -239,8 +244,8 @@ def _outcome(status: str, x: np.ndarray, c, lo, hi, pivots: int) -> LpOutcome:
 
 
 def solve(problem: LpProblem, basis=None) -> LpOutcome:
-    """Solve a bounded-variable equality-constrained LP (maximization), in phase 2
-    from the q columns `basis` of eq_matrix when _hinted_start accepts them."""
+    """Solve a bounded-variable equality-constrained LP (maximization): at the q columns
+    `basis` of eq_matrix with no pivot when _hinted_start accepts them, else cold."""
     a = problem.eq_matrix
     b = problem.eq_rhs
     c = problem.objective
@@ -261,8 +266,7 @@ def solve(problem: LpProblem, basis=None) -> LpOutcome:
         a, b, c, lo, hi, np.array(basis, dtype=int), b_scale
     )
     if start is not None:
-        status, pivots = _simplex(a, c, lo, hi, *start)
-        return _outcome(status, start[0], c, lo, hi, pivots)
+        return _outcome(OPTIMAL, start, c, lo, hi, 0)
 
     x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))  # lower preferred
     resid = b - a @ x0

@@ -13,14 +13,16 @@ Two engines compute lam*: the simplex LP of lp.max_scaled_direction, one solve
 per query, and the facet inequalities of the box image (zonotope.py), one
 batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
 optimizer are LP optima, started at the facet where the LP's own ray leaves
-the image (zonotope.Zonotope.start, named only when that LP is solved): B's for
-T_M*, B_bar's for T_N* only when the op's lp.reuse_scope keeps it.  T_M*
-takes its worst vertex from B's eroded facets (zonotope.Zonotope.worst_vertex),
+the image.  T_N* asks zonotope.build for B_bar's image with the budget of its
+one LP, and starts at that image's zonotope.Zonotope.start (named only when the
+LP is solved).  T_M* takes its worst vertex from B's eroded facets
+(zonotope.Zonotope.worst_vertex), which also name the facet its LP starts at,
 or else screens its 2^p vertices with one gauge batch, which returns lam only,
-and solves one LP at that vertex; malfunction_times, nominal_times and
-worst_times (and time_ratios, their ratio) answer the oracle scans from the
-gauge alone, each asking zonotope.build for the image its LPs are worth; a
-declined build (None: rank-deficient, or not worth its LPs) keeps the LP path.
+and solves one LP at that vertex, started at B's Zonotope.start.
+malfunction_times, nominal_times and worst_times (and time_ratios, their ratio)
+answer the oracle scans from the gauge alone, each asking zonotope.build for
+the image its LPs are worth; a declined build (None: rank-deficient, or not
+worth its LPs) keeps the LP path, and its LPs start cold.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -91,7 +93,7 @@ def nominal_reach_time(
         raise LpError(f"direction must have length {sys.n}, got shape {d.shape}")
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=0)  # only a kept one
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=1)  # worth this one cold LP
     t1, u = _order1_time(_scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), image))
     return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u)
 
@@ -112,15 +114,17 @@ def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray
     return ws, d
 
 
-def _scaling_lp(m, lower, upper, d, shift, image) -> lp.DirectionScaling:
-    """lp.max_scaled_direction, started at M's image's Zonotope.start when it is given."""
-    basis = None if image is None else (lambda: image.start(d, shift))
+def _scaling_lp(m, lower, upper, d, shift, image, basis=None) -> lp.DirectionScaling:
+    """lp.max_scaled_direction, started at basis, else at M's image's Zonotope.start when
+    it is given."""
+    if basis is None and image is not None:
+        basis = lambda: image.start(d, shift)  # noqa: E731
     return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=basis)
 
 
-def _vertex_lp(split: ActuatorSplit, w, d, image=None) -> lp.DirectionScaling:
+def _vertex_lp(split: ActuatorSplit, w, d, image=None, basis=None) -> lp.DirectionScaling:
     """The scaling LP of T_M(w, d): max{lam >= 0 : B u = lam d - C w, u in U_c}."""
-    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image)
+    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image, basis)
 
 
 def _gauge_times(directions: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -189,8 +193,9 @@ def malfunctioning_reach_time(
     """Worst-case reach time T_M*(d): max over the vertices of W_c.
 
     The worst vertex comes from B's eroded slabs (zonotope.Zonotope.worst_vertex, the
-    first in lexicographic order on ties, as the screen's), and one LP there gives the
-    time and optimizer_u.  Where those slabs cannot tell, one gauge batch screens
+    first in lexicographic order on ties, as the screen's), and one LP there, started at
+    the eroded slab its ray leaves first, gives the time and optimizer_u.  Where those
+    slabs cannot tell, one gauge batch screens
     all vertices: ties within VERTEX_TIE_RTOL go to the lowest lexicographic vertex index,
     and the first vertex with an infinite time wins.  Every vertex gets its LP when the
     image of B is declined, when the LP at the eroded slabs' vertex is infinite, or when
@@ -206,13 +211,14 @@ def malfunctioning_reach_time(
     zono = zonotope.build(split.b, split.u_min, split.u_max, lps=2**split.p)
     vertices = None  # enumerated at most once, by the screen or the LP fallback
     if zono is not None:
-        w, finite = zono.worst_vertex(d, split.c, split.w_min, split.w_max), True
-        if w is None:
+        found, finite = zono.worst_vertex(d, split.c, split.w_min, split.w_max), True
+        if found is None:  # the screen's vertex LP starts at Zonotope.start
             vertices = w_vertices(split)
             screened = _gauge_times(d, zono.scalings(d, -(vertices @ split.c.T)))[0]
             worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
-            w, finite = vertices[worst], math.isfinite(screened[worst])
-        t1, u = _order1_time(_vertex_lp(split, w, d, zono))
+            found, finite = (vertices[worst], None), math.isfinite(screened[worst])
+        w, row = found
+        t1, u = _order1_time(_vertex_lp(split, w, d, zono, row))
         if math.isfinite(t1) == finite:
             return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
     best_time = -1.0

@@ -24,8 +24,8 @@ over the slabs.  One kernel, _exit, reads each slab once to decide how far each 
 goes, for scalings and lambdas_without, which return lam only; for Zonotope.start's
 one ray it names the facet where that ray leaves Z instead, the basis an LP starts at.
 Zonotope.worst_vertex asks it how far one ray goes through each slab of Z eroded by
--C W: the first slabs it leaves by name T_M*'s worst vertex, and no 2^p vertices are
-screened.
+-C W: the first slabs it leaves by name T_M*'s worst vertex and the facet its LP starts
+at, and no 2^p vertices are screened.
 
 build() declines (None: callers keep to the LP path) as its docstring says, and keeps
 each image in the op's lp.reuse_scope.
@@ -44,10 +44,12 @@ from . import lp
 from .errors import LpError
 
 #: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64 VM, one BLAS
-#: thread, n = 6, 924-4004 candidates: build() costs 0.2-0.5 us per candidate (det cofactors
-#: took 1.4-2.7), a gauge resilience.sweep 0.9-1.9 us (1.2-2.1 with stacked facets, same runs)
-#: and one max_scaled_direction 0.6-1.3 ms: the sweep breaks even at 300-1400 per LP.  150
-#: stays so that no build decision moves.
+#: thread, in process: at n = 6 (924-4004 candidates) build() costs 0.2-0.5 us per candidate
+#: (det cofactors took 1.4-2.7) and a gauge resilience.sweep 0.9-1.9 us (1.2-2.1 with stacked
+#: facets, same runs); at n = 3 (20-132 candidates, best of 5) a build takes 38-44 us, a cold
+#: LP 113-290 us (7-8 pivots) and one started at the image's facet 28 us, so a T_N* image
+#: within the budget of its one LP repays its build on that LP.  150 stays so that no build
+#: decision moves.
 FACETS_PER_LP = 150
 
 #: Facet candidates no build exceeds, whatever LPs it replaces: about 47 MB and
@@ -139,9 +141,10 @@ class Zonotope:
         return None if row < 0 else self.subsets[row % len(self.plus)]
 
     def worst_vertex(self, d: np.ndarray, c: np.ndarray, w_min: np.ndarray,
-                     w_max: np.ndarray) -> np.ndarray | None:
-        """The vertex w of W = [w_min, w_max] minimizing max{lam >= 0 : lam d/|d| - C w in Z},
-        None where the slabs cannot tell.
+                     w_max: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(w, row): the vertex w of W = [w_min, w_max] minimizing max{lam >= 0 : lam d/|d| -
+        C w in Z}, and the subsets row of the eroded slab the ray leaves first, the facet
+        start(d, -C w) names; None where the slabs cannot tell.
 
         While every -C w lies inside Z, that minimum is where the ray leaves Z minus -C W
         (Minkowski difference): Z's slabs with the eroded sides plus + sum_j min(t_j w_min_j,
@@ -150,7 +153,8 @@ class Zonotope:
         the first, w takes the bound minimizing t.w on the +a side, maximizing it on the -a
         side, and w_min where the two move that side (so lam) by at most VERTEX_TIE_RTOL of it
         (t_j of a C_j twin to a facet's columns rounds to about 1e-17, not 0).  Of those
-        vertices, all worst, w is the first in lexicographic order, as the screen's.  None
+        vertices, all worst, w is the first in lexicographic order, as the screen's.  row
+        follows start's rule on exact ties: the +a sides first, then the lowest slab.  None
         when an eroded side is at most lp.FEAS_TOL extent, or the ray leaves unbounded or at
         lam_hat <= lp.UNIT_THRESHOLD (an infinite time).
         """
@@ -168,9 +172,12 @@ class Zonotope:
         if not lp.UNIT_THRESHOLD < least < math.inf:
             return None
         # w_max moves the side each slab's ray meets by sign(toward) (high - low): worse past tol
-        near = np.where(toward > 0.0, plus, minus)
+        ahead = toward > 0.0
+        near = np.where(ahead, plus, minus)
         worse = np.sign(toward)[:, None] * (high - low) < -VERTEX_TIE_RTOL * near[:, None]
-        return np.where(min(worse[lam * (1.0 - VERTEX_TIE_RTOL) <= least].tolist()), w_max, w_min)
+        w = np.where(min(worse[lam * (1.0 - VERTEX_TIE_RTOL) <= least].tolist()), w_max, w_min)
+        first = np.concatenate([np.where(ahead, lam, np.inf), np.where(ahead, np.inf, lam)])
+        return w, self.subsets[first.argmin() % len(lam)]
 
     def lambdas_without(self, columns) -> np.ndarray:
         """lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].

@@ -171,6 +171,19 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_CAPACITY
 
 
+def test_reach_capacity_error_prints_nothing(tmp_path, capsys):
+    # 21 lost columns of 24: T_M* needs 2^21 vertices, past P_MAX_DEFAULT = 20.  T_N*
+    # alone would succeed, but nothing is printed before T_M* is known.
+    b = np.random.default_rng(0).standard_normal((3, 24))
+    path = tmp_path / "wide3.json"
+    save_system(IntegratorSystem("wide3", 1, b, -np.ones(24), np.ones(24)), str(path))
+    lost = ",".join(str(i) for i in range(1, 22))
+    code = cli.main(["reach", "--model", str(path), "-d", "1,0,0", "--lost", lost])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY
+    assert out == "" and "capacity error" in err
+
+
 def test_oracle_clean(toy2_file, tmp_path, capsys):
     out_path = tmp_path / "oracle.json"
     code = cli.main(["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1",

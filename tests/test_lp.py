@@ -268,6 +268,24 @@ def test_hint_with_tied_twin_settles_without_pivots(highs):
     assert lo[2] < started.argument[2] < hi[2]
 
 
+def test_accepted_start_never_reaches_the_simplex(monkeypatch):
+    # An accepted start is optimal as it stands: solve returns it without a pricing pass,
+    # so a _simplex that raises is never called.  Here x3 moves off its bound first.
+    m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+    lo, hi = np.array([-1.0, -1.0, -0.5]), np.array([2.0, 0.5, 1.0])
+    problem = _scaling_problem(m, lo, hi, np.array([1.0, 0.0]), np.array([0.5, 2.2]))
+    cold = lp.solve(problem)
+
+    def no_simplex(*args):
+        raise AssertionError("an accepted start reached the simplex")
+
+    monkeypatch.setattr(lp, "_simplex", no_simplex)
+    started = lp.solve(problem, basis=[1, 3])
+    assert (started.status, started.value, started.pivots) == (lp.OPTIMAL, cold.value, 0)
+    with pytest.raises(AssertionError, match="reached the simplex"):
+        lp.solve(problem, basis=[0, 3])  # refused, singular ({x1, lam} span only e1): cold
+
+
 @pytest.mark.parametrize(
     "problem, basis",
     [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from resil import catalog, cli, lp, reach, resilience, zonotope
-from resil.model import IntegratorSystem, split, to_machine
+from resil.model import IntegratorSystem, save_system, split, to_machine
 
 CATALOG = ["spacecraft-printed", "spacecraft-appendix", "octocopter-rot", "octocopter-trans:0"]
 
@@ -114,13 +114,15 @@ def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys)
     # No T_M* screens its vertices: the grid theory, t(+/-C) and the probe's T_M*(10d)
     # take theirs from B's eroded slabs (10 -> 6 scalings, 4 screens fewer).  The grid
     # scan, the gate's axes, time_ratios' two batches and the probe's two remain: 6
-    # scalings.  Only a solved LP names its start facet: 6, one per solve.
-    assert (gauge_calls[0][0], zonotope_starts[0]) == (6, 6)
+    # scalings.  Only a solved T_N* LP names its start facet: 3 (6 -> 3), for the
+    # probe's T_N*(10d) and t(+/-C)'s.  The 3 solved T_M* LPs start at the eroded slab
+    # worst_vertex names with their vertex.
+    assert (gauge_calls[0][0], zonotope_starts[0]) == (6, 3)
 
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
-    # The same 6 solves from the cold two-phase start.
-    monkeypatch.setattr(zonotope.Zonotope, "start", lambda *args: None)
+    # The same 6 solves from the cold two-phase start: every start is refused at the LP.
+    monkeypatch.setattr(lp, "_hinted_start", lambda *args: None)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     assert lp_solves[0] == 6
@@ -130,9 +132,9 @@ def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, solves, pivots",
     [
-        # T_M* starts at the facet of B's image where its ray leaves (0 pivots),
-        # T_N* has no image (8 cold).
-        (["simulate", "octo-vertical-lag"], 2, 8),
+        # T_M* starts at the facet of B's image where its ray leaves, T_N* at B_bar's
+        # (56 candidates, within one LP's budget): 0 pivots (8 -> 0, T_N* was cold).
+        (["simulate", "octo-vertical-lag"], 2, 0),
         # The build of B is declined: every LP takes the cold start.
         (["ratio", "--model", "catalog:spacecraft-printed", "--lost", "3",
           "-d", "1,0,0,0,0,0"], 3, 41),
@@ -158,11 +160,49 @@ def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch
     argv = ["ratio", "--model", "catalog:octocopter-trans", "--lost", "1", "-d", "0,0,-1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # T_N* has no image and starts cold.  One build of B and no gauge pass: the worst
-    # vertex comes from B's eroded slabs, not a screen ((1, 1, 0) -> (1, 0, 0)).  The
-    # facet where its ray leaves B's image starts the T_M* LP, which takes no pivot.
-    assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (1, 0, 0)
-    assert solves == [(False, 8), (True, 0)]
+    # B_bar's image (56 candidates) is worth T_N*'s one cold LP: built, it starts T_N*
+    # at its exit facet ((False, 8) -> (True, 0), builds 1 -> 2).  No gauge pass: the
+    # worst vertex comes from B's eroded slabs, not a screen.  The eroded slab its ray
+    # leaves first starts the T_M* LP, which takes no pivot.
+    assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (2, 0, 0)
+    assert solves == [(True, 0), (True, 0)]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "octo-vertical-lag"], ["ratio", "--model",
+                                  "catalog:octocopter-rot", "--lost", "5,6,7,8", "-d", "1,0,0"]])
+def test_started_ops_never_reach_the_simplex(monkeypatch, capsys, argv):
+    # Every LP of these ops starts at an accepted facet, an optimum returned as it stands.
+    def no_simplex(*args):
+        raise AssertionError("an accepted start reached the simplex")
+
+    monkeypatch.setattr(lp, "_simplex", no_simplex)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
+def test_ratio_op_over_one_lp_budget_solves_t_n_cold(tmp_path, zonotope_builds, monkeypatch,
+                                                    capsys):
+    # n = 3 and 13 columns: B_bar's 2 C(13, 2) = 156 candidates exceed FACETS_PER_LP, the
+    # one LP T_N*'s image would replace, so T_N* takes the cold start.  B's 132 are worth
+    # its 2 vertex LPs: T_M* starts at its eroded slab.
+    b = np.random.default_rng(2).standard_normal((3, 13))
+    path = tmp_path / "thirteen.json"
+    save_system(IntegratorSystem("thirteen", 1, b, -np.ones(13), np.ones(13)), str(path))
+    assert zonotope.candidate_count(3, 13) == 156 > zonotope.FACETS_PER_LP
+    solves = []  # (started, pivots) per lp.solve
+    real = lp.solve
+
+    def recording(problem, basis=None):
+        out = real(problem, basis)
+        solves.append((basis is not None, out.pivots))
+        return out
+
+    monkeypatch.setattr(lp, "solve", recording)
+    assert cli.main(["ratio", "--model", str(path), "--lost", "1", "-d", "1,0,0"]) == 0
+    capsys.readouterr()
+    assert zonotope_builds[0] == 1
+    assert solves[0][0] is False and solves[0][1] > 0
+    assert solves[1:] == [(True, 0)]
 
 
 #: (octocopter-trans yaw, lost column, d, seed) of scan-workload oracle ops (plan seed 1)

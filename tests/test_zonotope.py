@@ -179,6 +179,43 @@ def test_hinted_lp_matches_cold(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
+@example(seed=627)  # n = 6: the started and cold T_N* differ by 6.7e-12 relative
+def test_started_nominal_time_matches_cold_and_highs(seed, highs):
+    # T_N* started at B_bar's exit facet (identical, anti-parallel and zero columns among
+    # B_bar's) is the cold LP's to HINT_REL and HiGHS's to REL; its optimizer lies in the
+    # box with B_bar u = d/T, each row to FEAS_TOL of its magnitude.  Seed 627 has the
+    # largest gap over 3000 seeds, every start accepted: against exact rational arithmetic
+    # at its basis the started LP errs by 5.9e-12, the cold one by 8.2e-13.
+    rng = np.random.default_rng(seed)
+    b, lo, hi = _random_system(rng)
+    sys = IntegratorSystem("rand", 1, b, lo, hi)
+    d = rng.standard_normal(sys.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    accepted, real = [], lp._hinted_start
+
+    def recording(*args):
+        accepted.append(real(*args))
+        return accepted[-1]
+
+    with lp.reuse_scope(), pytest.MonkeyPatch.context() as mp:
+        # Kept in the scope, the image starts T_N* whatever its budget.
+        if zonotope.build(b, lo, hi, lps=10**6) is None:
+            assert np.linalg.matrix_rank(b) < sys.n
+            return
+        mp.setattr(lp, "_hinted_start", recording)
+        started = reach.nominal_reach_time(sys, d)
+    assert len(accepted) == 1 and accepted[0] is not None
+    cold = lp.max_scaled_direction(b, lo, hi, d)
+    assert cold.status == lp.OPTIMAL
+    assert started.time == pytest.approx(1.0 / cold.value, rel=HINT_REL)
+    assert started.time == pytest.approx(highs.reach_time(b, lo, hi, d), rel=REL)
+    u, lam_d = started.optimizer_u, d / started.time
+    assert np.all(lo <= u) and np.all(u <= hi)
+    extent = np.abs(b) @ np.maximum(np.abs(lo), np.abs(hi))
+    assert np.all(np.abs(b @ u - lam_d) <= lp.FEAS_TOL * (extent + np.abs(lam_d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
 def test_exit_facet_is_tight(seed):
     sp, rng = _random_split(seed)
     zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
@@ -578,6 +615,20 @@ def _eroded_sides(zono, sp) -> np.ndarray:
     return np.concatenate([(zono.plus - shifted).min(axis=0), (zono.minus + shifted).min(axis=0)])
 
 
+def _assert_row_is_starts(zono, sp, d, w, row) -> None:
+    """worst_vertex's row is the facet Zonotope.start names for the ray at -C w, or, on an
+    exact tie (twin or anti-parallel columns repeat a facet), one where T_M(w, d)'s LP
+    started afresh has start's value to HINT_REL (4.2e-15 at most over 3000 seeds of
+    each generator)."""
+    start = zono.start(d, -(sp.c @ w))
+    if np.array_equal(row, start):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_reused", None)  # no outcome reused from another start
+        at_row, at_start = (reach._vertex_lp(sp, w, d, basis=facet) for facet in (row, start))
+        assert at_row.value == pytest.approx(at_start.value, rel=HINT_REL)
+
+
 def _screened_vertex(zono, sp, d) -> tuple[int, np.ndarray]:
     """The index the T_M* screen picks among the W_c vertices, and its times."""
     screened = reach._gauge_times(d, zono.scalings(d, -(reach.w_vertices(sp) @ sp.c.T)))[0]
@@ -597,14 +648,16 @@ def test_worst_vertex_matches_enumeration(seed, redundant, highs, gauge_calls):
             return
         d = rng.standard_normal(sp.base.n)
         vertices = reach.w_vertices(sp)
-        w = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+        found = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
         if _eroded_sides(zono, sp).min() <= 0.0:  # some -C w outside the image or on it
-            assert w is None
+            assert found is None
             gauge_calls[0][0] = 0
             reach.malfunctioning_reach_time(sp, d)
             assert gauge_calls[0][0] == 1  # the screen ran
-        if w is None:
+        if found is None:
             return
+        w, row = found
+        _assert_row_is_starts(zono, sp, d, w, row)
         # Every vertex LP started as T_M*'s is, which HINT_REL would separate from a cold
         # one: equal where the vertex is, tied within 6.5e-14 (seed 819) where not.
         times = [reach._order1_time(reach._vertex_lp(sp, v, d, zono))[0] for v in vertices]
@@ -630,10 +683,11 @@ def test_worst_vertex_rounding_ties(seed, monkeypatch):
     old, screened = _screened_vertex(zono, sp, d)
     assert np.unique(screened).size < screened.size
     vertices = reach.w_vertices(sp)
-    tied = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+    tied, row = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
     assert np.array_equal(tied, vertices[old])
+    _assert_row_is_starts(zono, sp, d, tied, row)
     monkeypatch.setattr(zonotope, "VERTEX_TIE_RTOL", 0.0)
-    assert not np.array_equal(zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max), tied)
+    assert not np.array_equal(zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)[0], tied)
 
 
 @pytest.mark.parametrize("name, resilient", [("octocopter-rot", range(8)),
@@ -651,11 +705,13 @@ def test_worst_vertex_on_catalog_single_losses(name, resilient):
         assert quantitative_resilience(sp).resilient == (j in resilient)
         zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
         for d in directions:
-            w = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+            found = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
             if j in resilient:
+                w, row = found
                 assert np.array_equal(w, reach.w_vertices(sp)[_screened_vertex(zono, sp, d)[0]])
+                _assert_row_is_starts(zono, sp, d, w, row)
             else:
-                assert w is None
+                assert found is None
 
 
 def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solves):
