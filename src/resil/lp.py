@@ -19,14 +19,14 @@ one, as octocopter propellers 1-4) inside their boxes, one factorization settles
 the LP, and solve returns that point with no pricing pass (every nonbasic column
 sits on the bound its reduced cost favours).  A singular basis, or a point still
 out of bounds, starts cold.  On the 660 LPs of 100 scan-workload ops 651 settle
-(median 28.5 us; 36.4 us with a pricing pass) and 9 start cold (267 us, the
-refused start included); a cold octocopter T_N* takes 123-145 us and 7-8 pivots
-(best of 5 per LP, 2-vCPU x86_64 VM, one BLAS thread, in process).
+(median 28.4 us) and 9 start cold (320 us, the refused start included); solved
+cold, the 660 take 209 us and 8 pivots at the median (best of 5 per LP, 2-vCPU
+x86_64 VM, one BLAS thread, in process).
 
 Statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED, with
-no "numerical failure" status.  Degenerate lambda LPs (every u_min = 0, two
-equal columns) can still get a wrong optimum or LpError("singular basis
-encountered"): ROADMAP item 4, the strict xfails in tests/test_zonotope.py.
+no "numerical failure" status.  max_scaled_direction can still report "zero" on
+an infeasible LP whose residual passes the absolute feasibility test: ROADMAP
+item 4, the strict xfail in tests/test_zonotope.py.
 
 Inside reuse_scope, opened by the CLI around each op, max_scaled_direction
 reuses the outcome of a problem whose bytes it has solved before (T*(alpha d)
@@ -50,8 +50,8 @@ UNBOUNDED = "unbounded"
 #: Relative feasibility tolerance for LpOutcome invariants.
 FEAS_TOL = 1e-9
 
-# Internal pivot tolerances.  These are on dimensionless quantities (reduced
-# costs after scaling, basis-direction entries), not on raw matrix entries.
+# Internal tolerances on dimensionless quantities, not on raw matrix entries:
+# reduced costs after row scaling, and rates relative to the step's largest.
 _RCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 10_000
@@ -116,21 +116,29 @@ def _simplex(
     hi: np.ndarray,
     x: np.ndarray,
     basis: np.ndarray,
-    binv: np.ndarray,
 ) -> tuple[str, int]:
-    """Bounded-variable revised simplex (maximization), mutating x, basis, binv.
+    """Bounded-variable revised simplex (maximization), mutating x and basis.
 
-    Assumes x is basic-feasible for the current basis and binv is the inverse
-    of the basis matrix.  Returns "optimal" or "unbounded" and the iterations
-    taken.  Entering/leaving choices use Bland's rule (smallest variable
-    index), which guarantees termination without cycling.
+    Assumes x is basic-feasible for the current basis.  binv, the basis matrix's
+    inverse, is computed afresh after each basis change.  The ratio test passes
+    over a rate w[i] at most _PIVOT_TOL of the step's largest or of
+    |binv[i]| @ |a[:, e]|: rounding noise (the entering column parallel to a basic
+    one), on which a pivot would leave a singular basis.  Returns "optimal" or
+    "unbounded" and the iterations taken.  Entering/leaving choices use Bland's
+    rule (smallest variable index), which guarantees termination without cycling.
     """
     q, v = a.shape
     in_basis = np.zeros(v, dtype=bool)
     in_basis[basis] = True
     movable = ~(lo == hi)
+    binv = None
 
     for it in range(_MAX_ITER):
+        if binv is None:
+            try:
+                binv = np.linalg.inv(a[:, basis])
+            except np.linalg.LinAlgError as exc:
+                raise LpError("singular basis encountered") from exc
         y = c[basis] @ binv
         rcost = c - y @ a
 
@@ -147,6 +155,7 @@ def _simplex(
         # Basic-variable response to a unit move of x[e] in direction s.
         w = binv @ a[:, e]
         delta_b = -s * w
+        tol = _PIVOT_TOL * np.maximum(np.abs(binv) @ np.abs(a[:, e]), np.abs(w).max())
 
         # Ratio test: own-bound limit first, then blocking basic variables.
         step = hi[e] - x[e] if s > 0 else x[e] - lo[e]
@@ -155,9 +164,9 @@ def _simplex(
         for i in range(q):
             di = delta_b[i]
             bi = basis[i]
-            if di > _PIVOT_TOL:
+            if di > tol[i]:
                 room = (hi[bi] - x[bi]) / di
-            elif di < -_PIVOT_TOL:
+            elif di < -tol[i]:
                 room = (x[bi] - lo[bi]) / (-di)
             else:
                 continue
@@ -182,17 +191,7 @@ def _simplex(
             basis[leave_pos] = e
             in_basis[bl] = False
             in_basis[e] = True
-            # Rank-one update of the basis inverse; refactorize on small pivots.
-            piv = w[leave_pos]
-            if abs(piv) < 1e-7:
-                try:
-                    binv[:] = np.linalg.inv(a[:, basis])
-                except np.linalg.LinAlgError as exc:  # pragma: no cover
-                    raise LpError("singular basis encountered") from exc
-            else:
-                row = binv[leave_pos] / piv
-                binv -= np.outer(w, row)
-                binv[leave_pos] = row
+            binv = None
         else:
             # The entering variable hit its own opposite bound; basis unchanged.
             x[e] = hi[e] if s > 0 else lo[e]
@@ -280,9 +279,8 @@ def solve(problem: LpProblem, basis=None) -> LpOutcome:
     x1 = np.concatenate([x0, np.abs(resid)])
     c1 = np.concatenate([np.zeros(v), -np.ones(q)])
     basis = np.arange(v, v + q)
-    binv = np.diag(sign)  # inverse of the initial artificial basis
 
-    _, phase1 = _simplex(a1, c1, lo1, hi1, x1, basis, binv)
+    _, phase1 = _simplex(a1, c1, lo1, hi1, x1, basis)
     if x1[v:].sum() > FEAS_TOL * b_scale * q:
         return LpOutcome(status=INFEASIBLE, pivots=phase1)
 
@@ -290,7 +288,7 @@ def solve(problem: LpProblem, basis=None) -> LpOutcome:
     x1[v:] = 0.0
     hi1[v:] = 0.0
     c2 = np.concatenate([c, np.zeros(q)])
-    status, phase2 = _simplex(a1, c2, lo1, hi1, x1, basis, binv)
+    status, phase2 = _simplex(a1, c2, lo1, hi1, x1, basis)
     return _outcome(status, x1[:v], c, lo, hi, phase1 + phase2)
 
 

@@ -86,17 +86,16 @@ def check_controllability(sys: IntegratorSystem) -> bool:
 
 
 def _controllable(sys: IntegratorSystem, image: Zonotope | None) -> bool:
-    """check_controllability, by one gauge batch of B_bar's image when there is one."""
-    sv = np.linalg.svd(sys.b_bar, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return False
-    if np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
-        return False
+    """check_controllability, by one gauge batch of B_bar's image when there is one (its
+    build has passed the rank test on B_bar's row-scaled generators)."""
     axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
-    if image is None:
-        return all(lam > 0.0 for lam in _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, axes))
-    lam_hat = image.scalings(axes, np.zeros((1, sys.n)))[:, 0]
-    return bool(np.all(lam_hat > lp.UNIT_THRESHOLD))
+    if image is not None:
+        lam_hat = image.scalings(axes, np.zeros((1, sys.n)))[:, 0]
+        return bool(np.all(lam_hat > lp.UNIT_THRESHOLD))
+    sv = np.linalg.svd(sys.b_bar, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0 or np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
+        return False
+    return all(lam > 0.0 for lam in _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, axes))
 
 
 def _single_column(split: ActuatorSplit) -> np.ndarray:

@@ -47,7 +47,7 @@ from .errors import LpError
 #: thread, in process: at n = 6 (924-4004 candidates) build() costs 0.2-0.5 us per candidate
 #: (det cofactors took 1.4-2.7) and a gauge resilience.sweep 0.9-1.9 us (1.2-2.1 with stacked
 #: facets, same runs); at n = 3 (20-132 candidates, best of 5) a build takes 38-44 us, a cold
-#: LP 113-290 us (7-8 pivots) and one started at the image's facet 28 us, so a T_N* image
+#: LP 136-333 us (8 pivots at median) and one started at the image's facet 28 us, so a T_N* image
 #: within the budget of its one LP repays its build on that LP.  150 stays so that no build
 #: decision moves.
 FACETS_PER_LP = 150

@@ -103,11 +103,13 @@ def sim_integrations(monkeypatch):
 #: r_q = r_kq = 0).  loose=True, for the mixed-scale random draws of
 #: test_zonotope.py's sweep property, also accepts lam within LOOSE_WIDTH_TOL
 #: of the kept image's width along C (lam+ + lam-) and r within LOOSE_R_ATOL.
-#: Those draws hold ill-conditioned lam problems on which the simplex itself
-#: is off: against exact rational arithmetic it errs by 4.6e-11 relative at
-#: seed 4333 column 3 and 1.7e-11 at seed 2268 column 8 (r(-C) moves by
-#: 1.0e-11), where the gauge errs by 1.2e-11 and 7e-16; at seed 16197 the two
-#: differ by 1.9e-11 of the width, the largest over 8000 seeds.
+#: Those draws hold ill-conditioned lam problems on which both engines are off:
+#: against exact rational arithmetic at the simplex's final basis, at seed 4333
+#: column 3 the simplex errs by 6.3e-12 relative and the gauge by 1.2e-11.
+#: Where lam is small next to the rest of the LP's point the simplex errs by
+#: more: by 1.1e-9 at seed 15942 column 3 and 7.0e-11 at seed 45636 column 5,
+#: 8.4e-10 and 1.5e-10 of the width off the gauge, the two draws of 0..99 999
+#: that fail these bounds (ROADMAP item 4).
 LAMBDA_RTOL = 1e-12
 R_ATOL = 1e-12
 LOOSE_WIDTH_TOL = 1e-10
