@@ -22,7 +22,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import catalog, lp, oracle, reach, resilience, sim
+from . import catalog, oracle, reach, resilience, sim, zonotope
 from .errors import CapacityError, ResilError
 from .model import IntegratorSystem, load_system, split, to_machine
 
@@ -280,7 +280,7 @@ _parser = functools.cache(build_parser)
 def main(argv: "list[str] | None" = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with lp.reuse_scope():  # an LP posed twice within the op is solved once
+        with zonotope.reuse_scope():  # an image asked for twice within the op is built once
             return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=_sys.stderr)

@@ -28,15 +28,12 @@ no "numerical failure" status.  max_scaled_direction can still report "zero" on
 an infeasible LP whose residual passes the absolute feasibility test: ROADMAP
 item 4, the strict xfail in tests/test_zonotope.py.
 
-Inside reuse_scope, opened by the CLI around each op, max_scaled_direction
-reuses the outcome of a problem whose bytes it has solved before (T*(alpha d)
-normalizes to the LP of T*(d)), and zonotope.build the image it has built; both
-are deterministic, so results are unchanged.  Outside a scope nothing is kept.
+The module keeps no state: every call solves its problem, from the basis it is
+given or cold.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +52,6 @@ FEAS_TOL = 1e-9
 _RCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 10_000
-
-#: LP outcomes a reuse_scope stores (1.6 kB each at 6 x 13; images uncounted), then it
-#: solves unstored: an oracle grid on a declined build poses up to 10^6 distinct LPs.
-REUSE_ENTRIES = 10_000
-_reused: dict | None = None  # LpOutcome by problem bytes while a reuse_scope is open
-_images: dict | None = None  # zonotope.build's images by matrix bytes, likewise
 
 
 @dataclass(frozen=True)
@@ -319,18 +310,6 @@ class DirectionScaling:
     argument: np.ndarray | None = None
 
 
-@contextlib.contextmanager
-def reuse_scope():
-    """While open, solve each scaling LP and build each image once; nested scopes share."""
-    global _reused, _images
-    outer = _reused, _images
-    _reused, _images = ({}, {}) if _reused is None else outer
-    try:
-        yield
-    finally:
-        _reused, _images = outer
-
-
 def lambda_threshold(d: np.ndarray) -> float:
     """Strict positivity threshold for lam decisions, scaled by the direction."""
     return 1e-9 * (1.0 + float(np.linalg.norm(d)))
@@ -352,8 +331,7 @@ def max_scaled_direction(
 
     rhs_shift defaults to zero; reach-time callers use it to fold the frozen
     adversarial term -C w into the right-hand side.  basis, n - 1 columns of M
-    or a function called only when the LP is solved that returns them (or
-    None), starts solve from those columns and lam.
+    (or None), starts solve from those columns and lam.
 
     The direction is normalized to unit length internally and the positivity
     threshold is applied to the normalized multiplier, so the lam > 0 decision
@@ -379,21 +357,15 @@ def max_scaled_direction(
     a = np.hstack([m, -d_unit[:, None]])
     lo = np.concatenate([np.atleast_1d(lower).astype(float), [0.0]])
     hi = np.concatenate([np.atleast_1d(upper).astype(float), [np.inf]])
-    key = None if _reused is None else (a.shape, *(x.tobytes() for x in (a, shift, lo, hi)))
-    out = _reused.get(key) if key else None
-    if out is None:  # a hit has the bytes of a problem LpProblem already checked
-        problem = LpProblem(objective=obj, eq_matrix=a, eq_rhs=shift, lower=lo, upper=hi)
-        hint = basis() if callable(basis) else basis
-        out = solve(problem, None if hint is None else [*hint, v])
-        if key and len(_reused) < REUSE_ENTRIES:
-            _reused[key] = out
+    problem = LpProblem(objective=obj, eq_matrix=a, eq_rhs=shift, lower=lo, upper=hi)
+    out = solve(problem, None if basis is None else [*basis, v])
 
     if out.status == INFEASIBLE:
         return DirectionScaling(status=NEGATIVE_CERTIFICATE)
     if out.status == UNBOUNDED:
         return DirectionScaling(status=UNBOUNDED, value=np.inf)
     lam_hat = max(out.value, 0.0)
-    x = out.argument[:v].copy()
+    x = out.argument[:v]
     if lam_hat > lambda_threshold(d_unit):
         return DirectionScaling(status=OPTIMAL, value=lam_hat / norm, argument=x)
     return DirectionScaling(status=ZERO, value=lam_hat / norm, argument=x)

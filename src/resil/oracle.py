@@ -9,7 +9,7 @@ The scans evaluate all grid points, sampled directions or homogeneity rays in
 gauge batches of the box images of B and B_bar (reach.malfunction_times,
 reach.time_ratios, reach.nominal_times, reach.worst_times; zonotope.py), one LP
 per query where a build is declined; op_images builds both once per oracle op,
-kept by its lp.reuse_scope.  Each theory value, and the probe's T*(a d), comes
+kept by its zonotope.reuse_scope.  Each theory value, and the probe's T*(a d), comes
 from the scalar reach path, whose reported times are LP optima (started at the
 facet of an image where the ray leaves it), so every scan compares two engines.
 """
@@ -77,7 +77,7 @@ def _grid_direction(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -
 
 
 def op_images(split: ActuatorSplit, d: np.ndarray, points_per_axis: int, samples: int, probes: int):
-    """Build B's and B_bar's images into the op's lp.reuse_scope, after grid_worst_w's checks.
+    """Build B's and B_bar's images into the op's reuse_scope, after grid_worst_w's checks.
 
     Each is offered every scan's LPs, so the scans find it kept (or declined): B's the grid
     points and the 2^p vertex LPs each T_M* replaces (grid theory, 1 + `probes`
@@ -188,8 +188,9 @@ def homogeneity_probe(
     skipped (homogeneity is trivial there).  One gauge batch per image answers every
     alpha d (reach.nominal_times, reach.worst_times) and one LP the point a d, so the
     probe compares two engines and sees a homogeneity fault in either.  A declined image
-    answers each alpha d by the LP path instead, which sees only the rounding of d/|d|:
-    alpha d and d pose the same LP up to it, solved once inside one lp.reuse_scope.
+    answers each alpha d by the LP path instead, which sees only rounding: alpha d and d
+    pose the same LP up to that of d/|d| and, for p >= 2, of -C w (one product over all
+    vertices in the batch, one per vertex in T_M*).
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):

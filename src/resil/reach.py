@@ -14,11 +14,11 @@ per query, and the facet inequalities of the box image (zonotope.py), one
 batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
 optimizer are LP optima, started at the facet where the LP's own ray leaves
 the image.  T_N* asks zonotope.build for B_bar's image with the budget of its
-one LP, and starts at that image's zonotope.Zonotope.start (named only when the
-LP is solved).  T_M* takes its worst vertex from B's eroded facets
-(zonotope.Zonotope.worst_vertex), which also name the facet its LP starts at,
-or else screens its 2^p vertices with one gauge batch, which returns lam only,
-and solves one LP at that vertex, started at B's Zonotope.start.
+one LP, and starts at that image's zonotope.Zonotope.start.  T_M* takes its
+worst vertex from B's eroded facets (zonotope.Zonotope.worst_vertex), which
+also name the facet its LP starts at, or else screens its 2^p vertices with one
+gauge batch, which returns lam only, and solves one LP at that vertex, started
+at B's Zonotope.start.
 malfunction_times, nominal_times and worst_times (and time_ratios, their ratio)
 answer the oracle scans from the gauge alone, each asking zonotope.build for
 the image its LPs are worth; a declined build (None: rank-deficient, or not
@@ -118,7 +118,7 @@ def _scaling_lp(m, lower, upper, d, shift, image, basis=None) -> lp.DirectionSca
     """lp.max_scaled_direction, started at basis, else at M's image's Zonotope.start when
     it is given."""
     if basis is None and image is not None:
-        basis = lambda: image.start(d, shift)  # noqa: E731
+        basis = image.start(d, shift)
     return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=basis)
 
 
@@ -127,13 +127,22 @@ def _vertex_lp(split: ActuatorSplit, w, d, image=None, basis=None) -> lp.Directi
     return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image, basis)
 
 
-def _gauge_times(directions: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Order-1 reach times from the gauge's lam (directions x shifts), as _order1_time maps the LP.
+def _times(m, lower, upper, directions, shifts, image) -> np.ndarray:
+    """Order-1 reach times 1/max{lam >= 0 : M x = lam d + s, x in box} per (row d of
+    directions, row s of shifts): one gauge batch of M's image, or one cold LP per pair
+    (_order1_time of lp.max_scaled_direction) where image is None.
 
-    Time 0 when lam is unbounded, +inf when the normalized lam is at or below the
-    threshold lp.max_scaled_direction applies to a unit direction, or infeasible.
+    From the gauge, as _order1_time maps the LP: time 0 when lam is unbounded, +inf when
+    the normalized lam is at or below the threshold lp.max_scaled_direction applies to a
+    unit direction, or infeasible.
     """
-    directions = np.atleast_2d(directions)
+    directions, shifts = np.atleast_2d(directions), np.atleast_2d(shifts)
+    if image is None:
+        scalings = (lp.max_scaled_direction(m, lower, upper, d, rhs_shift=s)
+                    for d in directions for s in shifts)
+        times = [_order1_time(scaling)[0] for scaling in scalings]
+        return np.array(times).reshape(len(directions), len(shifts))
+    lam = image.scalings(directions, shifts)
     with np.errstate(divide="ignore"):
         times = np.linalg.norm(directions, axis=1)[:, None] / lam
     return np.where(lam > lp.UNIT_THRESHOLD, times, math.inf)
@@ -162,11 +171,7 @@ def malfunction_times(
     k = _resolve_order(split.base, order)
     ws, d = _checked_inputs(split, ws, d)
     zono = zonotope.build(split.b, split.u_min, split.u_max, lps=len(ws))
-    if zono is None:
-        t1 = np.array([_order1_time(_vertex_lp(split, w, d))[0] for w in ws])
-    else:
-        t1 = _gauge_times(d, zono.scalings(d, -(ws @ split.c.T)))[0]
-    return order_k_time(t1, k)
+    return order_k_time(_times(split.b, split.u_min, split.u_max, d, -(ws @ split.c.T), zono)[0], k)
 
 
 def w_vertices(split: ActuatorSplit) -> np.ndarray:
@@ -175,16 +180,19 @@ def w_vertices(split: ActuatorSplit) -> np.ndarray:
     return np.array(list(itertools.product(*axes)), dtype=float)
 
 
-def _check_capacity(split: ActuatorSplit) -> None:
+def _vertex_count(split: ActuatorSplit) -> int:
+    """2^p, the W_c vertices T_M* ranges over, once p is within P_MAX_DEFAULT."""
     if split.p > P_MAX_DEFAULT:
         raise CapacityError(
             f"vertex enumeration needs 2^{split.p} vertices; cap is p_max={P_MAX_DEFAULT}"
         )
+    return 2**split.p
 
 
-def _capped_vertices(split: ActuatorSplit) -> np.ndarray:
-    _check_capacity(split)
-    return w_vertices(split)
+def _worst(times: np.ndarray) -> int:
+    """Index of the worst vertex time: the first within VERTEX_TIE_RTOL of the largest (the
+    first infinite one, if any)."""
+    return int(np.argmax(times >= times.max() * (1.0 - VERTEX_TIE_RTOL)))
 
 
 def malfunctioning_reach_time(
@@ -195,11 +203,12 @@ def malfunctioning_reach_time(
     The worst vertex comes from B's eroded slabs (zonotope.Zonotope.worst_vertex, the
     first in lexicographic order on ties, as the screen's), and one LP there, started at
     the eroded slab its ray leaves first, gives the time and optimizer_u.  Where those
-    slabs cannot tell, one gauge batch screens
-    all vertices: ties within VERTEX_TIE_RTOL go to the lowest lexicographic vertex index,
-    and the first vertex with an infinite time wins.  Every vertex gets its LP when the
-    image of B is declined, when the LP at the eroded slabs' vertex is infinite, or when
-    the LP at the screened vertex and the screen disagree on whether the time is finite.
+    slabs cannot tell, one gauge batch screens all vertices.  Every vertex gets its LP when
+    the image of B is declined, when the LP at the eroded slabs' vertex is infinite, or
+    when the LP at the screened vertex and the screen disagree on whether the time is
+    finite.  The screen and the per-vertex LPs pick alike: the first vertex with an
+    infinite time wins (the LPs stop there), else the lowest lexicographic vertex index
+    within VERTEX_TIE_RTOL of the largest time.
     """
     k = _resolve_order(split.base, order)
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -207,32 +216,28 @@ def malfunctioning_reach_time(
         raise LpError(f"direction must have length {split.base.n}, got shape {d.shape}")
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
-    _check_capacity(split)
-    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=2**split.p)
+    zono = zonotope.build(split.b, split.u_min, split.u_max, lps=_vertex_count(split))
     vertices = None  # enumerated at most once, by the screen or the LP fallback
     if zono is not None:
         found, finite = zono.worst_vertex(d, split.c, split.w_min, split.w_max), True
         if found is None:  # the screen's vertex LP starts at Zonotope.start
             vertices = w_vertices(split)
-            screened = _gauge_times(d, zono.scalings(d, -(vertices @ split.c.T)))[0]
-            worst = int(np.argmax(screened >= screened.max() * (1.0 - VERTEX_TIE_RTOL)))
+            shifts = -(vertices @ split.c.T)
+            screened = _times(split.b, split.u_min, split.u_max, d, shifts, zono)[0]
+            worst = _worst(screened)
             found, finite = (vertices[worst], None), math.isfinite(screened[worst])
         w, row = found
         t1, u = _order1_time(_vertex_lp(split, w, d, zono, row))
         if math.isfinite(t1) == finite:
             return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
-    best_time = -1.0
-    best_w: np.ndarray | None = None
-    best_u: np.ndarray | None = None
+    solved = []  # (t1, w, u) per vertex
     for w in w_vertices(split) if vertices is None else vertices:
         t1, u = _order1_time(_vertex_lp(split, w, d, zono))
         if math.isinf(t1):
             return ReachResult(time=math.inf, order=k, optimizer_w=w)
-        if t1 > best_time:
-            best_time, best_w, best_u = t1, w, u
-    return ReachResult(
-        time=order_k_time(best_time, k), order=k, optimizer_u=best_u, optimizer_w=best_w
-    )
+        solved.append((t1, w, u))
+    t1, w, u = solved[_worst(np.array([t1 for t1, _, _ in solved]))]
+    return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
 
 
 def time_ratio(split: ActuatorSplit, d: np.ndarray, order: int | None = None) -> float:
@@ -247,22 +252,19 @@ def time_ratio(split: ActuatorSplit, d: np.ndarray, order: int | None = None) ->
 
 
 def nominal_times(sys: IntegratorSystem, directions: np.ndarray) -> np.ndarray:
-    """Order-1 T_N*(d) per row d: one gauge batch of B_bar's image with a zero shift, or
-    nominal_reach_time per row when that image is declined."""
+    """Order-1 T_N*(d) per (nonzero) row d: one gauge batch of B_bar's image with a zero
+    shift, or one cold LP per row when that image is declined."""
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=len(directions))
-    if image is None:
-        return np.array([nominal_reach_time(sys, d, order=1).time for d in directions])
-    return _gauge_times(directions, image.scalings(directions, np.zeros(sys.n)))[:, 0]
+    return _times(sys.b_bar, sys.u_min, sys.u_max, directions, np.zeros(sys.n), image)[:, 0]
 
 
 def worst_times(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
-    """Order-1 T_M*(d) per row d: one gauge batch of B's image over the W_c vertex shifts,
-    max over them, or malfunctioning_reach_time per row when that image is declined."""
-    vertices = _capped_vertices(split)
-    image = zonotope.build(split.b, split.u_min, split.u_max, lps=len(directions) * len(vertices))
-    if image is None:
-        return np.array([malfunctioning_reach_time(split, d, order=1).time for d in directions])
-    return _gauge_times(directions, image.scalings(directions, -(vertices @ split.c.T))).max(axis=1)
+    """Order-1 T_M*(d) per (nonzero) row d: the max over the W_c vertex shifts of one gauge
+    batch of B's image, or of one cold LP per pair when that image is declined."""
+    image = zonotope.build(split.b, split.u_min, split.u_max,
+                           lps=len(directions) * _vertex_count(split))
+    shifts = -(w_vertices(split) @ split.c.T)
+    return _times(split.b, split.u_min, split.u_max, directions, shifts, image).max(axis=1)
 
 
 def time_ratios(

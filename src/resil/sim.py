@@ -4,11 +4,11 @@ Both models admit exact closed forms, so no generic ODE stepping (and no
 solver tolerance) enters the results:
 
 - constant forcing: x^(k) = const gives polynomial states;
-- first-order lag u' = (u_c - u)/tau gives exponential-plus-constant forcing,
-  whose repeated integrals follow the recurrence
+- first-order lag u' = (u_c - u)/tau toward a constant command u_c, from
+  rest, gives exponential-plus-constant forcing, whose repeated integrals
+  follow the recurrence
       E_0(h) = exp(-h/tau),   E_r(h) = tau * (h^(r-1)/(r-1)! - E_(r-1)(h)),
-  evaluated for all samples of a command segment at once; each segment
-  starts from the previous one's end state (Taylor shift plus E_r).
+  evaluated for all samples at once.
 
 The scenario ratios of `smooth_reach_ratio` come from the closed-form
 crossing times (target/rate without lag, `lag_crossing` with it); sampled
@@ -77,85 +77,40 @@ def _check_in_box(u: np.ndarray, sys: IntegratorSystem, what: str) -> None:
 
 def integrate_with_lag(
     sys: IntegratorSystem,
-    commands: "list[tuple[float, np.ndarray]] | np.ndarray",
+    u_c: np.ndarray,
     tau: float,
     horizon: float,
     dt: float | None = None,
-    u0: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
 ) -> Trajectory:
-    """Propagate with first-order input lag u' = (u_c - u)/tau (exact per segment).
-
-    commands is either a single command vector or a piecewise-constant schedule
-    [(t_start, vector), ...] with t_start increasing from 0.
-    """
+    """Propagate from rest (x = 0, u = 0) toward the constant command u_c with first-order
+    input lag u' = (u_c - u)/tau, exactly at each sample."""
     if tau <= 0.0:
         raise ModelError(f"tau must be positive, got {tau}")
     if dt is None:
         dt = min(tau / 10.0, max(tau / 100.0, horizon / LAG_SAMPLES))
     if dt > tau / 10.0 + 1e-15:
         raise ModelError(f"dt={dt} too coarse for tau={tau}; need dt <= tau/10")
-
-    if isinstance(commands, np.ndarray) or (
-        len(commands) > 0 and np.isscalar(commands[0])
-    ):
-        schedule = [(0.0, np.atleast_1d(np.asarray(commands, dtype=float)))]
-    else:
-        schedule = [(float(t), np.atleast_1d(np.asarray(u, dtype=float))) for t, u in commands]
-    if not schedule or schedule[0][0] != 0.0:
-        raise ModelError("command schedule must start at t = 0")
-    starts = [t for t, _ in schedule]
-    if any(b < a for a, b in zip(starts, starts[1:])):
-        raise ModelError("command schedule times must not decrease")
-    for _, u_c in schedule:
-        if u_c.shape != (sys.n_inputs,):
-            raise ModelError(f"command must have length {sys.n_inputs}")
-        _check_in_box(u_c, sys, "command")
+    u_c = np.atleast_1d(np.asarray(u_c, dtype=float))
+    if u_c.shape != (sys.n_inputs,):
+        raise ModelError(f"command must have length {sys.n_inputs}")
+    _check_in_box(u_c, sys, "command")
+    _check_in_box(np.zeros(sys.n_inputs), sys, "initial input")
 
     k = sys.order
-    n = sys.n
-    u = np.zeros(sys.n_inputs) if u0 is None else np.asarray(u0, dtype=float).copy()
-    _check_in_box(u, sys, "initial input")
-    state = np.zeros(n * k)
-    if x0 is not None:
-        state[:n] = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    times = _sample_grid(horizon, dt)
-    # Insert command switch times into the grid so each segment starts on a sample.
-    switch = [t for t in starts[1:] if 0.0 < t < horizon]
-    if switch:
-        times = np.unique(np.concatenate([times, np.asarray(switch)]))
-
-    def segment(h: np.ndarray, state: np.ndarray, u: np.ndarray, u_c: np.ndarray):
-        # From (state, u) at the segment start, h later: the Taylor shift of the
-        # state plus the exact forcing integrals E_r(h) of the lag.
-        const_acc = sys.b_bar @ u_c
-        decay_acc = sys.b_bar @ (u - u_c)
-        integrals = [np.exp(-h / tau)]
-        for r in range(1, k + 1):
-            integrals.append(tau * (h ** (r - 1) / math.factorial(r - 1) - integrals[r - 1]))
-        states = np.zeros((h.size, n * k))
-        for j in range(k):
-            power = k - j
-            block = np.outer(h**power / math.factorial(power), const_acc) + np.outer(
-                integrals[power], decay_acc
-            )
-            for i in range(j, k):
-                block += np.outer(h ** (i - j) / math.factorial(i - j), state[i * n : (i + 1) * n])
-            states[:, j * n : (j + 1) * n] = block
-        return states, u_c[None, :] + np.outer(integrals[0], u - u_c)
-
-    states = np.zeros((times.size, n * k))
-    inputs = np.zeros((times.size, sys.n_inputs))
-    ends = starts[1:] + [math.inf]
-    for (t_start, u_c), t_end in zip(schedule, ends):
-        lo, hi = np.searchsorted(times, [t_start, t_end])
-        states[lo:hi], inputs[lo:hi] = segment(times[lo:hi] - t_start, state, u, u_c)
-        if hi == times.size:
-            break
-        end_state, end_input = segment(np.array([t_end - t_start]), state, u, u_c)
-        state, u = end_state[0], end_input[0]
-    return Trajectory(times=times, states=states, inputs=inputs, n=n, order=k)
+    h = _sample_grid(horizon, dt)
+    # From rest x^(k) = B u_c - B u_c exp(-h/tau): polynomial plus the integrals E_r(h).
+    const_acc = sys.b_bar @ u_c
+    decay_acc = sys.b_bar @ -u_c
+    integrals = [np.exp(-h / tau)]
+    for r in range(1, k + 1):
+        integrals.append(tau * (h ** (r - 1) / math.factorial(r - 1) - integrals[r - 1]))
+    states = np.hstack([
+        np.outer(h**power / math.factorial(power), const_acc)
+        + np.outer(integrals[power], decay_acc)
+        for power in range(k, 0, -1)
+    ])
+    inputs = u_c[None, :] + np.outer(integrals[0], -u_c)
+    return Trajectory(times=h, states=states, inputs=inputs, n=sys.n, order=k)
 
 
 def lag_crossing(rate: float, target: float, tau: float) -> float:

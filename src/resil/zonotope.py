@@ -28,11 +28,12 @@ Zonotope.worst_vertex asks it how far one ray goes through each slab of Z eroded
 at, and no 2^p vertices are screened.
 
 build() declines (None: callers keep to the LP path) as its docstring says, and keeps
-each image in the op's lp.reuse_scope.
+each image in the op's reuse_scope, which the CLI opens around each op.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -246,17 +247,32 @@ def _others(terms: np.ndarray) -> np.ndarray:
     return np.concatenate([(rows[i : i + step, None] != rows) @ terms for i in chunks])
 
 
+_images: dict | None = None  # build's images by the bytes of (M, lower, upper) in a scope
+
+
+@contextlib.contextmanager
+def reuse_scope():
+    """While open, build each image once; a nested scope shares the outer one's images."""
+    global _images
+    outer = _images
+    _images = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _images = outer
+
+
 def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zonotope | None:
     """H-representation of {M x : x in [lower, upper]}, or None for the LP path.
 
-    Inside an lp.reuse_scope, first the image kept for the same bytes of (M, lower,
+    Inside a reuse_scope, first the image kept for the same bytes of (M, lower,
     upper), whatever lps.  Else None when the candidate count exceeds FACETS_PER_LP
     * lps, lps being the LP solves the caller's batch replaces, or MAX_CANDIDATES
     (checked before any work on M, and not kept), or when M has rank below n.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    kept = {} if lp._images is None else lp._images
+    kept = {} if _images is None else _images
     key = (m.shape, m.tobytes(), lower.tobytes(), upper.tobytes())
     if key in kept:
         return kept[key]

@@ -179,26 +179,11 @@ def test_direction_zero_rejected():
 
 @pytest.mark.parametrize("scoped", [False, True])
 def test_direction_nan_rejected(scoped):
-    # Inside a reuse scope a problem is checked on a miss; a NaN one is never kept.
-    with lp.reuse_scope() if scoped else contextlib.nullcontext():
+    # Inside an op's reuse scope as outside it, every problem is checked.
+    with zonotope.reuse_scope() if scoped else contextlib.nullcontext():
         for _ in range(2):
             with pytest.raises(LpError, match="non-finite"):
                 lp.max_scaled_direction(np.eye(2), -np.ones(2), np.ones(2), np.array([np.nan, 1.0]))
-
-
-def test_reuse_hit_builds_no_problem(monkeypatch):
-    built = []
-
-    class Counted(lp.LpProblem):
-        def __post_init__(self) -> None:
-            built.append(self)
-            super().__post_init__()
-
-    monkeypatch.setattr(lp, "LpProblem", Counted)
-    with lp.reuse_scope():
-        for _ in range(3):
-            lp.max_scaled_direction(np.eye(2), -np.ones(2), np.ones(2), np.array([1.0, 0.5]))
-    assert len(built) == 1
 
 
 def test_direction_negative_certificate():

@@ -98,13 +98,13 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
     capsys.readouterr()
     # One image of B serves the grid, direction scan and homogeneity probe; one of
     # B_bar the probe, the scan's directions and its resilience gate.  The op
-    # solves its 6 distinct problems once each: T_M*(d) (grid theory, then the
-    # probe's T_M*(10d), which normalizes to the same LP), the probe's T_N*(10d),
-    # and the T_M* and T_N* of t(+C) and of t(-C).
+    # solves 7 LPs: T_M*(d) of the grid theory, the probe's T_M*(10d) (which
+    # normalizes to the same LP, solved again: 6 -> 7) and T_N*(10d), and the
+    # T_M* and T_N* of t(+C) and of t(-C).
     # Each starts at the facet where its ray leaves its image, an optimal basis:
     # no pivots.
     assert zonotope_builds[0] == 2
-    assert lp_solves[0] == 6
+    assert lp_solves[0] == 1 + 2 + 2 * 2 == 7
     assert lp_pivots[0] == 0
 
 
@@ -115,18 +115,19 @@ def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys)
     # take theirs from B's eroded slabs (10 -> 6 scalings, 4 screens fewer).  The grid
     # scan, the gate's axes, time_ratios' two batches and the probe's two remain: 6
     # scalings.  Only a solved T_N* LP names its start facet: 3 (6 -> 3), for the
-    # probe's T_N*(10d) and t(+/-C)'s.  The 3 solved T_M* LPs start at the eroded slab
+    # probe's T_N*(10d) and t(+/-C)'s.  The 4 solved T_M* LPs start at the eroded slab
     # worst_vertex names with their vertex.
     assert (gauge_calls[0][0], zonotope_starts[0]) == (6, 3)
 
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
-    # The same 6 solves from the cold two-phase start: every start is refused at the LP.
+    # The same 7 solves from the cold two-phase start: every start is refused at the LP.
+    # The probe's T_M*(10d) repeats T_M*(d)'s 6 pivots (45 -> 51).
     monkeypatch.setattr(lp, "_hinted_start", lambda *args: None)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    assert lp_solves[0] == 6
-    assert lp_pivots[0] == 45
+    assert lp_solves[0] == 7
+    assert lp_pivots[0] == 45 + 6 == 51
 
 
 @pytest.mark.parametrize(
@@ -246,35 +247,35 @@ def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, c
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # Both builds are declined for their budget, and so is every scan's own:
-    # no image is built.  Distinct LPs: grid theory 2 (both vertices), the other 19 grid points (the
-    # grid's two end points are those vertices), the gate's 2n + 2 = 8 (its
-    # T_N* along +/-e3 are t(+/-C)'s, the lost column lying along e3), t(+/-C)'s
-    # 2 x 2 vertex LPs, 60 directions x 3, and T_N*(d) of the homogeneity probe,
-    # whose other T_N* (at 0.5d, 2d and 10d) and 5 x 2 vertex LPs repeat T_N*(d)
-    # and the grid theory.
+    # no image is built, and every LP is solved, repeats included.  Grid theory 2
+    # (both vertices), the 21 grid points (its two end points repeat those vertices:
+    # 19 -> 21), the gate's 2n + 2 = 8, t(+/-C)'s 2 x (2 vertex LPs + T_N*) (their
+    # T_N* along +/-e3 repeat the gate's, the lost column lying along e3: 4 -> 6), 60
+    # directions x 3, and the homogeneity probe's T_N*(10d) and T_M*(10d)'s 2 vertex
+    # LPs plus 4 T_N* and 4 x 2 vertex LPs for its rays d, 0.5d, 2d and 10d (1 -> 15).
     assert zonotope_builds[0] == 0
-    assert lp_solves[0] == 2 + 19 + 8 + 4 + 180 + 1 == 214
+    assert lp_solves[0] == 2 + 21 + 8 + 6 + 180 + 15 == 232
 
 
 def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, zonotope_builds, capsys):
     # The reuse scope closes with each op: the second op builds its 2 images
-    # and solves its 6 LPs again.
+    # and solves its 7 LPs again.
     assert cli.main(SCAN_OP) == 0
-    assert (zonotope_builds[0], lp_solves[0]) == (2, 6)
+    assert (zonotope_builds[0], lp_solves[0]) == (2, 7)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    assert (zonotope_builds[0], lp_solves[0]) == (4, 12)
-    assert lp._reused is None and lp._images is None
+    assert (zonotope_builds[0], lp_solves[0]) == (4, 14)
+    assert zonotope._images is None
 
 
 def test_reuse_scope_keeps_images_whatever_lps(zonotope_builds):
     sc = catalog.spacecraft_printed()
-    with lp.reuse_scope():
+    with zonotope.reuse_scope():
         image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**4)
         assert image is not None
         # 4004 candidates are worth more than 1 LP, but the kept image is handed out.
         assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=1) is image
-    with lp.reuse_scope():
+    with zonotope.reuse_scope():
         # A decline for budget is not kept: a later call worth the build makes it.
         assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=1) is None
         assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**4) is not None
@@ -286,7 +287,7 @@ def test_reuse_scope_keeps_rank_declines(monkeypatch):
     tried = []  # builds past the budget check
     real = zonotope._image
     monkeypatch.setattr(zonotope, "_image", lambda *args: tried.append(1) or real(*args))
-    with lp.reuse_scope():
+    with zonotope.reuse_scope():
         # Rank 1: declined once, and the decline is handed out again.
         assert zonotope.build(flat, lo, hi, lps=10**4) is None
         assert zonotope.build(flat, lo, hi, lps=10**4) is None
@@ -300,41 +301,15 @@ def test_builds_outside_a_scope_keep_nothing(toy1, zonotope_builds):
     assert zonotope_builds[0] == 2
 
 
-def test_reuse_scope_hits_hand_out_fresh_arrays(toy1, lp_solves):
-    d = np.array([1.0, 0.5])
-    with lp.reuse_scope():
-        first = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
-        # 3d normalizes to the bytes of d: the same problem, not solved again.
-        second = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, 3.0 * d)
-        third = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
-    assert lp_solves[0] == 1
-    assert second.value == pytest.approx(first.value / 3.0, rel=1e-15)
-    assert np.array_equal(first.argument, third.argument)
-    assert not np.shares_memory(second.argument, third.argument)
-    assert not np.shares_memory(first.argument, third.argument)
-
-
-def test_reuse_scope_nested_joins_outer(toy1, lp_solves):
-    d = np.array([1.0, 0.5])
-    with lp.reuse_scope():
-        lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
-        with lp.reuse_scope():
-            lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
-        # Closing the inner scope keeps the outer one's outcomes.
-        lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
-        assert lp_solves[0] == 1
-    assert lp._reused is None
-
-
-def test_reuse_scope_stores_at_most_reuse_entries(toy1, lp_solves, monkeypatch):
-    monkeypatch.setattr(lp, "REUSE_ENTRIES", 1)
-    first, second = np.array([1.0, 0.5]), np.array([0.5, 1.0])
-    with lp.reuse_scope():
-        for d in (first, second, first, second):
-            lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
-        # Only the first problem was stored: the second is solved each time.
-        assert len(lp._reused) == 1
-    assert lp_solves[0] == 3
+def test_reuse_scope_nested_joins_outer(toy1, zonotope_builds):
+    with zonotope.reuse_scope():
+        image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
+        with zonotope.reuse_scope():
+            assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1) is image
+        # Closing the inner scope keeps the outer one's images.
+        assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1) is image
+        assert zonotope_builds[0] == 1
+    assert zonotope._images is None
 
 
 def test_library_calls_outside_a_scope_solve_every_lp(lp_solves):
@@ -366,7 +341,7 @@ def _assert_sweep_matches(sys, order, reports_agree):
     reports = resilience.sweep(sys, range(sys.n_inputs), order)
     assert [r.lost_column for r in reports] == list(range(sys.n_inputs))
     splits = [split(sys, rep.lost_column) for rep in reports]
-    with lp.reuse_scope():
+    with zonotope.reuse_scope():
         # The budget of a sweep over every column: 2n + 2 per column.
         zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
         kept = [resilience.quantitative_resilience(sp, order) for sp in splits]

@@ -121,7 +121,7 @@ def test_homogeneity_fault_caught_in_op_scope(inhomogeneous_lp, tmp_path, capsys
 
 
 def test_homogeneity_fault_caught_without_scope(inhomogeneous_lp, toy2_split):
-    assert lp._reused is None
+    assert zonotope._images is None
     assert oracle.homogeneity_probe(toy2_split, [-1.0], SCALES) > 1e-6
 
 
@@ -179,9 +179,9 @@ def _op_direction(sp):
 
 def _op_scans(sp, scope: bool):
     """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1;
-    with scope=True inside an lp.reuse_scope that op_images has built the op's images in."""
+    with scope=True inside a reuse_scope that op_images has built the op's images in."""
     d, samples = _op_direction(sp), 40 if sp.p == 1 else 0
-    with lp.reuse_scope() if scope else contextlib.nullcontext():
+    with zonotope.reuse_scope() if scope else contextlib.nullcontext():
         if scope:
             oracle.op_images(sp, d, 11, samples, len(SCALES))
         out = {
@@ -212,8 +212,8 @@ def test_op_images_checks_op_before_building(toy2_split, zonotope_builds):
 
 
 def test_scans_declined_images_take_lp_path(image_split, monkeypatch):
-    # Builds declined for their budget are not kept: in the op's scope, where
-    # LP outcomes are reused, the scans give what they give without one.
+    # Builds declined for their budget are not kept: in the op's scope the scans
+    # solve the LPs they solve without one, and give what they give there.
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
     assert _op_scans(image_split, scope=True) == _op_scans(image_split, scope=False)
 
@@ -224,7 +224,7 @@ def test_scans_declined_images_take_lp_path(image_split, monkeypatch):
 def test_gate_from_full_image_matches_lp_verdict(request, model, monkeypatch):
     sys = request.getfixturevalue(model) if model.startswith("toy") else catalog.resolve(model)
     columns = range(sys.n_inputs)
-    with lp.reuse_scope():  # the gate's report from B_bar's kept image
+    with zonotope.reuse_scope():  # the gate's report from B_bar's kept image
         assert zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**4) is not None
         gauge = [quantitative_resilience(split(sys, col)).resilient for col in columns]
     monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resil import reach
+from resil import lp, reach, zonotope
 from resil.errors import CapacityError, LpError, ModelError
 from resil.model import IntegratorSystem, split
 
@@ -61,6 +61,53 @@ def test_malfunctioning_reach_toy3_tie_break(toy3_split):
     assert res.time == pytest.approx(2.0, abs=1e-12)
     # Ties with (-1, 1); the lowest lexicographic vertex index wins.
     assert res.optimizer_w == pytest.approx([-1.0, -1.0])
+
+
+@pytest.fixture
+def stubbed_vertex_lps(toy2_split, monkeypatch):
+    """Declines B's image and answers each vertex LP of toy2_split (W_c = [0, 1]) with the lam
+    the test sets per vertex, optimizer u = [w]; returns (lams by w, the vertices solved)."""
+    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    lams, solved = {}, []
+
+    def stub(split, w, d, image=None, basis=None):
+        assert image is None and basis is None  # the cold per-vertex LPs
+        solved.append(float(w[0]))
+        lam = lams[float(w[0])]
+        status = lp.OPTIMAL if lam > 0.0 else lp.ZERO
+        return lp.DirectionScaling(status=status, value=lam, argument=np.array(w, dtype=float))
+
+    monkeypatch.setattr(reach, "_vertex_lp", stub)
+    return lams, solved
+
+
+def test_vertex_lps_break_ties_as_the_screen(toy2_split, stubbed_vertex_lps):
+    # w_max's time is 1 ulp above w_min's: tied within VERTEX_TIE_RTOL, so the lower
+    # lexicographic vertex w_min wins, with its own time and optimizer, whichever
+    # way the rounding falls.
+    lams, solved = stubbed_vertex_lps
+    lams[0.0], lams[1.0] = 0.5, np.nextafter(0.5, 0.0)
+    assert 1.0 / lams[1.0] == np.nextafter(2.0, 3.0)
+    res = reach.malfunctioning_reach_time(toy2_split, [-1.0])
+    assert (res.time, res.optimizer_w.tolist(), res.optimizer_u.tolist()) == (2.0, [0.0], [0.0])
+    lams[0.0], lams[1.0] = lams[1.0], lams[0.0]
+    res = reach.malfunctioning_reach_time(toy2_split, [-1.0])
+    assert (res.time, res.optimizer_w.tolist()) == (np.nextafter(2.0, 3.0), [0.0])
+    # A time larger by more than the tolerance still wins.
+    lams[1.0] = 0.5 * (1.0 - 1e-9)
+    assert reach.malfunctioning_reach_time(toy2_split, [-1.0]).optimizer_w.tolist() == [1.0]
+    assert solved == [0.0, 1.0] * 3
+
+
+@pytest.mark.parametrize("lams, worst, solved", [
+    ({0.0: 0.0, 1.0: 0.5}, 0.0, [0.0]),  # the first vertex is infinite: no further LP
+    ({0.0: 0.5, 1.0: 0.0}, 1.0, [0.0, 1.0]),
+])
+def test_vertex_lps_first_infinite_wins(toy2_split, stubbed_vertex_lps, lams, worst, solved):
+    stubbed_vertex_lps[0].update(lams)
+    res = reach.malfunctioning_reach_time(toy2_split, [-1.0])
+    assert (math.isinf(res.time), res.optimizer_w.tolist()) == (True, [worst])
+    assert stubbed_vertex_lps[1] == solved
 
 
 def test_malfunctioning_reach_zero_d(toy3_split):

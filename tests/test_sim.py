@@ -135,6 +135,13 @@ def test_lag_command_outside_box():
         sim.integrate_with_lag(sys, np.array([5.0]), tau=0.1, horizon=1.0)
 
 
+def test_lag_rest_outside_box():
+    # The lag starts from u = 0, which this box leaves out.
+    sys = IntegratorSystem("one", 1, np.array([[1.0]]), np.array([0.5]), np.array([2.0]))
+    with pytest.raises(ModelError, match="initial input outside"):
+        sim.integrate_with_lag(sys, np.array([1.0]), tau=0.1, horizon=1.0)
+
+
 def test_lag_vanishing_tau_approaches_constant(toy2):
     u = np.array([-1.0, 1.0])
     const = integrate_constant(toy2, u, horizon=0.5, dt=1e-3)
@@ -145,56 +152,24 @@ def test_lag_vanishing_tau_approaches_constant(toy2):
     assert np.abs(x_lag - const.position()[:, 0]).max() < 1e-3
 
 
-def test_lag_piecewise_schedule():
-    sys = IntegratorSystem("one", 1, np.array([[1.0]]), np.array([-2.0]), np.array([2.0]))
-    schedule = [(0.0, np.array([1.0])), (0.5, np.array([-1.0]))]
-    traj = sim.integrate_with_lag(sys, schedule, tau=0.05, horizon=1.5)
-    # Input converges to 1 then to -1 after the switch.
-    i_mid = np.searchsorted(traj.times, 0.5) - 1
-    assert traj.inputs[i_mid, 0] == pytest.approx(1.0, abs=1e-3)
-    assert traj.inputs[-1, 0] == pytest.approx(-1.0, abs=1e-3)
-
-
-def test_lag_two_switch_schedule_matches_piecewise_closed_form():
-    # Order 2, x'' = b u with u' = (u_c - u)/tau: on a segment starting at
-    # (x_s, v_s, u_s) with command c, after h
-    #   u = c + (u_s - c) e,  e = exp(-h/tau)
-    #   v = v_s + b (c h + (u_s - c) tau (1 - e))
-    #   x = x_s + v_s h + b (c h^2/2 + (u_s - c) tau (h - tau (1 - e))).
-    b, tau = 0.7, 0.08
-    sys = IntegratorSystem("di", 2, np.array([[b]]), np.array([-2.0]), np.array([2.0]))
-    schedule = [(0.0, np.array([1.5])), (0.3, np.array([-1.0])), (0.55, np.array([0.4]))]
-    u0, x0 = np.array([-0.5]), np.array([0.2])
-    traj = sim.integrate_with_lag(sys, schedule, tau=tau, horizon=1.0, dt=5e-3, u0=u0, x0=x0)
-
-    def at(t):
-        x, v, u = 0.2, 0.0, -0.5
-        starts = [s for s, _ in schedule] + [math.inf]
-        for (t_s, c), t_e in zip(schedule, starts[1:]):
-            h = min(t, t_e) - t_s
-            e = math.exp(-h / tau)
-            c = float(c[0])
-            x, v, u = (
-                x + v * h + b * (c * h * h / 2.0 + (u - c) * tau * (h - tau * (1.0 - e))),
-                v + b * (c * h + (u - c) * tau * (1.0 - e)),
-                c + (u - c) * e,
-            )
-            if t <= t_e:
-                return x, v, u
-        raise AssertionError("unreachable")
-
-    assert 0.3 in traj.times and 0.55 in traj.times
-    expected = np.array([at(t) for t in traj.times])
-    assert np.abs(traj.position()[:, 0] - expected[:, 0]).max() <= 1e-12
-    assert np.abs(derivative(traj, 1)[:, 0] - expected[:, 1]).max() <= 1e-12
-    assert np.abs(traj.inputs[:, 0] - expected[:, 2]).max() <= 1e-12
-
-
-def test_lag_schedule_times_must_not_decrease():
-    sys = IntegratorSystem("one", 1, np.array([[1.0]]), np.array([-2.0]), np.array([2.0]))
-    schedule = [(0.0, np.array([1.0])), (0.5, np.array([-1.0])), (0.4, np.array([0.0]))]
-    with pytest.raises(ModelError, match="decrease"):
-        sim.integrate_with_lag(sys, schedule, tau=0.05, horizon=1.0)
+@pytest.mark.parametrize("k", [2, 3])
+def test_lag_from_rest_matches_closed_form(k):
+    # x^(k) = b u with u' = (c - u)/tau from rest: u = c (1 - e), e = exp(-t/tau), and
+    # x^(k-m) = b c F_m(t), F_m the m-fold integral of 1 - e from 0:
+    #   F_1 = t - tau (1 - e)
+    #   F_2 = t^2/2 - tau t + tau^2 (1 - e)
+    #   F_3 = t^3/6 - tau t^2/2 + tau^2 t - tau^3 (1 - e).
+    b, c, tau = 0.7, 1.5, 0.08
+    sys = IntegratorSystem("lag", k, np.array([[b]]), np.array([-2.0]), np.array([2.0]))
+    traj = sim.integrate_with_lag(sys, np.array([c]), tau=tau, horizon=1.0, dt=5e-3)
+    t = traj.times
+    rise = -np.expm1(-t / tau)
+    f = {1: t - tau * rise,
+         2: t**2 / 2.0 - tau * t + tau**2 * rise,
+         3: t**3 / 6.0 - tau * t**2 / 2.0 + tau**2 * t - tau**3 * rise}
+    assert np.abs(traj.position()[:, 0] - b * c * f[k]).max() <= 1e-12
+    assert np.abs(derivative(traj, 1)[:, 0] - b * c * f[k - 1]).max() <= 1e-12
+    assert np.abs(traj.inputs[:, 0] - c * rise).max() <= 1e-12
 
 
 def test_lag_state_matches_quadrature():

@@ -197,7 +197,7 @@ def test_started_nominal_time_matches_cold_and_highs(seed, highs):
         accepted.append(real(*args))
         return accepted[-1]
 
-    with lp.reuse_scope(), pytest.MonkeyPatch.context() as mp:
+    with zonotope.reuse_scope(), pytest.MonkeyPatch.context() as mp:
         # Kept in the scope, the image starts T_N* whatever its budget.
         if zonotope.build(b, lo, hi, lps=10**6) is None:
             assert np.linalg.matrix_rank(b) < sys.n
@@ -681,15 +681,13 @@ def _assert_row_is_starts(zono, sp, d, w, row) -> None:
     start = zono.start(d, -(sp.c @ w))
     if np.array_equal(row, start):
         return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_reused", None)  # no outcome reused from another start
-        at_row, at_start = (reach._vertex_lp(sp, w, d, basis=facet) for facet in (row, start))
-        assert at_row.value == pytest.approx(at_start.value, rel=HINT_REL)
+    at_row, at_start = (reach._vertex_lp(sp, w, d, basis=facet) for facet in (row, start))
+    assert at_row.value == pytest.approx(at_start.value, rel=HINT_REL)
 
 
 def _screened_vertex(zono, sp, d) -> tuple[int, np.ndarray]:
     """The index the T_M* screen picks among the W_c vertices, and its times."""
-    screened = reach._gauge_times(d, zono.scalings(d, -(reach.w_vertices(sp) @ sp.c.T)))[0]
+    screened = reach._times(sp.b, sp.u_min, sp.u_max, d, -(reach.w_vertices(sp) @ sp.c.T), zono)[0]
     return int(np.argmax(screened >= screened.max() * (1.0 - reach.VERTEX_TIE_RTOL))), screened
 
 
@@ -700,7 +698,7 @@ def _screened_vertex(zono, sp, d) -> tuple[int, np.ndarray]:
 @example(seed=1235, redundant=False)
 def test_worst_vertex_matches_enumeration(seed, redundant, highs, gauge_calls):
     sp, rng = (_redundant_split if redundant else _random_split)(seed)
-    with lp.reuse_scope():  # T_M* below gets this image, whatever its budget
+    with zonotope.reuse_scope():  # T_M* below gets this image, whatever its budget
         zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
         if zono is None:
             return
