@@ -29,7 +29,6 @@ from .resilience import (
     check_controllability,
     lambda_pair,
     quantitative_resilience,
-    r_pair,
     resilience_via_reach_times,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "nominal_reach_time",
     "order_k_time",
     "quantitative_resilience",
-    "r_pair",
     "resilience_via_reach_times",
     "save_system",
     "split",

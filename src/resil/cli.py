@@ -153,7 +153,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sp = split(sys_model, tuple(columns))
     reports, scales = {}, [0.5, 2.0, 10.0]
     samples = args.samples if sp.p == 1 else 0
-    oracle.op_images(sp, d, args.grid, samples, len(scales))
     grid = oracle.grid_worst_w(sp, d, args.grid)
     reports["grid_worst_w"] = grid.to_dict()
     print(f"grid_worst_w: worst={_human(grid.worst_value)} theory={_human(grid.theory_value)} "

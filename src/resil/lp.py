@@ -5,7 +5,8 @@ batched zonotope gauge (zonotope.py).  It solves every reported reach time and
 optimizer (T_M* takes its worst vertex from the gauge's eroded facets, or
 screens its vertices with it, then solves one LP there), lambda+/- and
 controllability outside resilience.sweep, and every batch whose
-H-representation zonotope.build declines.  The problems are tiny (at most ~15
+H-representation zonotope.build declines (rank below n, or more facet
+candidates than zonotope.MAX_CANDIDATES).  The problems are tiny (at most ~15
 variables, ~6 equality rows), so the solver is a hand-rolled two-phase
 bounded-variable simplex rather than a call into a general-purpose package: it
 is bitwise deterministic (Bland's anti-cycling rule, no randomized or

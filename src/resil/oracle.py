@@ -8,8 +8,8 @@ quasi-random sampling and reports the worst observed violation.
 The scans evaluate all grid points, sampled directions or homogeneity rays in
 gauge batches of the box images of B and B_bar (reach.malfunction_times,
 reach.time_ratios, reach.nominal_times, reach.worst_times; zonotope.py), one LP
-per query where a build is declined; op_images builds both once per oracle op,
-kept by its zonotope.reuse_scope.  Each theory value, and the probe's T*(a d), comes
+per query where a build is declined; within the oracle op's zonotope.reuse_scope
+each image is built once for all its scans.  Each theory value, and the probe's T*(a d), comes
 from the scalar reach path, whose reported times are LP optima (started at the
 facet of an image where the ray leaves it), so every scan compares two engines.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import reach, zonotope
+from . import reach
 from .errors import CapacityError, LpError, ResilError, UnsupportedLossError
 from .model import ActuatorSplit, IntegratorSystem, to_machine
 from .resilience import quantitative_resilience
@@ -74,23 +74,6 @@ def _grid_direction(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -
             f"grid of {points_per_axis}^{split.p} points exceeds the cap of {GRID_CAP}"
         )
     return d
-
-
-def op_images(split: ActuatorSplit, d: np.ndarray, points_per_axis: int, samples: int, probes: int):
-    """Build B's and B_bar's images into the op's reuse_scope, after grid_worst_w's checks.
-
-    Each is offered every scan's LPs, so the scans find it kept (or declined): B's the grid
-    points and the 2^p vertex LPs each T_M* replaces (grid theory, 1 + `probes`
-    homogeneity points, t(+/-C) and each scan direction); B_bar's the 1 + `probes`
-    homogeneity points and, when the direction scan runs (samples > 0), its directions and
-    the 2n + 2 LPs of its gate.
-    """
-    _grid_direction(split, d, points_per_axis)
-    base, scan = split.base, (2 + samples if samples > 0 else 0)
-    lps = points_per_axis**split.p + 2**split.p * (2 + probes + scan)
-    zonotope.build(split.b, split.u_min, split.u_max, lps=lps)
-    lps = 1 + probes + scan + (scan and 2 * base.n)
-    zonotope.build(base.b_bar, base.u_min, base.u_max, lps=lps)
 
 
 def grid_worst_w(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -> ScanReport:

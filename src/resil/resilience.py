@@ -142,11 +142,6 @@ def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tup
     return r_p, r_m
 
 
-def r_pair(split: ActuatorSplit) -> tuple[float, float]:
-    """Closed-form (r(C), r(-C)) for a single nonzero lost column."""
-    return r_closed_form(*lambda_pair(split), float(split.w_min[0]), float(split.w_max[0]))
-
-
 def sweep(
     sys: IntegratorSystem, columns: Iterable[int], order: int | None = None
 ) -> list[ResilienceReport]:
@@ -159,7 +154,7 @@ def sweep(
     k = reach._resolve_order(sys, order)
     splits = [make_split(sys, col) for col in columns]
     cols = [sp.lost_columns[0] for sp in splits if np.any(sp.c)]
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * sys.n + 2 * len(cols))
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     ctrl = _controllable(sys, image)
     pairs = dict(zip(cols, _lambda_pairs(sys, cols, image))) if ctrl else {}
     return [_report(sp, k, ctrl, pairs.get(sp.lost_columns[0])) for sp in splits]

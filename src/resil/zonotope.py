@@ -27,8 +27,9 @@ Zonotope.worst_vertex asks it how far one ray goes through each slab of Z eroded
 -C W: the first slabs it leaves by name T_M*'s worst vertex and the facet its LP starts
 at, and no 2^p vertices are screened.
 
-build() declines (None: callers keep to the LP path) as its docstring says, and keeps
-each image in the op's reuse_scope, which the CLI opens around each op.
+build() declines (None: callers keep to the LP path) only where M has rank below n or
+its candidates exceed MAX_CANDIDATES, and keeps each image in the op's reuse_scope, which
+the CLI opens around each op.
 """
 
 from __future__ import annotations
@@ -44,17 +45,8 @@ import numpy as np
 from . import lp
 from .errors import LpError
 
-#: Facet candidates that cost about one LP solve.  Measured on a 2-vCPU x86_64 VM, one BLAS
-#: thread, in process: at n = 6 (924-4004 candidates) build() costs 0.2-0.5 us per candidate
-#: (det cofactors took 1.4-2.7) and a gauge resilience.sweep 0.9-1.9 us (1.2-2.1 with stacked
-#: facets, same runs); at n = 3 (20-132 candidates, best of 5) a build takes 38-44 us, a cold
-#: LP 136-333 us (8 pivots at median) and one started at the image's facet 28 us, so a T_N* image
-#: within the budget of its one LP repays its build on that LP.  150 stays so that no build
-#: decision moves.
-FACETS_PER_LP = 150
-
-#: Facet candidates no build exceeds, whatever LPs it replaces: about 47 MB and
-#: 0.04 s at n = 6 (some 470 traced bytes and 0.3-0.4 us per candidate, VM above).
+#: Facet candidates no build exceeds: about 47 MB and 0.04 s at n = 6 (some 470 traced
+#: bytes and 0.3-0.4 us per candidate, one BLAS thread on a 2-vCPU x86_64 VM).
 MAX_CANDIDATES = 100_000
 
 #: Singular values at or below this fraction of the largest count as zero (rank
@@ -262,13 +254,12 @@ def reuse_scope():
         _images = outer
 
 
-def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zonotope | None:
+def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Zonotope | None:
     """H-representation of {M x : x in [lower, upper]}, or None for the LP path.
 
     Inside a reuse_scope, first the image kept for the same bytes of (M, lower,
-    upper), whatever lps.  Else None when the candidate count exceeds FACETS_PER_LP
-    * lps, lps being the LP solves the caller's batch replaces, or MAX_CANDIDATES
-    (checked before any work on M, and not kept), or when M has rank below n.
+    upper).  Else None when the candidate count exceeds MAX_CANDIDATES (checked
+    before any work on M, and not kept), or when M has rank below n.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
@@ -277,14 +268,14 @@ def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray, lps: int) -> Zono
     if key in kept:
         return kept[key]
     nonzero = np.flatnonzero(np.any(m != 0.0, axis=0))
-    if candidate_count(m.shape[0], len(nonzero)) > min(MAX_CANDIDATES, FACETS_PER_LP * lps):
+    if candidate_count(m.shape[0], len(nonzero)) > MAX_CANDIDATES:
         return None
     kept[key] = image = _image(m, lower, upper, nonzero)
     return image
 
 
 def _image(m, lower, upper, nonzero) -> Zonotope | None:
-    """build's image once its budget holds: None when M has rank below n."""
+    """build's image, its candidates within MAX_CANDIDATES: None when M has rank below n."""
     n = m.shape[0]
     gens = m * ((upper - lower) / 2.0)
     scale = np.abs(gens).max(axis=1)

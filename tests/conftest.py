@@ -11,7 +11,9 @@ simplex pivots, `zonotope_builds` counts the images zonotope.build makes (not
 its calls: a kept image or a decline is no build), `gauge_calls` its
 Zonotope.scalings batches and lambdas_without passes, `zonotope_starts` its
 Zonotope.start calls, and `sim_integrations` its sampled sim.integrate_with_lag
-calls.  `reports_agree` compares a resilience report with its LP-path reference.
+calls.  `reports_agree` compares a resilience report with its LP-path reference,
+and `r_pair` gives a single loss's closed-form (r(C), r(-C)) from its LP lambda
+pair (resilience.lambda_pair).
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -23,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from resil import lp, sim, zonotope
+from resil import lp, resilience, sim, zonotope
 from resil.model import IntegratorSystem, split
 
 
@@ -135,6 +137,17 @@ def _assert_reports_agree(got, ref, loose: bool = False) -> None:
 @pytest.fixture(scope="session")
 def reports_agree():
     return _assert_reports_agree
+
+
+def _lp_r_pair(sp) -> "tuple[float, float]":
+    """Closed-form (r(C), r(-C)) of a single nonzero lost column from its LP lam+/-."""
+    return resilience.r_closed_form(*resilience.lambda_pair(sp), float(sp.w_min[0]),
+                                    float(sp.w_max[0]))
+
+
+@pytest.fixture(scope="session")
+def r_pair():
+    return _lp_r_pair
 
 
 @pytest.fixture

@@ -134,10 +134,10 @@ def _rotational_r_q(b: float, prop: int) -> float:
     return 1.0 / (1.0 + b)
 
 
-def test_criterion_01_spacecraft_r_min_vector(highs):
+def test_criterion_01_spacecraft_r_min_vector(highs, r_pair):
     sys = catalog.spacecraft_printed()
     start = time.perf_counter()
-    got = [min(resilience.r_pair(split(sys, j))) for j in range(14)]
+    got = [min(r_pair(split(sys, j))) for j in range(14)]
     elapsed = time.perf_counter() - start
     checks = []
     for j, (g, published) in enumerate(zip(got, PUBLISHED_SPACECRAFT_R_MIN)):
@@ -210,17 +210,17 @@ def test_criterion_04_octocopter_rotational_r_q(highs):
     _verdict(4, checks)
 
 
-def test_criterion_05_octocopter_translational_r_pairs():
+def test_criterion_05_octocopter_translational_r_pairs(r_pair):
     sys = catalog.octocopter_translational()
     checks = []
     for j in range(4):
-        r_p, r_m = resilience.r_pair(split(sys, j))
+        r_p, r_m = r_pair(split(sys, j))
         rep2 = resilience.quantitative_resilience(split(sys, j), order=2)
         checks.append((abs(r_p - 0.7657) <= 1e-3, f"prop {j + 1}: r(C) {r_p:.4f}"))
         checks.append((abs(r_m - 0.5638) <= 1e-3, f"prop {j + 1}: r(-C) {r_m:.4f}"))
         checks.append((abs(rep2.r_kq - 0.75) <= 0.01, f"prop {j + 1}: r_2q {rep2.r_kq:.4f}"))
     for j in range(4, 8):
-        r_p, r_m = resilience.r_pair(split(sys, j))
+        r_p, r_m = r_pair(split(sys, j))
         checks.append((abs(r_p) <= 1e-9, f"prop {j + 1}: r(C) {r_p:.2e} != 0"))
         checks.append((abs(r_m) <= 1e-9, f"prop {j + 1}: r(-C) {r_m:.2e} != 0"))
     _verdict(5, checks)

@@ -95,15 +95,15 @@ def test_translational_bounds():
     assert sys.u_max[4:] == pytest.approx(np.full(4, p.max_thrust))
 
 
-def test_yaw_invariance():
+def test_yaw_invariance(r_pair):
     base = [
-        resilience.r_pair(split(catalog.octocopter_translational(psi=0.0), j))
+        r_pair(split(catalog.octocopter_translational(psi=0.0), j))
         for j in range(4)
     ]
     for psi in (math.pi / 4.0, 1.3):
         sys = catalog.octocopter_translational(psi=psi)
         for j in range(4):
-            r_p, r_m = resilience.r_pair(split(sys, j))
+            r_p, r_m = r_pair(split(sys, j))
             assert r_p == pytest.approx(base[j][0], abs=1e-9)
             assert r_m == pytest.approx(base[j][1], abs=1e-9)
 

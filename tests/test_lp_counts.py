@@ -37,27 +37,31 @@ def test_check_all_work(name, lp_solves, zonotope_builds, gauge_calls, capsys):
     assert (zonotope_builds[0], scalings[0], passes[0], lp_solves[0]) == (1, 1, 1, 0)
 
 
-def test_check_declined_build_lp_count(lp_solves, capsys):
+def test_check_declined_build_lp_count(lp_solves, zonotope_builds, monkeypatch, capsys):
     sys = catalog.spacecraft_printed()
-    code = cli.main(["check", "--model", "catalog:spacecraft-printed", "--lost", "1"])
+    argv = ["check", "--model", "catalog:spacecraft-printed", "--lost", "1"]
+    # 2 C(14, 5) = 4004 candidates, within MAX_CANDIDATES: one build of B_bar
+    # decides controllability and column 1's lambda+/-, with no LP.
+    assert zonotope.candidate_count(sys.n, 14) == 4004 <= zonotope.MAX_CANDIDATES
+    assert cli.main(argv) == 0
+    assert (zonotope_builds[0], lp_solves[0]) == (1, 0)
+    # Declined, LPs decide: controllability (2n) plus the lambda+/- pair.
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
+    assert cli.main(argv) == 0
     capsys.readouterr()
-    assert code == 0
-    # 2 C(14, 5) = 4004 candidates exceed FACETS_PER_LP times the 2n + 2 LPs of
-    # one column: one controllability decision (2n LPs) plus its lambda+/- pair.
-    assert zonotope.candidate_count(sys.n, 14) > zonotope.FACETS_PER_LP * (2 * sys.n + 2)
-    assert lp_solves[0] == 2 * sys.n + 2 == 14
+    assert (zonotope_builds[0], lp_solves[0]) == (1, 2 * sys.n + 2) == (1, 14)
 
 
 def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, monkeypatch):
     # Column 2 is TOY1's only one along e2: without it the kept generators
     # have rank 1 and C lies outside their span, so the pass gives its
     # lambda+/- as 0 after the cut, with no LP.
-    image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
+    image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max)
     assert image is not None
     assert resilience._lambda_pairs(toy1, [1], image) == [(0.0, 0.0)]
     reports = resilience.sweep(toy1, range(3))
     assert lp_solves[0] == 0
-    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     for got, ref in zip(reports, resilience.sweep(toy1, range(3))):
         reports_agree(got, ref)
 
@@ -73,9 +77,8 @@ def _ratio_case(model, lost, d, p, lps):
         # One LP at the worst vertex, from B's eroded slabs, one for T_N*.
         _ratio_case("catalog:octocopter-trans:0", "1", "0,0,-1", 1, 2),
         _ratio_case("catalog:octocopter-rot", "5,6,7,8", "1,0,0", 4, 2),
-        # 2 C(13, 5) = 2574 facet candidates exceed FACETS_PER_LP * 2^p: the
-        # LP path solves every vertex, then T_N*.
-        _ratio_case("catalog:spacecraft-printed", "3", "0,0,0,0,0,1", 1, 2**1 + 1),
+        # The same at n = 6: B's 2 C(13, 5) = 2574 candidates and B_bar's 4004.
+        _ratio_case("catalog:spacecraft-printed", "3", "0,0,0,0,0,1", 1, 2),
     ],
 )
 def test_ratio_lp_count(lp_solves, capsys, tmp_path, model, lost, d, p, lps):
@@ -133,14 +136,20 @@ def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, solves, pivots",
     [
-        # T_M* starts at the facet of B's image where its ray leaves, T_N* at B_bar's
-        # (56 candidates, within one LP's budget): 0 pivots (8 -> 0, T_N* was cold).
+        # T_M* starts at the facet of B's image where its ray leaves, T_N* at B_bar's:
+        # 0 pivots.
         (["simulate", "octo-vertical-lag"], 2, 0),
-        # The build of B is declined: every LP takes the cold start.
+        # Both images are built, but along e1 neither start holds (the basic point
+        # leaves its box): both LPs run cold, with 15 and 13 pivots.
         (["ratio", "--model", "catalog:spacecraft-printed", "--lost", "3",
-          "-d", "1,0,0,0,0,0"], 3, 41),
+          "-d", "1,0,0,0,0,0"], 2, 15 + 13),
+        # B has rank 1 (the four identical vertical propellers 1-4 are its only
+        # columns): its build is declined, and T_M*'s vertex LPs run cold, 5 and 2
+        # pivots, until the second vertex is infinite.  T_N* starts at B_bar's facet.
+        (["reach", "--model", "catalog:octocopter-trans:0", "-d", "0,0,1",
+          "--lost", "5,6,7,8"], 1 + 2, 5 + 2),
     ],
-    ids=["simulate-lag", "ratio-declined"],
+    ids=["simulate-lag", "ratio-refused-starts", "reach-rank-deficient"],
 )
 def test_op_pivots(lp_solves, lp_pivots, capsys, argv, solves, pivots):
     assert cli.main(argv) == 0
@@ -161,8 +170,7 @@ def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch
     argv = ["ratio", "--model", "catalog:octocopter-trans", "--lost", "1", "-d", "0,0,-1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # B_bar's image (56 candidates) is worth T_N*'s one cold LP: built, it starts T_N*
-    # at its exit facet ((False, 8) -> (True, 0), builds 1 -> 2).  No gauge pass: the
+    # B_bar's image starts T_N* at its exit facet.  No gauge pass: the
     # worst vertex comes from B's eroded slabs, not a screen.  The eroded slab its ray
     # leaves first starts the T_M* LP, which takes no pivot.
     assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (2, 0, 0)
@@ -181,15 +189,15 @@ def test_started_ops_never_reach_the_simplex(monkeypatch, capsys, argv):
     capsys.readouterr()
 
 
-def test_ratio_op_over_one_lp_budget_solves_t_n_cold(tmp_path, zonotope_builds, monkeypatch,
-                                                    capsys):
-    # n = 3 and 13 columns: B_bar's 2 C(13, 2) = 156 candidates exceed FACETS_PER_LP, the
-    # one LP T_N*'s image would replace, so T_N* takes the cold start.  B's 132 are worth
-    # its 2 vertex LPs: T_M* starts at its eroded slab.
+def test_ratio_op_over_156_candidates_starts_t_n(tmp_path, zonotope_builds, monkeypatch,
+                                                capsys):
+    # n = 3 and 13 columns: B_bar's 2 C(13, 2) = 156 candidates (as multiloss's p >= 8
+    # ops) and B's 132 are built, and both LPs start at their facets: T_N* at B_bar's,
+    # T_M* at B's eroded slab.
     b = np.random.default_rng(2).standard_normal((3, 13))
     path = tmp_path / "thirteen.json"
     save_system(IntegratorSystem("thirteen", 1, b, -np.ones(13), np.ones(13)), str(path))
-    assert zonotope.candidate_count(3, 13) == 156 > zonotope.FACETS_PER_LP
+    assert zonotope.candidate_count(3, 13) == 156
     solves = []  # (started, pivots) per lp.solve
     real = lp.solve
 
@@ -201,9 +209,8 @@ def test_ratio_op_over_one_lp_budget_solves_t_n_cold(tmp_path, zonotope_builds, 
     monkeypatch.setattr(lp, "solve", recording)
     assert cli.main(["ratio", "--model", str(path), "--lost", "1", "-d", "1,0,0"]) == 0
     capsys.readouterr()
-    assert zonotope_builds[0] == 1
-    assert solves[0][0] is False and solves[0][1] > 0
-    assert solves[1:] == [(True, 0)]
+    assert zonotope_builds[0] == 2
+    assert solves == [(True, 0), (True, 0)]
 
 
 #: (octocopter-trans yaw, lost column, d, seed) of scan-workload oracle ops (plan seed 1)
@@ -243,11 +250,11 @@ def test_oracle_tied_facets_take_no_cold_start(monkeypatch, capsys, yaw, lost, d
 
 
 def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, capsys):
-    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    # Both builds are declined for their budget, and so is every scan's own:
-    # no image is built, and every LP is solved, repeats included.  Grid theory 2
+    # Every build is declined: no image is built, and every LP is solved, repeats
+    # included.  Grid theory 2
     # (both vertices), the 21 grid points (its two end points repeat those vertices:
     # 19 -> 21), the gate's 2n + 2 = 8, t(+/-C)'s 2 x (2 vertex LPs + T_N*) (their
     # T_N* along +/-e3 repeat the gate's, the lost column lying along e3: 4 -> 6), 60
@@ -271,43 +278,39 @@ def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, zonotope_builds, ca
 def test_reuse_scope_keeps_images_whatever_lps(zonotope_builds):
     sc = catalog.spacecraft_printed()
     with zonotope.reuse_scope():
-        image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**4)
+        image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max)
         assert image is not None
-        # 4004 candidates are worth more than 1 LP, but the kept image is handed out.
-        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=1) is image
-    with zonotope.reuse_scope():
-        # A decline for budget is not kept: a later call worth the build makes it.
-        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=1) is None
-        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**4) is not None
-    assert zonotope_builds[0] == 2
+        # The 4004-candidate image is built once and handed out again.
+        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max) is image
+    assert zonotope_builds[0] == 1
 
 
 def test_reuse_scope_keeps_rank_declines(monkeypatch):
     flat, lo, hi = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]), -np.ones(3), np.ones(3)
-    tried = []  # builds past the budget check
+    tried = []  # builds past the MAX_CANDIDATES check
     real = zonotope._image
     monkeypatch.setattr(zonotope, "_image", lambda *args: tried.append(1) or real(*args))
     with zonotope.reuse_scope():
         # Rank 1: declined once, and the decline is handed out again.
-        assert zonotope.build(flat, lo, hi, lps=10**4) is None
-        assert zonotope.build(flat, lo, hi, lps=10**4) is None
+        assert zonotope.build(flat, lo, hi) is None
+        assert zonotope.build(flat, lo, hi) is None
     assert len(tried) == 1
 
 
 def test_builds_outside_a_scope_keep_nothing(toy1, zonotope_builds):
-    first = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
-    second = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
+    first = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max)
+    second = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max)
     assert first is not second
     assert zonotope_builds[0] == 2
 
 
 def test_reuse_scope_nested_joins_outer(toy1, zonotope_builds):
     with zonotope.reuse_scope():
-        image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1)
+        image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max)
         with zonotope.reuse_scope():
-            assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1) is image
+            assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max) is image
         # Closing the inner scope keeps the outer one's images.
-        assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max, lps=1) is image
+        assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max) is image
         assert zonotope_builds[0] == 1
     assert zonotope._images is None
 
@@ -341,13 +344,11 @@ def _assert_sweep_matches(sys, order, reports_agree):
     reports = resilience.sweep(sys, range(sys.n_inputs), order)
     assert [r.lost_column for r in reports] == list(range(sys.n_inputs))
     splits = [split(sys, rep.lost_column) for rep in reports]
-    with zonotope.reuse_scope():
-        # The budget of a sweep over every column: 2n + 2 per column.
-        zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
+    with zonotope.reuse_scope():  # the first report builds B_bar's image, the rest reuse it
         kept = [resilience.quantitative_resilience(sp, order) for sp in splits]
     own = [resilience.quantitative_resilience(sp, order) for sp in splits]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zonotope, "FACETS_PER_LP", 0)
+        mp.setattr(zonotope, "MAX_CANDIDATES", 0)
         for rep, single, free, sp in zip(reports, kept, own, splits):
             assert rep.to_dict() == single.to_dict()
             ref = resilience.quantitative_resilience(sp, order)
@@ -379,7 +380,7 @@ def test_sweep_matches_single_reports_unbounded_lambda(
     toy1, unbounded_lp, monkeypatch, reports_agree
 ):
     # The stub acts on the LP path only: keep the sweep off the gauge.
-    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     reports = _assert_sweep_matches(toy1, 3, reports_agree)
     assert all(r.diagnostics.get("unbounded_lambda") for r in reports)
 

@@ -179,11 +179,9 @@ def _op_direction(sp):
 
 def _op_scans(sp, scope: bool):
     """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1;
-    with scope=True inside a reuse_scope that op_images has built the op's images in."""
+    with scope=True inside one reuse_scope, as the CLI runs them."""
     d, samples = _op_direction(sp), 40 if sp.p == 1 else 0
     with zonotope.reuse_scope() if scope else contextlib.nullcontext():
-        if scope:
-            oracle.op_images(sp, d, 11, samples, len(SCALES))
         out = {
             "grid": oracle.grid_worst_w(sp, d, 11).to_dict(),
             "homogeneity": oracle.homogeneity_probe(sp, d, SCALES),
@@ -194,27 +192,29 @@ def _op_scans(sp, scope: bool):
 
 
 def test_scans_same_with_given_images(image_split, zonotope_builds):
-    # In the op's scope the scans find the images op_images built (B's, and
-    # B_bar's for the homogeneity probe and the direction scan), and give what
-    # their own builds give without a scope.
+    # In the op's scope the scans build each image once (B's, and B_bar's for the
+    # homogeneity probe and the direction scan), and give what their own builds
+    # give without a scope.
     scoped = _op_scans(image_split, scope=True)
     assert zonotope_builds[0] == 2
     assert scoped == _op_scans(image_split, scope=False)
 
 
-def test_op_images_checks_op_before_building(toy2_split, zonotope_builds):
-    with pytest.raises(LpError):
-        oracle.op_images(toy2_split, [0.0], 11, 40, len(SCALES))
-    with pytest.raises(ResilError, match=">= 2") as info:
-        oracle.op_images(toy2_split, [-1.0], 1, 40, len(SCALES))
-    assert not isinstance(info.value, CapacityError)
+def test_oracle_op_checks_before_building(zonotope_builds, capsys):
+    # A zero direction and a grid without both vertices are input errors (exit 1, not
+    # the capacity exit 2), raised before any image is built.
+    op = ["oracle", "--model", "catalog:octocopter-trans:0", "--lost", "1"]
+    assert cli.main([*op, "-d", "0,0,0"]) == cli.EXIT_INPUT
+    assert "nonzero" in capsys.readouterr().err
+    assert cli.main([*op, "-d", "0,0,-1", "--grid", "1"]) == cli.EXIT_INPUT
+    assert ">= 2" in capsys.readouterr().err
     assert zonotope_builds[0] == 0
 
 
 def test_scans_declined_images_take_lp_path(image_split, monkeypatch):
-    # Builds declined for their budget are not kept: in the op's scope the scans
+    # Builds declined over MAX_CANDIDATES are not kept: in the op's scope the scans
     # solve the LPs they solve without one, and give what they give there.
-    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     assert _op_scans(image_split, scope=True) == _op_scans(image_split, scope=False)
 
 
@@ -225,7 +225,7 @@ def test_gate_from_full_image_matches_lp_verdict(request, model, monkeypatch):
     sys = request.getfixturevalue(model) if model.startswith("toy") else catalog.resolve(model)
     columns = range(sys.n_inputs)
     with zonotope.reuse_scope():  # the gate's report from B_bar's kept image
-        assert zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**4) is not None
+        assert zonotope.build(sys.b_bar, sys.u_min, sys.u_max) is not None
         gauge = [quantitative_resilience(split(sys, col)).resilient for col in columns]
-    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     assert gauge == [quantitative_resilience(split(sys, col)).resilient for col in columns]

@@ -67,7 +67,7 @@ def test_malfunctioning_reach_toy3_tie_break(toy3_split):
 def stubbed_vertex_lps(toy2_split, monkeypatch):
     """Declines B's image and answers each vertex LP of toy2_split (W_c = [0, 1]) with the lam
     the test sets per vertex, optimizer u = [w]; returns (lams by w, the vertices solved)."""
-    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     lams, solved = {}, []
 
     def stub(split, w, d, image=None, basis=None):
@@ -122,11 +122,20 @@ def test_direction_length_checked_before_zero(toy3, toy3_split, d):
             call()
 
 
-def test_capacity_cap():
+def test_capacity_cap(zonotope_builds, monkeypatch):
     sys = IntegratorSystem("wide", 1, np.ones((1, 25)), np.zeros(25), np.ones(25))
     sp = split(sys, tuple(range(22)))
+
+    def no_vertices(*args):
+        raise AssertionError("W_c's 2^22 vertices enumerated past the cap")
+
+    monkeypatch.setattr(reach, "w_vertices", no_vertices)
     with pytest.raises(CapacityError, match="2\\^22"):
         reach.malfunctioning_reach_time(sp, [1.0])
+    with pytest.raises(CapacityError, match="2\\^22"):
+        reach.worst_times(sp, np.array([[1.0]]))
+    # Both raise before any work: B's image (rank 1 = n, so buildable) is not built.
+    assert zonotope_builds[0] == 0
 
 
 def test_time_ratio_toy2(toy2_split):

@@ -37,14 +37,14 @@ def test_lambda_pair_toy1(toy1_split):
     assert resilience.lambda_pair(toy1_split) == pytest.approx((2.0, 2.0), abs=1e-12)
 
 
-def test_r_pair_toy2(toy2_split):
-    r_p, r_m = resilience.r_pair(toy2_split)
+def test_r_pair_toy2(toy2_split, r_pair):
+    r_p, r_m = r_pair(toy2_split)
     assert r_p == pytest.approx(0.5, abs=1e-12)
     assert r_m == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_r_pair_toy1(toy1_split):
-    r_p, r_m = resilience.r_pair(toy1_split)
+def test_r_pair_toy1(toy1_split, r_pair):
+    r_p, r_m = r_pair(toy1_split)
     assert r_p == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert r_m == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -136,7 +136,7 @@ def test_verdict_agreement_random():
             assert 1.0 / rep.r_q == pytest.approx(t_worst, rel=1e-8)
 
 
-def test_symmetric_box_reduction():
+def test_symmetric_box_reduction(r_pair):
     rng = np.random.default_rng(9)
     for _ in range(30):
         n = int(rng.integers(1, 4))
@@ -146,7 +146,7 @@ def test_symmetric_box_reduction():
         col = int(rng.integers(0, v))
         if not np.any(sys.b_bar[:, col]):
             continue
-        r_p, r_m = resilience.r_pair(split(sys, col))
+        r_p, r_m = r_pair(split(sys, col))
         assert r_p == pytest.approx(r_m, abs=1e-10)
 
 

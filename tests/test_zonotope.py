@@ -99,7 +99,7 @@ def _boundary_point(sp, rng) -> np.ndarray:
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_scalings_match_lp_and_highs(seed, highs):
     sp, rng = _random_split(seed)
-    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
     if zono is None:
         assert np.linalg.matrix_rank(sp.b) < sp.base.n
         return
@@ -167,7 +167,7 @@ def _assert_hint_matches_cold(m, lo, hi, d, s, basis) -> None:
 @example(seed=11912)  # a shift outside the image: the start puts lam at -5.8e-10
 def test_hinted_lp_matches_cold(seed):
     sp, rng = _random_split(seed)
-    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
     if zono is None:
         assert np.linalg.matrix_rank(sp.b) < sp.base.n
         return
@@ -198,8 +198,8 @@ def test_started_nominal_time_matches_cold_and_highs(seed, highs):
         return accepted[-1]
 
     with zonotope.reuse_scope(), pytest.MonkeyPatch.context() as mp:
-        # Kept in the scope, the image starts T_N* whatever its budget.
-        if zonotope.build(b, lo, hi, lps=10**6) is None:
+        # Kept in the scope, the image starts T_N*.
+        if zonotope.build(b, lo, hi) is None:
             assert np.linalg.matrix_rank(b) < sys.n
             return
         mp.setattr(lp, "_hinted_start", recording)
@@ -219,7 +219,7 @@ def test_started_nominal_time_matches_cold_and_highs(seed, highs):
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_exit_facet_is_tight(seed):
     sp, rng = _random_split(seed)
-    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
     if zono is None:
         return
     directions = rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
@@ -346,7 +346,7 @@ def test_slabs_match_stacked_reference(seed, small):
     b, lo, hi = _random_system(rng)
     if rng.random() < 0.3:
         lo[:] = 0.0  # 0 a vertex of the box: on the image's boundary
-    image = zonotope.build(b, lo, hi, lps=10**6)
+    image = zonotope.build(b, lo, hi)
     if image is None:
         return
     with pytest.MonkeyPatch.context() as mp:
@@ -359,11 +359,11 @@ def test_slabs_match_stacked_reference(seed, small):
                                   "octocopter-trans:0", "octocopter-trans:30"])
 def test_slabs_match_stacked_reference_on_catalog(name):
     sys = catalog.resolve(name)
-    _assert_slabs_match_stacked(zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6),
+    _assert_slabs_match_stacked(zonotope.build(sys.b_bar, sys.u_min, sys.u_max),
                                 np.random.default_rng(7))
     for j in range(sys.n_inputs):  # each single loss's kept image
         sp = split(sys, j)
-        image = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+        image = zonotope.build(sp.b, sp.u_min, sp.u_max)
         if image is not None:
             _assert_slabs_match_stacked(image, np.random.default_rng(j))
 
@@ -394,7 +394,7 @@ def _assert_wedges_match_det(b, lo, hi) -> None:
     cofactors normalized, and those within 1e-15 of the reference's (absolute: the
     unit generators' cofactors are at most 1 in size, and both forms round to about
     1e-13 of a small facet's volume)."""
-    image = zonotope.build(b, lo, hi, lps=10**6)
+    image = zonotope.build(b, lo, hi)
     if image is None:
         assert np.linalg.matrix_rank(b) < b.shape[0]
         return
@@ -431,8 +431,8 @@ def test_wedge_normals_match_det_on_catalog(name, request):
 
 
 def _lp_only(monkeypatch):
-    """Make zonotope.build decline every matrix (no facet budget)."""
-    monkeypatch.setattr(zonotope, "FACETS_PER_LP", 0)
+    """Make zonotope.build decline every matrix (a cap of 0 candidates)."""
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
 
 
 def _random_sweep_system(seed: int) -> IntegratorSystem:
@@ -466,7 +466,7 @@ def _highs_lambdas(highs, sp) -> tuple:
 @example(seed=79004)  # column 1: lam- 6.0e-14 of the width off the gauge (was 2.2e-10 off)
 def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree):
     sys = _random_sweep_system(seed)
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=2 * (sys.n + sys.n_inputs))
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     assert image is not None or np.linalg.matrix_rank(sys.b_bar) < sys.n
     reports = resilience.sweep(sys, range(sys.n_inputs))
     assert reports[0].controllable == highs.controllable(sys)
@@ -488,7 +488,7 @@ def test_controllable_from_image_skips_the_svd(seed, highs):
     # generators, so _controllable runs no SVD of raw B_bar.  Preceded by that SVD's
     # rank test, the verdict is the same, and so is HiGHS's.
     sys = _random_sweep_system(seed)
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6)
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     verdict = resilience._controllable(sys, image)
     sv = np.linalg.svd(sys.b_bar, compute_uv=False)
     with_svd = bool(sv[0] > 0.0 and np.sum(sv > zonotope.RANK_RTOL * sv[0]) == sys.n) and verdict
@@ -606,7 +606,7 @@ def test_simplex_zero_status_matches_highs(highs):
     sp, rng = _random_split(30089)
     d = (rng.standard_normal((4, sp.base.n)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1)))[1]
     s = -(reach.w_vertices(sp) @ sp.c.T)[1]
-    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
     assert math.isnan(zono.scalings(d[None], s[None])[0, 0])
     assert highs.scaling(sp.b, sp.u_min, sp.u_max, d / np.linalg.norm(d), s) is None
     ref = lp.max_scaled_direction(sp.b, sp.u_min, sp.u_max, d, rhs_shift=s)
@@ -625,14 +625,14 @@ def test_lambdas_without_matches_build(seed):
         lo[:] = 0.0
     elif box < 0.4:
         lo, hi = rng.uniform(0.1, 0.5, len(lo)), rng.uniform(0.6, 1.0, len(lo))
-    image = zonotope.build(b, lo, hi, lps=10**6)
+    image = zonotope.build(b, lo, hi)
     if image is None:
         assert np.linalg.matrix_rank(b) < b.shape[0]
         return
     nonzero = [j for j in range(b.shape[1]) if np.any(b[:, j])]
     for j, lam in zip(nonzero, image.lambdas_without(nonzero)):
         others = [k for k in range(b.shape[1]) if k != j]
-        ref = zonotope.build(b[:, others], lo[others], hi[others], lps=10**6)
+        ref = zonotope.build(b[:, others], lo[others], hi[others])
         lam_hat = lam * ((hi[j] - lo[j]) / 2.0) * np.linalg.norm(b[:, j])
         if ref is None:  # the other columns have rank n - 1, and C_j leaves their span
             cut = np.where(lam_hat <= lp.UNIT_THRESHOLD, 0.0, lam_hat)
@@ -698,8 +698,8 @@ def _screened_vertex(zono, sp, d) -> tuple[int, np.ndarray]:
 @example(seed=1235, redundant=False)
 def test_worst_vertex_matches_enumeration(seed, redundant, highs, gauge_calls):
     sp, rng = (_redundant_split if redundant else _random_split)(seed)
-    with zonotope.reuse_scope():  # T_M* below gets this image, whatever its budget
-        zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    with zonotope.reuse_scope():  # T_M* below gets this image
+        zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
         if zono is None:
             return
         d = rng.standard_normal(sp.base.n)
@@ -734,7 +734,7 @@ def test_worst_vertex_rounding_ties(seed, monkeypatch):
     # about 1e-17, not 0.  Both bounds give the same screened time; the screen takes
     # w_min, and so does the tie rule, where the bare sign of t_j takes w_max.
     sp, rng = _random_split(seed)
-    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
     d = rng.standard_normal(sp.base.n)
     old, screened = _screened_vertex(zono, sp, d)
     assert np.unique(screened).size < screened.size
@@ -759,7 +759,7 @@ def test_worst_vertex_on_catalog_single_losses(name, resilient):
     for j in range(sys.n_inputs):
         sp = split(sys, j)
         assert quantitative_resilience(sp).resilient == (j in resilient)
-        zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+        zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
         for d in directions:
             found = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
             if j in resilient:
@@ -817,28 +817,16 @@ def test_rank_deficient_takes_lp_path(lp_solves):
     sys = IntegratorSystem("rd", 1, np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]),
                            -np.ones(3), np.ones(3))
     sp = split(sys, 2)
-    assert zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6) is None
+    assert zonotope.build(sp.b, sp.u_min, sp.u_max) is None
     assert math.isfinite(reach.malfunctioning_reach_time(sp, np.array([1.0, 2.0])).time)
     assert lp_solves[0] == 2**sp.p
     reach.malfunction_times(sp, np.array([[-1.0], [0.0], [1.0]]), np.array([1.0, 2.0]))
     assert lp_solves[0] == 2**sp.p + 3
 
 
-def test_over_facet_budget_takes_lp_path(lp_solves):
-    sp = split(catalog.spacecraft_printed(), 2)
-    nonzero = int(np.count_nonzero(np.any(sp.b != 0.0, axis=0)))
-    assert zonotope.candidate_count(sp.base.n, nonzero) == 2 * math.comb(13, 5)
-    assert zonotope.candidate_count(sp.base.n, nonzero) > zonotope.FACETS_PER_LP * 2**sp.p
-    assert zonotope.build(sp.b, sp.u_min, sp.u_max, lps=2**sp.p) is None
-    reach.malfunctioning_reach_time(sp, np.eye(6)[5])
-    assert lp_solves[0] == 2**sp.p
-    # Within budget the same matrix is built and screened: one LP.
-    assert zonotope.build(sp.b, sp.u_min, sp.u_max, lps=30) is not None
-
-
 def test_over_absolute_cap_declines_before_any_work(monkeypatch):
-    # 2 C(40, 5) = 1 316 016 candidates would take about 1 GB: no LP budget,
-    # however large, builds them, and build declines before touching M.
+    # 2 C(40, 5) = 1 316 016 candidates would take about 1 GB: build declines
+    # before touching M.
     b = np.random.default_rng(0).standard_normal((6, 40))
     assert zonotope.candidate_count(6, 40) > zonotope.MAX_CANDIDATES
 
@@ -847,18 +835,18 @@ def test_over_absolute_cap_declines_before_any_work(monkeypatch):
 
     monkeypatch.setattr(zonotope, "_image", no_work)
     monkeypatch.setattr(zonotope, "itertools", SimpleNamespace(combinations=no_work))
-    assert zonotope.build(b, -np.ones(40), np.ones(40), lps=10**12) is None
+    assert zonotope.build(b, -np.ones(40), np.ones(40)) is None
 
 
 def test_scalings_chunked_like_unchunked(monkeypatch):
     sp = split(catalog.octocopter_translational(), 0)
-    zono = zonotope.build(sp.b, sp.u_min, sp.u_max, lps=10**6)
+    zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
     rng = np.random.default_rng(4)
     directions = rng.standard_normal((7, 3))
     shifts = -(rng.uniform(sp.w_min, sp.w_max, size=(50, 1)) @ sp.c.T)
     whole = zono.scalings(directions, shifts)
     sc = catalog.spacecraft_printed()
-    image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max, lps=10**6)
+    image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max)
     lams = image.lambdas_without(range(14))
     monkeypatch.setattr(zonotope, "BLOCK_ELEMENTS", 1)
     # One pair, or one facet row, per block: equal up to the rounding of
@@ -871,7 +859,7 @@ def test_block_temporaries_stay_small():
     # NumPy reports its buffers to tracemalloc, so these peaks do not depend on
     # the machine: 3.9 MB and 1.0 MB with the stacked rows and 256 KiB blocks.
     sys = catalog.spacecraft_printed()
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6)
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
     for work, cap in ((lambda: image.lambdas_without(range(14)), 1 << 20),
                       (lambda: image.scalings(axes, np.zeros((1, sys.n))), 1 << 19)):
@@ -905,7 +893,7 @@ def test_start_ties_go_to_the_lowest_row():
     # Propellers 1-4 of the octocopter are one column repeated: their slabs
     # repeat, and every ray leaving through one ties with its copies.
     sys = catalog.octocopter_translational()
-    zono = zonotope.build(sys.b_bar, sys.u_min, sys.u_max, lps=10**6)
+    zono = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     rays = np.random.default_rng(5).standard_normal((40, 3))
     toward = np.array([zono.normals @ (d / np.sqrt(d @ d) / zono.scale) for d in rays])
     lowest = _assert_ties_go_to_the_lowest_row(toward, zono.plus, zono.minus)
@@ -919,7 +907,7 @@ def test_start_ties_go_to_the_lowest_row():
 
 
 def test_zero_direction_rejected():
-    zono = zonotope.build(np.eye(2), -np.ones(2), np.ones(2), lps=1)
+    zono = zonotope.build(np.eye(2), -np.ones(2), np.ones(2))
     with pytest.raises(lp.LpError, match="nonzero"):
         zono.scalings(np.zeros((1, 2)), np.zeros((1, 2)))
 
