@@ -336,6 +336,11 @@ def resolve(name: str) -> IntegratorSystem:
 
         with open(arg, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ModelError(f"element file {arg!r} must contain a JSON object")
+        missing = [key for key in ("a", "e", "i", "argp") if key not in doc]
+        if missing:
+            raise ModelError(f"element file {arg!r} missing required field {missing[0]!r}")
         el = OrbitalElements.from_degrees(
             a_km=doc["a"], e=doc["e"], i=doc["i"],
             raan=doc.get("raan", 0.0), argp=doc["argp"],

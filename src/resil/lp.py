@@ -24,10 +24,12 @@ out of bounds, starts cold.  On the 660 LPs of 100 scan-workload ops 651 settle
 cold, the 660 take 209 us and 8 pivots at the median (best of 5 per LP, 2-vCPU
 x86_64 VM, one BLAS thread, in process).
 
-Statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED, with
-no "numerical failure" status.  max_scaled_direction can still report "zero" on
-an infeasible LP whose residual passes the absolute feasibility test: ROADMAP
-item 4, the strict xfail in tests/test_zonotope.py.
+solve's statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED,
+with no "numerical failure" status.  max_scaled_direction folds them into one
+normalized multiplier lam_hat, as Zonotope.scalings reports it: nan, +inf, or
+the optimum.  It can still give lam_hat = 0 where the gauge gives nan, on an
+infeasible LP whose residual passes the absolute feasibility test: ROADMAP item
+4, the strict xfail in tests/test_zonotope.py.
 
 The module keeps no state: every call solves its problem, from the basis it is
 given or cold.
@@ -35,6 +37,7 @@ given or cold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,28 +289,16 @@ def solve(problem: LpProblem, basis=None) -> LpOutcome:
 
 # --------------------------------------------------------------------------
 # Directional scaling problem:  max { lam >= 0 : M x = lam d, x in box }.
-# This hosts the lam = 1/T transformation behind every reach-time quantity.
+# Its lam_hat becomes a reach time T = |d|/lam_hat in reach._order1_times.
 # --------------------------------------------------------------------------
-
-#: Status for "only lam = 0 is feasible" (the direction is on the image boundary).
-ZERO = "zero"
-#: Status for "no x in the box with M x on the nonnegative ray of d at all".
-NEGATIVE_CERTIFICATE = "negative-certificate"
-
 
 @dataclass(frozen=True)
 class DirectionScaling:
-    """Outcome of max_scaled_direction.
+    """max_scaled_direction's lam_hat, the multiplier of d/|d| (lam = lam_hat/|d|), as
+    Zonotope.scalings gives it: nan where no lam_hat >= 0 is feasible, +inf where it is
+    unbounded.  argument is the maximizing x, set only where lam_hat is finite."""
 
-    status is one of "optimal" (lam > threshold attained), "zero",
-    "negative-certificate", or "unbounded" (lam can grow without bound, i.e.
-    reach time 0).  value is lam* for "optimal"/"zero", +inf for "unbounded",
-    and None for "negative-certificate".  argument is the maximizing x when
-    one exists.
-    """
-
-    status: str
-    value: float | None = None
+    lam_hat: float
     argument: np.ndarray | None = None
 
 
@@ -334,11 +325,9 @@ def max_scaled_direction(
     adversarial term -C w into the right-hand side.  basis, n - 1 columns of M
     (or None), starts solve from those columns and lam.
 
-    The direction is normalized to unit length internally and the positivity
-    threshold is applied to the normalized multiplier, so the lam > 0 decision
-    is invariant under rescaling of d.  (Applying the threshold to the raw
-    multiplier would silently change verdicts with the units of d and destroy
-    the positive homogeneity of the reach times built on top of this LP.)
+    lam_hat = max(optimum, 0) of d/|d|, nan if infeasible, +inf if unbounded.  Callers
+    hold lam_hat, not lam, to UNIT_THRESHOLD (reach._order1_times), so the lam > 0
+    decision, and the homogeneity of the reach times, do not depend on the units of d.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -347,8 +336,7 @@ def max_scaled_direction(
         raise LpError(f"direction must have length {n}, got shape {d.shape}")
     if not np.any(d):
         raise LpError("direction d must be nonzero")
-    norm = float(np.linalg.norm(d))
-    d_unit = d / norm
+    d_unit = d / np.linalg.norm(d)
     shift = np.zeros(n) if rhs_shift is None else np.atleast_1d(np.asarray(rhs_shift, dtype=float))
 
     # Variables: (x, lam_hat).  Constraint M x - lam_hat d_unit = shift,
@@ -362,11 +350,7 @@ def max_scaled_direction(
     out = solve(problem, None if basis is None else [*basis, v])
 
     if out.status == INFEASIBLE:
-        return DirectionScaling(status=NEGATIVE_CERTIFICATE)
+        return DirectionScaling(math.nan)
     if out.status == UNBOUNDED:
-        return DirectionScaling(status=UNBOUNDED, value=np.inf)
-    lam_hat = max(out.value, 0.0)
-    x = out.argument[:v]
-    if lam_hat > lambda_threshold(d_unit):
-        return DirectionScaling(status=OPTIMAL, value=lam_hat / norm, argument=x)
-    return DirectionScaling(status=ZERO, value=lam_hat / norm, argument=x)
+        return DirectionScaling(math.inf)
+    return DirectionScaling(max(out.value, 0.0), out.argument[:v])

@@ -9,11 +9,11 @@ worst vertex is the one attaining the facet where the ray leaves that image
 eroded by -C W_c (its Minkowski difference), read off the facets with no
 vertex enumerated.
 
-Two engines compute lam*: the simplex LP of lp.max_scaled_direction, one solve
-per query, and the facet inequalities of the box image (zonotope.py), one
-batch per matrix.  Single reach times (T_N*, T_M(w, d)) and every reported
-optimizer are LP optima, started at the facet where the LP's own ray leaves
-the image.  T_N* starts at B_bar's zonotope.Zonotope.start.  T_M* takes its
+Two engines compute lam* as the multiplier lam_hat of d/|d|, which _order1_times
+turns into a time: the simplex LP of lp.max_scaled_direction, one solve per
+query, and the facet inequalities of the box image (zonotope.py), one batch.
+Single reach times (T_N*, T_M(w, d)) and every reported optimizer are LP
+optima, started at the facet where the LP's own ray leaves the image.  T_N* starts at B_bar's zonotope.Zonotope.start.  T_M* takes its
 worst vertex from B's eroded facets (zonotope.Zonotope.worst_vertex), which
 also name the facet its LP starts at, or else screens its 2^p vertices with one
 gauge batch, which returns lam only, and solves one LP at that vertex, started
@@ -69,14 +69,18 @@ def _resolve_order(sys: IntegratorSystem, order: int | None) -> int:
     return k
 
 
-def _order1_time(scaling: lp.DirectionScaling) -> tuple[float, np.ndarray | None]:
-    """Order-1 reach time 1/lam* and optimizer of a max_scaled_direction outcome.
+def _order1_times(lam_hat, norms):
+    """Order-1 reach times 1/lam, lam = lam_hat/|d| (norms), from either engine's lam_hat:
+    +inf where lam_hat is at most lp.UNIT_THRESHOLD or nan (infeasible), 0 where +inf."""
+    with np.errstate(divide="ignore"):
+        return np.where(lam_hat > lp.UNIT_THRESHOLD, 1.0 / np.divide(lam_hat, norms), math.inf)
 
-    Time 0 when lam is unbounded, +inf when lam* = 0 or infeasible; no optimizer then.
-    """
-    if scaling.status == lp.OPTIMAL:
-        return 1.0 / scaling.value, scaling.argument
-    return (0.0 if scaling.status == lp.UNBOUNDED else math.inf), None
+
+def _order1_time(scaling: lp.DirectionScaling, d) -> tuple[float, np.ndarray | None]:
+    """_order1_times of one max_scaled_direction outcome along d, and its optimizer where
+    that time is finite."""
+    t1 = float(_order1_times(scaling.lam_hat, np.linalg.norm(d)))
+    return t1, (scaling.argument if math.isfinite(t1) else None)
 
 
 def nominal_reach_time(
@@ -93,7 +97,8 @@ def nominal_reach_time(
     if not np.any(d):
         return ReachResult(time=0.0, order=k)
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
-    t1, u = _order1_time(_scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), image))
+    scaling = _scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), image)
+    t1, u = _order1_time(scaling, d)
     return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u)
 
 
@@ -128,23 +133,16 @@ def _vertex_lp(split: ActuatorSplit, w, d, image=None, basis=None) -> lp.Directi
 
 def _times(m, lower, upper, directions, shifts, image) -> np.ndarray:
     """Order-1 reach times 1/max{lam >= 0 : M x = lam d + s, x in box} per (row d of
-    directions, row s of shifts): one gauge batch of M's image, or one cold LP per pair
-    (_order1_time of lp.max_scaled_direction) where image is None.
-
-    From the gauge, as _order1_time maps the LP: time 0 when lam is unbounded, +inf when
-    the normalized lam is at or below the threshold lp.max_scaled_direction applies to a
-    unit direction, or infeasible.
+    directions, row s of shifts): _order1_times of one gauge batch of M's image, or
+    _order1_time of one cold lp.max_scaled_direction per pair where image is None.
     """
     directions, shifts = np.atleast_2d(directions), np.atleast_2d(shifts)
-    if image is None:
-        scalings = (lp.max_scaled_direction(m, lower, upper, d, rhs_shift=s)
-                    for d in directions for s in shifts)
-        times = [_order1_time(scaling)[0] for scaling in scalings]
-        return np.array(times).reshape(len(directions), len(shifts))
-    lam = image.scalings(directions, shifts)
-    with np.errstate(divide="ignore"):
-        times = np.linalg.norm(directions, axis=1)[:, None] / lam
-    return np.where(lam > lp.UNIT_THRESHOLD, times, math.inf)
+    if image is None:  # |d| per pair as the scalar path takes it: the same bits
+        times = [_order1_time(lp.max_scaled_direction(m, lower, upper, d, rhs_shift=s), d)[0]
+                 for d in directions for s in shifts]
+        return np.reshape(times, (len(directions), len(shifts)))
+    norms = np.linalg.norm(directions, axis=1)[:, None]
+    return _order1_times(image.scalings(directions, shifts), norms)
 
 
 def malfunction_time_for_w(
@@ -157,7 +155,7 @@ def malfunction_time_for_w(
     """
     k = _resolve_order(split.base, order)
     ws, d = _checked_inputs(split, w, d)
-    return float(order_k_time(_order1_time(_vertex_lp(split, ws[0], d))[0], k))
+    return float(order_k_time(_order1_time(_vertex_lp(split, ws[0], d), d)[0], k))
 
 
 def malfunction_times(
@@ -227,12 +225,12 @@ def malfunctioning_reach_time(
             worst = _worst(screened)
             found, finite = (vertices[worst], None), math.isfinite(screened[worst])
         w, row = found
-        t1, u = _order1_time(_vertex_lp(split, w, d, zono, row))
+        t1, u = _order1_time(_vertex_lp(split, w, d, zono, row), d)
         if math.isfinite(t1) == finite:
             return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
     solved = []  # (t1, w, u) per vertex
     for w in w_vertices(split) if vertices is None else vertices:
-        t1, u = _order1_time(_vertex_lp(split, w, d, zono))
+        t1, u = _order1_time(_vertex_lp(split, w, d, zono), d)
         if math.isinf(t1):
             return ReachResult(time=math.inf, order=k, optimizer_w=w)
         solved.append((t1, w, u))

@@ -71,9 +71,13 @@ class ReachTimeVerdict:
 
 
 def _lp_lambdas(m, lower, upper, directions):
-    """max{lam : M x = lam d, x in box} per d, lazily by LP: 0 unless optimal or unbounded."""
-    scalings = (lp.max_scaled_direction(m, lower, upper, d) for d in directions)
-    return (s.value if s.status in (lp.OPTIMAL, lp.UNBOUNDED) else 0.0 for s in scalings)
+    """lam_hat of max{lam : M x = lam d, x in box} per d, lazily by LP."""
+    return (lp.max_scaled_direction(m, lower, upper, d).lam_hat for d in directions)
+
+
+def _kept(lam_hat, lam):
+    """lam where its lam_hat passes lp.UNIT_THRESHOLD, else 0 (nan too: infeasible)."""
+    return np.where(lam_hat > lp.UNIT_THRESHOLD, lam, 0.0)
 
 
 def check_controllability(sys: IntegratorSystem) -> bool:
@@ -91,11 +95,12 @@ def _controllable(sys: IntegratorSystem, image: Zonotope | None) -> bool:
     axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
     if image is not None:
         lam_hat = image.scalings(axes, np.zeros((1, sys.n)))[:, 0]
-        return bool(np.all(lam_hat > lp.UNIT_THRESHOLD))
-    sv = np.linalg.svd(sys.b_bar, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0 or np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
-        return False
-    return all(lam > 0.0 for lam in _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, axes))
+    else:
+        sv = np.linalg.svd(sys.b_bar, compute_uv=False)
+        if sv.size == 0 or sv[0] == 0.0 or np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
+            return False
+        lam_hat = _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, axes)
+    return all(lam > lp.UNIT_THRESHOLD for lam in lam_hat)
 
 
 def _single_column(split: ActuatorSplit) -> np.ndarray:
@@ -111,19 +116,20 @@ def lambda_pair(split: ActuatorSplit) -> tuple[float, float]:
     c = _single_column(split)
     if not np.any(c):
         raise UnsupportedLossError("C = 0 has no lambda pair; see quantitative_resilience")
-    return tuple(_lp_lambdas(split.b, split.u_min, split.u_max, [c, -c]))
+    lam_hat = np.fromiter(_lp_lambdas(split.b, split.u_min, split.u_max, [c, -c]), float)
+    return tuple(_kept(lam_hat, lam_hat / np.linalg.norm(c)).tolist())
 
 
 def _lambda_pairs(sys: IntegratorSystem, columns, image: Zonotope | None) -> list[tuple]:
     """lambda_pair of each nonzero column of sys from one image.lambdas_without pass, lam
-    kept where lam |C| passes lp.lambda_threshold (so a flat Z_j gives 0, as C_j leaves
-    the span of the other columns); by 2 LPs each without an image."""
+    _kept where lam_hat = lam |C| passes (so a flat Z_j gives 0, as C_j leaves the span of
+    the other columns); by 2 LPs each without an image."""
     cols = np.asarray(columns, dtype=int)
     if image is None:
         return [lambda_pair(make_split(sys, col)) for col in cols.tolist()]
     lams = image.lambdas_without(cols) * ((sys.u_max - sys.u_min) / 2.0)[cols, None]
     norms = np.linalg.norm(sys.b_bar, axis=0)[cols, None]
-    return list(map(tuple, np.where(lams * norms > lp.UNIT_THRESHOLD, lams, 0.0).tolist()))
+    return list(map(tuple, _kept(lams * norms, lams).tolist()))
 
 
 def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tuple[float, float]:

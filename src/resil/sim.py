@@ -69,6 +69,11 @@ def _sample_grid(horizon: float, dt: float) -> np.ndarray:
     return times
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:  # nan fails it too
+        raise ModelError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_in_box(u: np.ndarray, sys: IntegratorSystem, what: str) -> None:
     scale = 1.0 + max(np.abs(sys.u_min).max(), np.abs(sys.u_max).max())
     if np.any(u < sys.u_min - BOX_TOL * scale) or np.any(u > sys.u_max + BOX_TOL * scale):
@@ -84,8 +89,7 @@ def integrate_with_lag(
 ) -> Trajectory:
     """Propagate from rest (x = 0, u = 0) toward the constant command u_c with first-order
     input lag u' = (u_c - u)/tau, exactly at each sample."""
-    if tau <= 0.0:
-        raise ModelError(f"tau must be positive, got {tau}")
+    _check_positive("tau", tau)
     if dt is None:
         dt = min(tau / 10.0, max(tau / 100.0, horizon / LAG_SAMPLES))
     if dt > tau / 10.0 + 1e-15:
@@ -124,10 +128,8 @@ def lag_crossing(rate: float, target: float, tau: float) -> float:
     in s - 1 + exp(-s) bounds the relative accuracy by about 5e-17/sqrt(s0)
     when s0 < 1 (2e-15 at s0 = 1e-3).
     """
-    if tau <= 0.0:
-        raise ModelError(f"tau must be positive, got {tau}")
-    if target <= 0.0:
-        raise ModelError(f"target must be positive, got {target}")
+    _check_positive("tau", tau)
+    _check_positive("target", target)
     if rate <= 0.0:
         raise NonReachError(f"target {target} never reached at rate {rate}")
     s0 = target / (rate * tau)
@@ -178,10 +180,8 @@ def smooth_reach_ratio(
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not (d.shape == (3,) and d[0] == 0.0 and d[1] == 0.0 and d[2] in (-1.0, 1.0)):
         raise ModelError("the analyzed scenario is vertical: d must be (0, 0, +/-1)")
-    if target_speed <= 0.0:
-        raise ModelError("target_speed must be positive")
-    if tau is None:
-        tau = params.tau
+    _check_positive("target_speed", target_speed)  # lag_crossing checks tau
+    tau = params.tau if tau is None else tau
 
     sys, nominal, _malf, u_bar_malf = scenario or vertical_scenario(params, d)
     rate_n = float(d @ (sys.b_bar @ nominal.optimizer_u))

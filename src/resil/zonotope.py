@@ -102,11 +102,11 @@ class Zonotope:
     def scalings(self, directions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         """lam_hat[i, j] = max{lam >= 0 : lam d_i/|d_i| + s_j in Z}.
 
-        The same normalized multiplier as the lam_hat of lp.max_scaled_direction(M,
-        lower, upper, d_i, rhs_shift=s_j): nan when no lam >= 0 is feasible (its
-        negative certificate) and +inf when lam is unbounded.  Feasibility is decided at
-        the largest lam every facet allows, within a relative tolerance of lp.FEAS_TOL,
-        so lam_hat = 0 when s_j lies on the boundary of Z and d_i points out of it.
+        lp.max_scaled_direction(M, lower, upper, d_i, rhs_shift=s_j).lam_hat, in the same
+        convention: nan when no lam >= 0 is feasible, +inf when lam is unbounded, and
+        reach._order1_times turns either into a time.  Feasibility is decided at the
+        largest lam every facet allows, within a relative tolerance of lp.FEAS_TOL, so
+        lam_hat = 0 when s_j lies on the boundary of Z and d_i points out of it.
         """
         d, s = np.array(directions, dtype=float, ndmin=2), np.array(shifts, dtype=float, ndmin=2)
         norms = np.sqrt(np.add.reduce(d * d, axis=1))

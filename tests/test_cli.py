@@ -261,6 +261,35 @@ def test_simulate_bad_dt_is_an_input_error_before_output(tmp_path, capsys, dt, m
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["octo-vertical-lag", "--tau", "nan"], "tau must be positive and finite, got nan"),
+    (["octo-vertical-lag", "--tau", "inf"], "tau must be positive and finite, got inf"),
+    (["octo-vertical-lag", "--target-speed", "nan"], "target_speed must be positive"),
+    (["octo-vertical-lag", "--target-speed", "inf"], "target_speed must be positive"),
+    (["octo-vertical-bang", "--target-speed", "nan"], "target_speed must be positive"),
+    (["octo-vertical-bang", "--target-speed", "inf"], "target_speed must be positive"),
+], ids=["lag-tau-nan", "lag-tau-inf", "lag-speed-nan", "lag-speed-inf", "bang-speed-nan",
+        "bang-speed-inf"])
+def test_simulate_non_finite_flag_is_an_input_error(capsys, argv, message):
+    assert cli.main(["simulate", *argv]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"a": 7000}, "missing required field 'e'"),
+    ([1, 2], "must contain a JSON object"),
+], ids=["missing-field", "not-an-object"])
+def test_bad_element_file_is_one_error_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--model", f"catalog:spacecraft-appendix:{path}", "--lost", "1"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_oracle_grid_below_two_is_an_input_error(toy2_file, capsys):
     argv = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "1",
             "--samples", "0"]

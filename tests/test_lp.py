@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -156,20 +157,18 @@ def test_determinism_bitwise():
 
 def test_direction_toy2(toy2):
     out = lp.max_scaled_direction(toy2.b_bar, toy2.u_min, toy2.u_max, np.array([-1.0]))
-    assert out.status == lp.OPTIMAL
-    assert out.value == pytest.approx(2.0, abs=1e-12)
+    assert out.lam_hat == pytest.approx(2.0, abs=1e-12)
     assert out.argument == pytest.approx([-1.0, 1.0])
 
 
 def test_direction_toy1(toy1):
     out = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, np.array([1.0, 0.0]))
-    assert out.status == lp.OPTIMAL
-    assert out.value == pytest.approx(3.0, abs=1e-12)
+    assert out.lam_hat == pytest.approx(3.0, abs=1e-12)
 
 
 def test_direction_identity():
     out = lp.max_scaled_direction(np.eye(2), -np.ones(2), np.ones(2), np.array([1.0, 0.0]))
-    assert out.value == pytest.approx(1.0, abs=1e-12)
+    assert out.lam_hat == pytest.approx(1.0, abs=1e-12)
 
 
 def test_direction_zero_rejected():
@@ -190,14 +189,14 @@ def test_direction_negative_certificate():
     # Image is [0, 1] * (1,1); direction (1,-1) is not on the nonnegative ray.
     m = np.array([[1.0], [1.0]])
     out = lp.max_scaled_direction(m, np.array([0.5]), np.array([1.0]), np.array([1.0, -1.0]))
-    assert out.status == lp.NEGATIVE_CERTIFICATE
+    assert math.isnan(out.lam_hat) and out.argument is None
 
 
 def test_direction_zero_status():
     # Only lam = 0 feasible: box is [0, 1], direction -1.
     m = np.array([[1.0]])
     out = lp.max_scaled_direction(m, np.array([0.0]), np.array([1.0]), np.array([-1.0]))
-    assert out.status == lp.ZERO
+    assert 0.0 <= out.lam_hat <= lp.UNIT_THRESHOLD
 
 
 def test_scale_invariance(toy1):
@@ -205,7 +204,8 @@ def test_scale_invariance(toy1):
     base = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, d)
     for alpha in (0.5, 2.0, 10.0):
         scaled = lp.max_scaled_direction(toy1.b_bar, toy1.u_min, toy1.u_max, alpha * d)
-        assert scaled.value == pytest.approx(base.value / alpha, rel=1e-12)
+        # lam = lam_hat / |d| scales as 1/alpha.
+        assert scaled.lam_hat == pytest.approx(base.lam_hat, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

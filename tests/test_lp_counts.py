@@ -22,7 +22,7 @@ def unbounded_lp(monkeypatch):
     """
     monkeypatch.setattr(
         lp, "max_scaled_direction",
-        lambda *args, **kwargs: lp.DirectionScaling(status=lp.UNBOUNDED, value=math.inf),
+        lambda *args, **kwargs: lp.DirectionScaling(math.inf),
     )
 
 

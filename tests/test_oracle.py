@@ -104,9 +104,9 @@ def inhomogeneous_lp(monkeypatch):
 
     def faulty(m, lower, upper, d, rhs_shift=None, **kwargs):
         out = real(m, lower, upper, d, rhs_shift=rhs_shift, **kwargs)
-        if out.value is None or not math.isfinite(out.value):
+        if not math.isfinite(out.lam_hat):
             return out
-        return dataclasses.replace(out, value=out.value * (1.0 + 1e-6 * np.linalg.norm(d)))
+        return dataclasses.replace(out, lam_hat=out.lam_hat * (1.0 + 1e-6 * np.linalg.norm(d)))
 
     monkeypatch.setattr(lp, "max_scaled_direction", faulty)
 

@@ -1,6 +1,7 @@
 """Reach times, time ratios, order-k relations, structural properties."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,9 +74,7 @@ def stubbed_vertex_lps(toy2_split, monkeypatch):
     def stub(split, w, d, image=None, basis=None):
         assert image is None and basis is None  # the cold per-vertex LPs
         solved.append(float(w[0]))
-        lam = lams[float(w[0])]
-        status = lp.OPTIMAL if lam > 0.0 else lp.ZERO
-        return lp.DirectionScaling(status=status, value=lam, argument=np.array(w, dtype=float))
+        return lp.DirectionScaling(lams[float(w[0])], argument=np.array(w, dtype=float))
 
     monkeypatch.setattr(reach, "_vertex_lp", stub)
     return lams, solved
@@ -108,6 +107,40 @@ def test_vertex_lps_first_infinite_wins(toy2_split, stubbed_vertex_lps, lams, wo
     res = reach.malfunctioning_reach_time(toy2_split, [-1.0])
     assert (math.isinf(res.time), res.optimizer_w.tolist()) == (True, [worst])
     assert stubbed_vertex_lps[1] == solved
+
+
+@pytest.mark.parametrize("lam_hat, time", [
+    (math.nan, math.inf),  # infeasible
+    (math.inf, 0.0),  # unbounded
+    (0.0, math.inf),
+    (lp.UNIT_THRESHOLD, math.inf),  # at the threshold: not positive
+    (np.nextafter(lp.UNIT_THRESHOLD, math.inf), 5.0 / np.nextafter(lp.UNIT_THRESHOLD, math.inf)),
+    (0.5, 10.0),  # 2 |d|
+], ids=["nan", "inf", "zero", "threshold", "above-threshold", "half"])
+def test_one_rule_at_its_edges(toy1, monkeypatch, lam_hat, time):
+    # One lam_hat, from a stubbed LP or a stubbed image, gives one time on every path.
+    d = np.array([3.0, 4.0])  # |d| = 5
+    scaling = lp.DirectionScaling(lam_hat, np.zeros(2) if math.isfinite(lam_hat) else None)
+    monkeypatch.setattr(lp, "max_scaled_direction", lambda *args, **kwargs: scaling)
+    image = SimpleNamespace(scalings=lambda d, s: np.full((len(d), len(s)), lam_hat))
+    res = reach.nominal_reach_time(toy1, d)
+    batch = [reach._times(toy1.b_bar, toy1.u_min, toy1.u_max, d, np.zeros(2), zono)[0, 0]
+             for zono in (None, image)]
+    assert res.time == batch[0] == batch[1] == pytest.approx(time, rel=1e-15)
+    assert (res.optimizer_u is not None) == (0.0 < time < math.inf)
+
+
+def test_declined_batch_has_the_scalar_bits(monkeypatch):
+    # Where the image is declined, a batch time is the scalar path's LP and rule, bit for
+    # bit: |d| taken as a 1-D norm, which differs from a row norm in the last bit for
+    # about 1 in 8 of these directions.
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        sys = IntegratorSystem("r", 1, rng.standard_normal((4, 7)), -np.ones(7), np.ones(7))
+        sp, d, w = split(sys, 6), rng.standard_normal(4), rng.uniform(-1.0, 1.0, 1)
+        assert reach.malfunction_times(sp, w[None], d)[0] == reach.malfunction_time_for_w(sp, w, d)
+        assert reach.nominal_times(sys, d[None])[0] == reach.nominal_reach_time(sys, d).time
 
 
 def test_malfunctioning_reach_zero_d(toy3_split):
