@@ -69,8 +69,7 @@ def _parse_direction(text: str) -> np.ndarray:
 def _write_out(path: str | None, doc: object) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2) + "\n")  # one write, not one per token
 
 
 def cmd_check(args: argparse.Namespace) -> int:

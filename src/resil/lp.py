@@ -19,10 +19,14 @@ basis is optimal: once _hinted_start has moved tied columns (twins of a basic
 one, as octocopter propellers 1-4) inside their boxes, one factorization settles
 the LP, and solve returns that point with no pricing pass (every nonbasic column
 sits on the bound its reduced cost favours).  A singular basis, or a point still
-out of bounds, starts cold.  On the 660 LPs of 100 scan-workload ops 651 settle
-(median 28.4 us) and 9 start cold (320 us, the refused start included); solved
-cold, the 660 take 209 us and 8 pivots at the median (best of 5 per LP, 2-vCPU
-x86_64 VM, one BLAS thread, in process).
+out of bounds, starts cold.  On the 700 LPs of the first 100 seed-1 scan-workload
+ops 687 settle (median 38.6 us) and 13 start cold (436 us, the refused start
+included); solved cold, the 700 take 299 us and 8 pivots at the median.  A whole
+max_scaled_direction call, which poses its LP once and LpProblem checks once, takes
+69-70 us at the median on those LPs and on the 400 of the first 100 seed-1
+multiloss and lagsim ops, against 91 us when LpProblem converted and checked every
+input a second time (best of 5 per LP, 2-vCPU x86_64 VM, one BLAS thread, in
+process, both versions interleaved in one process).
 
 solve's statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED,
 with no "numerical failure" status.  max_scaled_direction folds them into one
@@ -56,6 +60,7 @@ FEAS_TOL = 1e-9
 _RCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 10_000
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -69,29 +74,33 @@ class LpProblem:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        a = np.atleast_2d(np.asarray(self.eq_matrix, dtype=float))
-        b = np.atleast_1d(np.asarray(self.eq_rhs, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        c, a, b = _floats(self.objective, 1), _floats(self.eq_matrix, 2), _floats(self.eq_rhs, 1)
+        lo, hi = _floats(self.lower, 1), _floats(self.upper, 1)
         q, v = a.shape
         if c.shape != (v,) or b.shape != (q,) or lo.shape != (v,) or hi.shape != (v,):
             raise LpError(
                 f"inconsistent dimensions: A is {q}x{v}, c {c.shape}, "
                 f"b {b.shape}, lower {lo.shape}, upper {hi.shape}"
             )
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise LpError("lower bound exceeds upper bound")
         for arr, what in ((c, "objective"), (a, "eq_matrix"), (b, "eq_rhs")):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise LpError(f"{what} contains non-finite entries")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise LpError("bounds contain NaN")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_matrix", a)
-        object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        fields = ("objective", "eq_matrix", "eq_rhs", "lower", "upper")
+        for name, arr in zip(fields, (c, a, b, lo, hi)):
+            object.__setattr__(self, name, arr)
+
+
+def _floats(x, ndim: int) -> np.ndarray:
+    """x as a float array of at least ndim (1 or 2) dimensions: x itself, unconverted, when it
+    is a float64 ndarray of ndim dimensions."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == ndim:
+        return x
+    x = np.asarray(x, dtype=float)
+    return np.atleast_2d(x) if ndim == 2 else np.atleast_1d(x)
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,7 @@ def _hinted_start(a, b, c, lo, hi, basis, b_scale):
     x[basis] = binv @ (b - a @ x)
     tied = np.abs(rcost) <= _RCOST_TOL
     tied[basis] = False
-    for t in [*np.flatnonzero(tied), -1]:
+    for t in [*tied.nonzero()[0], -1]:
         tol = FEAS_TOL * np.abs(x)
         out = (x < lo - tol) | (x > hi + tol)
         if t < 0 or not out.any():  # t = -1: only the last feasibility test
@@ -233,7 +242,7 @@ def _hinted_start(a, b, c, lo, hi, basis, b_scale):
 def _outcome(status: str, x: np.ndarray, c, lo, hi, pivots: int) -> LpOutcome:
     if status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED, pivots=pivots)
-    arg = np.clip(x, lo, hi)
+    arg = np.minimum(np.maximum(x, lo), hi)  # np.clip(x, lo, hi) for the finite x it gets
     return LpOutcome(status=OPTIMAL, value=float(c @ arg), argument=arg, pivots=pivots)
 
 
@@ -329,23 +338,24 @@ def max_scaled_direction(
     hold lam_hat, not lam, to UNIT_THRESHOLD (reach._order1_times), so the lam > 0
     decision, and the homogeneity of the reach times, do not depend on the units of d.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    m, d = _floats(m, 2), _floats(d, 1)
     n, v = m.shape
     if d.shape != (n,):
         raise LpError(f"direction must have length {n}, got shape {d.shape}")
-    if not np.any(d):
+    if not d.any():
         raise LpError("direction d must be nonzero")
-    d_unit = d / np.linalg.norm(d)
-    shift = np.zeros(n) if rhs_shift is None else np.atleast_1d(np.asarray(rhs_shift, dtype=float))
+    d_unit = d / np.sqrt(d @ d)  # np.linalg.norm(d)
+    shift = np.zeros(n) if rhs_shift is None else _floats(rhs_shift, 1)
 
     # Variables: (x, lam_hat).  Constraint M x - lam_hat d_unit = shift,
     # lam_hat in [0, inf); lam = lam_hat / ||d||.
     obj = np.zeros(v + 1)
     obj[-1] = 1.0
+    # hstack keeps M's memory order (split.b is F-ordered): BLAS sums the products of a
+    # C-ordered copy in another order, and reach times would change in the last bit.
     a = np.hstack([m, -d_unit[:, None]])
-    lo = np.concatenate([np.atleast_1d(lower).astype(float), [0.0]])
-    hi = np.concatenate([np.atleast_1d(upper).astype(float), [np.inf]])
+    lo = np.concatenate([_floats(lower, 1), [0.0]])
+    hi = np.concatenate([_floats(upper, 1), [np.inf]])
     problem = LpProblem(objective=obj, eq_matrix=a, eq_rhs=shift, lower=lo, upper=hi)
     out = solve(problem, None if basis is None else [*basis, v])
 

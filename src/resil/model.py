@@ -81,31 +81,56 @@ class IntegratorSystem:
         return IntegratorSystem(self.name, order, self.b_bar, self.u_min, self.u_max, self.labels)
 
 
+def _block():
+    """An ActuatorSplit block: sliced once, at construction; no part of == or repr."""
+    return field(init=False, compare=False, repr=False)
+
+
+def checked_lost(lost, total: int) -> tuple[int, ...]:
+    """lost as a tuple of ints, once it names a column, none twice, each in range(total),
+    and keeps one of the total: the lost columns an ActuatorSplit accepts."""
+    lost = tuple(int(i) for i in lost)
+    if len(lost) < 1:
+        raise ModelError("at least one lost column is required")
+    if len(set(lost)) != len(lost):
+        raise ModelError(f"duplicate lost column in {lost}")
+    for i in lost:
+        if not 0 <= i < total:
+            raise ModelError(f"lost column {i} out of range [0, {total})")
+    if len(lost) == total:
+        raise ModelError("at least one kept column is required")
+    return lost
+
+
 @dataclass(frozen=True)
 class ActuatorSplit:
-    """Partition of an IntegratorSystem into controlled (B) and lost (C) columns."""
+    """Partition of an IntegratorSystem into controlled (B) and lost (C) columns.
+
+    b (B, n x m), c (C, n x p) and the boxes U_c = [u_min, u_max], W_c = [w_min, w_max] are
+    read-only blocks of base, sliced once by fancy indexing (so B and C are F-ordered).
+    """
 
     base: IntegratorSystem
     lost_columns: tuple[int, ...]
     kept_columns: tuple[int, ...] = field(init=False)
+    b: np.ndarray = _block()
+    c: np.ndarray = _block()
+    u_min: np.ndarray = _block()
+    u_max: np.ndarray = _block()
+    w_min: np.ndarray = _block()
+    w_max: np.ndarray = _block()
 
     def __post_init__(self) -> None:
-        total = self.base.n_inputs
-        lost = tuple(int(i) for i in self.lost_columns)
-        if len(lost) < 1:
-            raise ModelError("at least one lost column is required")
-        lost_set = set(lost)
-        if len(lost_set) != len(lost):
-            raise ModelError(f"duplicate lost column in {lost}")
-        for i in lost:
-            if not 0 <= i < total:
-                raise ModelError(f"lost column {i} out of range [0, {total})")
-        if len(lost) == total:
-            raise ModelError("at least one kept column is required")
+        lost = checked_lost(self.lost_columns, self.base.n_inputs)
+        kept = tuple(j for j in range(self.base.n_inputs) if j not in lost)
         object.__setattr__(self, "lost_columns", lost)
-        object.__setattr__(
-            self, "kept_columns", tuple(j for j in range(total) if j not in lost_set)
-        )
+        object.__setattr__(self, "kept_columns", kept)
+        b_bar, lo, hi = self.base.b_bar, self.base.u_min, self.base.u_max
+        blocks = {"b": b_bar[:, kept], "c": b_bar[:, lost], "u_min": lo[list(kept)],
+                  "u_max": hi[list(kept)], "w_min": lo[list(lost)], "w_max": hi[list(lost)]}
+        for name, block in blocks.items():
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
 
     @property
     def p(self) -> int:
@@ -116,32 +141,6 @@ class ActuatorSplit:
     def m(self) -> int:
         """Number of controlled columns."""
         return len(self.kept_columns)
-
-    @property
-    def b(self) -> np.ndarray:
-        """Controlled submatrix B (n x m)."""
-        return self.base.b_bar[:, self.kept_columns]
-
-    @property
-    def c(self) -> np.ndarray:
-        """Lost submatrix C (n x p)."""
-        return self.base.b_bar[:, self.lost_columns]
-
-    @property
-    def u_min(self) -> np.ndarray:
-        return self.base.u_min[list(self.kept_columns)]
-
-    @property
-    def u_max(self) -> np.ndarray:
-        return self.base.u_max[list(self.kept_columns)]
-
-    @property
-    def w_min(self) -> np.ndarray:
-        return self.base.u_min[list(self.lost_columns)]
-
-    @property
-    def w_max(self) -> np.ndarray:
-        return self.base.u_max[list(self.lost_columns)]
 
     def assemble_input(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Full input vector u_bar: kept columns from u, lost columns from w."""
@@ -186,9 +185,14 @@ def system_from_dict(doc: dict) -> IntegratorSystem:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"model document missing required field: {exc}") from exc
     labels = doc.get("labels")
+    if type(order) is not int:  # not 2.7 (order 2), true (order 1) or "2"
+        raise ModelError(f"order must be a positive integer, got {order!r}")
+    if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+        raise ModelError(f"labels must be a list of strings, got {labels!r}")
     return IntegratorSystem(
         name=str(name),
-        order=int(order),
+        order=order,
         b_bar=np.array(b, dtype=float),
         u_min=np.array(u_min, dtype=float),
         u_max=np.array(u_max, dtype=float),

@@ -72,14 +72,14 @@ def _resolve_order(sys: IntegratorSystem, order: int | None) -> int:
 def _order1_times(lam_hat, norms):
     """Order-1 reach times 1/lam, lam = lam_hat/|d| (norms), from either engine's lam_hat:
     +inf where lam_hat is at most lp.UNIT_THRESHOLD or nan (infeasible), 0 where +inf."""
-    with np.errstate(divide="ignore"):
-        return np.where(lam_hat > lp.UNIT_THRESHOLD, 1.0 / np.divide(lam_hat, norms), math.inf)
+    lam = np.divide(lam_hat, norms)
+    return np.divide(1.0, lam, out=np.full_like(lam, math.inf), where=lam_hat > lp.UNIT_THRESHOLD)
 
 
 def _order1_time(scaling: lp.DirectionScaling, d) -> tuple[float, np.ndarray | None]:
     """_order1_times of one max_scaled_direction outcome along d, and its optimizer where
     that time is finite."""
-    t1 = float(_order1_times(scaling.lam_hat, np.linalg.norm(d)))
+    t1 = float(_order1_times(scaling.lam_hat, np.sqrt(d @ d)))  # np.linalg.norm(d)
     return t1, (scaling.argument if math.isfinite(t1) else None)
 
 
@@ -94,7 +94,7 @@ def nominal_reach_time(
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape != (sys.n,):
         raise LpError(f"direction must have length {sys.n}, got shape {d.shape}")
-    if not np.any(d):
+    if not d.any():
         return ReachResult(time=0.0, order=k)
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     scaling = _scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), image)
@@ -106,12 +106,11 @@ def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray
     """(ws, d) as 2-D and 1-D arrays, once d is nonzero and every row w of ws lies in W_c."""
     ws = np.atleast_2d(np.asarray(ws, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    if not np.any(d):
+    if not d.any():
         raise LpError("direction d must be nonzero")
     w_scale = 1.0 + max(np.abs(split.w_min).max(), np.abs(split.w_max).max())
-    outside = np.any(ws < split.w_min - 1e-9 * w_scale, axis=1) | np.any(
-        ws > split.w_max + 1e-9 * w_scale, axis=1
-    )
+    outside = (ws < split.w_min - 1e-9 * w_scale).any(axis=1) | (
+        ws > split.w_max + 1e-9 * w_scale).any(axis=1)
     if outside.any():
         w = ws[int(np.argmax(outside))]
         raise ModelError(f"w {w.tolist()} outside the undesirable-input box W_c")
@@ -211,7 +210,7 @@ def malfunctioning_reach_time(
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape != (split.base.n,):
         raise LpError(f"direction must have length {split.base.n}, got shape {d.shape}")
-    if not np.any(d):
+    if not d.any():
         return ReachResult(time=0.0, order=k)
     _vertex_count(split)  # CapacityError before any build or enumeration
     zono = zonotope.build(split.b, split.u_min, split.u_max)

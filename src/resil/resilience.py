@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lp, reach, zonotope
 from .errors import UnsupportedLossError
-from .model import ActuatorSplit, IntegratorSystem, split as make_split, to_machine
+from .model import ActuatorSplit, IntegratorSystem, checked_lost, split as make_split, to_machine
 from .zonotope import Zonotope
 
 @dataclass(frozen=True)
@@ -68,6 +68,10 @@ class ReachTimeVerdict:
     t_n_minus: float
     t_m_minus: float
     resilient: bool
+
+
+#: A report's diagnostics flags, in the order sweep sets them.
+_FLAGS = ("zero_column", "unbounded_lambda", "r_plus_boundary", "r_minus_boundary")
 
 
 def _lp_lambdas(m, lower, upper, directions):
@@ -132,20 +136,19 @@ def _lambda_pairs(sys: IntegratorSystem, columns, image: Zonotope | None) -> lis
     return list(map(tuple, _kept(lams * norms, lams).tolist()))
 
 
-def r_closed_form(lam_p: float, lam_m: float, w_min: float, w_max: float) -> tuple[float, float]:
-    """Closed-form (r(C), r(-C)) from the lambda pair and the lost input's box.
+def r_closed_form(lam_p, lam_m, w_min, w_max):
+    """Closed-form (r(C), r(-C)) from the lambda pair and the lost input's box: two floats,
+    or from arrays (one entry per lost column) a 2-row array.
 
     An unbounded lambda (B has a kernel direction aligned with C) sends both
     quotients to their limit 1; a vanishing denominator is reported as r = 0.
     """
-    def quotient(num: float, den: float) -> float:
-        if abs(den) <= 1e-12 * max(1.0, abs(num)):
-            return 0.0
-        return num / den
-
-    r_p = 1.0 if math.isinf(lam_p) else quotient(w_min + lam_p, w_max + lam_p)
-    r_m = 1.0 if math.isinf(lam_m) else quotient(w_max - lam_m, w_min - lam_m)
-    return r_p, r_m
+    num = np.array([w_min + lam_p, w_max - lam_m])
+    den = np.array([w_max + lam_p, w_min - lam_m])
+    vanishing = np.abs(den) <= 1e-12 * np.maximum(1.0, np.abs(num))  # also inf/inf: lam = inf
+    r = np.divide(num, den, out=np.zeros(num.shape), where=~vanishing)
+    r[np.isinf([lam_p, lam_m])] = 1.0
+    return tuple(r.tolist()) if r.ndim == 1 else r
 
 
 def sweep(
@@ -155,55 +158,36 @@ def sweep(
 
     One zonotope.build of B_bar decides controllability, and one leave-one-out pass
     of its image (Zonotope.lambdas_without) every lam+/-; where the build declines,
-    LPs do: 2n, plus 2 per nonzero column.
+    LPs do: 2n, plus 2 per nonzero column.  Every column is checked as split(sys, col)
+    checks it, and C and W_c of all of them are one slice of B_bar and its box.
     """
     k = reach._resolve_order(sys, order)
-    splits = [make_split(sys, col) for col in columns]
-    cols = [sp.lost_columns[0] for sp in splits if np.any(sp.c)]
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
-    ctrl = _controllable(sys, image)
-    pairs = dict(zip(cols, _lambda_pairs(sys, cols, image))) if ctrl else {}
-    return [_report(sp, k, ctrl, pairs.get(sp.lost_columns[0])) for sp in splits]
+    cols = np.array([checked_lost((col,), sys.n_inputs)[0] for col in columns], dtype=int)
+    c, image = sys.b_bar[:, cols], zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
+    if not _controllable(sys, image):
+        note = "system not controllable; not resilient to any loss"
+        return [ResilienceReport(col, k, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, False,
+                                 {"note": note}) for col in cols.tolist()]
+    # Losing a zero column costs nothing: the malfunctioning system equals the nominal one.
+    zero, lam = ~c.any(axis=0), np.zeros((len(cols), 2))
+    lam[~zero] = np.reshape(_lambda_pairs(sys, cols[~zero], image), (-1, 2))
+    r = r_closed_form(*lam.T, sys.u_min[cols], sys.u_max[cols])
+    threshold = np.array([lp.lambda_threshold(c[:, j]) for j in range(len(cols))])
+    resilient = ((threshold < r) & (r <= 1.0 + threshold)).all(axis=0) | zero
+    boundary = (-threshold < r) & (r <= threshold) & ~zero
+    r[:, zero] = 1.0
+    r_q = np.minimum(np.where(resilient, r.min(axis=0), 0.0), 1.0).tolist()
+    flags = np.column_stack([zero, np.isinf(lam).any(axis=1), boundary.T]).tolist()
+    rows = zip(cols.tolist(), lam.tolist(), r.T.tolist(), r_q, resilient.tolist(), flags)
+    return [ResilienceReport(col, k, *lams, *rs, q, q ** (1.0 / k), True, ok,
+                             {name: True for name, on in zip(_FLAGS, row) if on})
+            for col, lams, rs, q, ok, row in rows]
 
 
 def quantitative_resilience(split: ActuatorSplit, order: int | None = None) -> ResilienceReport:
     """Full single-loss resilience report for a split (Algorithm-1 style): sweep's row."""
     _single_column(split)
     return sweep(split.base, split.lost_columns, order)[0]
-
-
-def _report(split: ActuatorSplit, k: int, controllable: bool, pair) -> ResilienceReport:
-    """The report of a single loss from its lam pair (None: not controllable, or C = 0)."""
-    col = split.lost_columns[0]
-    diagnostics: dict = {}
-
-    if not controllable:
-        diagnostics["note"] = "system not controllable; not resilient to any loss"
-        return ResilienceReport(col, k, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, False, diagnostics)
-
-    if pair is None:
-        # Losing a zero column costs nothing: the malfunctioning system equals
-        # the nominal one for every w.
-        diagnostics["zero_column"] = True
-        return ResilienceReport(col, k, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, True, True, diagnostics)
-
-    lam_p, lam_m = pair
-    r_p, r_m = r_closed_form(lam_p, lam_m, float(split.w_min[0]), float(split.w_max[0]))
-    if math.isinf(lam_p) or math.isinf(lam_m):
-        diagnostics["unbounded_lambda"] = True
-
-    threshold = lp.lambda_threshold(split.c[:, 0])
-    in_unit = lambda r: threshold < r <= 1.0 + threshold  # noqa: E731
-    resilient = in_unit(r_p) and in_unit(r_m)
-    for name, r in (("r_plus", r_p), ("r_minus", r_m)):
-        if -threshold < r <= threshold:
-            diagnostics[f"{name}_boundary"] = True
-    r_q = min(r_p, r_m) if resilient else 0.0
-    r_q = min(r_q, 1.0)
-    r_kq = r_q ** (1.0 / k)
-    return ResilienceReport(
-        col, k, lam_p, lam_m, r_p, r_m, r_q, r_kq, True, resilient, diagnostics
-    )
 
 
 def resilience_via_reach_times(split: ActuatorSplit) -> ReachTimeVerdict:

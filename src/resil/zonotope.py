@@ -261,13 +261,14 @@ def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Zonotope | Non
     upper).  Else None when the candidate count exceeds MAX_CANDIDATES (checked
     before any work on M, and not kept), or when M has rank below n.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    m = np.asarray(m, dtype=float)
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     kept = {} if _images is None else _images
     key = (m.shape, m.tobytes(), lower.tobytes(), upper.tobytes())
     if key in kept:
         return kept[key]
-    nonzero = np.flatnonzero(np.any(m != 0.0, axis=0))
+    m = np.atleast_2d(m)
+    nonzero = (m != 0.0).any(axis=0).nonzero()[0]
     if candidate_count(m.shape[0], len(nonzero)) > MAX_CANDIDATES:
         return None
     kept[key] = image = _image(m, lower, upper, nonzero)

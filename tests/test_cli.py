@@ -290,6 +290,19 @@ def test_bad_element_file_is_one_error_line(tmp_path, capsys, doc, message):
     assert message in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("order", 2.7), ("order", True), ("order", "2"), ("labels", "ab"), ("labels", [1, 2]),
+], ids=["order-float", "order-bool", "order-string", "labels-string", "labels-numbers"])
+def test_model_file_order_and_labels_are_checked(tmp_path, capsys, field, value):
+    # Not read as order int(2.7) = 2, order true = 1, or labels "ab" = ("a", "b").
+    doc = {"name": "m", "order": 1, "B": [[1.0, -1.0]], "u_min": [-1.0, 0.0], "u_max": [3.0, 1.0]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**doc, field: value}))
+    assert cli.main(["check", "--model", str(path), "--lost", "all"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+
+
 def test_oracle_grid_below_two_is_an_input_error(toy2_file, capsys):
     argv = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "1",
             "--samples", "0"]

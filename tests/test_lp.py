@@ -185,6 +185,31 @@ def test_direction_nan_rejected(scoped):
                 lp.max_scaled_direction(np.eye(2), -np.ones(2), np.ones(2), np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"m": np.array([[1.0, np.nan], [0.0, 1.0]])}, "eq_matrix contains non-finite entries"),
+    ({"m": np.array([[1.0, np.inf], [0.0, 1.0]])}, "eq_matrix contains non-finite entries"),
+    ({"rhs_shift": np.array([0.0, np.inf])}, "eq_rhs contains non-finite entries"),
+    ({"lower": np.array([np.nan, -1.0])}, "bounds contain NaN"),
+    ({"lower": np.array([2.0, -1.0])}, "lower bound exceeds upper bound"),
+    ({"lower": -np.ones(3)}, "inconsistent dimensions"),
+    ({"upper": np.ones(1)}, "inconsistent dimensions"),
+], ids=["nan-m", "inf-m", "inf-shift", "nan-bound", "crossed", "long-lower", "short-upper"])
+def test_direction_problem_checks(change, message):
+    args = {"m": np.eye(2), "lower": -np.ones(2), "upper": np.ones(2), "d": np.array([1.0, 0.0]),
+            **change}
+    with pytest.raises(LpError, match=message):
+        lp.max_scaled_direction(**args)
+
+
+@pytest.mark.parametrize("objective, lower, message", [
+    (np.array([np.inf, 1.0]), np.zeros(2), "objective contains non-finite entries"),
+    (np.ones(2), np.array([0.0, np.nan]), "bounds contain NaN"),
+], ids=["inf-objective", "nan-bound"])
+def test_problem_checks(objective, lower, message):
+    with pytest.raises(LpError, match=message):
+        lp.LpProblem(objective, np.ones((1, 2)), np.ones(1), lower, np.ones(2))
+
+
 def test_direction_negative_certificate():
     # Image is [0, 1] * (1,1); direction (1,-1) is not on the nonnegative ray.
     m = np.array([[1.0], [1.0]])

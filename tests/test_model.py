@@ -50,6 +50,35 @@ def test_split_views(toy2):
     assert sp.w_max.tolist() == [1.0]
 
 
+BLOCKS = ("b", "c", "u_min", "u_max", "w_min", "w_max")
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_split_blocks_are_read_only(toy3, name):
+    sp = split(toy3, (3, 0))
+    with pytest.raises(ValueError):
+        getattr(sp, name)[0] = 7.0
+
+
+def test_split_blocks_are_sliced_once(toy3):
+    # Each block is its fancy-index slice of the system, memory order (B and C F-ordered)
+    # included, made at construction: every read returns the same array.
+    sp = split(toy3, (3, 0))
+    kept, lost = list(sp.kept_columns), list(sp.lost_columns)
+    slices = (toy3.b_bar[:, kept], toy3.b_bar[:, lost], toy3.u_min[kept], toy3.u_max[kept],
+              toy3.u_min[lost], toy3.u_max[lost])
+    for name, ref in zip(BLOCKS, slices):
+        block = getattr(sp, name)
+        assert block is getattr(sp, name)
+        assert np.array_equal(block, ref) and block.strides == ref.strides
+
+
+def test_split_equality_and_repr_leave_out_blocks(toy2):
+    sp = split(toy2, 1)
+    assert sp == split(toy2, 1) and sp != split(toy2, 0)
+    assert repr(sp) == f"ActuatorSplit(base={toy2!r}, lost_columns=(1,), kept_columns=(0,))"
+
+
 def test_split_toy1(toy1):
     sp = split(toy1, 2)
     assert sp.c[:, 0].tolist() == [1.0, 0.0]

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from resil import lp, resilience
-from resil.errors import UnsupportedLossError
+from resil import catalog, lp, resilience, zonotope
+from resil.errors import ModelError, UnsupportedLossError
 from resil.model import ActuatorSplit, IntegratorSystem, split
 from resil.reach import time_ratio, w_vertices
+from resil.resilience import ResilienceReport
 
 
 def test_controllability_rank_deficient():
@@ -69,6 +70,81 @@ def test_p_not_one_refused(toy3_split):
         resilience.quantitative_resilience(toy3_split)
     with pytest.raises(UnsupportedLossError):
         resilience.lambda_pair(toy3_split)
+
+
+@pytest.mark.parametrize("b_bar, column", [(np.eye(2), 99), (np.ones((1, 1)), 0)],
+                         ids=["out-of-range", "one-column-system"])
+def test_sweep_checks_columns_as_split(b_bar, column):
+    sys = IntegratorSystem("s", 1, b_bar, -np.ones(len(b_bar[0])), np.ones(len(b_bar[0])))
+    with pytest.raises(ModelError) as from_split:
+        split(sys, column)
+    with pytest.raises(ModelError) as from_sweep:
+        resilience.sweep(sys, [column])
+    assert str(from_sweep.value) == str(from_split.value)
+
+
+def _per_column_reports(sys, columns, order):
+    """sweep as one split and one scalar report per column, the form its arrays replaced."""
+    k = sys.order if order is None else order
+    splits = [split(sys, col) for col in columns]
+    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
+    ctrl = resilience._controllable(sys, image)
+    nonzero = [sp.lost_columns[0] for sp in splits if np.any(sp.c)]
+    pairs = dict(zip(nonzero, resilience._lambda_pairs(sys, nonzero, image))) if ctrl else {}
+
+    def quotient(num, den):
+        return 0.0 if abs(den) <= 1e-12 * max(1.0, abs(num)) else num / den
+
+    reports = []
+    for sp in splits:
+        col, pair = sp.lost_columns[0], pairs.get(sp.lost_columns[0])
+        if not ctrl:
+            note = {"note": "system not controllable; not resilient to any loss"}
+            reports.append(ResilienceReport(col, k, *[0.0] * 6, False, False, note))
+            continue
+        if pair is None:
+            reports.append(ResilienceReport(col, k, 0.0, 0.0, *[1.0] * 4, True, True,
+                                            {"zero_column": True}))
+            continue
+        (lam_p, lam_m), w_min, w_max = pair, float(sp.w_min[0]), float(sp.w_max[0])
+        r_p = 1.0 if math.isinf(lam_p) else quotient(w_min + lam_p, w_max + lam_p)
+        r_m = 1.0 if math.isinf(lam_m) else quotient(w_max - lam_m, w_min - lam_m)
+        diagnostics = {"unbounded_lambda": True} if math.isinf(lam_p) or math.isinf(lam_m) else {}
+        threshold = lp.lambda_threshold(sp.c[:, 0])
+        resilient = all(threshold < r <= 1.0 + threshold for r in (r_p, r_m))
+        for name, r in (("r_plus", r_p), ("r_minus", r_m)):
+            if -threshold < r <= threshold:
+                diagnostics[f"{name}_boundary"] = True
+        r_q = min(min(r_p, r_m) if resilient else 0.0, 1.0)
+        reports.append(ResilienceReport(col, k, lam_p, lam_m, r_p, r_m, r_q, r_q ** (1.0 / k),
+                                        True, resilient, diagnostics))
+    return reports
+
+
+@pytest.mark.parametrize("path", ["image", "declined", "unbounded"])
+def test_sweep_matches_per_column_reports(path, monkeypatch):
+    # The array form gives every report field bit for bit as the per-column one: catalog
+    # systems, random ones with zero, repeated and boundary columns, orders 1 to 3.
+    rng = np.random.default_rng(25)
+    systems = [catalog.resolve(name) for name in ("spacecraft-printed", "octocopter-rot",
+                                                  "octocopter-trans:0")]
+    systems.append(IntegratorSystem("b", 1, np.array([[1.0, 1.0, 0.0]]), -np.ones(3), np.ones(3)))
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        b = rng.standard_normal((n, n + int(rng.integers(2, 5))))
+        b[:, rng.random(b.shape[1]) < 0.2] = 0.0
+        m = b.shape[1]
+        lo = np.zeros(m) if rng.random() < 0.3 else -rng.random(m)
+        systems.append(IntegratorSystem("r", int(rng.integers(1, 4)), b, lo, lo + rng.random(m) + 0.1))
+    if path != "image":
+        monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
+    if path == "unbounded":  # lam+/- = inf: r = 1, and the unbounded_lambda flag
+        monkeypatch.setattr(lp, "max_scaled_direction",
+                            lambda *args, **kwargs: lp.DirectionScaling(math.inf))
+    for sys in systems:
+        columns = [*range(sys.n_inputs), 0]
+        for order in (None, 2):
+            assert resilience.sweep(sys, columns, order) == _per_column_reports(sys, columns, order)
 
 
 def test_zero_column_path():
