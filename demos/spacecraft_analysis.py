@@ -4,10 +4,10 @@ For every single thruster loss this script reports r(C), r(-C), the
 quantitative resilience r_q, and the time ratio t(d) toward the orbital
 target-distance direction.  The whole sweep is 15 small LPs (69 simplex
 pivots) and runs in well under a second: one H-representation of the
-14-thruster box image decides controllability and every lambda+/- without an
-LP and, kept in the reuse scope, starts the 1 LP that gives T_N*(d); each
-thruster's T_M*(d) takes the worst vertex of W_c from the image of the other
-13 thrusters and solves 1 LP there.
+14-thruster box image, which the system builds once and keeps, decides
+controllability and every lambda+/- without an LP and starts the 1 LP that
+gives T_N*(d); each thruster's T_M*(d) takes the worst vertex of W_c from the
+image of the other 13 thrusters and solves 1 LP there.
 
 Run:  python demos/spacecraft_analysis.py
 """
@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from resil import catalog, reach, resilience, zonotope
+from resil import catalog, reach, resilience
 from resil.model import split
 
 
@@ -25,14 +25,14 @@ def main() -> None:
     d = catalog.SPACECRAFT_TARGET_DISTANCE
 
     start = time.perf_counter()
-    with zonotope.reuse_scope():  # B_bar's image serves the sweep and T_N*(d)
-        reports = resilience.sweep(system, range(system.n_inputs))
-        # T_N*(d) does not depend on the lost thruster: one LP serves every t(d).
-        t_n = reach.nominal_reach_time(system, d).time
-        ratios = [
-            reach.ratio_of_times(reach.malfunctioning_reach_time(split(system, j), d).time, t_n)
-            for j in range(system.n_inputs)
-        ]
+    # system.image, B_bar's, serves the sweep and T_N*(d).
+    reports = resilience.sweep(system, range(system.n_inputs))
+    # T_N*(d) does not depend on the lost thruster: one LP serves every t(d).
+    t_n = reach.nominal_reach_time(system, d).time
+    ratios = [
+        reach.ratio_of_times(reach.malfunctioning_reach_time(split(system, j), d).time, t_n)
+        for j in range(system.n_inputs)
+    ]
     elapsed = time.perf_counter() - start
 
     print(f"system: {system.name}  (n={system.n}, inputs={system.n_inputs}, order={system.order})")

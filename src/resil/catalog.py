@@ -6,8 +6,7 @@ The spacecraft model is the orbital-element averaging of a low-thrust engine:
 fixture for all spacecraft numbers) and the analytic block reconstruction from
 the variational equations.  The absolute scale of the reconstruction does not
 match the printed matrix under any single unit convention; only sign/sparsity
-agreement is asserted, and the measured per-block scale ratios are exposed for
-inspection rather than fitted away.
+agreement is asserted, and no scale is fitted.
 
 The octocopter has eight propellers: 1-4 vertical (standard X-configuration),
 5-8 horizontal, with coupling constant b between the two groups.  Rotational
@@ -167,8 +166,8 @@ def _spacecraft_blocks(el: OrbitalElements) -> dict[str, np.ndarray]:
 def spacecraft_bbar(el: OrbitalElements) -> IntegratorSystem:
     """Analytic reconstruction: B_bar = sqrt(a/mu) * block-assembled 6x14 matrix.
 
-    Matches the printed matrix in sign and sparsity but not in absolute scale;
-    see spacecraft_block_scale_ratios.
+    Matches the printed matrix in sign and sparsity but not in absolute scale,
+    which no single unit convention reconciles; nothing is fitted.
     """
     blocks = _spacecraft_blocks(el)
     a_m = el.a * 1e3
@@ -186,29 +185,6 @@ def spacecraft_bbar(el: OrbitalElements) -> IntegratorSystem:
         u_min=-np.ones(14),
         u_max=np.ones(14),
     )
-
-
-def spacecraft_block_scale_ratios(el: OrbitalElements) -> dict[str, float]:
-    """Median ratio printed/reconstructed per block, over the printed nonzeros.
-
-    Diagnostic for the unresolved absolute-scale question; nothing is fitted.
-    """
-    printed = _SPACECRAFT_PRINTED
-    recon = spacecraft_bbar(el).b_bar
-    spans = {
-        "B1": (slice(0, 2), slice(3, 7)),
-        "B2": (slice(2, 4), slice(9, 14)),
-        "B3": (slice(4, 6), slice(0, 3)),
-        "B4": (slice(4, 6), slice(7, 9)),
-        "B5": (slice(4, 6), slice(9, 14)),
-    }
-    out = {}
-    for name, (rows, cols) in spans.items():
-        p = printed[rows, cols]
-        r = recon[rows, cols]
-        mask = (np.abs(p) > 1e-7) & (np.abs(r) > 0)
-        out[name] = float(np.median(p[mask] / r[mask])) if mask.any() else math.nan
-    return out
 
 
 # --------------------------------------------------------------------------

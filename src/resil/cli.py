@@ -22,7 +22,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import catalog, oracle, reach, resilience, sim, zonotope
+from . import catalog, oracle, reach, resilience, sim
 from .errors import CapacityError, ResilError
 from .model import IntegratorSystem, load_system, split, to_machine
 
@@ -278,8 +278,7 @@ _parser = functools.cache(build_parser)
 def main(argv: "list[str] | None" = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with zonotope.reuse_scope():  # an image asked for twice within the op is built once
-            return args.func(args)
+        return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=_sys.stderr)
         return EXIT_CAPACITY

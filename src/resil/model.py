@@ -11,12 +11,14 @@ uncontrolled part C (box W_c) whose inputs are chosen adversarially.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import zonotope
 from .errors import ModelError
 
 
@@ -76,6 +78,12 @@ class IntegratorSystem:
         """Total number of input columns (m + p)."""
         return self.b_bar.shape[1]
 
+    @functools.cached_property
+    def image(self) -> "zonotope.Zonotope | None":
+        """B_bar's box image {B_bar u : u in [u_min, u_max]} (zonotope.build), built at first
+        use and kept; None, also kept, where build declines it."""
+        return zonotope.build(self.b_bar, self.u_min, self.u_max)
+
     def with_order(self, order: int) -> "IntegratorSystem":
         """Same matrix and bounds, different integrator order."""
         return IntegratorSystem(self.name, order, self.b_bar, self.u_min, self.u_max, self.labels)
@@ -132,6 +140,12 @@ class ActuatorSplit:
             block.setflags(write=False)
             object.__setattr__(self, name, block)
 
+    @functools.cached_property
+    def image(self) -> "zonotope.Zonotope | None":
+        """B's box image {B u : u in U_c} (zonotope.build), built at first use and kept;
+        None, also kept, where build declines it."""
+        return zonotope.build(self.b, self.u_min, self.u_max)
+
     @property
     def p(self) -> int:
         """Number of lost columns."""
@@ -185,13 +199,15 @@ def system_from_dict(doc: dict) -> IntegratorSystem:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"model document missing required field: {exc}") from exc
     labels = doc.get("labels")
+    if not isinstance(name, str):
+        raise ModelError(f"name must be a string, got {name!r}")
     if type(order) is not int:  # not 2.7 (order 2), true (order 1) or "2"
         raise ModelError(f"order must be a positive integer, got {order!r}")
     if labels is not None and not (
             isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
         raise ModelError(f"labels must be a list of strings, got {labels!r}")
     return IntegratorSystem(
-        name=str(name),
+        name=name,
         order=order,
         b_bar=np.array(b, dtype=float),
         u_min=np.array(u_min, dtype=float),

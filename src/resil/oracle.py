@@ -8,8 +8,8 @@ quasi-random sampling and reports the worst observed violation.
 The scans evaluate all grid points, sampled directions or homogeneity rays in
 gauge batches of the box images of B and B_bar (reach.malfunction_times,
 reach.time_ratios, reach.nominal_times, reach.worst_times; zonotope.py), one LP
-per query where a build is declined; within the oracle op's zonotope.reuse_scope
-each image is built once for all its scans.  Each theory value, and the probe's T*(a d), comes
+per query where a build is declined; the split and its system each build their
+image once, for all the scans.  Each theory value, and the probe's T*(a d), comes
 from the scalar reach path, whose reported times are LP optima (started at the
 facet of an image where the ray leaves it), so every scan compares two engines.
 """

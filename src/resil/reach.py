@@ -12,16 +12,18 @@ vertex enumerated.
 Two engines compute lam* as the multiplier lam_hat of d/|d|, which _order1_times
 turns into a time: the simplex LP of lp.max_scaled_direction, one solve per
 query, and the facet inequalities of the box image (zonotope.py), one batch.
+B_bar's image is the system's (IntegratorSystem.image) and B's the split's
+(ActuatorSplit.image), each built at its first query and kept by its owner.
 Single reach times (T_N*, T_M(w, d)) and every reported optimizer are LP
-optima, started at the facet where the LP's own ray leaves the image.  T_N* starts at B_bar's zonotope.Zonotope.start.  T_M* takes its
-worst vertex from B's eroded facets (zonotope.Zonotope.worst_vertex), which
-also name the facet its LP starts at, or else screens its 2^p vertices with one
-gauge batch, which returns lam only, and solves one LP at that vertex, started
-at B's Zonotope.start.
-malfunction_times, nominal_times and worst_times (and time_ratios, their ratio)
-answer the oracle scans from the gauge alone.  Where zonotope.build declines an
-image (None: rank below n, or over zonotope.MAX_CANDIDATES) the LP path answers
-instead, and its LPs start cold.
+optima, started at the facet where the LP's own ray leaves the image.  T_N*
+starts at B_bar's zonotope.Zonotope.start.  T_M* takes its worst vertex from
+B's eroded facets (zonotope.Zonotope.worst_vertex), which also name the facet
+its LP starts at, or else screens its 2^p vertices with one gauge batch, which
+returns lam only, and solves one LP at that vertex, started at B's
+Zonotope.start.  malfunction_times, nominal_times and worst_times (and
+time_ratios, their ratio) answer the oracle scans from the gauge alone.  Where
+zonotope.build declines an image (None: rank below n, or over
+zonotope.MAX_CANDIDATES) the LP path answers instead, and its LPs start cold.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp, zonotope
+from . import lp
 from .errors import CapacityError, LpError, ModelError
 from .model import ActuatorSplit, IntegratorSystem
 from .zonotope import VERTEX_TIE_RTOL
@@ -96,8 +98,7 @@ def nominal_reach_time(
         raise LpError(f"direction must have length {sys.n}, got shape {d.shape}")
     if not d.any():
         return ReachResult(time=0.0, order=k)
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
-    scaling = _scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), image)
+    scaling = _scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), sys.image)
     t1, u = _order1_time(scaling, d)
     return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u)
 
@@ -166,8 +167,8 @@ def malfunction_times(
     """
     k = _resolve_order(split.base, order)
     ws, d = _checked_inputs(split, ws, d)
-    zono = zonotope.build(split.b, split.u_min, split.u_max)
-    return order_k_time(_times(split.b, split.u_min, split.u_max, d, -(ws @ split.c.T), zono)[0], k)
+    shifts = -(ws @ split.c.T)
+    return order_k_time(_times(split.b, split.u_min, split.u_max, d, shifts, split.image)[0], k)
 
 
 def w_vertices(split: ActuatorSplit) -> np.ndarray:
@@ -213,7 +214,7 @@ def malfunctioning_reach_time(
     if not d.any():
         return ReachResult(time=0.0, order=k)
     _vertex_count(split)  # CapacityError before any build or enumeration
-    zono = zonotope.build(split.b, split.u_min, split.u_max)
+    zono = split.image
     vertices = None  # enumerated at most once, by the screen or the LP fallback
     if zono is not None:
         found, finite = zono.worst_vertex(d, split.c, split.w_min, split.w_max), True
@@ -251,17 +252,15 @@ def time_ratio(split: ActuatorSplit, d: np.ndarray, order: int | None = None) ->
 def nominal_times(sys: IntegratorSystem, directions: np.ndarray) -> np.ndarray:
     """Order-1 T_N*(d) per (nonzero) row d: one gauge batch of B_bar's image with a zero
     shift, or one cold LP per row when that image is declined."""
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
-    return _times(sys.b_bar, sys.u_min, sys.u_max, directions, np.zeros(sys.n), image)[:, 0]
+    return _times(sys.b_bar, sys.u_min, sys.u_max, directions, np.zeros(sys.n), sys.image)[:, 0]
 
 
 def worst_times(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
     """Order-1 T_M*(d) per (nonzero) row d: the max over the W_c vertex shifts of one gauge
     batch of B's image, or of one cold LP per pair when that image is declined."""
     _vertex_count(split)  # CapacityError before any build or enumeration
-    image = zonotope.build(split.b, split.u_min, split.u_max)
     shifts = -(w_vertices(split) @ split.c.T)
-    return _times(split.b, split.u_min, split.u_max, directions, shifts, image).max(axis=1)
+    return _times(split.b, split.u_min, split.u_max, directions, shifts, split.image).max(axis=1)
 
 
 def time_ratios(

@@ -9,9 +9,10 @@ For a single lost column C with box [w_min, w_max], the closed form is
 
 and the system is resilient to that loss iff it is controllable and both
 values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k).
-sweep answers lam+/- and controllability from one zonotope.build of B_bar, and
-quantitative_resilience is its row.  lambda_pair (LPs) and the reach-time route
-(four reach times along +/-C) are kept as independent cross-checks.
+sweep answers lam+/- and controllability from the system's image of B_bar
+(IntegratorSystem.image), and quantitative_resilience is its row.  lambda_pair
+(LPs) and the reach-time route (four reach times along +/-C) are kept as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -141,12 +142,13 @@ def r_closed_form(lam_p, lam_m, w_min, w_max):
     or from arrays (one entry per lost column) a 2-row array.
 
     An unbounded lambda (B has a kernel direction aligned with C) sends both
-    quotients to their limit 1; a vanishing denominator is reported as r = 0.
+    quotients to their limit 1; a vanishing denominator is reported as r = 0, and so is
+    a vanishing numerator over a negative one (+0.0, not -0.0: lam- = w_max).
     """
     num = np.array([w_min + lam_p, w_max - lam_m])
     den = np.array([w_max + lam_p, w_min - lam_m])
     vanishing = np.abs(den) <= 1e-12 * np.maximum(1.0, np.abs(num))  # also inf/inf: lam = inf
-    r = np.divide(num, den, out=np.zeros(num.shape), where=~vanishing)
+    r = np.divide(num, den, out=np.zeros(num.shape), where=~vanishing) + 0.0  # -0.0 + 0.0 = 0.0
     r[np.isinf([lam_p, lam_m])] = 1.0
     return tuple(r.tolist()) if r.ndim == 1 else r
 
@@ -156,14 +158,14 @@ def sweep(
 ) -> list[ResilienceReport]:
     """Single-loss reports for each (0-based) lost column in `columns`.
 
-    One zonotope.build of B_bar decides controllability, and one leave-one-out pass
-    of its image (Zonotope.lambdas_without) every lam+/-; where the build declines,
+    B_bar's image (sys.image, built once per system) decides controllability, and one
+    leave-one-out pass of it (Zonotope.lambdas_without) every lam+/-; where it is declined,
     LPs do: 2n, plus 2 per nonzero column.  Every column is checked as split(sys, col)
     checks it, and C and W_c of all of them are one slice of B_bar and its box.
     """
     k = reach._resolve_order(sys, order)
     cols = np.array([checked_lost((col,), sys.n_inputs)[0] for col in columns], dtype=int)
-    c, image = sys.b_bar[:, cols], zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
+    c, image = sys.b_bar[:, cols], sys.image
     if not _controllable(sys, image):
         note = "system not controllable; not resilient to any loss"
         return [ResilienceReport(col, k, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, False,
@@ -195,12 +197,10 @@ def resilience_via_reach_times(split: ActuatorSplit) -> ReachTimeVerdict:
     c = _single_column(split)
     if not np.any(c):
         raise UnsupportedLossError("C = 0: use quantitative_resilience for the zero-column path")
-    base1 = split.base.with_order(1)
-    split1 = make_split(base1, split.lost_columns)
-    t_n_p = reach.nominal_reach_time(base1, c).time
-    t_m_p = reach.malfunctioning_reach_time(split1, c).time
-    t_n_m = reach.nominal_reach_time(base1, -c).time
-    t_m_m = reach.malfunctioning_reach_time(split1, -c).time
+    t_n_p = reach.nominal_reach_time(split.base, c, 1).time
+    t_m_p = reach.malfunctioning_reach_time(split, c, 1).time
+    t_n_m = reach.nominal_reach_time(split.base, -c, 1).time
+    t_m_m = reach.malfunctioning_reach_time(split, -c, 1).time
     resilient = (
         check_controllability(split.base)
         and math.isfinite(t_m_p)

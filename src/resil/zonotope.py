@@ -28,13 +28,12 @@ Zonotope.worst_vertex asks it how far one ray goes through each slab of Z eroded
 at, and no 2^p vertices are screened.
 
 build() declines (None: callers keep to the LP path) only where M has rank below n or
-its candidates exceed MAX_CANDIDATES, and keeps each image in the op's reuse_scope, which
-the CLI opens around each op.
+its candidates exceed MAX_CANDIDATES.  It keeps nothing: a system holds B_bar's image and
+a split B's (model.IntegratorSystem.image, model.ActuatorSplit.image), built at first use.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -239,40 +238,19 @@ def _others(terms: np.ndarray) -> np.ndarray:
     return np.concatenate([(rows[i : i + step, None] != rows) @ terms for i in chunks])
 
 
-_images: dict | None = None  # build's images by the bytes of (M, lower, upper) in a scope
-
-
-@contextlib.contextmanager
-def reuse_scope():
-    """While open, build each image once; a nested scope shares the outer one's images."""
-    global _images
-    outer = _images
-    _images = {} if outer is None else outer
-    try:
-        yield
-    finally:
-        _images = outer
-
-
 def build(m: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Zonotope | None:
     """H-representation of {M x : x in [lower, upper]}, or None for the LP path.
 
-    Inside a reuse_scope, first the image kept for the same bytes of (M, lower,
-    upper).  Else None when the candidate count exceeds MAX_CANDIDATES (checked
-    before any work on M, and not kept), or when M has rank below n.
+    None when the candidate count exceeds MAX_CANDIDATES (checked before any work on
+    M), or when M has rank below n.  Nothing is kept: IntegratorSystem.image and
+    ActuatorSplit.image each build theirs once.
     """
-    m = np.asarray(m, dtype=float)
+    m = np.atleast_2d(np.asarray(m, dtype=float))
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    kept = {} if _images is None else _images
-    key = (m.shape, m.tobytes(), lower.tobytes(), upper.tobytes())
-    if key in kept:
-        return kept[key]
-    m = np.atleast_2d(m)
     nonzero = (m != 0.0).any(axis=0).nonzero()[0]
     if candidate_count(m.shape[0], len(nonzero)) > MAX_CANDIDATES:
         return None
-    kept[key] = image = _image(m, lower, upper, nonzero)
-    return image
+    return _image(m, lower, upper, nonzero)
 
 
 def _image(m, lower, upper, nonzero) -> Zonotope | None:

@@ -12,8 +12,10 @@ its calls: a kept image or a decline is no build), `gauge_calls` its
 Zonotope.scalings batches and lambdas_without passes, `zonotope_starts` its
 Zonotope.start calls, and `sim_integrations` its sampled sim.integrate_with_lag
 calls.  `reports_agree` compares a resilience report with its LP-path reference,
-and `r_pair` gives a single loss's closed-form (r(C), r(-C)) from its LP lambda
-pair (resilience.lambda_pair).
+`r_pair` gives a single loss's closed-form (r(C), r(-C)) from its LP lambda
+pair (resilience.lambda_pair), and `fresh` copies a system or split without the
+box image it keeps, so that the copy builds its own (or declines, where a test
+has lowered zonotope.MAX_CANDIDATES).
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 from resil import lp, resilience, sim, zonotope
-from resil.model import IntegratorSystem, split
+from resil.model import ActuatorSplit, IntegratorSystem, split
 
 
 def _count_calls(monkeypatch, module, names) -> list:
@@ -148,6 +150,18 @@ def _lp_r_pair(sp) -> "tuple[float, float]":
 @pytest.fixture(scope="session")
 def r_pair():
     return _lp_r_pair
+
+
+def _fresh(obj):
+    """A copy of a system or split, with no image built yet."""
+    if isinstance(obj, ActuatorSplit):
+        return split(_fresh(obj.base), obj.lost_columns)
+    return obj.with_order(obj.order)
+
+
+@pytest.fixture(scope="session")
+def fresh():
+    return _fresh
 
 
 @pytest.fixture

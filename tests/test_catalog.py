@@ -33,13 +33,6 @@ def test_appendix_sparsity_and_signs():
     assert np.array_equal(np.sign(printed[mask]), np.sign(recon[mask]))
 
 
-def test_appendix_block_scale_ratios_reported():
-    ratios = catalog.spacecraft_block_scale_ratios(catalog.TABLE1_INITIAL)
-    assert set(ratios) == {"B1", "B2", "B3", "B4", "B5"}
-    for value in ratios.values():
-        assert math.isfinite(value) and value > 0.0
-
-
 def test_orbital_element_poles():
     with pytest.raises(ModelError, match="eccentricity"):
         catalog.OrbitalElements.from_degrees(7000, 1e-8, 20, 20, 20, 20)

@@ -303,6 +303,17 @@ def test_model_file_order_and_labels_are_checked(tmp_path, capsys, field, value)
     assert out == "" and err.startswith(f"error: {field} must be ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", [["x"], 5, None], ids=["list", "number", "null"])
+def test_model_file_name_must_be_a_string(tmp_path, capsys, name):
+    # Not printed as "system: ['x']" or "system: 5" by a check that exits 0.
+    doc = {"name": name, "order": 1, "B": [[1.0, -1.0]], "u_min": [-1.0, 0.0], "u_max": [3.0, 1.0]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--model", str(path), "--lost", "all"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: name must be a string, got {name!r}\n"
+
+
 def test_oracle_grid_below_two_is_an_input_error(toy2_file, capsys):
     argv = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "1",
             "--samples", "0"]

@@ -52,7 +52,7 @@ def test_check_declined_build_lp_count(lp_solves, zonotope_builds, monkeypatch, 
     assert (zonotope_builds[0], lp_solves[0]) == (1, 2 * sys.n + 2) == (1, 14)
 
 
-def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, monkeypatch):
+def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, fresh, monkeypatch):
     # Column 2 is TOY1's only one along e2: without it the kept generators
     # have rank 1 and C lies outside their span, so the pass gives its
     # lambda+/- as 0 after the cut, with no LP.
@@ -61,8 +61,8 @@ def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, monkeypatc
     assert resilience._lambda_pairs(toy1, [1], image) == [(0.0, 0.0)]
     reports = resilience.sweep(toy1, range(3))
     assert lp_solves[0] == 0
-    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
-    for got, ref in zip(reports, resilience.sweep(toy1, range(3))):
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)  # a copy builds nothing: LPs decide
+    for got, ref in zip(reports, resilience.sweep(fresh(toy1), range(3))):
         reports_agree(got, ref)
 
 
@@ -265,36 +265,68 @@ def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, c
 
 
 def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, zonotope_builds, capsys):
-    # The reuse scope closes with each op: the second op builds its 2 images
-    # and solves its 7 LPs again.
+    # Each op loads its own system: the second op builds its 2 images and solves its
+    # 7 LPs again.
     assert cli.main(SCAN_OP) == 0
     assert (zonotope_builds[0], lp_solves[0]) == (2, 7)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     assert (zonotope_builds[0], lp_solves[0]) == (4, 14)
-    assert zonotope._images is None
 
 
-def test_reuse_scope_keeps_images_whatever_lps(zonotope_builds):
+def test_system_builds_its_image_once(zonotope_builds, fresh):
     sc = catalog.spacecraft_printed()
-    with zonotope.reuse_scope():
-        image = zonotope.build(sc.b_bar, sc.u_min, sc.u_max)
-        assert image is not None
-        # The 4004-candidate image is built once and handed out again.
-        assert zonotope.build(sc.b_bar, sc.u_min, sc.u_max) is image
-    assert zonotope_builds[0] == 1
+    d = catalog.SPACECRAFT_TARGET_DISTANCE
+    # T_N*, the sweep and a gauge batch of T_N* all take the system's one 4004-candidate
+    # image, built at the first of them.
+    reach.nominal_reach_time(sc, d)
+    image = sc.image
+    assert image is not None and zonotope_builds[0] == 1
+    resilience.sweep(sc, range(sc.n_inputs))
+    reach.nominal_times(sc, np.vstack([d, -d]))
+    assert sc.image is image and zonotope_builds[0] == 1
+    # A copy of the system builds its own.
+    assert fresh(sc).image is not image and zonotope_builds[0] == 2
 
 
-def test_reuse_scope_keeps_rank_declines(monkeypatch):
-    flat, lo, hi = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]), -np.ones(3), np.ones(3)
+def test_split_builds_its_image_once(zonotope_builds):
+    sp = split(catalog.octocopter_translational(), 0)
+    d = np.array([0.0, 0.0, -1.0])
+    times = [reach.malfunctioning_reach_time(sp, d).time for _ in range(3)]
+    reach.worst_times(sp, np.vstack([d, -d]))
+    # B's image, built at the first T_M*, serves the next two and the gauge batch.
+    assert times == [times[0]] * 3 and zonotope_builds[0] == 1
+    assert sp.image is not None and split(sp.base, 0).image is not sp.image
+
+
+def test_split_keeps_rank_decline(monkeypatch):
+    # B has rank 1: its build is declined once, and the split keeps the decline.
+    sys = IntegratorSystem("rd", 1, np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]),
+                           -np.ones(3), np.ones(3))
+    sp, d = split(sys, 2), np.array([1.0, 2.0])
     tried = []  # builds past the MAX_CANDIDATES check
     real = zonotope._image
     monkeypatch.setattr(zonotope, "_image", lambda *args: tried.append(1) or real(*args))
-    with zonotope.reuse_scope():
-        # Rank 1: declined once, and the decline is handed out again.
-        assert zonotope.build(flat, lo, hi) is None
-        assert zonotope.build(flat, lo, hi) is None
-    assert len(tried) == 1
+    for _ in range(2):
+        reach.malfunctioning_reach_time(sp, d)
+        reach.malfunction_times(sp, np.array([[-1.0], [1.0]]), d)
+    assert sp.image is None and len(tried) == 1
+
+
+def test_over_cap_objects_build_nothing(lp_solves, monkeypatch):
+    # Over MAX_CANDIDATES, build declines before any work, and each object keeps its None:
+    # every answer comes from the LP path, and raising the cap later changes nothing.
+    tried, real, cap = [], zonotope._image, zonotope.MAX_CANDIDATES
+    monkeypatch.setattr(zonotope, "_image", lambda *args: tried.append(1) or real(*args))
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
+    sp = split(catalog.octocopter_translational(), 0)
+    d = np.array([0.0, 0.0, -1.0])
+    assert math.isfinite(reach.time_ratio(sp, d))
+    resilience.sweep(sp.base, range(sp.base.n_inputs))
+    assert (sp.image, sp.base.image, tried) == (None, None, [])
+    assert lp_solves[0] > 0
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", cap)
+    assert (sp.image, sp.base.image, tried) == (None, None, [])
 
 
 def test_builds_outside_a_scope_keep_nothing(toy1, zonotope_builds):
@@ -304,24 +336,14 @@ def test_builds_outside_a_scope_keep_nothing(toy1, zonotope_builds):
     assert zonotope_builds[0] == 2
 
 
-def test_reuse_scope_nested_joins_outer(toy1, zonotope_builds):
-    with zonotope.reuse_scope():
-        image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max)
-        with zonotope.reuse_scope():
-            assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max) is image
-        # Closing the inner scope keeps the outer one's images.
-        assert zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max) is image
-        assert zonotope_builds[0] == 1
-    assert zonotope._images is None
-
-
 def test_library_calls_outside_a_scope_solve_every_lp(lp_solves):
     sp = split(catalog.octocopter_translational(), 0)
     d = np.array([0.0, 0.0, -1.0])
     reach.time_ratio(sp, d)
     once = lp_solves[0]
     reach.time_ratio(sp, d)
-    # T_N* plus the T_M* at the eroded slabs' worst vertex, both times.
+    # The split keeps its images, not LP outcomes: T_N* plus the T_M* at the eroded
+    # slabs' worst vertex, both times.
     assert once == 2
     assert lp_solves[0] == 2 * once
 
@@ -338,20 +360,20 @@ def test_simulate_out_dir_lp_count(lp_solves, gauge_calls, capsys, tmp_path):
     assert gauge_calls[0][0] - screens == screens == 0
 
 
-def _assert_sweep_matches(sys, order, reports_agree):
-    """sweep equals per-column reports in a scope that keeps the image it builds; it
-    and the per-column reports without a scope agree with the LP path to 1e-12."""
+def _assert_sweep_matches(sys, order, reports_agree, fresh):
+    """sweep equals the per-column reports of splits of sys, which take the image of B_bar
+    it built; it and per-column reports from copies of sys, each building its own, agree
+    with the LP path (copies over a cap of 0 candidates) to 1e-12."""
     reports = resilience.sweep(sys, range(sys.n_inputs), order)
     assert [r.lost_column for r in reports] == list(range(sys.n_inputs))
-    splits = [split(sys, rep.lost_column) for rep in reports]
-    with zonotope.reuse_scope():  # the first report builds B_bar's image, the rest reuse it
-        kept = [resilience.quantitative_resilience(sp, order) for sp in splits]
-    own = [resilience.quantitative_resilience(sp, order) for sp in splits]
+    columns = [rep.lost_column for rep in reports]
+    kept = [resilience.quantitative_resilience(split(sys, col), order) for col in columns]
+    own = [resilience.quantitative_resilience(split(fresh(sys), col), order) for col in columns]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zonotope, "MAX_CANDIDATES", 0)
-        for rep, single, free, sp in zip(reports, kept, own, splits):
+        for rep, single, free, col in zip(reports, kept, own, columns):
             assert rep.to_dict() == single.to_dict()
-            ref = resilience.quantitative_resilience(sp, order)
+            ref = resilience.quantitative_resilience(split(fresh(sys), col), order)
             reports_agree(rep, ref)
             reports_agree(free, ref)
     return reports
@@ -359,29 +381,29 @@ def _assert_sweep_matches(sys, order, reports_agree):
 
 @pytest.mark.parametrize("name", CATALOG)
 @pytest.mark.parametrize("order", [None, 2])
-def test_sweep_matches_single_reports_catalog(name, order, reports_agree):
-    _assert_sweep_matches(catalog.resolve(name), order, reports_agree)
+def test_sweep_matches_single_reports_catalog(name, order, reports_agree, fresh):
+    _assert_sweep_matches(catalog.resolve(name), order, reports_agree, fresh)
 
 
-def test_sweep_matches_single_reports_not_controllable(reports_agree):
+def test_sweep_matches_single_reports_not_controllable(reports_agree, fresh):
     sys = IntegratorSystem("nc", 1, np.array([[1.0, 2.0], [0.0, 0.0]]),
                            -np.ones(2), np.ones(2))
-    reports = _assert_sweep_matches(sys, None, reports_agree)
+    reports = _assert_sweep_matches(sys, None, reports_agree, fresh)
     assert not any(r.controllable for r in reports)
 
 
-def test_sweep_matches_single_reports_zero_column(reports_agree):
+def test_sweep_matches_single_reports_zero_column(reports_agree, fresh):
     sys = IntegratorSystem("zc", 1, np.array([[1.0, -1.0, 0.0]]), -np.ones(3), np.ones(3))
-    reports = _assert_sweep_matches(sys, None, reports_agree)
+    reports = _assert_sweep_matches(sys, None, reports_agree, fresh)
     assert reports[2].diagnostics.get("zero_column")
 
 
 def test_sweep_matches_single_reports_unbounded_lambda(
-    toy1, unbounded_lp, monkeypatch, reports_agree
+    toy1, unbounded_lp, monkeypatch, reports_agree, fresh
 ):
     # The stub acts on the LP path only: keep the sweep off the gauge.
     monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
-    reports = _assert_sweep_matches(toy1, 3, reports_agree)
+    reports = _assert_sweep_matches(toy1, 3, reports_agree, fresh)
     assert all(r.diagnostics.get("unbounded_lambda") for r in reports)
 
 

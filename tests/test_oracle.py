@@ -1,6 +1,5 @@
 """Brute-force oracle scans on the toy fixtures."""
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -121,7 +120,7 @@ def test_homogeneity_fault_caught_in_op_scope(inhomogeneous_lp, tmp_path, capsys
 
 
 def test_homogeneity_fault_caught_without_scope(inhomogeneous_lp, toy2_split):
-    assert zonotope._images is None
+    # A library call, outside any CLI op, sees it too.
     assert oracle.homogeneity_probe(toy2_split, [-1.0], SCALES) > 1e-6
 
 
@@ -177,27 +176,26 @@ def _op_direction(sp):
     return np.linspace(1.0, -0.5, sp.base.n)
 
 
-def _op_scans(sp, scope: bool):
-    """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1;
-    with scope=True inside one reuse_scope, as the CLI runs them."""
+def _op_scans(sp):
+    """What one oracle op reports: grid, homogeneity, and the direction scan when p = 1."""
     d, samples = _op_direction(sp), 40 if sp.p == 1 else 0
-    with zonotope.reuse_scope() if scope else contextlib.nullcontext():
-        out = {
-            "grid": oracle.grid_worst_w(sp, d, 11).to_dict(),
-            "homogeneity": oracle.homogeneity_probe(sp, d, SCALES),
-        }
-        if samples:
-            out["scan"] = oracle.direction_scan(sp, samples, seed=3).to_dict()
+    out = {
+        "grid": oracle.grid_worst_w(sp, d, 11).to_dict(),
+        "homogeneity": oracle.homogeneity_probe(sp, d, SCALES),
+    }
+    if samples:
+        out["scan"] = oracle.direction_scan(sp, samples, seed=3).to_dict()
     return out
 
 
-def test_scans_same_with_given_images(image_split, zonotope_builds):
-    # In the op's scope the scans build each image once (B's, and B_bar's for the
-    # homogeneity probe and the direction scan), and give what their own builds
-    # give without a scope.
-    scoped = _op_scans(image_split, scope=True)
+def test_scans_same_with_given_images(image_split, zonotope_builds, fresh):
+    # The scans build each image once (B's, and B_bar's for the homogeneity probe and
+    # the direction scan), and give what they give again with those images, and with a
+    # copy's own.
+    first = _op_scans(image_split)
     assert zonotope_builds[0] == 2
-    assert scoped == _op_scans(image_split, scope=False)
+    assert first == _op_scans(image_split) and zonotope_builds[0] == 2
+    assert first == _op_scans(fresh(image_split)) and zonotope_builds[0] == 4
 
 
 def test_oracle_op_checks_before_building(zonotope_builds, capsys):
@@ -211,21 +209,24 @@ def test_oracle_op_checks_before_building(zonotope_builds, capsys):
     assert zonotope_builds[0] == 0
 
 
-def test_scans_declined_images_take_lp_path(image_split, monkeypatch):
-    # Builds declined over MAX_CANDIDATES are not kept: in the op's scope the scans
-    # solve the LPs they solve without one, and give what they give there.
+def test_scans_declined_images_take_lp_path(image_split, zonotope_builds, fresh, monkeypatch):
+    # Declined over MAX_CANDIDATES, both images are kept as None: the scans take the LP
+    # path, and give what they give again, and on a copy.
     monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
-    assert _op_scans(image_split, scope=True) == _op_scans(image_split, scope=False)
+    first = _op_scans(image_split)
+    assert first == _op_scans(image_split) == _op_scans(fresh(image_split))
+    assert (image_split.image, image_split.base.image, zonotope_builds[0]) == (None, None, 0)
 
 
 @pytest.mark.parametrize(
     "model", ["toy1", "toy2", "octocopter-trans:0", "octocopter-rot", "spacecraft-printed"]
 )
-def test_gate_from_full_image_matches_lp_verdict(request, model, monkeypatch):
+def test_gate_from_full_image_matches_lp_verdict(request, model, fresh, monkeypatch):
     sys = request.getfixturevalue(model) if model.startswith("toy") else catalog.resolve(model)
     columns = range(sys.n_inputs)
-    with zonotope.reuse_scope():  # the gate's report from B_bar's kept image
-        assert zonotope.build(sys.b_bar, sys.u_min, sys.u_max) is not None
-        gauge = [quantitative_resilience(split(sys, col)).resilient for col in columns]
+    assert sys.image is not None  # the gate's reports from B_bar's image
+    gauge = [quantitative_resilience(split(sys, col)).resilient for col in columns]
     monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
-    assert gauge == [quantitative_resilience(split(sys, col)).resilient for col in columns]
+    lp_sys = fresh(sys)  # its reports take LPs
+    assert gauge == [quantitative_resilience(split(lp_sys, col)).resilient for col in columns]
+    assert lp_sys.image is None

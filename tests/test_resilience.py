@@ -1,11 +1,12 @@
 """lambda pairs, closed-form r values, verdicts, diagnostics, and the LP containment reference."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from resil import catalog, lp, resilience, zonotope
+from resil import catalog, cli, lp, resilience, zonotope
 from resil.errors import ModelError, UnsupportedLossError
 from resil.model import ActuatorSplit, IntegratorSystem, split
 from resil.reach import time_ratio, w_vertices
@@ -172,6 +173,22 @@ def test_boundary_r_not_resilient():
     assert not rep.resilient
     assert rep.r_q == 0.0
     assert rep.diagnostics.get("r_plus_boundary")
+
+
+def test_vanishing_r_is_positive_zero(tmp_path):
+    # lam- = w_max makes r(-C) = 0 / (w_min - w_max), which IEEE division signs -0.0.
+    r_c, r_minus_c = resilience.r_closed_form(0.5, 1.0, -1.0, 1.0)
+    assert (r_c, r_minus_c) == (-0.5 / 1.5, 0.0) and math.copysign(1.0, r_minus_c) == 1.0
+    rows = resilience.r_closed_form(np.array([0.5, 2.0]), np.array([1.0, 1.0]),
+                                    -np.ones(2), np.ones(2))
+    assert np.all(np.copysign(1.0, rows[1]) == 1.0)
+    # Octocopter-trans propellers 5-8: r(-C) = 0, printed as 0 and written as 0.0.
+    out = tmp_path / "check.json"
+    assert cli.main(["check", "--model", "catalog:octocopter-trans:0", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert [rep["r_minus"] for rep in reports[4:]] == [0.0] * 4
+    assert all(math.copysign(1.0, rep["r_minus"]) == 1.0 for rep in reports)
+    assert "-0" not in out.read_text()
 
 
 def test_report_serialization(toy2_split):

@@ -194,11 +194,10 @@ def test_started_nominal_time_matches_cold_and_highs(seed, highs):
         accepted.append(real(*args))
         return accepted[-1]
 
-    with zonotope.reuse_scope(), pytest.MonkeyPatch.context() as mp:
-        # Kept in the scope, the image starts T_N*.
-        if zonotope.build(b, lo, hi) is None:
-            assert np.linalg.matrix_rank(b) < sys.n
-            return
+    if sys.image is None:
+        assert np.linalg.matrix_rank(b) < sys.n
+        return
+    with pytest.MonkeyPatch.context() as mp:  # the system's image starts T_N*
         mp.setattr(lp, "_hinted_start", recording)
         started = reach.nominal_reach_time(sys, d)
     assert len(accepted) == 1 and accepted[0] is not None
@@ -461,16 +460,15 @@ def _highs_lambdas(highs, sp) -> tuple:
 @example(seed=78979)  # unpolished, HiGHS's lam+/- of column 6 are 1.0e-9 relative off
 @example(seed=5571)  # column 8: a ratio test against the step's largest rate at 1e-10 raised
 @example(seed=79004)  # column 1: lam- 6.0e-14 of the width off the gauge (was 2.2e-10 off)
-def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree):
+def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, fresh):
     sys = _random_sweep_system(seed)
-    image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
-    assert image is not None or np.linalg.matrix_rank(sys.b_bar) < sys.n
+    assert sys.image is not None or np.linalg.matrix_rank(sys.b_bar) < sys.n
     reports = resilience.sweep(sys, range(sys.n_inputs))
     assert reports[0].controllable == highs.controllable(sys)
     with pytest.MonkeyPatch.context() as mp:
         _lp_only(mp)
         for got in reports:
-            sp = split(sys, got.lost_column)
+            sp = split(fresh(sys), got.lost_column)
             checked = got.controllable and np.any(sp.c)
             if checked:
                 ref = _highs_lambdas(highs, sp)
@@ -651,13 +649,13 @@ def test_lambdas_without_matches_build(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_screened_tm_matches_vertex_enumeration(seed):
+def test_screened_tm_matches_vertex_enumeration(seed, fresh):
     sp, rng = _random_split(seed)
     d = rng.standard_normal(sp.base.n)
     screened = reach.malfunctioning_reach_time(sp, d)
     with pytest.MonkeyPatch.context() as mp:
         _lp_only(mp)
-        enumerated = reach.malfunctioning_reach_time(sp, d)
+        enumerated = reach.malfunctioning_reach_time(fresh(sp), d)
     if math.isinf(enumerated.time):
         assert math.isinf(screened.time)
     else:
@@ -696,41 +694,40 @@ def _screened_vertex(zono, sp, d) -> tuple[int, np.ndarray]:
 @example(seed=1235, redundant=False)
 def test_worst_vertex_matches_enumeration(seed, redundant, highs, gauge_calls):
     sp, rng = (_redundant_split if redundant else _random_split)(seed)
-    with zonotope.reuse_scope():  # T_M* below gets this image
-        zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
-        if zono is None:
-            return
-        d = rng.standard_normal(sp.base.n)
-        vertices = reach.w_vertices(sp)
-        found = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
-        if _eroded_sides(zono, sp).min() <= 0.0:  # some -C w outside the image or on it
-            assert found is None
-            gauge_calls[0][0] = 0
-            reach.malfunctioning_reach_time(sp, d)
-            assert gauge_calls[0][0] == 1  # the screen ran
-        if found is None:
-            return
-        w, row = found
-        _assert_row_is_starts(zono, sp, d, w, row)
-        # Every vertex LP started as T_M*'s is, which HINT_REL would separate from a cold
-        # one: equal where the vertex is, tied within 6.5e-14 (seed 819) where not.
-        times = [reach._order1_time(reach._vertex_lp(sp, v, d, zono), d)[0] for v in vertices]
-        got = reach.malfunctioning_reach_time(sp, d)
-        assert np.array_equal(got.optimizer_w, w)
-        assert got.time == pytest.approx(max(times), rel=1e-12)
-        ref = max(highs.reach_time(sp.b, sp.u_min, sp.u_max, d, shift=-(sp.c @ v))
-                  for v in vertices)
-        assert got.time == pytest.approx(ref, rel=REL)
-        old, screened = _screened_vertex(zono, sp, d)
-        at = int(np.flatnonzero(np.all(vertices == w, axis=1))[0])
-        assert at == old or screened[at] >= screened.max() * (1.0 - reach.VERTEX_TIE_RTOL)
+    zono = sp.image  # T_M* below gets this image
+    if zono is None:
+        return
+    d = rng.standard_normal(sp.base.n)
+    vertices = reach.w_vertices(sp)
+    found = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+    if _eroded_sides(zono, sp).min() <= 0.0:  # some -C w outside the image or on it
+        assert found is None
+        gauge_calls[0][0] = 0
+        reach.malfunctioning_reach_time(sp, d)
+        assert gauge_calls[0][0] == 1  # the screen ran
+    if found is None:
+        return
+    w, row = found
+    _assert_row_is_starts(zono, sp, d, w, row)
+    # Every vertex LP started as T_M*'s is, which HINT_REL would separate from a cold
+    # one: equal where the vertex is, tied within 6.5e-14 (seed 819) where not.
+    times = [reach._order1_time(reach._vertex_lp(sp, v, d, zono), d)[0] for v in vertices]
+    got = reach.malfunctioning_reach_time(sp, d)
+    assert np.array_equal(got.optimizer_w, w)
+    assert got.time == pytest.approx(max(times), rel=1e-12)
+    ref = max(highs.reach_time(sp.b, sp.u_min, sp.u_max, d, shift=-(sp.c @ v))
+              for v in vertices)
+    assert got.time == pytest.approx(ref, rel=REL)
+    old, screened = _screened_vertex(zono, sp, d)
+    at = int(np.flatnonzero(np.all(vertices == w, axis=1))[0])
+    assert at == old or screened[at] >= screened.max() * (1.0 - reach.VERTEX_TIE_RTOL)
 
 
 @pytest.mark.parametrize("seed", [819, 1235])
 def test_worst_vertex_rounding_ties(seed, monkeypatch):
-    # A lost column twin to one of the exit facet's own columns: its t_j rounds to
-    # about 1e-17, not 0.  Both bounds give the same screened time; the screen takes
-    # w_min, and so does the tie rule, where the bare sign of t_j takes w_max.
+    # A lost column twin to one of the exit facet's own columns: its t_j rounds to 0 or to
+    # about 1e-17, as the BLAS kernel goes.  Both bounds give the same screened time; the
+    # screen takes w_min, and so does the tie rule.
     sp, rng = _random_split(seed)
     zono = zonotope.build(sp.b, sp.u_min, sp.u_max)
     d = rng.standard_normal(sp.base.n)
@@ -740,8 +737,17 @@ def test_worst_vertex_rounding_ties(seed, monkeypatch):
     tied, row = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
     assert np.array_equal(tied, vertices[old])
     _assert_row_is_starts(zono, sp, d, tied, row)
+    # Whatever the kernel's residue, move each C_j along the exit facet's normal a until
+    # t_j = a.C_j is half the tie tolerance, on the side where its bare sign takes w_max:
+    # the tie rule still takes w_min, and without it the sign takes w_max.
+    k = np.flatnonzero((zono.subsets == row).all(axis=1))[0]
+    a, toward = zono.normals[k], zono.normals[k] @ (d / zono.scale)
+    near = zono.plus[k] if toward > 0.0 else zono.minus[k]
+    want = -np.sign(toward) * 0.5 * zonotope.VERTEX_TIE_RTOL * near / (sp.w_max - sp.w_min)
+    c = sp.c + np.outer(zono.scale * a, want - a @ (sp.c / zono.scale[:, None]))
+    assert np.array_equal(zono.worst_vertex(d, c, sp.w_min, sp.w_max)[0], tied)
     monkeypatch.setattr(zonotope, "VERTEX_TIE_RTOL", 0.0)
-    assert not np.array_equal(zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)[0], tied)
+    assert np.array_equal(zono.worst_vertex(d, c, sp.w_min, sp.w_max)[0], sp.w_max)
 
 
 @pytest.mark.parametrize("name, resilient", [("octocopter-rot", range(8)),
@@ -768,11 +774,11 @@ def test_worst_vertex_on_catalog_single_losses(name, resilient):
                 assert found is None
 
 
-def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solves):
+def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solves, fresh):
     d = np.array([1.0, 0.3])
     with pytest.MonkeyPatch.context() as mp:
         _lp_only(mp)
-        enumerated = reach.malfunctioning_reach_time(toy1_split, d)
+        enumerated = reach.malfunctioning_reach_time(fresh(toy1_split), d)
     lp_solves[0] = 0
     # The eroded slabs cannot tell, so the screen runs; it finds every vertex
     # infeasible, and the LP at vertex 0 is finite.
@@ -787,11 +793,12 @@ def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solve
     assert lp_solves[0] == 1 + 2  # the screened vertex, then both vertices
 
 
-def test_infinite_lp_at_worst_vertex_enumerates(toy3_split, monkeypatch, lp_solves, gauge_calls):
+def test_infinite_lp_at_worst_vertex_enumerates(toy3_split, monkeypatch, lp_solves, gauge_calls,
+                                                fresh):
     d = np.array([1.0, 0.3])
     with pytest.MonkeyPatch.context() as mp:
         _lp_only(mp)
-        enumerated = reach.malfunctioning_reach_time(toy3_split, d)
+        enumerated = reach.malfunctioning_reach_time(fresh(toy3_split), d)
     lp_solves[0] = 0
     # The eroded slabs name a vertex with a finite time, and the stubbed LP at it finds
     # none: no screen runs, and every vertex gets its LP.
