@@ -4,7 +4,8 @@ This is the oracle behind reach times and lambda+/-, and the fallback of the
 batched zonotope gauge (zonotope.py).  It solves every reported reach time and
 optimizer (T_M* takes its worst vertex from the gauge's eroded facets, or
 screens its vertices with it, then solves one LP there), lambda+/- and
-controllability outside resilience.sweep, and every batch whose
+controllability where B_bar has no image (resilience.sweep reads both off its
+slabs) and in lambda_pair and check_controllability, and every batch whose
 H-representation zonotope.build declines (rank below n, or more facet
 candidates than zonotope.MAX_CANDIDATES).  The problems are tiny (at most ~15
 variables, ~6 equality rows), so the solver is a hand-rolled two-phase
@@ -311,13 +312,13 @@ class DirectionScaling:
     argument: np.ndarray | None = None
 
 
-def lambda_threshold(d: np.ndarray) -> float:
-    """Strict positivity threshold for lam decisions, scaled by the direction."""
-    return 1e-9 * (1.0 + float(np.linalg.norm(d)))
+def lambda_threshold(norm):
+    """Strict positivity threshold for lam decisions along d, from its norm |d| (or norms)."""
+    return 1e-9 * (1.0 + norm)
 
 
 #: lambda_threshold of a unit direction, the one the gauge's normalized lam is held to.
-UNIT_THRESHOLD = lambda_threshold(np.ones(1))
+UNIT_THRESHOLD = lambda_threshold(1.0)
 
 
 def max_scaled_direction(

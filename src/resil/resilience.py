@@ -9,8 +9,9 @@ For a single lost column C with box [w_min, w_max], the closed form is
 
 and the system is resilient to that loss iff it is controllable and both
 values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k).
-sweep answers lam+/- and controllability from the system's image of B_bar
-(IntegratorSystem.image), and quantitative_resilience is its row.  lambda_pair
+sweep reads controllability off the slab sides of the system's image of B_bar
+(IntegratorSystem.image; _controllable) and lam+/- off one pass over its slabs,
+and quantitative_resilience is its row.  lambda_pair and check_controllability
 (LPs) and the reach-time route (four reach times along +/-C) are kept as
 independent cross-checks.
 """
@@ -86,26 +87,26 @@ def _kept(lam_hat, lam):
 
 
 def check_controllability(sys: IntegratorSystem) -> bool:
-    """rank(B_bar) = n and 0 interior to the image polytope {B_bar u : u in box}.
-
-    Interiority: the image extends a positive distance along +e_j and -e_j for
-    every basis direction, by up to 2n LPs.
-    """
+    """rank(B_bar) = n and 0 interior to {B_bar u : u in box}: the image reaches a positive
+    distance along every +/-e_j, by up to 2n LPs (the LP cross-check of the sweep's verdict)."""
     return _controllable(sys, None)
 
 
 def _controllable(sys: IntegratorSystem, image: Zonotope | None) -> bool:
-    """check_controllability, by one gauge batch of B_bar's image when there is one (its
-    build has passed the rank test on B_bar's row-scaled generators)."""
-    axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
+    """check_controllability; from B_bar's image, when built (rank n), with no gauge batch: ray
+    +/-e_i leaves it at lam_hat = min side_k scale_i / |a_ki| over slabs k where it moves (|a_ki|
+    > zonotope.PARALLEL_RTOL), side_k the one it faces, and the two signs face both.  So all 2n
+    pass lp.UNIT_THRESHOLD iff min(plus_k, minus_k) scale_i > UNIT_THRESHOLD |a_ki| wherever
+    a_ki moves (a side <= 0 fails, as the batch's nan or 0 does)."""
     if image is not None:
-        lam_hat = image.scalings(axes, np.zeros((1, sys.n)))[:, 0]
-    else:
-        sv = np.linalg.svd(sys.b_bar, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0 or np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
-            return False
-        lam_hat = _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, axes)
-    return all(lam > lp.UNIT_THRESHOLD for lam in lam_hat)
+        rate, side = np.abs(image.normals), np.minimum(image.plus, image.minus)[:, None]
+        return bool(((side * image.scale > lp.UNIT_THRESHOLD * rate)
+                     | (rate <= zonotope.PARALLEL_RTOL)).all())
+    sv = np.linalg.svd(sys.b_bar, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0 or np.sum(sv > zonotope.RANK_RTOL * sv[0]) < sys.n:
+        return False
+    lam_hat = _lp_lambdas(sys.b_bar, sys.u_min, sys.u_max, np.kron(np.eye(sys.n), [[1.0], [-1.0]]))
+    return all(lam > lp.UNIT_THRESHOLD for lam in lam_hat)  # rays +e_0, -e_0, +e_1, ...
 
 
 def _single_column(split: ActuatorSplit) -> np.ndarray:
@@ -125,16 +126,14 @@ def lambda_pair(split: ActuatorSplit) -> tuple[float, float]:
     return tuple(_kept(lam_hat, lam_hat / np.linalg.norm(c)).tolist())
 
 
-def _lambda_pairs(sys: IntegratorSystem, columns, image: Zonotope | None) -> list[tuple]:
-    """lambda_pair of each nonzero column of sys from one image.lambdas_without pass, lam
-    _kept where lam_hat = lam |C| passes (so a flat Z_j gives 0, as C_j leaves the span of
-    the other columns); by 2 LPs each without an image."""
-    cols = np.asarray(columns, dtype=int)
+def _lambda_pairs(sys: IntegratorSystem, columns, norms, image: Zonotope | None) -> np.ndarray:
+    """(k, 2) array: lambda_pair of each nonzero column of sys (norms: their |C|) from one
+    image.lambdas_without pass, lam _kept where lam_hat = lam |C| passes (so a flat Z_j gives
+    0, as C_j leaves the span of the other columns); by 2 LPs each without an image."""
     if image is None:
-        return [lambda_pair(make_split(sys, col)) for col in cols.tolist()]
-    lams = image.lambdas_without(cols) * ((sys.u_max - sys.u_min) / 2.0)[cols, None]
-    norms = np.linalg.norm(sys.b_bar, axis=0)[cols, None]
-    return list(map(tuple, _kept(lams * norms, lams).tolist()))
+        return np.reshape([lambda_pair(make_split(sys, col)) for col in columns], (-1, 2))
+    lams = image.lambdas_without(columns) * ((sys.u_max - sys.u_min) / 2.0)[columns, None]
+    return _kept(lams * norms[:, None], lams)
 
 
 def r_closed_form(lam_p, lam_m, w_min, w_max):
@@ -171,10 +170,10 @@ def sweep(
         return [ResilienceReport(col, k, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, False,
                                  {"note": note}) for col in cols.tolist()]
     # Losing a zero column costs nothing: the malfunctioning system equals the nominal one.
-    zero, lam = ~c.any(axis=0), np.zeros((len(cols), 2))
-    lam[~zero] = np.reshape(_lambda_pairs(sys, cols[~zero], image), (-1, 2))
+    zero, lam, norms = ~c.any(axis=0), np.zeros((len(cols), 2)), np.linalg.norm(c, axis=0)
+    lam[~zero] = _lambda_pairs(sys, cols[~zero], norms[~zero], image)
     r = r_closed_form(*lam.T, sys.u_min[cols], sys.u_max[cols])
-    threshold = np.array([lp.lambda_threshold(c[:, j]) for j in range(len(cols))])
+    threshold = lp.lambda_threshold(norms)
     resilient = ((threshold < r) & (r <= 1.0 + threshold)).all(axis=0) | zero
     boundary = (-threshold < r) & (r <= threshold) & ~zero
     r[:, zero] = 1.0

@@ -13,9 +13,12 @@ Zonotope.scalings batches and lambdas_without passes, `zonotope_starts` its
 Zonotope.start calls, and `sim_integrations` its sampled sim.integrate_with_lag
 calls.  `reports_agree` compares a resilience report with its LP-path reference,
 `r_pair` gives a single loss's closed-form (r(C), r(-C)) from its LP lambda
-pair (resilience.lambda_pair), and `fresh` copies a system or split without the
-box image it keeps, so that the copy builds its own (or declines, where a test
-has lowered zonotope.MAX_CANDIDATES).
+pair (resilience.lambda_pair), `axis_batch_controllable` gives the
+controllability verdict of one Zonotope.scalings batch over the rays +/-e_j
+(the form the slab-side comparison of resilience._controllable replaced), and
+`fresh` copies a system or split without the box image it keeps, so that the
+copy builds its own (or declines, where a test has lowered
+zonotope.MAX_CANDIDATES).
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -150,6 +153,19 @@ def _lp_r_pair(sp) -> "tuple[float, float]":
 @pytest.fixture(scope="session")
 def r_pair():
     return _lp_r_pair
+
+
+def _axis_batch_controllable(sys, image) -> bool:
+    """Every lam_hat of image.scalings over the 2n rays +/-e_j from 0 passes
+    lp.UNIT_THRESHOLD: B_bar's image (built, so rank n) reaches along each axis."""
+    axes = np.vstack([sign * e for e in np.eye(sys.n) for sign in (1.0, -1.0)])
+    lam_hat = image.scalings(axes, np.zeros((1, sys.n)))[:, 0]
+    return all(lam > lp.UNIT_THRESHOLD for lam in lam_hat)
+
+
+@pytest.fixture(scope="session")
+def axis_batch_controllable():
+    return _axis_batch_controllable
 
 
 def _fresh(obj):

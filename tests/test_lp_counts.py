@@ -31,10 +31,11 @@ def test_check_all_work(name, lp_solves, zonotope_builds, gauge_calls, capsys):
     code = cli.main(["check", "--model", "catalog:" + name, "--lost", "all"])
     capsys.readouterr()
     assert code == 0
-    # One build of B_bar's image, one gauge batch for controllability and one
-    # leave-one-out pass for every column's lambda+/-, for 14 columns as for 8.
+    # One build of B_bar's image and one leave-one-out pass for every column's
+    # lambda+/-, for 14 columns as for 8.  Controllability is read off the image's
+    # slab sides: no gauge batch over the axes (1 -> 0 scalings).
     scalings, passes = gauge_calls
-    assert (zonotope_builds[0], scalings[0], passes[0], lp_solves[0]) == (1, 1, 1, 0)
+    assert (zonotope_builds[0], scalings[0], passes[0], lp_solves[0]) == (1, 0, 1, 0)
 
 
 def test_check_declined_build_lp_count(lp_solves, zonotope_builds, monkeypatch, capsys):
@@ -58,7 +59,7 @@ def test_sweep_rank_fallback_lp_count(toy1, lp_solves, reports_agree, fresh, mon
     # lambda+/- as 0 after the cut, with no LP.
     image = zonotope.build(toy1.b_bar, toy1.u_min, toy1.u_max)
     assert image is not None
-    assert resilience._lambda_pairs(toy1, [1], image) == [(0.0, 0.0)]
+    assert resilience._lambda_pairs(toy1, [1], np.ones(1), image).tolist() == [[0.0, 0.0]]
     reports = resilience.sweep(toy1, range(3))
     assert lp_solves[0] == 0
     monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)  # a copy builds nothing: LPs decide
@@ -115,12 +116,13 @@ def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
     # No T_M* screens its vertices: the grid theory, t(+/-C) and the probe's T_M*(10d)
-    # take theirs from B's eroded slabs (10 -> 6 scalings, 4 screens fewer).  The grid
-    # scan, the gate's axes, time_ratios' two batches and the probe's two remain: 6
-    # scalings.  Only a solved T_N* LP names its start facet: 3 (6 -> 3), for the
-    # probe's T_N*(10d) and t(+/-C)'s.  The 4 solved T_M* LPs start at the eroded slab
-    # worst_vertex names with their vertex.
-    assert (gauge_calls[0][0], zonotope_starts[0]) == (6, 3)
+    # take theirs from B's eroded slabs (10 -> 6 scalings, 4 screens fewer).  The
+    # resilience gate reads controllability off B_bar's slab sides, with no batch over
+    # its axes (6 -> 5).  The grid scan, time_ratios' two batches and the probe's two
+    # remain: 5 scalings.  Only a solved T_N* LP names its start facet: 3 (6 -> 3), for
+    # the probe's T_N*(10d) and t(+/-C)'s.  The 4 solved T_M* LPs start at the eroded
+    # slab worst_vertex names with their vertex.
+    assert (gauge_calls[0][0], zonotope_starts[0]) == (5, 3)
 
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):

@@ -31,6 +31,32 @@ def test_controllability_boundary_zero():
     assert not resilience.check_controllability(sys)
 
 
+def _thin_row(eps):
+    return np.array([[1.0, 0.0, -1.0, 0.3], [0.0, eps, -eps, 0.0]]), -np.ones(4), np.ones(4)
+
+
+@pytest.mark.parametrize("b_bar, u_min, u_max, want", [
+    (np.eye(2), np.zeros(2), np.ones(2), False),  # the image is [0, 1]^2: 0 is a vertex
+    # The image is [0, 2], then [-2, 0]: 0 on the slab's -a side, then on its +a side.
+    (np.array([[1.0, 1.0]]), np.zeros(2), np.ones(2), False),
+    (np.array([[-1.0, -1.0]]), np.zeros(2), np.ones(2), False),
+    (np.array([[1.0, -1.0]]), np.zeros(2), np.ones(2), True),
+    # Row 2 reaches 2 eps along +/-e_2 (the slab sides scaled back by eps), against
+    # lp.UNIT_THRESHOLD = 2e-9: just above it, and at it (not past it).
+    (*_thin_row(1.5e-9), True),
+    (*_thin_row(1e-9), False),
+], ids=["zero-vertex", "zero-low-end", "zero-high-end", "interior", "thin-row-above",
+        "thin-row-at"])
+def test_controllability_from_slab_sides(b_bar, u_min, u_max, want, axis_batch_controllable,
+                                         highs):
+    # The slab-side verdict equals the axis batch it replaced, the LP path and HiGHS.
+    sys = IntegratorSystem("c", 1, b_bar, u_min, u_max)
+    assert sys.image is not None
+    assert resilience._controllable(sys, sys.image) == want
+    assert axis_batch_controllable(sys, sys.image) == want
+    assert resilience.check_controllability(sys) == highs.controllable(sys) == want
+
+
 def test_lambda_pair_toy2(toy2_split):
     assert resilience.lambda_pair(toy2_split) == pytest.approx((1.0, 3.0), abs=1e-12)
 
@@ -91,7 +117,9 @@ def _per_column_reports(sys, columns, order):
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     ctrl = resilience._controllable(sys, image)
     nonzero = [sp.lost_columns[0] for sp in splits if np.any(sp.c)]
-    pairs = dict(zip(nonzero, resilience._lambda_pairs(sys, nonzero, image))) if ctrl else {}
+    norms = np.array([np.linalg.norm(sys.b_bar[:, col]) for col in nonzero])
+    pairs = resilience._lambda_pairs(sys, nonzero, norms, image).tolist() if ctrl else []
+    pairs = dict(zip(nonzero, map(tuple, pairs)))
 
     def quotient(num, den):
         return 0.0 if abs(den) <= 1e-12 * max(1.0, abs(num)) else num / den
@@ -111,7 +139,7 @@ def _per_column_reports(sys, columns, order):
         r_p = 1.0 if math.isinf(lam_p) else quotient(w_min + lam_p, w_max + lam_p)
         r_m = 1.0 if math.isinf(lam_m) else quotient(w_max - lam_m, w_min - lam_m)
         diagnostics = {"unbounded_lambda": True} if math.isinf(lam_p) or math.isinf(lam_m) else {}
-        threshold = lp.lambda_threshold(sp.c[:, 0])
+        threshold = lp.lambda_threshold(np.linalg.norm(sp.c[:, 0]))
         resilient = all(threshold < r <= 1.0 + threshold for r in (r_p, r_m))
         for name, r in (("r_plus", r_p), ("r_minus", r_m)):
             if -threshold < r <= threshold:

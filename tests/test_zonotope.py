@@ -478,16 +478,21 @@ def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, fresh):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_controllable_from_image_skips_the_svd(seed, highs):
+@example(seed=3)  # every u_min = 0 (0 a vertex of the box), n = 5: not controllable
+@example(seed=106)  # every u_min = 0, n = 4: the columns span R^4 positively, controllable
+def test_controllable_from_image_skips_the_svd(seed, highs, axis_batch_controllable):
     # Where B_bar's image exists, its build has passed a rank test on the row-scaled
     # generators, so _controllable runs no SVD of raw B_bar.  Preceded by that SVD's
-    # rank test, the verdict is the same, and so is HiGHS's.
+    # rank test, the verdict is the same, and so are the axis batch's it replaced (the
+    # gauge along +/-e_j), the LP path's (check_controllability) and HiGHS's.
     sys = _random_sweep_system(seed)
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     verdict = resilience._controllable(sys, image)
     sv = np.linalg.svd(sys.b_bar, compute_uv=False)
     with_svd = bool(sv[0] > 0.0 and np.sum(sv > zonotope.RANK_RTOL * sv[0]) == sys.n) and verdict
-    assert verdict == with_svd == highs.controllable(sys)
+    batch = image is not None and axis_batch_controllable(sys, image)
+    assert verdict == with_svd == batch == resilience.check_controllability(sys)
+    assert verdict == highs.controllable(sys)
 
 
 @settings(max_examples=40, deadline=None)
