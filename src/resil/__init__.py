@@ -24,12 +24,10 @@ from .reach import (
     time_ratio,
 )
 from .resilience import (
-    ReachTimeVerdict,
     ResilienceReport,
     check_controllability,
     lambda_pair,
     quantitative_resilience,
-    resilience_via_reach_times,
 )
 
 __version__ = "0.1.0"
@@ -42,7 +40,6 @@ __all__ = [
     "ModelError",
     "NonReachError",
     "ReachResult",
-    "ReachTimeVerdict",
     "ResilError",
     "ResilienceReport",
     "UnsupportedLossError",
@@ -54,7 +51,6 @@ __all__ = [
     "nominal_reach_time",
     "order_k_time",
     "quantitative_resilience",
-    "resilience_via_reach_times",
     "save_system",
     "split",
     "time_ratio",

@@ -23,11 +23,9 @@ sits on the bound its reduced cost favours).  A singular basis, or a point still
 out of bounds, starts cold.  On the 700 LPs of the first 100 seed-1 scan-workload
 ops 687 settle (median 38.6 us) and 13 start cold (436 us, the refused start
 included); solved cold, the 700 take 299 us and 8 pivots at the median.  A whole
-max_scaled_direction call, which poses its LP once and LpProblem checks once, takes
-69-70 us at the median on those LPs and on the 400 of the first 100 seed-1
-multiloss and lagsim ops, against 91 us when LpProblem converted and checked every
-input a second time (best of 5 per LP, 2-vCPU x86_64 VM, one BLAS thread, in
-process, both versions interleaved in one process).
+max_scaled_direction call takes 69-70 us at the median on those LPs and on the 400
+of the first 100 seed-1 multiloss and lagsim ops (best of 5 per LP, 2-vCPU x86_64
+VM, one BLAS thread, in process).
 
 solve's statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED,
 with no "numerical failure" status.  max_scaled_direction folds them into one

@@ -84,10 +84,6 @@ class IntegratorSystem:
         use and kept; None, also kept, where build declines it."""
         return zonotope.build(self.b_bar, self.u_min, self.u_max)
 
-    def with_order(self, order: int) -> "IntegratorSystem":
-        """Same matrix and bounds, different integrator order."""
-        return IntegratorSystem(self.name, order, self.b_bar, self.u_min, self.u_max, self.labels)
-
 
 def _block():
     """An ActuatorSplit block: sliced once, at construction; no part of == or repr."""

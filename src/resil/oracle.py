@@ -24,7 +24,7 @@ import numpy as np
 
 from . import reach
 from .errors import CapacityError, LpError, ResilError, UnsupportedLossError
-from .model import ActuatorSplit, IntegratorSystem, to_machine
+from .model import ActuatorSplit, to_machine
 from .resilience import quantitative_resilience
 
 #: Relative violations at or below this are attributed to LP tolerance and clamped.
@@ -160,20 +160,17 @@ def direction_scan(split: ActuatorSplit, samples: int, seed: int) -> ScanReport:
 
 
 def homogeneity_probe(
-    obj: "IntegratorSystem | ActuatorSplit",
-    d: np.ndarray,
-    scales: "list[float] | tuple[float, ...]",
+    split: ActuatorSplit, d: np.ndarray, scales: "list[float] | tuple[float, ...]"
 ) -> float:
     """Max relative error of the gauge's T*(alpha d) against (alpha/a) T*(a d) from the LP,
-    over alpha = 1 and each scale, a the largest of them.
+    over alpha = 1 and each scale, a the largest of them, for T_N* and T_M* of a split.
 
-    Checks T_N* always, and T_M* additionally when given a split.  Infinite LP times are
-    skipped (homogeneity is trivial there).  One gauge batch per image answers every
-    alpha d (reach.nominal_times, reach.worst_times) and one LP the point a d, so the
-    probe compares two engines and sees a homogeneity fault in either.  A declined image
-    answers each alpha d by the LP path instead, which sees only rounding: alpha d and d
-    pose the same LP up to that of d/|d| and, for p >= 2, of -C w (one product over all
-    vertices in the batch, one per vertex in T_M*).
+    Infinite LP times are skipped (homogeneity is trivial there).  One gauge batch per
+    image answers every alpha d (reach.nominal_times, reach.worst_times) and one LP the
+    point a d, so the probe compares two engines and sees a homogeneity fault in either.
+    A declined image answers each alpha d by the LP path instead, which sees only rounding:
+    alpha d and d pose the same LP up to that of d/|d| and, for p >= 2, of -C w (one
+    product over all vertices in the batch, one per vertex in T_M*).
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.any(d):
@@ -184,12 +181,9 @@ def homogeneity_probe(
 
     # Homogeneity in d is an order-1 statement; evaluate there regardless of
     # the system's declared order.
-    rays, top = alphas[:, None] * d, alphas.max()
-    nominal = obj.base if isinstance(obj, ActuatorSplit) else obj
-    pairs = [(reach.nominal_reach_time(nominal, top * d, 1), reach.nominal_times(nominal, rays))]
-    if isinstance(obj, ActuatorSplit):
-        pairs.append(
-            (reach.malfunctioning_reach_time(obj, top * d, 1), reach.worst_times(obj, rays)))
+    rays, top, base = alphas[:, None] * d, alphas.max(), split.base
+    pairs = [(reach.nominal_reach_time(base, top * d, 1), reach.nominal_times(base, rays)),
+             (reach.malfunctioning_reach_time(split, top * d, 1), reach.worst_times(split, rays))]
     err = 0.0
     for anchor, gauge in pairs:
         lp_times = alphas / top * anchor.time

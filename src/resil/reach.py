@@ -104,11 +104,15 @@ def nominal_reach_time(
 
 
 def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray]:
-    """(ws, d) as 2-D and 1-D arrays, once d is nonzero and every row w of ws lies in W_c."""
+    """(ws, d) as 2-D and 1-D arrays, once d is a nonzero n-vector and each w lies in W_c."""
     ws = np.atleast_2d(np.asarray(ws, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
+    if d.shape != (split.base.n,):
+        raise LpError(f"direction must have length {split.base.n}, got shape {d.shape}")
     if not d.any():
         raise LpError("direction d must be nonzero")
+    if ws.shape[1] != split.p:
+        raise ModelError(f"w must have length {split.p}, got shape {ws.shape[1:]}")
     w_scale = 1.0 + max(np.abs(split.w_min).max(), np.abs(split.w_max).max())
     outside = (ws < split.w_min - 1e-9 * w_scale).any(axis=1) | (
         ws > split.w_max + 1e-9 * w_scale).any(axis=1)
@@ -116,6 +120,14 @@ def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray
         w = ws[int(np.argmax(outside))]
         raise ModelError(f"w {w.tolist()} outside the undesirable-input box W_c")
     return ws, d
+
+
+def _direction_rows(directions, n: int) -> np.ndarray:
+    """directions as 2-D rows, once each has length n: a gauge batch would broadcast it."""
+    rows = np.atleast_2d(np.asarray(directions, dtype=float))
+    if rows.shape[1] != n:
+        raise LpError(f"direction must have length {n}, got shape {rows.shape[1:]}")
+    return rows
 
 
 def _scaling_lp(m, lower, upper, d, shift, image, basis=None) -> lp.DirectionScaling:
@@ -145,30 +157,26 @@ def _times(m, lower, upper, directions, shifts, image) -> np.ndarray:
     return _order1_times(image.scalings(directions, shifts), norms)
 
 
-def malfunction_time_for_w(
-    split: ActuatorSplit, w: np.ndarray, d: np.ndarray, order: int | None = None
-) -> float:
-    """Reach time of the malfunctioning system for one frozen undesirable input w.
+def malfunction_time_for_w(split: ActuatorSplit, w: np.ndarray, d: np.ndarray) -> float:
+    """Reach time, at the system's order, of the malfunctioning system for one frozen w.
 
     T_M(w, d) = 1 / max{lam >= 0 : B u + C w = lam d, u in U_c}, +inf when the
     maximum is 0 or the constraint is infeasible; solved as one LP.
     """
-    k = _resolve_order(split.base, order)
     ws, d = _checked_inputs(split, w, d)
-    return float(order_k_time(_order1_time(_vertex_lp(split, ws[0], d), d)[0], k))
+    if len(ws) != 1:
+        raise ModelError(f"w must have length {split.p}, got shape {ws.shape}")
+    return float(order_k_time(_order1_time(_vertex_lp(split, ws[0], d), d)[0], split.base.order))
 
 
-def malfunction_times(
-    split: ActuatorSplit, ws: np.ndarray, d: np.ndarray, order: int | None = None
-) -> np.ndarray:
-    """T_M(w, d) for each row w of ws: malfunction_time_for_w as one gauge batch.
+def malfunction_times(split: ActuatorSplit, ws: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """T_M(w, d) at the system's order per row w of ws: malfunction_time_for_w as one batch.
 
     One LP per row instead when the image of B is declined.
     """
-    k = _resolve_order(split.base, order)
     ws, d = _checked_inputs(split, ws, d)
-    shifts = -(ws @ split.c.T)
-    return order_k_time(_times(split.b, split.u_min, split.u_max, d, shifts, split.image)[0], k)
+    t1 = _times(split.b, split.u_min, split.u_max, d, -(ws @ split.c.T), split.image)[0]
+    return order_k_time(t1, split.base.order)
 
 
 def w_vertices(split: ActuatorSplit) -> np.ndarray:
@@ -238,38 +246,38 @@ def malfunctioning_reach_time(
     return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
 
 
-def time_ratio(split: ActuatorSplit, d: np.ndarray, order: int | None = None) -> float:
-    """Ratio of reach times t_k(d) = T_{k,M}*(d) / T_{k,N}*(d); see ratio_of_times.
+def time_ratio(split: ActuatorSplit, d: np.ndarray) -> float:
+    """t_k(d) = T_{k,M}*(d) / T_{k,N}*(d) at the system's order k; see ratio_of_times.
 
     T_N* is not computed when T_M* is infinite: the ratio is +inf regardless.
     """
-    t_m = malfunctioning_reach_time(split, d, order=order).time
+    t_m = malfunctioning_reach_time(split, d).time
     if math.isinf(t_m):
         return math.inf
-    return ratio_of_times(t_m, nominal_reach_time(split.base, d, order=order).time)
+    return ratio_of_times(t_m, nominal_reach_time(split.base, d).time)
 
 
 def nominal_times(sys: IntegratorSystem, directions: np.ndarray) -> np.ndarray:
     """Order-1 T_N*(d) per (nonzero) row d: one gauge batch of B_bar's image with a zero
     shift, or one cold LP per row when that image is declined."""
+    directions = _direction_rows(directions, sys.n)
     return _times(sys.b_bar, sys.u_min, sys.u_max, directions, np.zeros(sys.n), sys.image)[:, 0]
 
 
 def worst_times(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
     """Order-1 T_M*(d) per (nonzero) row d: the max over the W_c vertex shifts of one gauge
     batch of B's image, or of one cold LP per pair when that image is declined."""
+    directions = _direction_rows(directions, split.base.n)
     _vertex_count(split)  # CapacityError before any build or enumeration
     shifts = -(w_vertices(split) @ split.c.T)
     return _times(split.b, split.u_min, split.u_max, directions, shifts, split.image).max(axis=1)
 
 
-def time_ratios(
-    split: ActuatorSplit, directions: np.ndarray, order: int | None = None
-) -> np.ndarray:
-    """t_k(d) for each (nonzero) row d of directions: time_ratio as the ratio of worst_times
-    and nominal_times, two gauge batches."""
-    k = _resolve_order(split.base, order)
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+def time_ratios(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
+    """t_k(d) at the system's order k for each (nonzero) row d of directions: time_ratio as
+    the ratio of worst_times and nominal_times, two gauge batches."""
+    k = split.base.order
+    directions = _direction_rows(directions, split.base.n)
     if not np.all(np.any(directions, axis=1)):
         raise LpError("every direction must be nonzero")
     t_m = order_k_time(worst_times(split, directions), k)

@@ -12,13 +12,12 @@ values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k).
 sweep reads controllability off the slab sides of the system's image of B_bar
 (IntegratorSystem.image; _controllable) and lam+/- off one pass over its slabs,
 and quantitative_resilience is its row.  lambda_pair and check_controllability
-(LPs) and the reach-time route (four reach times along +/-C) are kept as
-independent cross-checks.
+(LPs) are kept as independent cross-checks; the reach-time route (four reach
+times along +/-C) is the test suite's reference (tests/conftest.py).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -59,17 +58,6 @@ class ResilienceReport:
             "resilient": self.resilient,
             "diagnostics": dict(self.diagnostics),
         }
-
-
-@dataclass(frozen=True)
-class ReachTimeVerdict:
-    """Resilience decided through the four reach times along +/-C."""
-
-    t_n_plus: float
-    t_m_plus: float
-    t_n_minus: float
-    t_m_minus: float
-    resilient: bool
 
 
 #: A report's diagnostics flags, in the order sweep sets them.
@@ -189,20 +177,3 @@ def quantitative_resilience(split: ActuatorSplit, order: int | None = None) -> R
     """Full single-loss resilience report for a split (Algorithm-1 style): sweep's row."""
     _single_column(split)
     return sweep(split.base, split.lost_columns, order)[0]
-
-
-def resilience_via_reach_times(split: ActuatorSplit) -> ReachTimeVerdict:
-    """Independent verdict from four order-1 reach times along +/-C (cross-check)."""
-    c = _single_column(split)
-    if not np.any(c):
-        raise UnsupportedLossError("C = 0: use quantitative_resilience for the zero-column path")
-    t_n_p = reach.nominal_reach_time(split.base, c, 1).time
-    t_m_p = reach.malfunctioning_reach_time(split, c, 1).time
-    t_n_m = reach.nominal_reach_time(split.base, -c, 1).time
-    t_m_m = reach.malfunctioning_reach_time(split, -c, 1).time
-    resilient = (
-        check_controllability(split.base)
-        and math.isfinite(t_m_p)
-        and math.isfinite(t_m_m)
-    )
-    return ReachTimeVerdict(t_n_p, t_m_p, t_n_m, t_m_m, resilient)

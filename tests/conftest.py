@@ -18,19 +18,21 @@ controllability verdict of one Zonotope.scalings batch over the rays +/-e_j
 (the form the slab-side comparison of resilience._controllable replaced), and
 `fresh` copies a system or split without the box image it keeps, so that the
 copy builds its own (or declines, where a test has lowered
-zonotope.MAX_CANDIDATES).
+zonotope.MAX_CANDIDATES).  `reach_time_verdict` decides a single loss from
+four reach times along +/-C, the cross-check of the closed-form verdict.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
 test when SciPy is not installed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from resil import lp, resilience, sim, zonotope
+from resil import lp, reach, resilience, sim, zonotope
 from resil.model import ActuatorSplit, IntegratorSystem, split
 
 
@@ -172,12 +174,46 @@ def _fresh(obj):
     """A copy of a system or split, with no image built yet."""
     if isinstance(obj, ActuatorSplit):
         return split(_fresh(obj.base), obj.lost_columns)
-    return obj.with_order(obj.order)
+    return dataclasses.replace(obj)
 
 
 @pytest.fixture(scope="session")
 def fresh():
     return _fresh
+
+
+@dataclasses.dataclass(frozen=True)
+class ReachTimeVerdict:
+    """Resilience decided through the four reach times along +/-C."""
+
+    t_n_plus: float
+    t_m_plus: float
+    t_n_minus: float
+    t_m_minus: float
+    resilient: bool
+
+
+def _reach_time_verdict(sp) -> ReachTimeVerdict:
+    """Verdict of a single nonzero lost column from four order-1 reach times along +/-C (the
+    reach-time cross-check of the closed form): resilient iff controllable and both T_M*
+    are finite."""
+    c = sp.c[:, 0]
+    assert sp.p == 1 and np.any(c)
+    t_n_p = reach.nominal_reach_time(sp.base, c, 1).time
+    t_m_p = reach.malfunctioning_reach_time(sp, c, 1).time
+    t_n_m = reach.nominal_reach_time(sp.base, -c, 1).time
+    t_m_m = reach.malfunctioning_reach_time(sp, -c, 1).time
+    resilient = (
+        resilience.check_controllability(sp.base)
+        and math.isfinite(t_m_p)
+        and math.isfinite(t_m_m)
+    )
+    return ReachTimeVerdict(t_n_p, t_m_p, t_n_m, t_m_m, resilient)
+
+
+@pytest.fixture(scope="session")
+def reach_time_verdict():
+    return _reach_time_verdict
 
 
 @pytest.fixture

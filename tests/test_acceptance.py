@@ -307,7 +307,7 @@ def test_criterion_08_oracle_suite():
     _verdict(8, checks)
 
 
-def test_criterion_09_verdict_cross_check():
+def test_criterion_09_verdict_cross_check(reach_time_verdict):
     checks = []
     systems = [
         ("TOY1", _toy1()),
@@ -320,7 +320,7 @@ def test_criterion_09_verdict_cross_check():
         for j in range(sys.n_inputs):
             sp = split(sys, j)
             rep = resilience.quantitative_resilience(sp)
-            verdict = resilience.resilience_via_reach_times(sp)
+            verdict = reach_time_verdict(sp)
             checks.append(
                 (rep.resilient == verdict.resilient,
                  f"{name} col {j + 1}: closed-form {rep.resilient} vs reach {verdict.resilient}")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import resil
 from resil.errors import ModelError
 from resil.model import (
     IntegratorSystem,
@@ -144,3 +145,10 @@ def test_load_errors(tmp_path):
 def test_immutability(toy1):
     with pytest.raises(ValueError):
         toy1.b_bar[0, 0] = 5.0
+
+
+def test_package_all_resolves():
+    # `from resil import *` binds every name resil.__all__ lists: no removed name stays.
+    namespace = {}
+    exec("from resil import *", namespace)
+    assert set(resil.__all__) <= namespace.keys()

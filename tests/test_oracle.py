@@ -92,8 +92,8 @@ def test_homogeneity_toy2(toy2_split):
     assert err <= 1e-10
 
 
-def test_homogeneity_identity_scale(toy2):
-    assert oracle.homogeneity_probe(toy2, [-1.0], [1.0]) == 0.0
+def test_homogeneity_identity_scale(toy2_split):
+    assert oracle.homogeneity_probe(toy2_split, [-1.0], [1.0]) == 0.0
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Reach times, time ratios, order-k relations, structural properties."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resil import lp, reach, zonotope
+from resil import catalog, lp, reach, zonotope
 from resil.errors import CapacityError, LpError, ModelError
 from resil.model import IntegratorSystem, split
 
@@ -149,10 +150,70 @@ def test_malfunctioning_reach_zero_d(toy3_split):
 
 @pytest.mark.parametrize("d", [[0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 def test_direction_length_checked_before_zero(toy3, toy3_split, d):
+    # The batches too: each entry point checks the length before the gauge sees a row.
+    w = toy3_split.w_min
     for call in (lambda: reach.nominal_reach_time(toy3, d),
-                 lambda: reach.malfunctioning_reach_time(toy3_split, d)):
+                 lambda: reach.malfunctioning_reach_time(toy3_split, d),
+                 lambda: reach.malfunction_time_for_w(toy3_split, w, d),
+                 lambda: reach.malfunction_times(toy3_split, [w], d),
+                 lambda: reach.nominal_times(toy3, [d]),
+                 lambda: reach.worst_times(toy3_split, [d]),
+                 lambda: reach.time_ratios(toy3_split, [d])):
         with pytest.raises(LpError, match="direction must have length 2"):
             call()
+
+
+#: The four batch entry points on octocopter-trans (n = 3, p = 1), each given a direction
+#: row of length 1; malfunction_times also a w row of length 2, and malfunction_time_for_w
+#: two w rows (not the time of the first).
+WRONG_LENGTH = {
+    "nominal_times": (LpError, lambda sp: reach.nominal_times(sp.base, [[1.0]])),
+    "worst_times": (LpError, lambda sp: reach.worst_times(sp, [[1.0]])),
+    "malfunction_times": (LpError, lambda sp: reach.malfunction_times(sp, [[0.0]], [1.0])),
+    "time_ratios": (LpError, lambda sp: reach.time_ratios(sp, [[1.0]])),
+    "malfunction_times-w": (
+        ModelError, lambda sp: reach.malfunction_times(sp, [[0.0, 0.0]], [0.0, 0.0, 1.0])),
+    "malfunction_time_for_w-two-w": (
+        ModelError, lambda sp: reach.malfunction_time_for_w(sp, [[0.0], [0.0]], [0.0, 0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("declined", [False, True], ids=["built", "declined"])
+@pytest.mark.parametrize("name", WRONG_LENGTH)
+def test_batch_rows_of_the_wrong_length(fresh, monkeypatch, name, declined):
+    # Both engines raise the same error.  Unchecked, a length-1 direction row broadcasts
+    # against the built image's 3 scales and gets the time of (1, 1, 1).
+    sp = split(catalog.octocopter_translational(), 0)
+    if declined:
+        monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
+        sp = fresh(sp)
+    assert (sp.image is None) == (sp.base.image is None) == declined
+    error, call = WRONG_LENGTH[name]
+    with pytest.raises(error, match="must have length"):
+        call(sp)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_batches_at_the_system_order(toy1, k):
+    # At order k the batches equal their scalar forms row by row, and the order_k_time
+    # lift of the order-1 batch.
+    sp1 = split(toy1, 2)
+    sp = split(dataclasses.replace(toy1, order=k), 2)
+    rng = np.random.default_rng(k)
+    directions = rng.standard_normal((6, 2))
+    ratios = reach.time_ratios(sp, directions)
+    assert np.array_equal(ratios, reach.ratio_of_times(
+        reach.order_k_time(reach.worst_times(sp1, directions), k),
+        reach.order_k_time(reach.nominal_times(toy1, directions), k)))
+    assert ratios == pytest.approx(reach.time_ratios(sp1, directions) ** (1.0 / k), rel=1e-12)
+    for d, t in zip(directions, ratios):
+        assert t == pytest.approx(reach.time_ratio(sp, d), rel=1e-12)
+    ws = sp.w_min + rng.random((5, 1)) * (sp.w_max - sp.w_min)
+    times = reach.malfunction_times(sp, ws, directions[0])
+    assert np.array_equal(times,
+                          reach.order_k_time(reach.malfunction_times(sp1, ws, directions[0]), k))
+    for w, t in zip(ws, times):
+        assert t == pytest.approx(reach.malfunction_time_for_w(sp, w, directions[0]), rel=1e-12)
 
 
 def test_capacity_cap(zonotope_builds, monkeypatch):

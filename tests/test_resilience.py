@@ -226,8 +226,8 @@ def test_report_serialization(toy2_split):
     assert isinstance(doc["lambda_plus"], float)
 
 
-def test_reach_time_verdict_toy2(toy2_split):
-    verdict = resilience.resilience_via_reach_times(toy2_split)
+def test_reach_time_verdict_toy2(toy2_split, reach_time_verdict):
+    verdict = reach_time_verdict(toy2_split)
     assert verdict.t_n_plus == pytest.approx(0.5)
     assert verdict.t_m_plus == pytest.approx(1.0)
     assert verdict.t_n_minus == pytest.approx(1.0 / 3.0)
@@ -235,7 +235,7 @@ def test_reach_time_verdict_toy2(toy2_split):
     assert verdict.resilient
 
 
-def test_verdict_agreement_random():
+def test_verdict_agreement_random(reach_time_verdict):
     rng = np.random.default_rng(8)
     for _ in range(60):
         n = int(rng.integers(1, 4))
@@ -249,7 +249,7 @@ def test_verdict_agreement_random():
             continue
         sp = split(sys, col)
         rep = resilience.quantitative_resilience(sp)
-        verdict = resilience.resilience_via_reach_times(sp)
+        verdict = reach_time_verdict(sp)
         assert rep.resilient == verdict.resilient
         if rep.resilient:
             c = sp.c[:, 0]
