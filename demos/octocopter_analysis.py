@@ -11,6 +11,8 @@ four main rotors (1-4) and the four tilted rotors (5-8).
 Run:  python demos/octocopter_analysis.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from resil import catalog, reach, resilience
@@ -22,8 +24,8 @@ def table(system, d_list):
     header = f"{'loss':>4}  {'r(C)':>8}  {'r(-C)':>8}  {'r_q':>8}  {'r_2q':>8}"
     header += "".join(f"  {'t(' + label + ')':>8}" for label, _ in d_list)
     print(header)
-    # r_q does not depend on the order, so one order-2 sweep gives r_q and r_2q.
-    for rep in resilience.sweep(system, range(system.n_inputs), order=2):
+    # r_q does not depend on the order, so one sweep of the order-2 system gives r_q and r_2q.
+    for rep in resilience.sweep(dataclasses.replace(system, order=2), range(system.n_inputs)):
         j = rep.lost_column
         row = (f"{j + 1:>4}  {rep.r_plus:>8.4f}  {rep.r_minus:>8.4f}"
                f"  {rep.r_q:>8.4f}  {rep.r_kq:>8.4f}")

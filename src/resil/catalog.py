@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .model import IntegratorSystem
+from .model import IntegratorSystem, read_json_object
 
 #: Standard gravitational parameter of the Earth (m^3 s^-2).
 MU_EARTH = 3.986e14
@@ -308,12 +308,7 @@ def resolve(name: str) -> IntegratorSystem:
         _, _, arg = name.partition(":")
         if not arg:
             return spacecraft_bbar(TABLE1_INITIAL)
-        import json
-
-        with open(arg, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ModelError(f"element file {arg!r} must contain a JSON object")
+        doc = read_json_object(arg, "element file")
         missing = [key for key in ("a", "e", "i", "argp") if key not in doc]
         if missing:
             raise ModelError(f"element file {arg!r} missing required field {missing[0]!r}")

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 input error, 2 capacity error, 3 oracle violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -38,10 +39,12 @@ def _human(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _load_model(spec: str) -> IntegratorSystem:
-    if spec.startswith("catalog:"):
-        return catalog.resolve(spec[len("catalog:"):])
-    return load_system(spec)
+def _load_model(args: argparse.Namespace) -> IntegratorSystem:
+    """The system --model names, at the order --order gives (IntegratorSystem checks it)
+    where given: the one place the flag is read."""
+    name = args.model.removeprefix("catalog:")
+    system = load_system(name) if name == args.model else catalog.resolve(name)
+    return system if args.order is None else dataclasses.replace(system, order=args.order)
 
 
 def _parse_lost(text: str, total: int) -> list[int]:
@@ -73,9 +76,9 @@ def _write_out(path: str | None, doc: object) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    sys_model = _load_model(args.model)
+    sys_model = _load_model(args)
     columns = _parse_lost(args.lost, sys_model.n_inputs)
-    reports = resilience.sweep(sys_model, columns, order=args.order)  # raises before any output
+    reports = resilience.sweep(sys_model, columns)  # raises before any output
     print(f"system: {sys_model.name}  (n={sys_model.n}, inputs={sys_model.n_inputs})")
     # --lost names at least one column; every report holds the system's decision.
     print(f"controllable: {reports[0].controllable}")
@@ -84,7 +87,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for rep in reports:
         print(
             f"column {rep.lost_column + 1}: r(C)={_human(rep.r_plus)} r(-C)={_human(rep.r_minus)} "
-            f"r_q={_human(rep.r_q)} r_{{{args.order or sys_model.order},q}}={_human(rep.r_kq)} "
+            f"r_q={_human(rep.r_q)} r_{{{sys_model.order},q}}={_human(rep.r_kq)} "
             f"{'resilient' if rep.resilient else 'NOT resilient'}"
         )
     _write_out(args.out, {"system": sys_model.name, "reports": [r.to_dict() for r in reports]})
@@ -92,12 +95,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    sys_model = _load_model(args.model)
+    sys_model = _load_model(args)
     columns = _parse_lost(args.lost, sys_model.n_inputs)
     d = _parse_direction(args.direction)
     sp = split(sys_model, tuple(columns))
-    t_n = reach.nominal_reach_time(sys_model, d, order=args.order).time
-    t_m = reach.malfunctioning_reach_time(sp, d, order=args.order).time
+    t_n = reach.nominal_reach_time(sys_model, d).time
+    t_m = reach.malfunctioning_reach_time(sp, d).time
     t = reach.ratio_of_times(t_m, t_n)
     print(f"T_N*(d) = {_human(t_n)}")
     print(f"T_M*(d) = {_human(t_m)}")
@@ -117,13 +120,13 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def cmd_reach(args: argparse.Namespace) -> int:
-    sys_model = _load_model(args.model)
+    sys_model = _load_model(args)
     d = _parse_direction(args.direction)
     columns = _parse_lost(args.lost, sys_model.n_inputs) if args.lost else []
     sp = split(sys_model, tuple(columns)) if columns else None
-    result = reach.nominal_reach_time(sys_model, d, order=args.order)
+    result = reach.nominal_reach_time(sys_model, d)
     # T_M* raises (a capacity error past P_MAX_DEFAULT) before any output.
-    m = None if sp is None else reach.malfunctioning_reach_time(sp, d, order=args.order)
+    m = None if sp is None else reach.malfunctioning_reach_time(sp, d)
     print(f"T_N*(d) = {_human(result.time)}")
     doc: dict = {"system": sys_model.name, "d": [float(v) for v in d]}
     doc["T_N"] = to_machine(result.time)
@@ -146,7 +149,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ResilError(f"--samples must be >= 0, got {args.samples}")
     if not args.tol >= 0.0:  # nan fails it too
         raise ResilError(f"--tol must be >= 0, got {args.tol}")
-    sys_model = _load_model(args.model)
+    sys_model = _load_model(args)
     columns = _parse_lost(args.lost, sys_model.n_inputs)
     d = _parse_direction(args.direction)
     sp = split(sys_model, tuple(columns))
@@ -219,12 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, need_model: bool = True) -> None:
-        if need_model:
-            p.add_argument(
-                "--model", required=True,
-                help="model file path or catalog:<name> (see catalog-list)",
-            )
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--model", required=True, help="model file path or catalog:<name> (see catalog-list)"
+        )
         p.add_argument("--order", type=int, default=None, help="integrator order k override")
         p.add_argument("--out", default=None, help="write machine-readable JSON report here")
 

@@ -22,6 +22,17 @@ from . import zonotope
 from .errors import ModelError
 
 
+#: Box-membership tolerance for inputs, relative to the box magnitude.
+BOX_TOL = 1e-9
+
+
+def outside_box(x, lo, hi) -> np.ndarray:
+    """Per row of x (or for a 1-D x): whether it leaves [lo, hi] by more than BOX_TOL of
+    1 + the box's largest magnitude, or has a nan entry (which no box holds)."""
+    tol = BOX_TOL * (1.0 + max(np.abs(lo).max(), np.abs(hi).max()))
+    return ~((x >= lo - tol) & (x <= hi + tol)).all(axis=-1)
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -212,18 +223,24 @@ def system_from_dict(doc: dict) -> IntegratorSystem:
     )
 
 
-def load_system(path: str) -> IntegratorSystem:
-    """Load and validate a system from a JSON model file."""
+def read_json_object(path: str, what: str = "model file") -> dict:
+    """The JSON object in the file at path; a ModelError naming the file (as `what`) when it
+    cannot be read, is not JSON, or holds no object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ModelError(f"cannot read model file {path!r}: {exc}") from exc
+        raise ModelError(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ModelError(f"model file {path!r} is not valid JSON: {exc}") from exc
+        raise ModelError(f"{what} {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ModelError(f"model file {path!r} must contain a JSON object")
-    return system_from_dict(doc)
+        raise ModelError(f"{what} {path!r} must contain a JSON object")
+    return doc
+
+
+def load_system(path: str) -> IntegratorSystem:
+    """Load and validate a system from a JSON model file."""
+    return system_from_dict(read_json_object(path))
 
 
 def save_system(sys: IntegratorSystem, path: str) -> None:

@@ -162,12 +162,14 @@ def direction_scan(split: ActuatorSplit, samples: int, seed: int) -> ScanReport:
 def homogeneity_probe(
     split: ActuatorSplit, d: np.ndarray, scales: "list[float] | tuple[float, ...]"
 ) -> float:
-    """Max relative error of the gauge's T*(alpha d) against (alpha/a) T*(a d) from the LP,
-    over alpha = 1 and each scale, a the largest of them, for T_N* and T_M* of a split.
+    """Max relative error of the gauge's T*(alpha d) against (alpha/a)^(1/k) T*(a d) from the
+    LP, over alpha = 1 and each scale, a the largest of them, for T_N* and T_M* of a split
+    at its system's order k (T_k(alpha d) = alpha^(1/k) T_k(d)).
 
     Infinite LP times are skipped (homogeneity is trivial there).  One gauge batch per
-    image answers every alpha d (reach.nominal_times, reach.worst_times) and one LP the
-    point a d, so the probe compares two engines and sees a homogeneity fault in either.
+    image answers every alpha d (reach.nominal_times, reach.worst_times, at order 1, lifted
+    by reach.order_k_time) and one LP the point a d, so the probe compares two engines and
+    sees a homogeneity fault in either.
     A declined image answers each alpha d by the LP path instead, which sees only rounding:
     alpha d and d pose the same LP up to that of d/|d| and, for p >= 2, of -C w (one
     product over all vertices in the batch, one per vertex in T_M*).
@@ -179,14 +181,12 @@ def homogeneity_probe(
     if np.any(alphas <= 0.0):
         raise LpError("scales must be positive")
 
-    # Homogeneity in d is an order-1 statement; evaluate there regardless of
-    # the system's declared order.
-    rays, top, base = alphas[:, None] * d, alphas.max(), split.base
-    pairs = [(reach.nominal_reach_time(base, top * d, 1), reach.nominal_times(base, rays)),
-             (reach.malfunctioning_reach_time(split, top * d, 1), reach.worst_times(split, rays))]
+    rays, top, base, k = alphas[:, None] * d, alphas.max(), split.base, split.base.order
+    pairs = [(reach.nominal_reach_time(base, top * d), reach.nominal_times(base, rays)),
+             (reach.malfunctioning_reach_time(split, top * d), reach.worst_times(split, rays))]
     err = 0.0
-    for anchor, gauge in pairs:
-        lp_times = alphas / top * anchor.time
+    for anchor, gauge in pairs:  # x ** 1.0 is x: at k = 1 the order-1 bits
+        lp_times, gauge = (alphas / top) ** (1.0 / k) * anchor.time, reach.order_k_time(gauge, k)
         if math.isfinite(lp_times[0]) and lp_times[0] > 0.0:
             err = max(err, float((np.abs(gauge - lp_times) / lp_times).max()))
     return err

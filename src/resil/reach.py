@@ -25,6 +25,10 @@ time_ratios, their ratio) answer the oracle scans from the gauge alone.  Where
 zonotope.build declines an image (None: rank below n, or over
 zonotope.MAX_CANDIDATES) the LP path answers instead, and its LPs start cold.
 
+Every time is at the system's order k (IntegratorSystem.order; order_k_time lifts the
+order-1 time) but nominal_times' and worst_times', and every entry point rejects a
+direction of the wrong length or with a non-finite entry (_directions) before any engine.
+
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
 """
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import lp
 from .errors import CapacityError, LpError, ModelError
-from .model import ActuatorSplit, IntegratorSystem
+from .model import ActuatorSplit, IntegratorSystem, outside_box
 from .zonotope import VERTEX_TIE_RTOL
 
 #: Cap on the number of lost columns in vertex enumeration (2^p vertices).
@@ -48,10 +52,9 @@ P_MAX_DEFAULT = 20
 
 @dataclass(frozen=True)
 class ReachResult:
-    """A reach time with its optimizing constant inputs (when finite)."""
+    """A reach time at the system's order, with its optimizing inputs (when finite)."""
 
     time: float
-    order: int
     optimizer_u: np.ndarray | None = None
     optimizer_w: np.ndarray | None = None
 
@@ -62,13 +65,6 @@ def order_k_time(t1, k: int):
     +inf stays +inf.
     """
     return (math.factorial(k) * t1) ** (1.0 / k)
-
-
-def _resolve_order(sys: IntegratorSystem, order: int | None) -> int:
-    k = sys.order if order is None else int(order)
-    if k < 1:
-        raise ModelError(f"order must be >= 1, got {k}")
-    return k
 
 
 def _order1_times(lam_hat, norms):
@@ -85,49 +81,45 @@ def _order1_time(scaling: lp.DirectionScaling, d) -> tuple[float, np.ndarray | N
     return t1, (scaling.argument if math.isfinite(t1) else None)
 
 
-def nominal_reach_time(
-    sys: IntegratorSystem, d: np.ndarray, order: int | None = None
-) -> ReachResult:
-    """Shortest time for the fully functional system to cover the distance d.
+def _directions(directions, n: int, ndim: int = 2) -> np.ndarray:
+    """directions as 2-D rows (ndim 2) or as one 1-D direction (ndim 1), once each has
+    length n, which a gauge batch would broadcast, and finite entries, which neither engine
+    takes: every entry point converts its directions here, before any engine runs."""
+    d = np.asarray(directions, dtype=float)
+    d = np.atleast_2d(d) if ndim == 2 else np.atleast_1d(d)
+    if d.ndim != ndim or d.shape[-1] != n:
+        raise LpError(f"direction must have length {n}, got shape {d.shape[ndim - 1:]}")
+    if not np.isfinite(d).all():
+        raise LpError("direction has a non-finite entry")
+    return d
+
+
+def nominal_reach_time(sys: IntegratorSystem, d: np.ndarray) -> ReachResult:
+    """Shortest time for the fully functional system to cover d, at the system's order.
 
     Returns time 0 for d = 0 and +inf when no input in the box pushes along d.
     """
-    k = _resolve_order(sys, order)
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.shape != (sys.n,):
-        raise LpError(f"direction must have length {sys.n}, got shape {d.shape}")
+    d = _directions(d, sys.n, ndim=1)
     if not d.any():
-        return ReachResult(time=0.0, order=k)
+        return ReachResult(time=0.0)
     scaling = _scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), sys.image)
     t1, u = _order1_time(scaling, d)
-    return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u)
+    return ReachResult(time=order_k_time(t1, sys.order), optimizer_u=u)
 
 
 def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray]:
     """(ws, d) as 2-D and 1-D arrays, once d is a nonzero n-vector and each w lies in W_c."""
     ws = np.atleast_2d(np.asarray(ws, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.shape != (split.base.n,):
-        raise LpError(f"direction must have length {split.base.n}, got shape {d.shape}")
+    d = _directions(d, split.base.n, ndim=1)
     if not d.any():
         raise LpError("direction d must be nonzero")
     if ws.shape[1] != split.p:
         raise ModelError(f"w must have length {split.p}, got shape {ws.shape[1:]}")
-    w_scale = 1.0 + max(np.abs(split.w_min).max(), np.abs(split.w_max).max())
-    outside = (ws < split.w_min - 1e-9 * w_scale).any(axis=1) | (
-        ws > split.w_max + 1e-9 * w_scale).any(axis=1)
+    outside = outside_box(ws, split.w_min, split.w_max)
     if outside.any():
         w = ws[int(np.argmax(outside))]
         raise ModelError(f"w {w.tolist()} outside the undesirable-input box W_c")
     return ws, d
-
-
-def _direction_rows(directions, n: int) -> np.ndarray:
-    """directions as 2-D rows, once each has length n: a gauge batch would broadcast it."""
-    rows = np.atleast_2d(np.asarray(directions, dtype=float))
-    if rows.shape[1] != n:
-        raise LpError(f"direction must have length {n}, got shape {rows.shape[1:]}")
-    return rows
 
 
 def _scaling_lp(m, lower, upper, d, shift, image, basis=None) -> lp.DirectionScaling:
@@ -200,10 +192,8 @@ def _worst(times: np.ndarray) -> int:
     return int(np.argmax(times >= times.max() * (1.0 - VERTEX_TIE_RTOL)))
 
 
-def malfunctioning_reach_time(
-    split: ActuatorSplit, d: np.ndarray, order: int | None = None
-) -> ReachResult:
-    """Worst-case reach time T_M*(d): max over the vertices of W_c.
+def malfunctioning_reach_time(split: ActuatorSplit, d: np.ndarray) -> ReachResult:
+    """Worst-case reach time T_M*(d) at the system's order: max over the vertices of W_c.
 
     The worst vertex comes from B's eroded slabs (zonotope.Zonotope.worst_vertex, the
     first in lexicographic order on ties, as the screen's), and one LP there, started at
@@ -215,12 +205,9 @@ def malfunctioning_reach_time(
     infinite time wins (the LPs stop there), else the lowest lexicographic vertex index
     within VERTEX_TIE_RTOL of the largest time.
     """
-    k = _resolve_order(split.base, order)
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.shape != (split.base.n,):
-        raise LpError(f"direction must have length {split.base.n}, got shape {d.shape}")
+    k, d = split.base.order, _directions(d, split.base.n, ndim=1)
     if not d.any():
-        return ReachResult(time=0.0, order=k)
+        return ReachResult(time=0.0)
     _vertex_count(split)  # CapacityError before any build or enumeration
     zono = split.image
     vertices = None  # enumerated at most once, by the screen or the LP fallback
@@ -235,15 +222,15 @@ def malfunctioning_reach_time(
         w, row = found
         t1, u = _order1_time(_vertex_lp(split, w, d, zono, row), d)
         if math.isfinite(t1) == finite:
-            return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
+            return ReachResult(time=order_k_time(t1, k), optimizer_u=u, optimizer_w=w)
     solved = []  # (t1, w, u) per vertex
     for w in w_vertices(split) if vertices is None else vertices:
         t1, u = _order1_time(_vertex_lp(split, w, d, zono), d)
         if math.isinf(t1):
-            return ReachResult(time=math.inf, order=k, optimizer_w=w)
+            return ReachResult(time=math.inf, optimizer_w=w)
         solved.append((t1, w, u))
     t1, w, u = solved[_worst(np.array([t1 for t1, _, _ in solved]))]
-    return ReachResult(time=order_k_time(t1, k), order=k, optimizer_u=u, optimizer_w=w)
+    return ReachResult(time=order_k_time(t1, k), optimizer_u=u, optimizer_w=w)
 
 
 def time_ratio(split: ActuatorSplit, d: np.ndarray) -> float:
@@ -260,14 +247,14 @@ def time_ratio(split: ActuatorSplit, d: np.ndarray) -> float:
 def nominal_times(sys: IntegratorSystem, directions: np.ndarray) -> np.ndarray:
     """Order-1 T_N*(d) per (nonzero) row d: one gauge batch of B_bar's image with a zero
     shift, or one cold LP per row when that image is declined."""
-    directions = _direction_rows(directions, sys.n)
+    directions = _directions(directions, sys.n)
     return _times(sys.b_bar, sys.u_min, sys.u_max, directions, np.zeros(sys.n), sys.image)[:, 0]
 
 
 def worst_times(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
     """Order-1 T_M*(d) per (nonzero) row d: the max over the W_c vertex shifts of one gauge
     batch of B's image, or of one cold LP per pair when that image is declined."""
-    directions = _direction_rows(directions, split.base.n)
+    directions = _directions(directions, split.base.n)
     _vertex_count(split)  # CapacityError before any build or enumeration
     shifts = -(w_vertices(split) @ split.c.T)
     return _times(split.b, split.u_min, split.u_max, directions, shifts, split.image).max(axis=1)
@@ -277,7 +264,7 @@ def time_ratios(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
     """t_k(d) at the system's order k for each (nonzero) row d of directions: time_ratio as
     the ratio of worst_times and nominal_times, two gauge batches."""
     k = split.base.order
-    directions = _direction_rows(directions, split.base.n)
+    directions = _directions(directions, split.base.n)
     if not np.all(np.any(directions, axis=1)):
         raise LpError("every direction must be nonzero")
     t_m = order_k_time(worst_times(split, directions), k)

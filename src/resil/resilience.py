@@ -8,7 +8,8 @@ For a single lost column C with box [w_min, w_max], the closed form is
     r(-C) = (w_max - lam-) / (w_min - lam-)
 
 and the system is resilient to that loss iff it is controllable and both
-values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k).
+values lie in (0, 1]; then r_q = min(r(C), r(-C)) and r_{k,q} = r_q^(1/k), k the
+system's order (IntegratorSystem.order; a report carries it).
 sweep reads controllability off the slab sides of the system's image of B_bar
 (IntegratorSystem.image; _controllable) and lam+/- off one pass over its slabs,
 and quantitative_resilience is its row.  lambda_pair and check_controllability
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp, reach, zonotope
+from . import lp, zonotope
 from .errors import UnsupportedLossError
 from .model import ActuatorSplit, IntegratorSystem, checked_lost, split as make_split, to_machine
 from .zonotope import Zonotope
@@ -140,17 +141,15 @@ def r_closed_form(lam_p, lam_m, w_min, w_max):
     return tuple(r.tolist()) if r.ndim == 1 else r
 
 
-def sweep(
-    sys: IntegratorSystem, columns: Iterable[int], order: int | None = None
-) -> list[ResilienceReport]:
-    """Single-loss reports for each (0-based) lost column in `columns`.
+def sweep(sys: IntegratorSystem, columns: Iterable[int]) -> list[ResilienceReport]:
+    """Single-loss reports at the system's order, one per (0-based) lost column in `columns`.
 
     B_bar's image (sys.image, built once per system) decides controllability, and one
     leave-one-out pass of it (Zonotope.lambdas_without) every lam+/-; where it is declined,
     LPs do: 2n, plus 2 per nonzero column.  Every column is checked as split(sys, col)
     checks it, and C and W_c of all of them are one slice of B_bar and its box.
     """
-    k = reach._resolve_order(sys, order)
+    k = sys.order
     cols = np.array([checked_lost((col,), sys.n_inputs)[0] for col in columns], dtype=int)
     c, image = sys.b_bar[:, cols], sys.image
     if not _controllable(sys, image):
@@ -173,7 +172,7 @@ def sweep(
             for col, lams, rs, q, ok, row in rows]
 
 
-def quantitative_resilience(split: ActuatorSplit, order: int | None = None) -> ResilienceReport:
+def quantitative_resilience(split: ActuatorSplit) -> ResilienceReport:
     """Full single-loss resilience report for a split (Algorithm-1 style): sweep's row."""
     _single_column(split)
-    return sweep(split.base, split.lost_columns, order)[0]
+    return sweep(split.base, split.lost_columns)[0]

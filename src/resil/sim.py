@@ -24,13 +24,10 @@ import numpy as np
 
 from . import catalog, reach
 from .errors import ModelError, NonReachError
-from .model import IntegratorSystem, split as make_split
+from .model import IntegratorSystem, outside_box, split as make_split
 
 #: Default lag spacing: tau/100, coarsened up to tau/10 for about this many samples.
 LAG_SAMPLES = 1000
-
-#: Box-membership tolerance for inputs, relative to the box magnitude.
-BOX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,7 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _check_in_box(u: np.ndarray, sys: IntegratorSystem, what: str) -> None:
-    scale = 1.0 + max(np.abs(sys.u_min).max(), np.abs(sys.u_max).max())
-    if np.any(u < sys.u_min - BOX_TOL * scale) or np.any(u > sys.u_max + BOX_TOL * scale):
+    if outside_box(u, sys.u_min, sys.u_max):
         raise ModelError(f"{what} outside the input box")
 
 

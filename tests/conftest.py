@@ -194,15 +194,15 @@ class ReachTimeVerdict:
 
 
 def _reach_time_verdict(sp) -> ReachTimeVerdict:
-    """Verdict of a single nonzero lost column from four order-1 reach times along +/-C (the
-    reach-time cross-check of the closed form): resilient iff controllable and both T_M*
-    are finite."""
+    """Verdict of a single nonzero lost column from four reach times along +/-C at the split's
+    order (the reach-time cross-check of the closed form): resilient iff controllable and
+    both T_M* are finite, which does not depend on the order."""
     c = sp.c[:, 0]
     assert sp.p == 1 and np.any(c)
-    t_n_p = reach.nominal_reach_time(sp.base, c, 1).time
-    t_m_p = reach.malfunctioning_reach_time(sp, c, 1).time
-    t_n_m = reach.nominal_reach_time(sp.base, -c, 1).time
-    t_m_m = reach.malfunctioning_reach_time(sp, -c, 1).time
+    t_n_p = reach.nominal_reach_time(sp.base, c).time
+    t_m_p = reach.malfunctioning_reach_time(sp, c).time
+    t_n_m = reach.nominal_reach_time(sp.base, -c).time
+    t_m_m = reach.malfunctioning_reach_time(sp, -c).time
     resilient = (
         resilience.check_controllability(sp.base)
         and math.isfinite(t_m_p)

@@ -28,6 +28,7 @@ Criteria 5-10 check published values that the inputs do reproduce, and the
 paper's theorems on the oracles.
 """
 
+import dataclasses
 import math
 import time
 
@@ -191,11 +192,12 @@ def test_criterion_04_octocopter_rotational_r_q(highs):
     checks = []
     for b in ROT_B_VALUES:
         sys = catalog.octocopter_rotational(catalog.OctocopterParams(b=b))
+        sys2 = dataclasses.replace(sys, order=2)
         for j in range(8):
             sp = split(sys, j)
             expected = _rotational_r_q(b, j + 1)
             rep = resilience.quantitative_resilience(sp)
-            rep2 = resilience.quantitative_resilience(sp, order=2)
+            rep2 = resilience.quantitative_resilience(split(sys2, j))
             ref = highs.r_q(sp)
             where = f"b={b} prop {j + 1}"
             checks.append(
@@ -212,10 +214,11 @@ def test_criterion_04_octocopter_rotational_r_q(highs):
 
 def test_criterion_05_octocopter_translational_r_pairs(r_pair):
     sys = catalog.octocopter_translational()
+    sys2 = dataclasses.replace(sys, order=2)
     checks = []
     for j in range(4):
         r_p, r_m = r_pair(split(sys, j))
-        rep2 = resilience.quantitative_resilience(split(sys, j), order=2)
+        rep2 = resilience.quantitative_resilience(split(sys2, j))
         checks.append((abs(r_p - 0.7657) <= 1e-3, f"prop {j + 1}: r(C) {r_p:.4f}"))
         checks.append((abs(r_m - 0.5638) <= 1e-3, f"prop {j + 1}: r(-C) {r_m:.4f}"))
         checks.append((abs(rep2.r_kq - 0.75) <= 0.01, f"prop {j + 1}: r_2q {rep2.r_kq:.4f}"))
@@ -340,12 +343,12 @@ def test_criterion_10_order_k_identities():
     sp = split(toy2, 1)
     checks = []
     for k in (1, 2, 3, 5):
-        rep = resilience.quantitative_resilience(sp, order=k)
+        rep = resilience.quantitative_resilience(split(dataclasses.replace(toy2, order=k), 1))
         checks.append((rep.r_kq == 0.5 ** (1.0 / k), f"k={k}: r_kq {rep.r_kq!r}"))
     c = sp.c[:, 0]
-    t1 = reach.nominal_reach_time(toy2, -c, order=1).time
+    t1 = reach.nominal_reach_time(toy2, -c).time
     for k in (1, 2, 3, 5):
-        tk = reach.nominal_reach_time(toy2, -c, order=k).time
+        tk = reach.nominal_reach_time(dataclasses.replace(toy2, order=k), -c).time
         rel = abs(tk**k - math.factorial(k) * t1) / (math.factorial(k) * t1)
         checks.append((rel <= 1e-12, f"k={k}: T_k^k vs k! T_1 rel err {rel:.2e}"))
     _verdict(10, checks)

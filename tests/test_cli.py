@@ -1,13 +1,14 @@
 """CLI subcommands, exit codes, machine-readable output."""
 
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import resil.oracle as oracle_module
-from resil import cli
+from resil import catalog, cli
 from resil.model import IntegratorSystem, save_system
 from resil.reach import ReachResult
 
@@ -156,10 +157,37 @@ def test_repeated_lost_column_is_an_input_error(cmd, capsys):
     assert out == "" and "--lost index 1 repeated" in err
 
 
+#: Each subcommand that takes --order, on octocopter-trans:0 with propeller 1 lost.
+ORDER_OPS = {
+    "check": ["check", "--lost", "all"],
+    "ratio": ["ratio", "--lost", "1", "-d", "0,0,1"],
+    "reach": ["reach", "--lost", "1", "-d", "0,0,1"],
+    "oracle": ["oracle", "--lost", "1", "-d", "0,0,1", "--grid", "5", "--samples", "20"],
+}
+
+
 def test_check_order_zero(capsys):
-    code = cli.main(["check", "--model", "catalog:octocopter-rot", "--lost", "1", "--order", "0"])
-    assert code == cli.EXIT_INPUT
-    assert "order must be >= 1" in capsys.readouterr().err
+    # The system checks the order --order gives it, before any output of any subcommand.
+    for name, (cmd, *args) in ORDER_OPS.items():
+        argv = [cmd, "--model", "catalog:octocopter-trans:0", *args, "--order", "0"]
+        assert cli.main(argv) == cli.EXIT_INPUT, name
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: order must be a positive integer, got 0\n", name
+
+
+@pytest.mark.parametrize("name", ORDER_OPS)
+def test_order_flag_equals_a_model_saved_at_that_order(name, tmp_path, capsys):
+    # --order k replaces the order of the loaded system, once: every value of the op is
+    # the model's at order k, the oracle's homogeneity probe too.
+    path = tmp_path / "order2.json"
+    save_system(dataclasses.replace(catalog.octocopter_translational(), order=2), str(path))
+    cmd, *args = ORDER_OPS[name]
+    flag, saved, order1 = (
+        _op([cmd, "--model", model, *args, *extra], tmp_path / "op.json", capsys)
+        for model, extra in (("catalog:octocopter-trans:0", ["--order", "2"]), (str(path), []),
+                             ("catalog:octocopter-trans:0", [])))
+    assert flag == saved and flag[0] == 0
+    assert flag[1] != order1[1] and flag[3] != order1[3]
 
 
 def test_capacity_exit_code(tmp_path, capsys):
@@ -199,9 +227,9 @@ def test_oracle_corrupted_theory_exits_nonzero(toy2_file, monkeypatch, capsys):
     # Harness self-test: corrupt T_M* and the oracle must catch it (exit 3).
     real = oracle_module.reach.malfunctioning_reach_time
 
-    def corrupted(split, d, order=None):
-        res = real(split, d, order=order)
-        return ReachResult(time=res.time * 0.5, order=res.order,
+    def corrupted(split, d):
+        res = real(split, d)
+        return ReachResult(time=res.time * 0.5,
                            optimizer_u=res.optimizer_u, optimizer_w=res.optimizer_w)
 
     monkeypatch.setattr(oracle_module.reach, "malfunctioning_reach_time", corrupted)
@@ -276,13 +304,18 @@ def test_simulate_non_finite_flag_is_an_input_error(capsys, argv, message):
     assert out == "" and message in err
 
 
-@pytest.mark.parametrize("doc, message", [
-    ({"a": 7000}, "missing required field 'e'"),
-    ([1, 2], "must contain a JSON object"),
-], ids=["missing-field", "not-an-object"])
-def test_bad_element_file_is_one_error_line(tmp_path, capsys, doc, message):
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"a": 7000}), "missing required field 'e'"),
+    (json.dumps([1, 2]), "must contain a JSON object"),
+    ("{", "element file '{path}' is not valid JSON"),
+    (None, "cannot read element file '{path}'"),
+], ids=["missing-field", "not-an-object", "not-json", "no-file"])
+def test_bad_element_file_is_one_error_line(tmp_path, capsys, text, message):
+    # The model files' reader reads element files too: each error names the file.
     path = tmp_path / "elements.json"
-    path.write_text(json.dumps(doc))
+    if text is not None:
+        path.write_text(text)
+    message = message.format(path=path)
     argv = ["check", "--model", f"catalog:spacecraft-appendix:{path}", "--lost", "1"]
     assert cli.main(argv) == cli.EXIT_INPUT
     out, err = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Each op solves each LP once: machine-independent LP counts, and the sweep API
 agreeing with the per-column reports it replaces."""
 
+import dataclasses
 import json
 import math
 
@@ -362,20 +363,20 @@ def test_simulate_out_dir_lp_count(lp_solves, gauge_calls, capsys, tmp_path):
     assert gauge_calls[0][0] - screens == screens == 0
 
 
-def _assert_sweep_matches(sys, order, reports_agree, fresh):
+def _assert_sweep_matches(sys, reports_agree, fresh):
     """sweep equals the per-column reports of splits of sys, which take the image of B_bar
     it built; it and per-column reports from copies of sys, each building its own, agree
     with the LP path (copies over a cap of 0 candidates) to 1e-12."""
-    reports = resilience.sweep(sys, range(sys.n_inputs), order)
+    reports = resilience.sweep(sys, range(sys.n_inputs))
     assert [r.lost_column for r in reports] == list(range(sys.n_inputs))
     columns = [rep.lost_column for rep in reports]
-    kept = [resilience.quantitative_resilience(split(sys, col), order) for col in columns]
-    own = [resilience.quantitative_resilience(split(fresh(sys), col), order) for col in columns]
+    kept = [resilience.quantitative_resilience(split(sys, col)) for col in columns]
+    own = [resilience.quantitative_resilience(split(fresh(sys), col)) for col in columns]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zonotope, "MAX_CANDIDATES", 0)
         for rep, single, free, col in zip(reports, kept, own, columns):
             assert rep.to_dict() == single.to_dict()
-            ref = resilience.quantitative_resilience(split(fresh(sys), col), order)
+            ref = resilience.quantitative_resilience(split(fresh(sys), col))
             reports_agree(rep, ref)
             reports_agree(free, ref)
     return reports
@@ -384,19 +385,21 @@ def _assert_sweep_matches(sys, order, reports_agree, fresh):
 @pytest.mark.parametrize("name", CATALOG)
 @pytest.mark.parametrize("order", [None, 2])
 def test_sweep_matches_single_reports_catalog(name, order, reports_agree, fresh):
-    _assert_sweep_matches(catalog.resolve(name), order, reports_agree, fresh)
+    sys = catalog.resolve(name)  # None: at the catalog's order
+    _assert_sweep_matches(sys if order is None else dataclasses.replace(sys, order=order),
+                          reports_agree, fresh)
 
 
 def test_sweep_matches_single_reports_not_controllable(reports_agree, fresh):
     sys = IntegratorSystem("nc", 1, np.array([[1.0, 2.0], [0.0, 0.0]]),
                            -np.ones(2), np.ones(2))
-    reports = _assert_sweep_matches(sys, None, reports_agree, fresh)
+    reports = _assert_sweep_matches(sys, reports_agree, fresh)
     assert not any(r.controllable for r in reports)
 
 
 def test_sweep_matches_single_reports_zero_column(reports_agree, fresh):
     sys = IntegratorSystem("zc", 1, np.array([[1.0, -1.0, 0.0]]), -np.ones(3), np.ones(3))
-    reports = _assert_sweep_matches(sys, None, reports_agree, fresh)
+    reports = _assert_sweep_matches(sys, reports_agree, fresh)
     assert reports[2].diagnostics.get("zero_column")
 
 
@@ -405,7 +408,7 @@ def test_sweep_matches_single_reports_unbounded_lambda(
 ):
     # The stub acts on the LP path only: keep the sweep off the gauge.
     monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
-    reports = _assert_sweep_matches(toy1, 3, reports_agree, fresh)
+    reports = _assert_sweep_matches(dataclasses.replace(toy1, order=3), reports_agree, fresh)
     assert all(r.diagnostics.get("unbounded_lambda") for r in reports)
 
 

@@ -124,6 +124,15 @@ def test_homogeneity_fault_caught_without_scope(inhomogeneous_lp, toy2_split):
     assert oracle.homogeneity_probe(toy2_split, [-1.0], SCALES) > 1e-6
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_homogeneity_at_the_system_order(toy2, k, inhomogeneous_lp):
+    # The probe checks the times it reports, T_k(alpha d) = alpha^(1/k) T_k(d), so it sees
+    # the LP's fault at T_k(10 d) as the order-k times show it: (1 + 1e-5)^(1/k) - 1.
+    sp = split(dataclasses.replace(toy2, order=k), 1)
+    err = oracle.homogeneity_probe(sp, [-1.0], SCALES)
+    assert err == pytest.approx(1e-5 / k, rel=1e-3)
+
+
 @pytest.fixture
 def inhomogeneous_gauge(monkeypatch):
     """Zonotope.scalings with lam[i] scaled by 1 + 1e-6 |d_i|: a homogeneity fault."""

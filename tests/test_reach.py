@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resil import catalog, lp, reach, zonotope
+from resil import catalog, lp, reach, sim, zonotope
 from resil.errors import CapacityError, LpError, ModelError
 from resil.model import IntegratorSystem, split
 
@@ -24,7 +24,7 @@ def test_nominal_zero_direction(toy2):
 
 
 def test_nominal_order2_toy2(toy2):
-    res = reach.nominal_reach_time(toy2, [-1.0], order=2)
+    res = reach.nominal_reach_time(dataclasses.replace(toy2, order=2), [-1.0])
     assert res.time == pytest.approx(1.0, abs=1e-12)  # sqrt(2! * 0.5)
 
 
@@ -193,6 +193,48 @@ def test_batch_rows_of_the_wrong_length(fresh, monkeypatch, name, declined):
         call(sp)
 
 
+#: Every entry point on octocopter-trans (n = 3, p = 1), given x in one entry of its
+#: direction (d), of its w or of its command: (error, message, call of sp, d and x).
+D_ERROR = (LpError, "direction has a non-finite entry")
+W_ERROR = (ModelError, "outside the undesirable-input box")
+NON_FINITE = {
+    "nominal_reach_time": (*D_ERROR, lambda sp, d, x: reach.nominal_reach_time(sp.base, d)),
+    "malfunctioning_reach_time": (
+        *D_ERROR, lambda sp, d, x: reach.malfunctioning_reach_time(sp, d)),
+    "time_ratio": (*D_ERROR, lambda sp, d, x: reach.time_ratio(sp, d)),
+    "malfunction_time_for_w": (
+        *D_ERROR, lambda sp, d, x: reach.malfunction_time_for_w(sp, [0.0], d)),
+    "malfunction_times": (*D_ERROR, lambda sp, d, x: reach.malfunction_times(sp, [[0.0]], d)),
+    "nominal_times": (
+        *D_ERROR, lambda sp, d, x: reach.nominal_times(sp.base, [[0.0, 0.0, 1.0], d])),
+    "worst_times": (*D_ERROR, lambda sp, d, x: reach.worst_times(sp, [d])),
+    "time_ratios": (*D_ERROR, lambda sp, d, x: reach.time_ratios(sp, [d])),
+    "malfunction_time_for_w-w": (
+        *W_ERROR, lambda sp, d, x: reach.malfunction_time_for_w(sp, [x], [0.0, 0.0, 1.0])),
+    "malfunction_times-w": (
+        *W_ERROR, lambda sp, d, x: reach.malfunction_times(sp, [[0.0], [x]], [0.0, 0.0, 1.0])),
+    "integrate_with_lag-command": (
+        ModelError, "outside the input box",
+        lambda sp, d, x: sim.integrate_with_lag(sp.base, [x] + [0.0] * 7, tau=0.1, horizon=1.0)),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("declined", [False, True], ids=["built", "declined"])
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_non_finite_inputs_are_rejected(fresh, monkeypatch, name, declined, x):
+    # Both engines raise the same error before either runs: no +inf time for a nan entry,
+    # no RuntimeWarning for an infinite one, and nan lies in no box.
+    sp = split(catalog.octocopter_translational(), 0)
+    if declined:
+        monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
+        sp = fresh(sp)
+    assert (sp.image is None) == (sp.base.image is None) == declined
+    error, message, call = NON_FINITE[name]
+    with pytest.raises(error, match=message):
+        call(sp, [x, 0.0, 1.0], x)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_batches_at_the_system_order(toy1, k):
     # At order k the batches equal their scalar forms row by row, and the order_k_time
@@ -301,8 +343,9 @@ def test_continuity_in_w(toy1_split):
     assert deviations[1] <= 1e-3
 
 
-def test_order_k_consistency_toy2(toy2_split):
-    t1 = reach.malfunctioning_reach_time(toy2_split, [-1.0], order=1).time
+def test_order_k_consistency_toy2(toy2, toy2_split):
+    t1 = reach.malfunctioning_reach_time(toy2_split, [-1.0]).time
     for k in (2, 3, 5):
-        tk = reach.malfunctioning_reach_time(toy2_split, [-1.0], order=k).time
+        tk = reach.malfunctioning_reach_time(split(dataclasses.replace(toy2, order=k), 1),
+                                             [-1.0]).time
         assert tk**k == pytest.approx(math.factorial(k) * t1, rel=1e-12)

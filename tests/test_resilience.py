@@ -1,5 +1,6 @@
 """lambda pairs, closed-form r values, verdicts, diagnostics, and the LP containment reference."""
 
+import dataclasses
 import json
 import math
 
@@ -77,17 +78,17 @@ def test_r_pair_toy1(toy1_split, r_pair):
     assert r_m == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_quantitative_resilience_toy2(toy2_split):
+def test_quantitative_resilience_toy2(toy2, toy2_split):
     rep = resilience.quantitative_resilience(toy2_split)
     assert rep.resilient
     assert rep.r_q == pytest.approx(0.5, abs=1e-12)
-    rep2 = resilience.quantitative_resilience(toy2_split, order=2)
+    rep2 = resilience.quantitative_resilience(split(dataclasses.replace(toy2, order=2), 1))
     assert rep2.r_kq == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
-def test_order_k_r_values(toy2_split):
+def test_order_k_r_values(toy2):
     for k in (1, 2, 3, 5):
-        rep = resilience.quantitative_resilience(toy2_split, order=k)
+        rep = resilience.quantitative_resilience(split(dataclasses.replace(toy2, order=k), 1))
         assert rep.r_kq == 0.5 ** (1.0 / k)
         assert rep.r_kq >= rep.r_q  # monotone in k
 
@@ -110,9 +111,9 @@ def test_sweep_checks_columns_as_split(b_bar, column):
     assert str(from_sweep.value) == str(from_split.value)
 
 
-def _per_column_reports(sys, columns, order):
+def _per_column_reports(sys, columns):
     """sweep as one split and one scalar report per column, the form its arrays replaced."""
-    k = sys.order if order is None else order
+    k = sys.order
     splits = [split(sys, col) for col in columns]
     image = zonotope.build(sys.b_bar, sys.u_min, sys.u_max)
     ctrl = resilience._controllable(sys, image)
@@ -172,8 +173,8 @@ def test_sweep_matches_per_column_reports(path, monkeypatch):
                             lambda *args, **kwargs: lp.DirectionScaling(math.inf))
     for sys in systems:
         columns = [*range(sys.n_inputs), 0]
-        for order in (None, 2):
-            assert resilience.sweep(sys, columns, order) == _per_column_reports(sys, columns, order)
+        for at_order in (sys, dataclasses.replace(sys, order=2)):
+            assert resilience.sweep(at_order, columns) == _per_column_reports(at_order, columns)
 
 
 def test_zero_column_path():
