@@ -24,7 +24,7 @@ import sys as _sys
 import numpy as np
 
 from . import catalog, oracle, reach, resilience, sim
-from .errors import CapacityError, ResilError
+from .errors import CapacityError, ResilError, UnsupportedLossError
 from .model import IntegratorSystem, load_system, split, to_machine
 
 EXIT_OK = 0
@@ -147,6 +147,8 @@ def cmd_reach(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise ResilError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples > oracle.GRID_CAP:  # the scan holds several samples x n arrays
+        raise CapacityError(f"--samples {args.samples} exceeds the cap of {oracle.GRID_CAP}")
     if not args.tol >= 0.0:  # nan fails it too
         raise ResilError(f"--tol must be >= 0, got {args.tol}")
     sys_model = _load_model(args)
@@ -165,7 +167,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             reports["direction_scan"] = scan.to_dict()
             print(f"direction_scan: worst={_human(scan.worst_value)} "
                   f"theory={_human(scan.theory_value)} violation={scan.max_violation:.3g}")
-        except ResilError as exc:
+        except UnsupportedLossError as exc:
             print(f"direction_scan skipped: {exc}")
     homog = oracle.homogeneity_probe(sp, d, scales)
     reports["homogeneity_error"] = homog

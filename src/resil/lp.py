@@ -20,10 +20,10 @@ basis is optimal: once _hinted_start has moved tied columns (twins of a basic
 one, as octocopter propellers 1-4) inside their boxes, one factorization settles
 the LP, and solve returns that point with no pricing pass (every nonbasic column
 sits on the bound its reduced cost favours).  A singular basis, or a point still
-out of bounds, starts cold.  On the 700 LPs of the first 100 seed-1 scan-workload
-ops 687 settle (median 38.6 us) and 13 start cold (436 us, the refused start
-included); solved cold, the 700 take 299 us and 8 pivots at the median.  A whole
-max_scaled_direction call takes 69-70 us at the median on those LPs and on the 400
+out of bounds, starts cold.  On the 300 LPs of the first 100 seed-1 scan-workload
+ops 287 settle (median 33.8 us) and 13 start cold (400 us, the refused start
+included); solved cold, the 300 take 314 us and 8 pivots at the median.  A whole
+max_scaled_direction call takes 63-66 us at the median on those LPs and on the 400
 of the first 100 seed-1 multiloss and lagsim ops (best of 5 per LP, 2-vCPU x86_64
 VM, one BLAS thread, in process).
 

@@ -9,9 +9,10 @@ The scans evaluate all grid points, sampled directions or homogeneity rays in
 gauge batches of the box images of B and B_bar (reach.malfunction_times,
 reach.time_ratios, reach.nominal_times, reach.worst_times; zonotope.py), one LP
 per query where a build is declined; the split and its system each build their
-image once, for all the scans.  Each theory value, and the probe's T*(a d), comes
-from the scalar reach path, whose reported times are LP optima (started at the
-facet of an image where the ray leaves it), so every scan compares two engines.
+image once, for all the scans.  The grid's theory value and the probe's T*(a d) are LP
+optima (started where the ray leaves an image), so those scans compare two engines; the
+direction scan's is 1/r_{k,q} of the report that gates it, so it tests the paper's whole
+claim (the worst direction is collinear with +/-C, its ratio the closed form).
 """
 
 from __future__ import annotations
@@ -125,26 +126,20 @@ def _unit_directions(n: int, samples: int, seed: int) -> np.ndarray:
 
 
 def direction_scan(split: ActuatorSplit, samples: int, seed: int) -> ScanReport:
-    """Scan unit directions for a time ratio above max(t(C), t(-C)).
+    """Scan unit directions for a time ratio above 1/r_{k,q} = max(t(C), t(-C)).
 
     Only meaningful on resilient single-loss splits (off the resilient set the
-    ratio is unbounded and the theorem says nothing).
+    ratio is unbounded and the theorem says nothing).  The gate's report gives the theory
+    value, at +C/|C| where r(C) <= r(-C), else at -C/|C| (t(+/-C) = r(+/-C)^(-1/k)).
     """
-    if split.p != 1:
-        raise UnsupportedLossError("direction_scan requires a single lost column")
-    c = split.c[:, 0]
+    report, c = quantitative_resilience(split), split.c[:, 0]
     if not np.any(c):
         raise UnsupportedLossError("direction_scan requires a nonzero lost column")
-    if not quantitative_resilience(split).resilient:
-        raise UnsupportedLossError(
-            "direction_scan requires a resilient split (ratio is unbounded otherwise)"
-        )
-    c_unit = c / np.linalg.norm(c)
-    t_plus = reach.time_ratio(split, c_unit)
-    t_minus = reach.time_ratio(split, -c_unit)
-    theory = max(t_plus, t_minus)
-
-    worst, worst_d = theory, (c_unit if t_plus >= t_minus else -c_unit)
+    if not report.resilient:
+        raise UnsupportedLossError("direction_scan requires a resilient split "
+                                   "(ratio is unbounded otherwise)")
+    c_unit, theory = c / np.linalg.norm(c), 1.0 / report.r_kq
+    worst, worst_d = theory, (c_unit if report.r_plus <= report.r_minus else -c_unit)
     if samples > 0:
         directions = _unit_directions(split.base.n, samples, seed)
         ratios = reach.time_ratios(split, directions)

@@ -60,11 +60,12 @@ class ReachResult:
 
 
 def order_k_time(t1, k: int):
-    """Lift an order-1 reach time (or an array of them) to order k: T_k = (k! * T_1)^(1/k).
+    """Lift an order-1 reach time (or an array of them) to order k: T_k = (k! * T_1)^(1/k),
+    as T_1^(1/k) exp(lgamma(k + 1) / k), finite where k! or k! T_1 overflows a float.
 
-    +inf stays +inf.
+    +inf stays +inf; at k = 1 the factor is exp(0) = 1, so T_1 comes back unchanged.
     """
-    return (math.factorial(k) * t1) ** (1.0 / k)
+    return t1 ** (1.0 / k) * math.exp(math.lgamma(k + 1) / k)
 
 
 def _order1_times(lam_hat, norms):

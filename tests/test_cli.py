@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import resil.oracle as oracle_module
-from resil import catalog, cli
+from resil import catalog, cli, zonotope
+from resil.errors import CapacityError
 from resil.model import IntegratorSystem, save_system
 from resil.reach import ReachResult
 
@@ -86,6 +87,22 @@ def test_reach_with_optimizers(toy2_file, capsys):
     assert "T_N*(d) = 0.5" in out
     assert "T_M*(d) = 1" in out
     assert "worst w" in out
+
+
+@pytest.mark.parametrize("model, d, order", [
+    # k! T_1 overflows a float from order 168 on, and k! alone from 171.
+    ("catalog:spacecraft-printed", "667,0.067,2,2,2,2", 168),
+    ("catalog:spacecraft-printed", "667,0.067,2,2,2,2", 170),
+    ("catalog:octocopter-trans:0", "0,0,1", 200),
+])
+def test_reach_at_high_order_is_finite(model, d, order, tmp_path, capsys):
+    out_path = tmp_path / "reach.json"
+    code = cli.main(["reach", "--model", model, "-d", d, "--order", str(order),
+                     "--out", str(out_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "∞" not in out and "optimal u" in out
+    assert np.isfinite(json.loads(out_path.read_text())["T_N"])
 
 
 def test_input_error_exit_code(capsys):
@@ -236,6 +253,64 @@ def test_oracle_corrupted_theory_exits_nonzero(toy2_file, monkeypatch, capsys):
     code = cli.main(["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1",
                      "--grid", "11", "--samples", "0"])
     assert code == cli.EXIT_VIOLATION
+
+
+def test_oracle_corrupted_resilience_report_exits_nonzero(toy2_file, tmp_path, monkeypatch,
+                                                          capsys):
+    # Harness self-test of the direction scan: its theory value is 1/r_kq of the report its
+    # resilience gate returns.  Double that r_kq, so the theory value halves (2 -> 1), and the
+    # sampled directions must find a ratio above it (exit 3).
+    real = oracle_module.quantitative_resilience
+
+    def corrupted(split):
+        rep = real(split)
+        return dataclasses.replace(rep, r_kq=2.0 * rep.r_kq)
+
+    monkeypatch.setattr(oracle_module, "quantitative_resilience", corrupted)
+    out_path = tmp_path / "oracle.json"
+    code = cli.main(["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1",
+                     "--grid", "11", "--samples", "60", "--out", str(out_path)])
+    capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    doc = json.loads(out_path.read_text())
+    assert doc["grid_worst_w"]["max_violation"] == 0.0
+    assert doc["direction_scan"]["theory_value"] == pytest.approx(1.0, rel=1e-12)
+    assert doc["direction_scan"]["max_violation"] > 0.0
+
+
+def test_oracle_samples_over_the_cap_is_a_capacity_error(toy2_file, monkeypatch, capsys):
+    # The scan holds several samples x n arrays: past oracle.GRID_CAP it is refused before
+    # any image is built, as the grid is.
+    def no_build(*args):
+        raise AssertionError("an image was built")
+
+    monkeypatch.setattr(zonotope, "_image", no_build)
+    argv = ["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1", "--grid", "11"]
+    assert cli.main(argv + ["--samples", str(oracle_module.GRID_CAP + 1)]) == cli.EXIT_CAPACITY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"capacity error: --samples {oracle_module.GRID_CAP + 1} exceeds the cap" in err
+
+
+def test_oracle_skips_only_an_unsupported_scan(tmp_path, monkeypatch, capsys):
+    # A split that is not resilient skips the direction scan (exit 0) ...
+    path = tmp_path / "twin.json"
+    save_system(IntegratorSystem("twin", 1, np.array([[1.0, 1.0]]), -np.ones(2), np.ones(2)),
+                str(path))
+    argv = ["oracle", "--model", str(path), "--lost", "1", "-d", "1", "--grid", "5",
+            "--samples", "20"]
+    assert cli.main(argv) == 0
+    assert "direction_scan skipped: direction_scan requires a resilient split" in (
+        capsys.readouterr().out)
+
+    # ... but any other error of the scan is the op's error, not a skip.
+    def failing(*args):
+        raise CapacityError("scan over its cap")
+
+    monkeypatch.setattr(oracle_module, "direction_scan", failing)
+    assert cli.main(argv) == cli.EXIT_CAPACITY
+    out, err = capsys.readouterr()
+    assert "skipped" not in out and "capacity error: scan over its cap" in err
 
 
 def test_oracle_negative_samples_is_an_input_error(toy2_file, capsys):

@@ -103,37 +103,38 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
     capsys.readouterr()
     # One image of B serves the grid, direction scan and homogeneity probe; one of
     # B_bar the probe, the scan's directions and its resilience gate.  The op
-    # solves 7 LPs: T_M*(d) of the grid theory, the probe's T_M*(10d) (which
-    # normalizes to the same LP, solved again: 6 -> 7) and T_N*(10d), and the
-    # T_M* and T_N* of t(+C) and of t(-C).
+    # solves 3 LPs: T_M*(d) of the grid theory, and the probe's T_M*(10d) (which
+    # normalizes to the same LP, solved again) and T_N*(10d).  The scan's theory
+    # value is 1/r_kq of its gate's report: t(+/-C)'s T_M* and T_N* are not solved
+    # (7 -> 3).
     # Each starts at the facet where its ray leaves its image, an optimal basis:
     # no pivots.
     assert zonotope_builds[0] == 2
-    assert lp_solves[0] == 1 + 2 + 2 * 2 == 7
+    assert lp_solves[0] == 1 + 2 == 3
     assert lp_pivots[0] == 0
 
 
 def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys):
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    # No T_M* screens its vertices: the grid theory, t(+/-C) and the probe's T_M*(10d)
-    # take theirs from B's eroded slabs (10 -> 6 scalings, 4 screens fewer).  The
-    # resilience gate reads controllability off B_bar's slab sides, with no batch over
-    # its axes (6 -> 5).  The grid scan, time_ratios' two batches and the probe's two
-    # remain: 5 scalings.  Only a solved T_N* LP names its start facet: 3 (6 -> 3), for
-    # the probe's T_N*(10d) and t(+/-C)'s.  The 4 solved T_M* LPs start at the eroded
-    # slab worst_vertex names with their vertex.
-    assert (gauge_calls[0][0], zonotope_starts[0]) == (5, 3)
+    # No T_M* screens its vertices: the grid theory and the probe's T_M*(10d) take
+    # theirs from B's eroded slabs.  The resilience gate reads controllability off
+    # B_bar's slab sides, with no batch over its axes.  The grid scan, time_ratios' two
+    # batches and the probe's two remain: 5 scalings.  Only a solved T_N* LP names its
+    # start facet: 1, the probe's T_N*(10d) (3 -> 1: the scan solves no t(+/-C)).  The
+    # 2 solved T_M* LPs start at the eroded slab worst_vertex names with their vertex.
+    assert (gauge_calls[0][0], zonotope_starts[0]) == (5, 1)
 
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
-    # The same 7 solves from the cold two-phase start: every start is refused at the LP.
-    # The probe's T_M*(10d) repeats T_M*(d)'s 6 pivots (45 -> 51).
+    # The same 3 solves from the cold two-phase start: every start is refused at the LP.
+    # T_M*(d) takes 6 pivots and T_N*(10d) 8; the probe's T_M*(10d) repeats T_M*(d)'s 6.
+    # The 31 pivots of t(+/-C)'s four LPs (8 + 9 + 6 + 8) are gone: 51 -> 20.
     monkeypatch.setattr(lp, "_hinted_start", lambda *args: None)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    assert lp_solves[0] == 7
-    assert lp_pivots[0] == 45 + 6 == 51
+    assert lp_solves[0] == 3
+    assert lp_pivots[0] == 6 + 8 + 6 == 51 - 31
 
 
 @pytest.mark.parametrize(
@@ -259,22 +260,22 @@ def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, c
     # Every build is declined: no image is built, and every LP is solved, repeats
     # included.  Grid theory 2
     # (both vertices), the 21 grid points (its two end points repeat those vertices:
-    # 19 -> 21), the gate's 2n + 2 = 8, t(+/-C)'s 2 x (2 vertex LPs + T_N*) (their
-    # T_N* along +/-e3 repeat the gate's, the lost column lying along e3: 4 -> 6), 60
-    # directions x 3, and the homogeneity probe's T_N*(10d) and T_M*(10d)'s 2 vertex
-    # LPs plus 4 T_N* and 4 x 2 vertex LPs for its rays d, 0.5d, 2d and 10d (1 -> 15).
+    # 19 -> 21), the gate's 2n + 2 = 8, which also gives the scan's theory value (no
+    # t(+/-C): 232 -> 226), 60 directions x 3, and the homogeneity probe's T_N*(10d)
+    # and T_M*(10d)'s 2 vertex LPs plus 4 T_N* and 4 x 2 vertex LPs for its rays d,
+    # 0.5d, 2d and 10d (1 -> 15).
     assert zonotope_builds[0] == 0
-    assert lp_solves[0] == 2 + 21 + 8 + 6 + 180 + 15 == 232
+    assert lp_solves[0] == 2 + 21 + 8 + 180 + 15 == 226
 
 
 def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, zonotope_builds, capsys):
     # Each op loads its own system: the second op builds its 2 images and solves its
-    # 7 LPs again.
+    # 3 LPs again (7 -> 3 per op: the scan's theory value takes no LP).
     assert cli.main(SCAN_OP) == 0
-    assert (zonotope_builds[0], lp_solves[0]) == (2, 7)
+    assert (zonotope_builds[0], lp_solves[0]) == (2, 3)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    assert (zonotope_builds[0], lp_solves[0]) == (4, 14)
+    assert (zonotope_builds[0], lp_solves[0]) == (4, 6)
 
 
 def test_system_builds_its_image_once(zonotope_builds, fresh):

@@ -1,6 +1,7 @@
 """Reach times, time ratios, order-k relations, structural properties."""
 
 import dataclasses
+import decimal
 import math
 from types import SimpleNamespace
 
@@ -294,6 +295,22 @@ def test_order_k_time_identities():
         assert tk**k == pytest.approx(math.factorial(k) * t1, rel=1e-12)
     assert math.isinf(reach.order_k_time(math.inf, 2))
     assert reach.order_k_time(0.0, 3) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 169, 170, 171, 200])
+def test_order_k_time_is_finite_past_the_factorial_overflow(k):
+    # (k! T_1)^(1/k) against 40-digit decimal arithmetic: k! overflows a float from k = 171,
+    # and k! T_1 for T_1 = 1e10 from k = 167 on; the lift stays finite at every k.
+    t1 = np.array([1e-6, 0.37, 2.0, 1e10])
+    got = reach.order_k_time(t1, k)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = [float((math.factorial(k) * decimal.Decimal(t)) ** (decimal.Decimal(1) / k))
+                for t in t1.tolist()]
+    assert np.isfinite(got).all()
+    assert got == pytest.approx(want, rel=1e-14)
+    if k == 1:  # the order-1 bits, as array and as float
+        assert np.array_equal(got, t1) and reach.order_k_time(0.37, 1) == 0.37
 
 
 @settings(max_examples=30, deadline=None)

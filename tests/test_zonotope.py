@@ -1,5 +1,6 @@
 """The zonotope gauge against the simplex LP and HiGHS, and the LP fallback rule."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -920,6 +921,48 @@ def test_zero_direction_rejected():
     zono = zonotope.build(np.eye(2), -np.ones(2), np.ones(2))
     with pytest.raises(lp.LpError, match="nonzero"):
         zono.scalings(np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+#: 1/r_kq, the direction scan's theory value, against the reach times it replaced:
+#: max t_k(+/-C/|C|) by reach.time_ratio, four LPs or gauge-started LPs per loss.
+THEORY_RTOL = 1e-10
+
+
+def _assert_theory_is_the_worst_ratio(sys) -> int:
+    """1/r_kq == max t_k(+/-C/|C|) on each resilient nonzero single loss of sys at orders 1..3,
+    each order a fresh system (so its images are built, or declined under a lowered
+    zonotope.MAX_CANDIDATES, afresh); returns the number of (loss, order) cases."""
+    cases = 0
+    for k in (1, 2, 3):
+        sys_k = dataclasses.replace(sys, order=k)
+        for j in range(sys_k.n_inputs):
+            sp = split(sys_k, j)
+            c, rep = sp.c[:, 0], quantitative_resilience(sp)
+            if not (np.any(c) and rep.resilient):
+                continue
+            c = c / np.linalg.norm(c)
+            worst = max(reach.time_ratio(sp, c), reach.time_ratio(sp, -c))
+            assert 1.0 / rep.r_kq == pytest.approx(worst, rel=THEORY_RTOL), (k, j)
+            cases += 1
+    return cases
+
+
+@pytest.mark.parametrize("declined", [False, True], ids=["built", "declined"])
+@pytest.mark.parametrize("name", ["spacecraft-printed", "spacecraft-appendix", "octocopter-rot",
+                                  "octocopter-trans:0"])
+def test_theory_value_is_the_worst_ratio_on_catalog(name, declined, monkeypatch):
+    if declined:
+        _lp_only(monkeypatch)
+    assert _assert_theory_is_the_worst_ratio(catalog.resolve(name)) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000), declined=st.booleans())
+def test_theory_value_is_the_worst_ratio(seed, declined):
+    with pytest.MonkeyPatch.context() as mp:
+        if declined:
+            _lp_only(mp)
+        _assert_theory_is_the_worst_ratio(_random_sweep_system(seed))
 
 
 def _scan_cases():
