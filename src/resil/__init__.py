@@ -17,7 +17,6 @@ from .errors import (
 from .model import ActuatorSplit, IntegratorSystem, load_system, save_system, split
 from .reach import (
     ReachResult,
-    malfunction_time_for_w,
     malfunctioning_reach_time,
     nominal_reach_time,
     order_k_time,
@@ -46,7 +45,6 @@ __all__ = [
     "check_controllability",
     "lambda_pair",
     "load_system",
-    "malfunction_time_for_w",
     "malfunctioning_reach_time",
     "nominal_reach_time",
     "order_k_time",

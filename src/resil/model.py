@@ -56,6 +56,8 @@ class IntegratorSystem:
         hi = np.atleast_1d(np.asarray(self.u_max, dtype=float))
         if not isinstance(self.order, (int, np.integer)) or self.order < 1:
             raise ModelError(f"order must be a positive integer, got {self.order!r}")
+        if self.order > 2**53:  # each order-k formula takes 1.0 / k; a float holds k up to 2**53
+            raise ModelError(f"order must be at most 2**53, got {self.order!r}")
         if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 1:
             raise ModelError(f"b_bar must be a nonempty 2-D matrix, got shape {b.shape}")
         if lo.shape != (b.shape[1],) or hi.shape != (b.shape[1],):

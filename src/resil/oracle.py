@@ -7,12 +7,13 @@ quasi-random sampling and reports the worst observed violation.
 
 The scans evaluate all grid points, sampled directions or homogeneity rays in
 gauge batches of the box images of B and B_bar (reach.malfunction_times,
-reach.time_ratios, reach.nominal_times, reach.worst_times; zonotope.py), one LP
-per query where a build is declined; the split and its system each build their
-image once, for all the scans.  The grid's theory value and the probe's T*(a d) are LP
-optima (started where the ray leaves an image), so those scans compare two engines; the
-direction scan's is 1/r_{k,q} of the report that gates it, so it tests the paper's whole
-claim (the worst direction is collinear with +/-C, its ratio the closed form).
+reach.time_ratios, reach.nominal_times, reach.worst_times, each at the system's
+order; zonotope.py), one LP per query where a build is declined; the split and
+its system each build their image once, for all the scans.  The grid's theory
+value and the probe's T*(a d) are LP optima (started where the ray leaves an
+image), so those scans compare two engines; the direction scan's is 1/r_{k,q} of
+the report that gates it, so it tests the paper's whole claim (the worst
+direction is collinear with +/-C, its ratio the closed form).
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def _relative_excess(found: float, theory: float) -> float:
     return 0.0 if excess <= VIOLATION_CLAMP else excess
 
 
-def _grid_direction(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -> np.ndarray:
-    """d as an array, once d and the grid of a grid_worst_w scan are checked valid."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+def grid_worst_w(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -> ScanReport:
+    """Scan a uniform grid over W_c for a w worse than the vertex-enumeration T_M*."""
+    d = reach._directions(d, split.base.n, ndim=1)
     if not np.any(d):
         raise LpError("direction d must be nonzero")
     if points_per_axis < 2:
@@ -74,12 +75,6 @@ def _grid_direction(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -
         raise CapacityError(
             f"grid of {points_per_axis}^{split.p} points exceeds the cap of {GRID_CAP}"
         )
-    return d
-
-
-def grid_worst_w(split: ActuatorSplit, d: np.ndarray, points_per_axis: int) -> ScanReport:
-    """Scan a uniform grid over W_c for a w worse than the vertex-enumeration T_M*."""
-    d = _grid_direction(split, d, points_per_axis)
     theory = reach.malfunctioning_reach_time(split, d).time
     axes = [
         np.linspace(lo, hi, points_per_axis)
@@ -162,26 +157,25 @@ def homogeneity_probe(
     at its system's order k (T_k(alpha d) = alpha^(1/k) T_k(d)).
 
     Infinite LP times are skipped (homogeneity is trivial there).  One gauge batch per
-    image answers every alpha d (reach.nominal_times, reach.worst_times, at order 1, lifted
-    by reach.order_k_time) and one LP the point a d, so the probe compares two engines and
-    sees a homogeneity fault in either.
+    image answers every alpha d (reach.nominal_times, reach.worst_times) and one LP the
+    point a d, so the probe compares two engines and sees a homogeneity fault in either.
     A declined image answers each alpha d by the LP path instead, which sees only rounding:
     alpha d and d pose the same LP up to that of d/|d| and, for p >= 2, of -C w (one
     product over all vertices in the batch, one per vertex in T_M*).
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = reach._directions(d, split.base.n, ndim=1)
     if not np.any(d):
         raise LpError("direction d must be nonzero")
     alphas = np.array([1.0, *scales], dtype=float)
     if np.any(alphas <= 0.0):
         raise LpError("scales must be positive")
 
-    rays, top, base, k = alphas[:, None] * d, alphas.max(), split.base, split.base.order
+    rays, top, base = alphas[:, None] * d, alphas.max(), split.base
     pairs = [(reach.nominal_reach_time(base, top * d), reach.nominal_times(base, rays)),
              (reach.malfunctioning_reach_time(split, top * d), reach.worst_times(split, rays))]
     err = 0.0
     for anchor, gauge in pairs:  # x ** 1.0 is x: at k = 1 the order-1 bits
-        lp_times, gauge = (alphas / top) ** (1.0 / k) * anchor.time, reach.order_k_time(gauge, k)
+        lp_times = (alphas / top) ** (1.0 / base.order) * anchor.time
         if math.isfinite(lp_times[0]) and lp_times[0] > 0.0:
             err = max(err, float((np.abs(gauge - lp_times) / lp_times).max()))
     return err

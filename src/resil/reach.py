@@ -14,9 +14,9 @@ turns into a time: the simplex LP of lp.max_scaled_direction, one solve per
 query, and the facet inequalities of the box image (zonotope.py), one batch.
 B_bar's image is the system's (IntegratorSystem.image) and B's the split's
 (ActuatorSplit.image), each built at its first query and kept by its owner.
-Single reach times (T_N*, T_M(w, d)) and every reported optimizer are LP
-optima, started at the facet where the LP's own ray leaves the image.  T_N*
-starts at B_bar's zonotope.Zonotope.start.  T_M* takes its worst vertex from
+Single reach times (T_N*, T_M*) and every reported optimizer are LP optima,
+started at the facet where the LP's own ray leaves the image.  T_N* starts at
+B_bar's zonotope.Zonotope.start.  T_M* takes its worst vertex from
 B's eroded facets (zonotope.Zonotope.worst_vertex), which also name the facet
 its LP starts at, or else screens its 2^p vertices with one gauge batch, which
 returns lam only, and solves one LP at that vertex, started at B's
@@ -25,9 +25,9 @@ time_ratios, their ratio) answer the oracle scans from the gauge alone.  Where
 zonotope.build declines an image (None: rank below n, or over
 zonotope.MAX_CANDIDATES) the LP path answers instead, and its LPs start cold.
 
-Every time is at the system's order k (IntegratorSystem.order; order_k_time lifts the
-order-1 time) but nominal_times' and worst_times', and every entry point rejects a
-direction of the wrong length or with a non-finite entry (_directions) before any engine.
+Every time, single or batched, is at the system's order k (IntegratorSystem.order;
+order_k_time lifts the order-1 time), and every entry point rejects a direction of the
+wrong length or with a non-finite entry (_directions) before any engine.
 
 +inf is a first-class value throughout ("direction not guaranteed reachable");
 it is serialized as the string "inf" in machine output.
@@ -108,21 +108,6 @@ def nominal_reach_time(sys: IntegratorSystem, d: np.ndarray) -> ReachResult:
     return ReachResult(time=order_k_time(t1, sys.order), optimizer_u=u)
 
 
-def _checked_inputs(split: ActuatorSplit, ws, d) -> tuple[np.ndarray, np.ndarray]:
-    """(ws, d) as 2-D and 1-D arrays, once d is a nonzero n-vector and each w lies in W_c."""
-    ws = np.atleast_2d(np.asarray(ws, dtype=float))
-    d = _directions(d, split.base.n, ndim=1)
-    if not d.any():
-        raise LpError("direction d must be nonzero")
-    if ws.shape[1] != split.p:
-        raise ModelError(f"w must have length {split.p}, got shape {ws.shape[1:]}")
-    outside = outside_box(ws, split.w_min, split.w_max)
-    if outside.any():
-        w = ws[int(np.argmax(outside))]
-        raise ModelError(f"w {w.tolist()} outside the undesirable-input box W_c")
-    return ws, d
-
-
 def _scaling_lp(m, lower, upper, d, shift, image, basis=None) -> lp.DirectionScaling:
     """lp.max_scaled_direction, started at basis, else at M's image's Zonotope.start when
     it is given."""
@@ -150,24 +135,24 @@ def _times(m, lower, upper, directions, shifts, image) -> np.ndarray:
     return _order1_times(image.scalings(directions, shifts), norms)
 
 
-def malfunction_time_for_w(split: ActuatorSplit, w: np.ndarray, d: np.ndarray) -> float:
-    """Reach time, at the system's order, of the malfunctioning system for one frozen w.
-
-    T_M(w, d) = 1 / max{lam >= 0 : B u + C w = lam d, u in U_c}, +inf when the
-    maximum is 0 or the constraint is infeasible; solved as one LP.
-    """
-    ws, d = _checked_inputs(split, w, d)
-    if len(ws) != 1:
-        raise ModelError(f"w must have length {split.p}, got shape {ws.shape}")
-    return float(order_k_time(_order1_time(_vertex_lp(split, ws[0], d), d)[0], split.base.order))
-
-
 def malfunction_times(split: ActuatorSplit, ws: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """T_M(w, d) at the system's order per row w of ws: malfunction_time_for_w as one batch.
+    """T_M(w, d) at the system's order per row w of ws (a 1-D ws is one w): the reach time of
+    the malfunctioning system for a frozen w, 1 / max{lam >= 0 : B u + C w = lam d, u in U_c},
+    +inf when the maximum is 0 or the constraint is infeasible.
 
-    One LP per row instead when the image of B is declined.
+    d must be a nonzero n-vector and each w a p-vector in W_c.  One gauge batch of B's
+    image, or one cold LP per row when that image is declined.
     """
-    ws, d = _checked_inputs(split, ws, d)
+    ws = np.atleast_2d(np.asarray(ws, dtype=float))
+    d = _directions(d, split.base.n, ndim=1)
+    if not d.any():
+        raise LpError("direction d must be nonzero")
+    if ws.shape[1] != split.p:
+        raise ModelError(f"w must have length {split.p}, got shape {ws.shape[1:]}")
+    outside = outside_box(ws, split.w_min, split.w_max)
+    if outside.any():
+        w = ws[int(np.argmax(outside))]
+        raise ModelError(f"w {w.tolist()} outside the undesirable-input box W_c")
     t1 = _times(split.b, split.u_min, split.u_max, d, -(ws @ split.c.T), split.image)[0]
     return order_k_time(t1, split.base.order)
 
@@ -246,30 +231,30 @@ def time_ratio(split: ActuatorSplit, d: np.ndarray) -> float:
 
 
 def nominal_times(sys: IntegratorSystem, directions: np.ndarray) -> np.ndarray:
-    """Order-1 T_N*(d) per (nonzero) row d: one gauge batch of B_bar's image with a zero
-    shift, or one cold LP per row when that image is declined."""
+    """T_N*(d) at the system's order per (nonzero) row d: one gauge batch of B_bar's image
+    with a zero shift, or one cold LP per row when that image is declined."""
     directions = _directions(directions, sys.n)
-    return _times(sys.b_bar, sys.u_min, sys.u_max, directions, np.zeros(sys.n), sys.image)[:, 0]
+    t1 = _times(sys.b_bar, sys.u_min, sys.u_max, directions, np.zeros(sys.n), sys.image)[:, 0]
+    return order_k_time(t1, sys.order)
 
 
 def worst_times(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
-    """Order-1 T_M*(d) per (nonzero) row d: the max over the W_c vertex shifts of one gauge
-    batch of B's image, or of one cold LP per pair when that image is declined."""
+    """T_M*(d) at the system's order per (nonzero) row d: the max over the W_c vertex shifts
+    of one gauge batch of B's image, or of one cold LP per pair when that image is declined."""
     directions = _directions(directions, split.base.n)
     _vertex_count(split)  # CapacityError before any build or enumeration
     shifts = -(w_vertices(split) @ split.c.T)
-    return _times(split.b, split.u_min, split.u_max, directions, shifts, split.image).max(axis=1)
+    t1 = _times(split.b, split.u_min, split.u_max, directions, shifts, split.image).max(axis=1)
+    return order_k_time(t1, split.base.order)
 
 
 def time_ratios(split: ActuatorSplit, directions: np.ndarray) -> np.ndarray:
     """t_k(d) at the system's order k for each (nonzero) row d of directions: time_ratio as
     the ratio of worst_times and nominal_times, two gauge batches."""
-    k = split.base.order
     directions = _directions(directions, split.base.n)
     if not np.all(np.any(directions, axis=1)):
         raise LpError("every direction must be nonzero")
-    t_m = order_k_time(worst_times(split, directions), k)
-    return ratio_of_times(t_m, order_k_time(nominal_times(split.base, directions), k))
+    return ratio_of_times(worst_times(split, directions), nominal_times(split.base, directions))
 
 
 def ratio_of_times(t_m, t_n):

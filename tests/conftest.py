@@ -19,7 +19,9 @@ controllability verdict of one Zonotope.scalings batch over the rays +/-e_j
 `fresh` copies a system or split without the box image it keeps, so that the
 copy builds its own (or declines, where a test has lowered
 zonotope.MAX_CANDIDATES).  `reach_time_verdict` decides a single loss from
-four reach times along +/-C, the cross-check of the closed-form verdict.
+four reach times along +/-C, the cross-check of the closed-form verdict, and
+`lp_malfunction_time` gives T_M(w, d) for one w from one cold LP, the LP
+reference of reach.malfunction_times.
 
 The `highs` fixture re-derives lambda+/-, r(+/-C), r_q, T_N*, T_M* and t(d)
 for single losses with SciPy HiGHS, a test-only dependency; it skips the
@@ -214,6 +216,19 @@ def _reach_time_verdict(sp) -> ReachTimeVerdict:
 @pytest.fixture(scope="session")
 def reach_time_verdict():
     return _reach_time_verdict
+
+
+def _lp_malfunction_time(sp, w, d) -> float:
+    """T_M(w, d) at the split's order from one cold LP, max{lam >= 0 : B u = lam d - C w,
+    u in U_c} (reach's per-vertex LP), with no check of w or d."""
+    w, d = np.asarray(w, dtype=float), np.asarray(d, dtype=float)
+    t1 = reach._order1_time(reach._vertex_lp(sp, w, d), d)[0]
+    return float(reach.order_k_time(t1, sp.base.order))
+
+
+@pytest.fixture(scope="session")
+def lp_malfunction_time():
+    return _lp_malfunction_time
 
 
 @pytest.fixture

@@ -193,6 +193,26 @@ def test_check_order_zero(capsys):
 
 
 @pytest.mark.parametrize("name", ORDER_OPS)
+def test_order_past_2_to_the_53_is_an_input_error(name, tmp_path, capsys):
+    # Every order-k formula takes 1.0 / k, which holds k exactly up to 2**53 and overflows
+    # from 2**1024 on.  The bound runs; past it, --order and a model file's order are input
+    # errors: exit 1, one error line, nothing on stdout, no OverflowError traceback.
+    cmd, *args = ORDER_OPS[name]
+    path = tmp_path / "model.json"
+    save_system(catalog.octocopter_translational(), str(path))
+    doc = json.loads(path.read_text())
+    catalog_op = [cmd, "--model", "catalog:octocopter-trans:0", *args]
+    code, out, _, _ = _op(catalog_op + ["--order", str(2**53)], tmp_path / "op.json", capsys)
+    assert code == 0 and out
+    for order in (2**53 + 1, 2**1024):
+        path.write_text(json.dumps({**doc, "order": order}))
+        for argv in (catalog_op + ["--order", str(order)], [cmd, "--model", str(path), *args]):
+            code, out, err, _ = _op(argv, tmp_path / "op.json", capsys)
+            error = f"error: order must be at most 2**53, got {order}\n"
+            assert (code, out, err) == (1, "", error)
+
+
+@pytest.mark.parametrize("name", ORDER_OPS)
 def test_order_flag_equals_a_model_saved_at_that_order(name, tmp_path, capsys):
     # --order k replaces the order of the loaded system, once: every value of the op is
     # the model's at order k, the oracle's homogeneity probe too.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resil import catalog, lp, reach, sim, zonotope
+from resil import catalog, lp, oracle, reach, sim, zonotope
 from resil.errors import CapacityError, LpError, ModelError
 from resil.model import IntegratorSystem, split
 
@@ -34,23 +34,26 @@ def test_nominal_unreachable():
     assert math.isinf(reach.nominal_reach_time(sys, [-1.0]).time)
 
 
-def test_malfunction_time_for_w_toy2(toy2_split):
-    assert reach.malfunction_time_for_w(toy2_split, [0.0], [-1.0]) == pytest.approx(1.0)
-    assert reach.malfunction_time_for_w(toy2_split, [1.0], [-1.0]) == pytest.approx(0.5)
+def test_malfunction_time_for_w_toy2(toy2_split, lp_malfunction_time):
+    # T_M(w, d) per w from the batch, and from the LP reference.
+    assert reach.malfunction_times(toy2_split, [[0.0], [1.0]], [-1.0]) == pytest.approx([1.0, 0.5])
+    assert lp_malfunction_time(toy2_split, [0.0], [-1.0]) == pytest.approx(1.0)
+    assert lp_malfunction_time(toy2_split, [1.0], [-1.0]) == pytest.approx(0.5)
 
 
-def test_malfunction_time_for_w_toy1(toy1_split):
-    assert reach.malfunction_time_for_w(toy1_split, [-1.0], [1.0, 0.0]) == pytest.approx(1.0)
+def test_malfunction_time_for_w_toy1(toy1_split, lp_malfunction_time):
+    assert reach.malfunction_times(toy1_split, [-1.0], [1.0, 0.0]) == pytest.approx([1.0])
+    assert lp_malfunction_time(toy1_split, [-1.0], [1.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_malfunction_w_outside_box(toy2_split):
     with pytest.raises(ModelError, match="outside"):
-        reach.malfunction_time_for_w(toy2_split, [2.0], [-1.0])
+        reach.malfunction_times(toy2_split, [2.0], [-1.0])
 
 
 def test_malfunction_d_zero_rejected(toy2_split):
     with pytest.raises(LpError, match="nonzero"):
-        reach.malfunction_time_for_w(toy2_split, [0.5], [0.0])
+        reach.malfunction_times(toy2_split, [0.5], [0.0])
 
 
 def test_malfunctioning_reach_toy2(toy2_split):
@@ -132,7 +135,7 @@ def test_one_rule_at_its_edges(toy1, monkeypatch, lam_hat, time):
     assert (res.optimizer_u is not None) == (0.0 < time < math.inf)
 
 
-def test_declined_batch_has_the_scalar_bits(monkeypatch):
+def test_declined_batch_has_the_scalar_bits(monkeypatch, lp_malfunction_time):
     # Where the image is declined, a batch time is the scalar path's LP and rule, bit for
     # bit: |d| taken as a 1-D norm, which differs from a row norm in the last bit for
     # about 1 in 8 of these directions.
@@ -141,7 +144,7 @@ def test_declined_batch_has_the_scalar_bits(monkeypatch):
     for _ in range(40):
         sys = IntegratorSystem("r", 1, rng.standard_normal((4, 7)), -np.ones(7), np.ones(7))
         sp, d, w = split(sys, 6), rng.standard_normal(4), rng.uniform(-1.0, 1.0, 1)
-        assert reach.malfunction_times(sp, w[None], d)[0] == reach.malfunction_time_for_w(sp, w, d)
+        assert reach.malfunction_times(sp, w[None], d)[0] == lp_malfunction_time(sp, w, d)
         assert reach.nominal_times(sys, d[None])[0] == reach.nominal_reach_time(sys, d).time
 
 
@@ -151,22 +154,23 @@ def test_malfunctioning_reach_zero_d(toy3_split):
 
 @pytest.mark.parametrize("d", [[0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 def test_direction_length_checked_before_zero(toy3, toy3_split, d):
-    # The batches too: each entry point checks the length before the gauge sees a row.
+    # The batches and the oracle scans too: each entry point checks the length before
+    # the gauge sees a row.
     w = toy3_split.w_min
     for call in (lambda: reach.nominal_reach_time(toy3, d),
                  lambda: reach.malfunctioning_reach_time(toy3_split, d),
-                 lambda: reach.malfunction_time_for_w(toy3_split, w, d),
                  lambda: reach.malfunction_times(toy3_split, [w], d),
                  lambda: reach.nominal_times(toy3, [d]),
                  lambda: reach.worst_times(toy3_split, [d]),
-                 lambda: reach.time_ratios(toy3_split, [d])):
+                 lambda: reach.time_ratios(toy3_split, [d]),
+                 lambda: oracle.grid_worst_w(toy3_split, d, 5),
+                 lambda: oracle.homogeneity_probe(toy3_split, d, [2.0])):
         with pytest.raises(LpError, match="direction must have length 2"):
             call()
 
 
 #: The four batch entry points on octocopter-trans (n = 3, p = 1), each given a direction
-#: row of length 1; malfunction_times also a w row of length 2, and malfunction_time_for_w
-#: two w rows (not the time of the first).
+#: row of length 1; malfunction_times also a w row of length 2.
 WRONG_LENGTH = {
     "nominal_times": (LpError, lambda sp: reach.nominal_times(sp.base, [[1.0]])),
     "worst_times": (LpError, lambda sp: reach.worst_times(sp, [[1.0]])),
@@ -174,8 +178,6 @@ WRONG_LENGTH = {
     "time_ratios": (LpError, lambda sp: reach.time_ratios(sp, [[1.0]])),
     "malfunction_times-w": (
         ModelError, lambda sp: reach.malfunction_times(sp, [[0.0, 0.0]], [0.0, 0.0, 1.0])),
-    "malfunction_time_for_w-two-w": (
-        ModelError, lambda sp: reach.malfunction_time_for_w(sp, [[0.0], [0.0]], [0.0, 0.0, 1.0])),
 }
 
 
@@ -196,6 +198,7 @@ def test_batch_rows_of_the_wrong_length(fresh, monkeypatch, name, declined):
 
 #: Every entry point on octocopter-trans (n = 3, p = 1), given x in one entry of its
 #: direction (d), of its w or of its command: (error, message, call of sp, d and x).
+#: malfunction_time_for_w is T_M(w, d) for one w: malfunction_times given a 1-D w.
 D_ERROR = (LpError, "direction has a non-finite entry")
 W_ERROR = (ModelError, "outside the undesirable-input box")
 NON_FINITE = {
@@ -204,14 +207,14 @@ NON_FINITE = {
         *D_ERROR, lambda sp, d, x: reach.malfunctioning_reach_time(sp, d)),
     "time_ratio": (*D_ERROR, lambda sp, d, x: reach.time_ratio(sp, d)),
     "malfunction_time_for_w": (
-        *D_ERROR, lambda sp, d, x: reach.malfunction_time_for_w(sp, [0.0], d)),
+        *D_ERROR, lambda sp, d, x: reach.malfunction_times(sp, [0.0], d)),
     "malfunction_times": (*D_ERROR, lambda sp, d, x: reach.malfunction_times(sp, [[0.0]], d)),
     "nominal_times": (
         *D_ERROR, lambda sp, d, x: reach.nominal_times(sp.base, [[0.0, 0.0, 1.0], d])),
     "worst_times": (*D_ERROR, lambda sp, d, x: reach.worst_times(sp, [d])),
     "time_ratios": (*D_ERROR, lambda sp, d, x: reach.time_ratios(sp, [d])),
     "malfunction_time_for_w-w": (
-        *W_ERROR, lambda sp, d, x: reach.malfunction_time_for_w(sp, [x], [0.0, 0.0, 1.0])),
+        *W_ERROR, lambda sp, d, x: reach.malfunction_times(sp, [x], [0.0, 0.0, 1.0])),
     "malfunction_times-w": (
         *W_ERROR, lambda sp, d, x: reach.malfunction_times(sp, [[0.0], [x]], [0.0, 0.0, 1.0])),
     "integrate_with_lag-command": (
@@ -237,26 +240,28 @@ def test_non_finite_inputs_are_rejected(fresh, monkeypatch, name, declined, x):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_batches_at_the_system_order(toy1, k):
-    # At order k the batches equal their scalar forms row by row, and the order_k_time
-    # lift of the order-1 batch.
-    sp1 = split(toy1, 2)
-    sp = split(dataclasses.replace(toy1, order=k), 2)
+def test_batches_at_the_system_order(toy1, k, lp_malfunction_time):
+    # At order k every batch is, bit for bit, the order_k_time lift of the order-1 system's
+    # batch, and equals its scalar form row by row.
+    sys = dataclasses.replace(toy1, order=k)
+    sp1, sp = split(toy1, 2), split(sys, 2)
     rng = np.random.default_rng(k)
     directions = rng.standard_normal((6, 2))
+    ws = sp.w_min + rng.random((5, 1)) * (sp.w_max - sp.w_min)
+    nominal1, worst1 = reach.nominal_times(toy1, directions), reach.worst_times(sp1, directions)
+    for got, order1 in ((reach.nominal_times(sys, directions), nominal1),
+                        (reach.worst_times(sp, directions), worst1),
+                        (reach.malfunction_times(sp, ws, directions[0]),
+                         reach.malfunction_times(sp1, ws, directions[0]))):
+        assert np.array_equal(got, reach.order_k_time(order1, k))
     ratios = reach.time_ratios(sp, directions)
     assert np.array_equal(ratios, reach.ratio_of_times(
-        reach.order_k_time(reach.worst_times(sp1, directions), k),
-        reach.order_k_time(reach.nominal_times(toy1, directions), k)))
+        reach.order_k_time(worst1, k), reach.order_k_time(nominal1, k)))
     assert ratios == pytest.approx(reach.time_ratios(sp1, directions) ** (1.0 / k), rel=1e-12)
     for d, t in zip(directions, ratios):
         assert t == pytest.approx(reach.time_ratio(sp, d), rel=1e-12)
-    ws = sp.w_min + rng.random((5, 1)) * (sp.w_max - sp.w_min)
-    times = reach.malfunction_times(sp, ws, directions[0])
-    assert np.array_equal(times,
-                          reach.order_k_time(reach.malfunction_times(sp1, ws, directions[0]), k))
-    for w, t in zip(ws, times):
-        assert t == pytest.approx(reach.malfunction_time_for_w(sp, w, directions[0]), rel=1e-12)
+    for w, t in zip(ws, reach.malfunction_times(sp, ws, directions[0])):
+        assert t == pytest.approx(lp_malfunction_time(sp, w, directions[0]), rel=1e-12)
 
 
 def test_capacity_cap(zonotope_builds, monkeypatch):
@@ -347,14 +352,14 @@ def test_ratio_at_least_one_when_finite(toy1_split):
             assert t >= 1.0 - 1e-9
 
 
-def test_continuity_in_w(toy1_split):
+def test_continuity_in_w(toy1_split, lp_malfunction_time):
     # Lemma-A.1-style sanity: T_M(w0 + eps, d) -> T_M(w0, d) along a ray.
     d = np.array([1.0, 0.3])
     w0 = np.array([0.2])
-    base = reach.malfunction_time_for_w(toy1_split, w0, d)
+    base = lp_malfunction_time(toy1_split, w0, d)
     deviations = []
     for eps in (1e-2, 1e-4):
-        t = reach.malfunction_time_for_w(toy1_split, w0 + eps, d)
+        t = lp_malfunction_time(toy1_split, w0 + eps, d)
         deviations.append(abs(t - base))
     assert deviations[1] <= deviations[0]
     assert deviations[1] <= 1e-3

@@ -126,7 +126,7 @@ def test_scalings_match_lp_and_highs(seed, highs):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_batched_reach_matches_scalar(seed):
+def test_batched_reach_matches_scalar(seed, lp_malfunction_time):
     sp, rng = _random_split(seed)
     directions = rng.standard_normal((5, sp.base.n))
     ratios = reach.time_ratios(sp, directions)
@@ -136,7 +136,7 @@ def test_batched_reach_matches_scalar(seed):
     ws = sp.w_min + rng.random((6, sp.p)) * (sp.w_max - sp.w_min)
     times = reach.malfunction_times(sp, ws, directions[0])
     for w, t in zip(ws, times):
-        ref = reach.malfunction_time_for_w(sp, w, directions[0])
+        ref = lp_malfunction_time(sp, w, directions[0])
         assert t == pytest.approx(ref, rel=REL) if math.isfinite(ref) else t == ref
 
 
@@ -462,6 +462,23 @@ def _highs_lambdas(highs, sp) -> tuple:
 @example(seed=5571)  # column 8: a ratio test against the step's largest rate at 1e-10 raised
 @example(seed=79004)  # column 1: lam- 6.0e-14 of the width off the gauge (was 2.2e-10 off)
 def test_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, fresh):
+    _assert_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, fresh)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="simplex fault: a small cold lam carries its LP point's rounding "
+                          "(ROADMAP item 4)")
+@pytest.mark.parametrize("seed", [15942, 45636])
+def test_sweep_small_cold_lambda_draws(seed, highs, reports_agree, fresh):
+    # test_sweep_matches_lp_path_and_highs's body at the two draws of 0..99 999 it fails:
+    # the LP path's lam+ of seed 15942 column 3 is 1.1e-9 relative off exact under
+    # OpenBLAS's SkylakeX, Haswell and Prescott kernels (8.7e-11 under Sandybridge, where
+    # that draw passes).
+    _assert_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, fresh)
+
+
+def _assert_sweep_matches_lp_path_and_highs(seed, highs, reports_agree, fresh) -> None:
+    """sweep's reports of a random system against HiGHS's lam+/- and the LP path's reports."""
     sys = _random_sweep_system(seed)
     assert sys.image is not None or np.linalg.matrix_rank(sys.b_bar) < sys.n
     reports = resilience.sweep(sys, range(sys.n_inputs))
@@ -977,10 +994,10 @@ def _scan_cases():
 
 
 @pytest.mark.parametrize("case", range(5))
-def test_scan_worst_argument_attains_worst_value(case):
+def test_scan_worst_argument_attains_worst_value(case, lp_malfunction_time):
     sp, d = _scan_cases()[case]
     grid = oracle.grid_worst_w(sp, d, 21)
-    t = reach.malfunction_time_for_w(sp, grid.worst_argument, d)
+    t = lp_malfunction_time(sp, grid.worst_argument, d)
     assert t == pytest.approx(grid.worst_value, rel=1e-12)
     if not quantitative_resilience(sp).resilient:
         return
