@@ -125,14 +125,15 @@ def cmd_reach(args: argparse.Namespace) -> int:
     columns = _parse_lost(args.lost, sys_model.n_inputs) if args.lost else []
     sp = split(sys_model, tuple(columns)) if columns else None
     result = reach.nominal_reach_time(sys_model, d)
+    u = result.optimizer_u  # its LP, solved now, raises before any output too
     # T_M* raises (a capacity error past P_MAX_DEFAULT) before any output.
     m = None if sp is None else reach.malfunctioning_reach_time(sp, d)
     print(f"T_N*(d) = {_human(result.time)}")
     doc: dict = {"system": sys_model.name, "d": [float(v) for v in d]}
     doc["T_N"] = to_machine(result.time)
-    if result.optimizer_u is not None:
-        print(f"optimal u = {np.round(result.optimizer_u, 9).tolist()}")
-        doc["optimizer_u"] = [float(v) for v in result.optimizer_u]
+    if u is not None:
+        print(f"optimal u = {np.round(u, 9).tolist()}")
+        doc["optimizer_u"] = [float(v) for v in u]
     if m is not None:
         print(f"T_M*(d) = {_human(m.time)}")
         doc["lost_columns"] = [c + 1 for c in columns]

@@ -1,13 +1,13 @@
 """Dense linear-program kernel: maximize c.x subject to A x = b, l <= x <= u.
 
 This is the oracle behind reach times and lambda+/-, and the fallback of the
-batched zonotope gauge (zonotope.py).  It solves every reported reach time and
-optimizer (T_M* takes its worst vertex from the gauge's eroded facets, or
-screens its vertices with it, then solves one LP there), lambda+/- and
+batched zonotope gauge (zonotope.py).  It solves every reported optimizer u
+(reach.ReachResult.optimizer_u, on its first read), lambda+/- and
 controllability where B_bar has no image (resilience.sweep reads both off its
-slabs) and in lambda_pair and check_controllability, and every batch whose
-H-representation zonotope.build declines (rank below n, or more facet
-candidates than zonotope.MAX_CANDIDATES).  The problems are tiny (at most ~15
+slabs) and in lambda_pair and check_controllability, and every reach time,
+single or batched, whose H-representation zonotope.build declines (rank below
+n, or more facet candidates than zonotope.MAX_CANDIDATES); where an image is
+built, the gauge gives every reported time.  The problems are tiny (at most ~15
 variables, ~6 equality rows), so the solver is a hand-rolled two-phase
 bounded-variable simplex rather than a call into a general-purpose package: it
 is bitwise deterministic (Bland's anti-cycling rule, no randomized or
@@ -20,12 +20,12 @@ basis is optimal: once _hinted_start has moved tied columns (twins of a basic
 one, as octocopter propellers 1-4) inside their boxes, one factorization settles
 the LP, and solve returns that point with no pricing pass (every nonbasic column
 sits on the bound its reduced cost favours).  A singular basis, or a point still
-out of bounds, starts cold.  On the 300 LPs of the first 100 seed-1 scan-workload
-ops 287 settle (median 33.8 us) and 13 start cold (400 us, the refused start
-included); solved cold, the 300 take 314 us and 8 pivots at the median.  A whole
-max_scaled_direction call takes 63-66 us at the median on those LPs and on the 400
-of the first 100 seed-1 multiloss and lagsim ops (best of 5 per LP, 2-vCPU x86_64
-VM, one BLAS thread, in process).
+out of bounds, starts cold.  On the 300 LPs the first 100 seed-1 scan-workload
+ops solved while the LP gave their times, 287 settle (median 33.8 us) and 13
+start cold (400 us, the refused start included); solved cold, the 300 take 314 us
+and 8 pivots at the median.  A whole max_scaled_direction call takes 63-66 us at
+the median on those LPs and on the 400 of the first 100 seed-1 multiloss and
+lagsim ops (best of 5 per LP, 2-vCPU x86_64 VM, one BLAS thread, in process).
 
 solve's statuses follow the usual trichotomy: OPTIMAL / INFEASIBLE / UNBOUNDED,
 with no "numerical failure" status.  max_scaled_direction folds them into one

@@ -10,10 +10,10 @@ gauge batches of the box images of B and B_bar (reach.malfunction_times,
 reach.time_ratios, reach.nominal_times, reach.worst_times, each at the system's
 order; zonotope.py), one LP per query where a build is declined; the split and
 its system each build their image once, for all the scans.  The grid's theory
-value and the probe's T*(a d) are LP optima (started where the ray leaves an
-image), so those scans compare two engines; the direction scan's is 1/r_{k,q} of
-the report that gates it, so it tests the paper's whole claim (the worst
-direction is collinear with +/-C, its ratio the closed form).
+value and the probe's T*(a d) read the same images (B's eroded slabs, B_bar's
+one-ray pass; cold LPs where a build is declined); the direction scan's is
+1/r_{k,q} of the report that gates it, so it tests the paper's whole claim (the
+worst direction is collinear with +/-C, its ratio the closed form).
 """
 
 from __future__ import annotations
@@ -152,16 +152,15 @@ def direction_scan(split: ActuatorSplit, samples: int, seed: int) -> ScanReport:
 def homogeneity_probe(
     split: ActuatorSplit, d: np.ndarray, scales: "list[float] | tuple[float, ...]"
 ) -> float:
-    """Max relative error of the gauge's T*(alpha d) against (alpha/a)^(1/k) T*(a d) from the
-    LP, over alpha = 1 and each scale, a the largest of them, for T_N* and T_M* of a split
-    at its system's order k (T_k(alpha d) = alpha^(1/k) T_k(d)).
+    """Max relative error of the batch T*(alpha d) against (alpha/a)^(1/k) T*(a d), over
+    alpha = 1 and each scale, a the largest of them, for T_N* and T_M* of a split at its
+    system's order k (T_k(alpha d) = alpha^(1/k) T_k(d)).
 
-    Infinite LP times are skipped (homogeneity is trivial there).  One gauge batch per
-    image answers every alpha d (reach.nominal_times, reach.worst_times) and one LP the
-    point a d, so the probe compares two engines and sees a homogeneity fault in either.
-    A declined image answers each alpha d by the LP path instead, which sees only rounding:
-    alpha d and d pose the same LP up to that of d/|d| and, for p >= 2, of -C w (one
-    product over all vertices in the batch, one per vertex in T_M*).
+    Infinite anchor times T*(a d) are skipped (homogeneity is trivial there).  One batch per
+    image answers every alpha d (reach.nominal_times, reach.worst_times).  With the images
+    built, the anchor is the gauge too (B_bar's one-ray pass, B's eroded slabs), so the probe
+    compares the gauge with itself and sees rounding.  A declined image answers both by cold
+    LPs, which pose the same LP for alpha d and d up to the rounding of d/|d|.
     """
     d = reach._directions(d, split.base.n, ndim=1)
     if not np.any(d):
@@ -174,8 +173,8 @@ def homogeneity_probe(
     pairs = [(reach.nominal_reach_time(base, top * d), reach.nominal_times(base, rays)),
              (reach.malfunctioning_reach_time(split, top * d), reach.worst_times(split, rays))]
     err = 0.0
-    for anchor, gauge in pairs:  # x ** 1.0 is x: at k = 1 the order-1 bits
-        lp_times = (alphas / top) ** (1.0 / base.order) * anchor.time
-        if math.isfinite(lp_times[0]) and lp_times[0] > 0.0:
-            err = max(err, float((np.abs(gauge - lp_times) / lp_times).max()))
+    for anchor, batch in pairs:  # x ** 1.0 is x: at k = 1 the order-1 bits
+        lifted = (alphas / top) ** (1.0 / base.order) * anchor.time
+        if math.isfinite(lifted[0]) and lifted[0] > 0.0:
+            err = max(err, float((np.abs(batch - lifted) / lifted).max()))
     return err

@@ -10,20 +10,18 @@ eroded by -C W_c (its Minkowski difference), read off the facets with no
 vertex enumerated.
 
 Two engines compute lam* as the multiplier lam_hat of d/|d|, which _order1_times
-turns into a time: the simplex LP of lp.max_scaled_direction, one solve per
-query, and the facet inequalities of the box image (zonotope.py), one batch.
-B_bar's image is the system's (IntegratorSystem.image) and B's the split's
-(ActuatorSplit.image), each built at its first query and kept by its owner.
-Single reach times (T_N*, T_M*) and every reported optimizer are LP optima,
-started at the facet where the LP's own ray leaves the image.  T_N* starts at
-B_bar's zonotope.Zonotope.start.  T_M* takes its worst vertex from
-B's eroded facets (zonotope.Zonotope.worst_vertex), which also name the facet
-its LP starts at, or else screens its 2^p vertices with one gauge batch, which
-returns lam only, and solves one LP at that vertex, started at B's
-Zonotope.start.  malfunction_times, nominal_times and worst_times (and
-time_ratios, their ratio) answer the oracle scans from the gauge alone.  Where
-zonotope.build declines an image (None: rank below n, or over
-zonotope.MAX_CANDIDATES) the LP path answers instead, and its LPs start cold.
+turns into a time: the facet inequalities of the box image (zonotope.py), one batch,
+and the simplex LP of lp.max_scaled_direction, one solve per query.  B_bar's image is
+the system's (IntegratorSystem.image) and B's the split's (ActuatorSplit.image), each
+built at its first query and kept by its owner.  Where an image is built, every time
+comes from the gauge: T_N* from the one ray's pass of B_bar's Zonotope.start, T_M* from
+B's eroded facets (zonotope.Zonotope.worst_vertex), or else from one gauge batch that
+screens its 2^p vertices; malfunction_times, nominal_times and worst_times (and
+time_ratios, their ratio) answer the oracle scans from it alone.  Where zonotope.build
+declines an image (None: rank below n, or over zonotope.MAX_CANDIDATES) one cold LP per
+query answers instead.  The LP gives what only it gives: a ReachResult's optimizer_u,
+solved the first time it is read, started at the facet where its ray leaves the image
+(cold where the image is declined).
 
 Every time, single or batched, is at the system's order k (IntegratorSystem.order;
 order_k_time lifts the order-1 time), and every entry point rejects a direction of the
@@ -35,9 +33,10 @@ it is serialized as the string "inf" in machine output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,11 +51,26 @@ P_MAX_DEFAULT = 20
 
 @dataclass(frozen=True)
 class ReachResult:
-    """A reach time at the system's order, with its optimizing inputs (when finite)."""
+    """A reach time at the system's order with its optimizing inputs: optimizer_w, T_M*'s
+    worst vertex, and optimizer_u, which the reach LP _lp = (M, lower, upper, d, shift,
+    image, basis) solves the first time it is read."""
 
     time: float
-    optimizer_u: np.ndarray | None = None
     optimizer_w: np.ndarray | None = None
+    _lp: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def optimizer_u(self) -> np.ndarray | None:
+        """The optimizer of lp.max_scaled_direction(M, lower, upper, d, rhs_shift=shift)
+        where its time and this one are finite: started at basis, else at image's
+        Zonotope.start, else (no image) cold."""
+        if self._lp is None or math.isinf(self.time):
+            return None
+        m, lower, upper, d, shift, image, basis = self._lp
+        if basis is None and image is not None:
+            basis = image.start(d, shift)[1]
+        scaling = lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=basis)
+        return _order1_time(scaling, d)[1]
 
 
 def order_k_time(t1, k: int):
@@ -98,27 +112,21 @@ def _directions(directions, n: int, ndim: int = 2) -> np.ndarray:
 def nominal_reach_time(sys: IntegratorSystem, d: np.ndarray) -> ReachResult:
     """Shortest time for the fully functional system to cover d, at the system's order.
 
-    Returns time 0 for d = 0 and +inf when no input in the box pushes along d.
+    Returns time 0 for d = 0 and +inf when no input in the box pushes along d.  The time is
+    lam_hat of B_bar's Zonotope.start, which also names the facet optimizer_u's LP starts
+    at, or one cold LP's where that image is declined.
     """
     d = _directions(d, sys.n, ndim=1)
     if not d.any():
         return ReachResult(time=0.0)
-    scaling = _scaling_lp(sys.b_bar, sys.u_min, sys.u_max, d, np.zeros(sys.n), sys.image)
-    t1, u = _order1_time(scaling, d)
-    return ReachResult(time=order_k_time(t1, sys.order), optimizer_u=u)
-
-
-def _scaling_lp(m, lower, upper, d, shift, image, basis=None) -> lp.DirectionScaling:
-    """lp.max_scaled_direction, started at basis, else at M's image's Zonotope.start when
-    it is given."""
-    if basis is None and image is not None:
-        basis = image.start(d, shift)
-    return lp.max_scaled_direction(m, lower, upper, d, rhs_shift=shift, basis=basis)
-
-
-def _vertex_lp(split: ActuatorSplit, w, d, image=None, basis=None) -> lp.DirectionScaling:
-    """The scaling LP of T_M(w, d): max{lam >= 0 : B u = lam d - C w, u in U_c}."""
-    return _scaling_lp(split.b, split.u_min, split.u_max, d, -(split.c @ w), image, basis)
+    image, shift, row = sys.image, np.zeros(sys.n), None
+    if image is None:
+        t1 = _times(sys.b_bar, sys.u_min, sys.u_max, d, shift, None)[0, 0]
+    else:
+        lam_hat, row = image.start(d, shift)
+        t1 = _order1_times(lam_hat, np.sqrt(d @ d))  # np.linalg.norm(d)
+    lp_u = (sys.b_bar, sys.u_min, sys.u_max, d, shift, image, row)
+    return ReachResult(time=order_k_time(float(t1), sys.order), _lp=lp_u)
 
 
 def _times(m, lower, upper, directions, shifts, image) -> np.ndarray:
@@ -181,42 +189,30 @@ def _worst(times: np.ndarray) -> int:
 def malfunctioning_reach_time(split: ActuatorSplit, d: np.ndarray) -> ReachResult:
     """Worst-case reach time T_M*(d) at the system's order: max over the vertices of W_c.
 
-    The worst vertex comes from B's eroded slabs (zonotope.Zonotope.worst_vertex, the
-    first in lexicographic order on ties, as the screen's), and one LP there, started at
-    the eroded slab its ray leaves first, gives the time and optimizer_u.  Where those
-    slabs cannot tell, one gauge batch screens all vertices.  Every vertex gets its LP when
-    the image of B is declined, when the LP at the eroded slabs' vertex is infinite, or
-    when the LP at the screened vertex and the screen disagree on whether the time is
-    finite.  The screen and the per-vertex LPs pick alike: the first vertex with an
-    infinite time wins (the LPs stop there), else the lowest lexicographic vertex index
-    within VERTEX_TIE_RTOL of the largest time.
+    The time and worst vertex come from B's eroded slabs (zonotope.Zonotope.worst_vertex,
+    the first in lexicographic order on ties, as the screen's), and optimizer_u's LP starts
+    at the eroded slab its ray leaves first.  Where those slabs cannot tell, or the image
+    of B is declined, one screen of all vertices answers (_times: one gauge batch, or one
+    cold LP per vertex): the first vertex with an infinite time wins, else the lowest
+    lexicographic vertex index within VERTEX_TIE_RTOL of the largest time.
     """
     k, d = split.base.order, _directions(d, split.base.n, ndim=1)
     if not d.any():
         return ReachResult(time=0.0)
     _vertex_count(split)  # CapacityError before any build or enumeration
-    zono = split.image
-    vertices = None  # enumerated at most once, by the screen or the LP fallback
-    if zono is not None:
-        found, finite = zono.worst_vertex(d, split.c, split.w_min, split.w_max), True
-        if found is None:  # the screen's vertex LP starts at Zonotope.start
-            vertices = w_vertices(split)
-            shifts = -(vertices @ split.c.T)
-            screened = _times(split.b, split.u_min, split.u_max, d, shifts, zono)[0]
-            worst = _worst(screened)
-            found, finite = (vertices[worst], None), math.isfinite(screened[worst])
-        w, row = found
-        t1, u = _order1_time(_vertex_lp(split, w, d, zono, row), d)
-        if math.isfinite(t1) == finite:
-            return ReachResult(time=order_k_time(t1, k), optimizer_u=u, optimizer_w=w)
-    solved = []  # (t1, w, u) per vertex
-    for w in w_vertices(split) if vertices is None else vertices:
-        t1, u = _order1_time(_vertex_lp(split, w, d, zono), d)
-        if math.isinf(t1):
-            return ReachResult(time=math.inf, optimizer_w=w)
-        solved.append((t1, w, u))
-    t1, w, u = solved[_worst(np.array([t1 for t1, _, _ in solved]))]
-    return ReachResult(time=order_k_time(t1, k), optimizer_u=u, optimizer_w=w)
+    zono, row = split.image, None
+    found = None if zono is None else zono.worst_vertex(d, split.c, split.w_min, split.w_max)
+    if found is None:
+        vertices = w_vertices(split)
+        shifts = -(vertices @ split.c.T)  # optimizer_u's LP poses the screened row itself
+        screened = _times(split.b, split.u_min, split.u_max, d, shifts, zono)[0]
+        worst = _worst(screened)
+        t1, w, shift = screened[worst], vertices[worst], shifts[worst]
+    else:
+        lam_hat, w, row = found
+        t1, shift = _order1_times(lam_hat, np.sqrt(d @ d)), -(w @ split.c.T)
+    lp_u = (split.b, split.u_min, split.u_max, d, shift, zono, row)
+    return ReachResult(time=order_k_time(float(t1), k), optimizer_w=w, _lp=lp_u)
 
 
 def time_ratio(split: ActuatorSplit, d: np.ndarray) -> float:

@@ -22,10 +22,10 @@ d, rhs_shift=s) maximizes lam >= 0 subject to lam d/|d| + s in Z, one simplex pe
 Zonotope.scalings answers a batch of (direction, shift) pairs from a few array products
 over the slabs.  One kernel, _exit, reads each slab once to decide how far each ray
 goes, for scalings and lambdas_without, which return lam only; for Zonotope.start's
-one ray it names the facet where that ray leaves Z instead, the basis an LP starts at.
-Zonotope.worst_vertex asks it how far one ray goes through each slab of Z eroded by
--C W: the first slabs it leaves by name T_M*'s worst vertex and the facet its LP starts
-at, and no 2^p vertices are screened.
+one ray (T_N*) it also names the facet where that ray leaves Z, the basis its LP starts
+at.  Zonotope.worst_vertex asks it how far one ray goes through each slab of Z eroded by
+-C W: the first slabs it leaves give T_M*'s lam, its worst vertex and the facet its LP
+starts at, and no 2^p vertices are screened.
 
 build() declines (None: callers keep to the LP path) only where M has rank below n or
 its candidates exceed MAX_CANDIDATES.  It keeps nothing: a system holds B_bar's image and
@@ -123,20 +123,21 @@ class Zonotope:
                     size[:, None, None], self.extent + np.abs(shifted))])
         return lam
 
-    def start(self, d: np.ndarray, shift: np.ndarray) -> np.ndarray | None:
-        """subsets row of the facet where lam d/|d| + shift leaves Z (_exit's on this one
-        ray), None if none bounds it."""
+    def start(self, d: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(lam_hat, row) of the one ray lam d/|d| + shift, from one _exit pass: lam_hat by
+        scalings' rule (nan where the ray misses Z), and the subsets row of the facet where
+        the ray leaves Z, the basis an LP starts at (None if no facet bounds it)."""
         scaled = d / np.sqrt(d @ d) / self.scale
         shifted = self.normals @ (shift / self.scale)
-        row = _exit([(0, self.plus - shifted, self.minus + shifted, self.normals @ scaled,
-                      np.sqrt(scaled @ scaled), None)])
-        return None if row < 0 else self.subsets[row % len(self.plus)]
+        lam, row = _exit([(0, self.plus - shifted, self.minus + shifted, self.normals @ scaled,
+                           np.sqrt(scaled @ scaled), self.extent + np.abs(shifted))], facet=True)
+        return lam, (None if row < 0 else self.subsets[row % len(self.plus)])
 
     def worst_vertex(self, d: np.ndarray, c: np.ndarray, w_min: np.ndarray,
-                     w_max: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(w, row): the vertex w of W = [w_min, w_max] minimizing max{lam >= 0 : lam d/|d| -
-        C w in Z}, and the subsets row of the eroded slab the ray leaves first, the facet
-        start(d, -C w) names; None where the slabs cannot tell.
+                     w_max: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+        """(lam_hat, w, row): the vertex w of W = [w_min, w_max] minimizing max{lam >= 0 :
+        lam d/|d| - C w in Z}, that minimum lam_hat, and the subsets row of the eroded slab
+        the ray leaves first, the facet start(d, -C w) names; None where the slabs cannot tell.
 
         While every -C w lies inside Z, that minimum is where the ray leaves Z minus -C W
         (Minkowski difference): Z's slabs with the eroded sides plus + sum_j min(t_j w_min_j,
@@ -169,7 +170,7 @@ class Zonotope:
         worse = np.sign(toward)[:, None] * (high - low) < -VERTEX_TIE_RTOL * near[:, None]
         w = np.where(min(worse[lam * (1.0 - VERTEX_TIE_RTOL) <= least].tolist()), w_max, w_min)
         first = np.concatenate([np.where(ahead, lam, np.inf), np.where(ahead, np.inf, lam)])
-        return w, self.subsets[first.argmin() % len(lam)]
+        return least, w, self.subsets[first.argmin() % len(lam)]
 
     def lambdas_without(self, columns) -> np.ndarray:
         """lam[i] = (lam+, lam-), max{lam >= 0 : +/-lam g_j in Z_j}, j = columns[i].
@@ -198,7 +199,7 @@ class Zonotope:
         return _exit(blocks()).T
 
 
-def _exit(blocks):
+def _exit(blocks, facet: bool = False):
     """lam per ray: max{lam >= 0 : -minus - tol <= lam toward <= plus + tol}.
 
     blocks yields (first, plus, minus, toward, size, extent) for slabs first, first + 1, ...:
@@ -206,27 +207,26 @@ def _exit(blocks):
     a.(ray), tol = lp.FEAS_TOL extent.  Where |toward| <= PARALLEL_RTOL size (the ray's length)
     both sides must hold; else the side the ray moves toward must hold at lam = 0 and bounds
     lam by slack/|toward|, the other sets the floor -(slack + tol)/|toward|.  lam: nan below a
-    floor, +inf if no slab bounds it.  extent None, start's one ray in one block: instead the
-    row of [+a; -a] attaining lam, the +a rows first on ties (-1 at lam = +inf).
+    floor, +inf if no slab bounds it.  facet, for start's one ray in one block: (lam, row),
+    row the one of [+a; -a] attaining lam, the +a rows first on ties (-1 at lam = +inf).
     """
     least, floor = np.inf, -np.inf
     for first, plus, minus, toward, size, extent in blocks:
         rate, ahead = np.abs(toward), toward > 0.0
         moving, near = rate > PARALLEL_RTOL * size, np.where(ahead, plus, minus)
-        if extent is not None:  # start's ray asks only the facet
-            ntol = -lp.FEAS_TOL * extent
-            far = np.where(near >= ntol, ntol - np.where(ahead, minus, plus), np.inf)
-            far = np.divide(far, rate, out=np.where(far > 0.0, np.inf, -np.inf), where=moving)
-            far = np.maximum.reduce(far, axis=-1)  # +inf where the near side fails
-            floor = np.maximum(floor, far) if first else far
+        ntol = -lp.FEAS_TOL * extent
+        far = np.where(near >= ntol, ntol - np.where(ahead, minus, plus), np.inf)
+        far = np.divide(far, rate, out=np.where(far > 0.0, np.inf, -np.inf), where=moving)
+        far = np.maximum.reduce(far, axis=-1)  # +inf where the near side fails
         limits = np.where(moving, near, np.inf) / rate  # inf / 0 is inf, with no warning
-        if extent is None:  # the + sides, then the - sides: the lowest row of [+a; -a] on ties
-            rows = np.concatenate([np.where(ahead, limits, np.inf), np.where(ahead, np.inf, limits)])
-            return rows.argmin() if limits.min() < np.inf else -1
         bound = np.minimum.reduce(limits, axis=-1)
-        least = np.minimum(least, bound) if first else bound
+        floor, least = (np.maximum(floor, far), np.minimum(least, bound)) if first else (far, bound)
     lam = np.maximum(least, 0.0)
-    return np.where(lam >= floor, lam, np.nan)  # floor is never nan: +inf stays
+    lam = np.where(lam >= floor, lam, np.nan)  # floor is never nan: +inf stays
+    if not facet:
+        return lam
+    rows = np.concatenate([np.where(ahead, limits, np.inf), np.where(ahead, np.inf, limits)])
+    return lam, (rows.argmin() if bound < np.inf else -1)
 
 
 def _others(terms: np.ndarray) -> np.ndarray:

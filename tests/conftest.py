@@ -220,9 +220,10 @@ def reach_time_verdict():
 
 def _lp_malfunction_time(sp, w, d) -> float:
     """T_M(w, d) at the split's order from one cold LP, max{lam >= 0 : B u = lam d - C w,
-    u in U_c} (reach's per-vertex LP), with no check of w or d."""
+    u in U_c} (reach's declined screen's LP), with no check of w or d."""
     w, d = np.asarray(w, dtype=float), np.asarray(d, dtype=float)
-    t1 = reach._order1_time(reach._vertex_lp(sp, w, d), d)[0]
+    scaling = lp.max_scaled_direction(sp.b, sp.u_min, sp.u_max, d, rhs_shift=-(w @ sp.c.T))
+    t1 = reach._order1_time(scaling, d)[0]
     return float(reach.order_k_time(t1, sp.base.order))
 
 

@@ -11,7 +11,6 @@ import resil.oracle as oracle_module
 from resil import catalog, cli, zonotope
 from resil.errors import CapacityError
 from resil.model import IntegratorSystem, save_system
-from resil.reach import ReachResult
 
 
 @pytest.fixture
@@ -266,8 +265,7 @@ def test_oracle_corrupted_theory_exits_nonzero(toy2_file, monkeypatch, capsys):
 
     def corrupted(split, d):
         res = real(split, d)
-        return ReachResult(time=res.time * 0.5,
-                           optimizer_u=res.optimizer_u, optimizer_w=res.optimizer_w)
+        return dataclasses.replace(res, time=res.time * 0.5)
 
     monkeypatch.setattr(oracle_module.reach, "malfunctioning_reach_time", corrupted)
     code = cli.main(["oracle", "--model", toy2_file, "--lost", "2", "-d", "-1",

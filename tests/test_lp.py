@@ -267,8 +267,8 @@ def test_hint_with_tied_twin_settles_without_pivots(highs):
     m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
     lo, hi = np.array([-1.0, -1.0, -0.5]), np.array([2.0, 0.5, 1.0])
     d, shift = np.array([1.0, 0.0]), np.array([0.5, 2.2])
-    facet = zonotope.build(m, lo, hi).start(d, shift)
-    assert facet.tolist() == [1]
+    lam_hat, facet = zonotope.build(m, lo, hi).start(d, shift)
+    assert (lam_hat, facet.tolist()) == (1.5, [1])
     problem = _scaling_problem(m, lo, hi, d, shift)
     cold, started = lp.solve(problem), lp.solve(problem, basis=[*facet, 3])
     assert cold.pivots > 0 and started.pivots == 0

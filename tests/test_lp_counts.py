@@ -76,11 +76,13 @@ def _ratio_case(model, lost, d, p, lps):
 @pytest.mark.parametrize(
     "model, lost, d, p, lps",
     [
-        # One LP at the worst vertex, from B's eroded slabs, one for T_N*.
-        _ratio_case("catalog:octocopter-trans:0", "1", "0,0,-1", 1, 2),
-        _ratio_case("catalog:octocopter-rot", "5,6,7,8", "1,0,0", 4, 2),
+        # T_M* and its worst vertex from B's eroded slabs, T_N* from B_bar's one-ray pass,
+        # and ratio prints no optimizer: no LP (2 -> 0: the LP at the worst vertex and
+        # T_N*'s restated those times).
+        _ratio_case("catalog:octocopter-trans:0", "1", "0,0,-1", 1, 0),
+        _ratio_case("catalog:octocopter-rot", "5,6,7,8", "1,0,0", 4, 0),
         # The same at n = 6: B's 2 C(13, 5) = 2574 candidates and B_bar's 4004.
-        _ratio_case("catalog:spacecraft-printed", "3", "0,0,0,0,0,1", 1, 2),
+        _ratio_case("catalog:spacecraft-printed", "3", "0,0,0,0,0,1", 1, 0),
     ],
 )
 def test_ratio_lp_count(lp_solves, capsys, tmp_path, model, lost, d, p, lps):
@@ -103,14 +105,12 @@ def test_oracle_scan_op_counts(lp_solves, lp_pivots, zonotope_builds, capsys):
     capsys.readouterr()
     # One image of B serves the grid, direction scan and homogeneity probe; one of
     # B_bar the probe, the scan's directions and its resilience gate.  The op
-    # solves 3 LPs: T_M*(d) of the grid theory, and the probe's T_M*(10d) (which
-    # normalizes to the same LP, solved again) and T_N*(10d).  The scan's theory
-    # value is 1/r_kq of its gate's report: t(+/-C)'s T_M* and T_N* are not solved
-    # (7 -> 3).
-    # Each starts at the facet where its ray leaves its image, an optimal basis:
-    # no pivots.
+    # solves no LP: the grid theory's T_M*(d) and the probe's T_M*(10d) are B's eroded
+    # slabs' times, its T_N*(10d) B_bar's one-ray pass's, and the op prints no
+    # optimizer (3 -> 0; 7 -> 3 before, when the scan's theory value, now 1/r_kq of
+    # its gate's report, took t(+/-C)'s T_M* and T_N*).
     assert zonotope_builds[0] == 2
-    assert lp_solves[0] == 1 + 2 == 3
+    assert lp_solves[0] == 3 - 3 == 0
     assert lp_pivots[0] == 0
 
 
@@ -120,45 +120,57 @@ def test_oracle_scan_op_screens_and_starts(gauge_calls, zonotope_starts, capsys)
     # No T_M* screens its vertices: the grid theory and the probe's T_M*(10d) take
     # theirs from B's eroded slabs.  The resilience gate reads controllability off
     # B_bar's slab sides, with no batch over its axes.  The grid scan, time_ratios' two
-    # batches and the probe's two remain: 5 scalings.  Only a solved T_N* LP names its
-    # start facet: 1, the probe's T_N*(10d) (3 -> 1: the scan solves no t(+/-C)).  The
-    # 2 solved T_M* LPs start at the eroded slab worst_vertex names with their vertex.
+    # batches and the probe's two remain: 5 scalings.  One start pass, the probe's
+    # T_N*(10d), whose time it gives (3 -> 1 when the scan dropped t(+/-C)); it names
+    # a facet no LP starts at, since the op reads no optimizer_u.
     assert (gauge_calls[0][0], zonotope_starts[0]) == (5, 1)
 
 
 def test_oracle_scan_op_cold_pivots(lp_solves, lp_pivots, monkeypatch, capsys):
-    # The same 3 solves from the cold two-phase start: every start is refused at the LP.
-    # T_M*(d) takes 6 pivots and T_N*(10d) 8; the probe's T_M*(10d) repeats T_M*(d)'s 6.
-    # The 31 pivots of t(+/-C)'s four LPs (8 + 9 + 6 + 8) are gone: 51 -> 20.
+    # Every start refused at the LP: the op still solves nothing, so no cold pivot runs.
+    # The 20 pivots of T_M*(d) (6), T_N*(10d) (8) and T_M*(10d) (6) went with those 3
+    # LPs (51 -> 20 when t(+/-C)'s four went, 8 + 9 + 6 + 8, and now 20 -> 0).
     monkeypatch.setattr(lp, "_hinted_start", lambda *args: None)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    assert lp_solves[0] == 3
-    assert lp_pivots[0] == 6 + 8 + 6 == 51 - 31
+    assert lp_solves[0] == 0
+    assert lp_pivots[0] == 51 - 31 - (6 + 8 + 6) == 0
 
 
 @pytest.mark.parametrize(
     "argv, solves, pivots",
     [
-        # T_M* starts at the facet of B's image where its ray leaves, T_N* at B_bar's:
-        # 0 pivots.
+        # simulate integrates both optimizers: T_M*'s LP starts at the eroded slab of B's
+        # image where its ray leaves, T_N*'s at B_bar's facet: 0 pivots.
         (["simulate", "octo-vertical-lag"], 2, 0),
-        # Both images are built, but along e1 neither start holds (the basic point
-        # leaves its box): both LPs run cold, with 15 and 13 pivots.
+        # Both images are built, but along e1 neither start would hold (the basic point
+        # leaves its box).  ratio reads no optimizer, so neither LP runs (2 -> 0, 15 + 13
+        # cold pivots -> 0); reach prints T_N*'s u, whose LP runs cold with 15 pivots.
         (["ratio", "--model", "catalog:spacecraft-printed", "--lost", "3",
-          "-d", "1,0,0,0,0,0"], 2, 15 + 13),
+          "-d", "1,0,0,0,0,0"], 0, 0),
+        (["reach", "--model", "catalog:spacecraft-printed", "--lost", "3",
+          "-d", "1,0,0,0,0,0"], 1, 15),
         # B has rank 1 (the four identical vertical propellers 1-4 are its only
-        # columns): its build is declined, and T_M*'s vertex LPs run cold, 5 and 2
-        # pivots, until the second vertex is infinite.  T_N* starts at B_bar's facet.
+        # columns): its build is declined, and T_M*'s screen solves all 2^4 vertex LPs
+        # cold (_times, as a gauge batch answers every vertex; before, the loop stopped
+        # at the second, infinite, vertex): 5 pivots at the first vertex, 2 at each of
+        # 10 more and 1 at the other 5.  T_M* is infinite and reach prints no T_M*
+        # optimizer; T_N*'s printed u starts at B_bar's facet with no pivot (3 -> 17).
+        # Three vertices whose shift -C w falls on B's vertical line only up to rounding
+        # (the tilted propellers' horizontal parts cancel) end infeasible under the
+        # SkylakeX and Haswell kernels, optimal after 5 pivots each under Prescott and
+        # Sandybridge: 30 or 40 pivots.  Vertex 1 is infeasible under all four, so T_M*
+        # is +inf at it either way.
         (["reach", "--model", "catalog:octocopter-trans:0", "-d", "0,0,1",
-          "--lost", "5,6,7,8"], 1 + 2, 5 + 2),
+          "--lost", "5,6,7,8"], 1 + 2**4, (5 + 2 * 10 + 1 * 5, 5 + 3 * 5 + 2 * 8 + 1 * 4)),
     ],
-    ids=["simulate-lag", "ratio-refused-starts", "reach-rank-deficient"],
+    ids=["simulate-lag", "ratio-refused-starts", "reach-refused-start",
+         "reach-rank-deficient"],
 )
 def test_op_pivots(lp_solves, lp_pivots, capsys, argv, solves, pivots):
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert (lp_solves[0], lp_pivots[0]) == (solves, pivots)
+    assert lp_solves[0] == solves and lp_pivots[0] in np.atleast_1d(pivots)
 
 
 def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch, capsys):
@@ -174,11 +186,11 @@ def test_ratio_op_starts_at_its_screen(zonotope_builds, gauge_calls, monkeypatch
     argv = ["ratio", "--model", "catalog:octocopter-trans", "--lost", "1", "-d", "0,0,-1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # B_bar's image starts T_N* at its exit facet.  No gauge pass: the
-    # worst vertex comes from B's eroded slabs, not a screen.  The eroded slab its ray
-    # leaves first starts the T_M* LP, which takes no pivot.
+    # B_bar's one-ray pass gives T_N*.  No gauge batch: the worst vertex and its time
+    # come from B's eroded slabs, not a screen.  ratio reads no optimizer: no LP
+    # (the two started LPs, each with no pivot, restated those times).
     assert (zonotope_builds[0], *(calls[0] for calls in gauge_calls)) == (2, 0, 0)
-    assert solves == [(True, 0), (True, 0)]
+    assert solves == []
 
 
 @pytest.mark.parametrize("argv", [["simulate", "octo-vertical-lag"], ["ratio", "--model",
@@ -196,8 +208,8 @@ def test_started_ops_never_reach_the_simplex(monkeypatch, capsys, argv):
 def test_ratio_op_over_156_candidates_starts_t_n(tmp_path, zonotope_builds, monkeypatch,
                                                 capsys):
     # n = 3 and 13 columns: B_bar's 2 C(13, 2) = 156 candidates (as multiloss's p >= 8
-    # ops) and B's 132 are built, and both LPs start at their facets: T_N* at B_bar's,
-    # T_M* at B's eroded slab.
+    # ops) and B's 132 are built.  ratio takes both times from them with no LP; reach
+    # prints T_N*'s u, whose LP starts at B_bar's facet with no pivot.
     b = np.random.default_rng(2).standard_normal((3, 13))
     path = tmp_path / "thirteen.json"
     save_system(IntegratorSystem("thirteen", 1, b, -np.ones(13), np.ones(13)), str(path))
@@ -212,14 +224,16 @@ def test_ratio_op_over_156_candidates_starts_t_n(tmp_path, zonotope_builds, monk
 
     monkeypatch.setattr(lp, "solve", recording)
     assert cli.main(["ratio", "--model", str(path), "--lost", "1", "-d", "1,0,0"]) == 0
+    assert zonotope_builds[0] == 2 and solves == []
+    assert cli.main(["reach", "--model", str(path), "--lost", "1", "-d", "1,0,0"]) == 0
     capsys.readouterr()
-    assert zonotope_builds[0] == 2
-    assert solves == [(True, 0), (True, 0)]
+    assert zonotope_builds[0] == 4
+    assert solves == [(True, 0)]
 
 
 #: (octocopter-trans yaw, lost column, d, seed) of scan-workload oracle ops (plan seed 1)
 #: whose started LPs fell back to the cold start, 4, 4, 2 and 1 of them, before tied
-#: columns could move: each solves a facet with identical propeller columns.
+#: columns could move: each poses a facet with identical propeller columns.
 TIED_SCAN_OPS = [
     ("161.4294515996179", "4", "0.49709871326222227,-0.1505085557139634,0.8545408380703287",
      "43088"),
@@ -249,8 +263,16 @@ def test_oracle_tied_facets_take_no_cold_start(monkeypatch, capsys, yaw, lost, d
             f"--direction={d}", "--grid", "21", "--samples", "60", "--seed", seed]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # Every LP starts at its facet, and a start that settles takes no pivot.
-    assert solves and solves == [(True, 0)] * len(solves)
+    assert solves == []  # the op's times are the gauge's
+    # The LPs the op solved before, T_M*(d), T_M*(10 d) and T_N*(10 d), now run only for
+    # an optimizer: each starts at its facet, and a start that settles takes no pivot.
+    sys = catalog.resolve(f"octocopter-trans:{yaw}")
+    sp, ray = split(sys, int(lost) - 1), np.array(d.split(","), dtype=float)
+    for result in (reach.malfunctioning_reach_time(sp, ray),
+                   reach.malfunctioning_reach_time(sp, 10.0 * ray),
+                   reach.nominal_reach_time(sys, 10.0 * ray)):
+        assert result.optimizer_u is not None
+    assert solves == [(True, 0)] * 3
 
 
 def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, capsys):
@@ -269,13 +291,14 @@ def test_oracle_declined_build_counts(lp_solves, zonotope_builds, monkeypatch, c
 
 
 def test_oracle_scan_ops_reuse_nothing_across_ops(lp_solves, zonotope_builds, capsys):
-    # Each op loads its own system: the second op builds its 2 images and solves its
-    # 3 LPs again (7 -> 3 per op: the scan's theory value takes no LP).
+    # Each op loads its own system: the second op builds its 2 images again.  Neither
+    # solves an LP (7 -> 3 per op when the scan's theory value took none, 3 -> 0 since
+    # the times are the gauge's).
     assert cli.main(SCAN_OP) == 0
-    assert (zonotope_builds[0], lp_solves[0]) == (2, 3)
+    assert (zonotope_builds[0], lp_solves[0]) == (2, 0)
     assert cli.main(SCAN_OP) == 0
     capsys.readouterr()
-    assert (zonotope_builds[0], lp_solves[0]) == (4, 6)
+    assert (zonotope_builds[0], lp_solves[0]) == (4, 0)
 
 
 def test_system_builds_its_image_once(zonotope_builds, fresh):
@@ -344,12 +367,14 @@ def test_library_calls_outside_a_scope_solve_every_lp(lp_solves):
     sp = split(catalog.octocopter_translational(), 0)
     d = np.array([0.0, 0.0, -1.0])
     reach.time_ratio(sp, d)
-    once = lp_solves[0]
-    reach.time_ratio(sp, d)
-    # The split keeps its images, not LP outcomes: T_N* plus the T_M* at the eroded
-    # slabs' worst vertex, both times.
-    assert once == 2
-    assert lp_solves[0] == 2 * once
+    assert lp_solves[0] == 0  # both times from the kept images (2 -> 0)
+    # The split keeps its images, not LP outcomes: T_N*'s and T_M*'s optimizers are
+    # solved on each result's first read, and only then.
+    for _ in range(2):
+        results = [reach.nominal_reach_time(sp.base, d), reach.malfunctioning_reach_time(sp, d)]
+        for result in results:
+            assert result.optimizer_u is result.optimizer_u is not None
+    assert lp_solves[0] == 2 * 2
 
 
 def test_simulate_out_dir_lp_count(lp_solves, gauge_calls, capsys, tmp_path):
@@ -358,8 +383,8 @@ def test_simulate_out_dir_lp_count(lp_solves, gauge_calls, capsys, tmp_path):
     without, screens = lp_solves[0], gauge_calls[0][0]
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    # T_N* and T_M* once each; the trajectories reuse the scenario.  T_M*'s worst
-    # vertex comes from B's eroded slabs: no screen (1 -> 0 scalings).
+    # T_N*'s and T_M*'s optimizers once each; the trajectories reuse the scenario.
+    # T_M*'s worst vertex comes from B's eroded slabs: no screen (1 -> 0 scalings).
     assert lp_solves[0] - without == without == 2
     assert gauge_calls[0][0] - screens == screens == 0
 
@@ -433,8 +458,31 @@ def test_ratio_t_matches_time_ratio_infinite_t_m(tmp_path, capsys):
     assert doc["t"] == to_machine(reach.time_ratio(sp, np.array([1.0, 0.0, 0.0]))) == "inf"
 
 
-def test_ratio_t_matches_time_ratio_both_times_zero(tmp_path, capsys, unbounded_lp):
+def test_ratio_t_matches_time_ratio_both_times_zero(tmp_path, capsys, unbounded_lp, monkeypatch):
+    # The stub acts on the LP path only: decline both images.
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     doc = _cli_ratio(tmp_path, "catalog:octocopter-trans:0", "1", "0,0,-1")
     sp = split(catalog.octocopter_translational(), 0)
     assert doc["T_N"] == doc["T_M"] == 0.0
     assert doc["t"] == reach.time_ratio(sp, np.array([0.0, 0.0, -1.0])) == 1.0
+
+
+@pytest.mark.parametrize("model, lost, d", [
+    ("catalog:octocopter-trans:0", "1", "0,0,-1"),  # T_M* from B's eroded slabs
+    ("catalog:octocopter-trans:0", "5", "0,0,1"),  # not resilient: the vertex screen
+    ("catalog:octocopter-trans:0", "5,6,7,8", "0,0,1"),  # B has rank 1: declined, cold LPs
+    ("catalog:spacecraft-printed", "3", "0,0,0,0,0,1"),
+], ids=["eroded", "screen", "declined", "spacecraft"])
+def test_ratio_and_reach_report_one_time(tmp_path, capsys, model, lost, d):
+    # reach solves T_N*'s LP for its printed u, ratio none: both print and write the same
+    # T_N* and T_M*, which come from the engine the image allows, not from that LP.
+    lines, docs = [], []
+    for command in ("ratio", "reach"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--model", model, "--lost", lost, "-d", d,
+                         "--out", str(out)]) == 0
+        lines.append([x for x in capsys.readouterr().out.splitlines() if x.startswith("T_")])
+        docs.append(json.loads(out.read_text()))
+    assert lines[0] == lines[1] and len(lines[0]) == 2
+    assert [doc["T_N"] for doc in docs] == [docs[0]["T_N"]] * 2
+    assert [doc["T_M"] for doc in docs] == [docs[0]["T_M"]] * 2

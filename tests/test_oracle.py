@@ -98,7 +98,9 @@ def test_homogeneity_identity_scale(toy2_split):
 
 @pytest.fixture
 def inhomogeneous_lp(monkeypatch):
-    """max_scaled_direction with lam scaled by 1 + 1e-6 |d|: a homogeneity fault."""
+    """max_scaled_direction with lam scaled by 1 + 1e-6 |d|: a homogeneity fault, on declined
+    images (a cap of 0 candidates), where the LP reports every time."""
+    monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     real = lp.max_scaled_direction
 
     def faulty(m, lower, upper, d, rhs_shift=None, **kwargs):
@@ -127,10 +129,11 @@ def test_homogeneity_fault_caught_without_scope(inhomogeneous_lp, toy2_split):
 @pytest.mark.parametrize("k", [2, 3])
 def test_homogeneity_at_the_system_order(toy2, k, inhomogeneous_lp):
     # The probe checks the times it reports, T_k(alpha d) = alpha^(1/k) T_k(d), so it sees
-    # the LP's fault at T_k(10 d) as the order-k times show it: (1 + 1e-5)^(1/k) - 1.
+    # the LP's fault as the order-k times show it: the anchor T_k(10 d) is short by
+    # (1 + 1e-5)^(1/k), the batch's T_k(0.5 d) by (1 + 5e-7)^(1/k) (|d| = 1).
     sp = split(dataclasses.replace(toy2, order=k), 1)
     err = oracle.homogeneity_probe(sp, [-1.0], SCALES)
-    assert err == pytest.approx(1e-5 / k, rel=1e-3)
+    assert err == pytest.approx(((1.0 + 1e-5) / (1.0 + 5e-7)) ** (1.0 / k) - 1.0, rel=1e-6)
 
 
 @pytest.fixture
@@ -146,8 +149,9 @@ def inhomogeneous_gauge(monkeypatch):
 
 
 def test_homogeneity_fault_in_gauge_caught(inhomogeneous_gauge, tmp_path, capsys):
-    # The scans' rays are unit, so only the probe's 10d sees the fault: its gauge
-    # time there is 1e-5 relative short of the LP's.
+    # The scans' rays are unit, so only the probe's 10d sees the fault: its batch time
+    # there is 1e-5 relative short of the anchor's, which Zonotope.start's one-ray pass
+    # gives.
     out = tmp_path / "oracle.json"
     argv = ["oracle", "--model", "catalog:octocopter-trans:0", "--lost", "1",
             "-d", "0,0,-1", "--grid", "21", "--samples", "60", "--out", str(out)]

@@ -71,17 +71,19 @@ def test_malfunctioning_reach_toy3_tie_break(toy3_split):
 
 @pytest.fixture
 def stubbed_vertex_lps(toy2_split, monkeypatch):
-    """Declines B's image and answers each vertex LP of toy2_split (W_c = [0, 1]) with the lam
-    the test sets per vertex, optimizer u = [w]; returns (lams by w, the vertices solved)."""
+    """Declines B's image and answers each cold vertex LP of toy2_split's screen (W_c =
+    [0, 1], -C w = w) with the lam the test sets per vertex, optimizer u = [w]; returns
+    (lams by w, the vertices solved)."""
     monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
     lams, solved = {}, []
 
-    def stub(split, w, d, image=None, basis=None):
-        assert image is None and basis is None  # the cold per-vertex LPs
-        solved.append(float(w[0]))
-        return lp.DirectionScaling(lams[float(w[0])], argument=np.array(w, dtype=float))
+    def stub(m, lower, upper, d, rhs_shift=None, basis=None):
+        assert basis is None  # the declined screen's LPs, and its optimizer's, start cold
+        w = float(rhs_shift[0])
+        solved.append(w)
+        return lp.DirectionScaling(lams[w], argument=np.array([w]))
 
-    monkeypatch.setattr(reach, "_vertex_lp", stub)
+    monkeypatch.setattr(lp, "max_scaled_direction", stub)
     return lams, solved
 
 
@@ -94,23 +96,26 @@ def test_vertex_lps_break_ties_as_the_screen(toy2_split, stubbed_vertex_lps):
     assert 1.0 / lams[1.0] == np.nextafter(2.0, 3.0)
     res = reach.malfunctioning_reach_time(toy2_split, [-1.0])
     assert (res.time, res.optimizer_w.tolist(), res.optimizer_u.tolist()) == (2.0, [0.0], [0.0])
+    assert solved == [0.0, 1.0, 0.0]  # the screen, then optimizer_u's LP at its vertex
     lams[0.0], lams[1.0] = lams[1.0], lams[0.0]
     res = reach.malfunctioning_reach_time(toy2_split, [-1.0])
     assert (res.time, res.optimizer_w.tolist()) == (np.nextafter(2.0, 3.0), [0.0])
     # A time larger by more than the tolerance still wins.
     lams[1.0] = 0.5 * (1.0 - 1e-9)
     assert reach.malfunctioning_reach_time(toy2_split, [-1.0]).optimizer_w.tolist() == [1.0]
-    assert solved == [0.0, 1.0] * 3
+    assert solved == [0.0, 1.0, 0.0] + [0.0, 1.0] * 2  # optimizer_u unread: no LP
 
 
 @pytest.mark.parametrize("lams, worst, solved", [
-    ({0.0: 0.0, 1.0: 0.5}, 0.0, [0.0]),  # the first vertex is infinite: no further LP
-    ({0.0: 0.5, 1.0: 0.0}, 1.0, [0.0, 1.0]),
+    ({0.0: 0.0, 1.0: 0.5}, 0.0, [0.0, 1.0]),  # the first vertex is infinite: the screen
+    ({0.0: 0.5, 1.0: 0.0}, 1.0, [0.0, 1.0]),  # still solves both, as a gauge batch would
 ])
 def test_vertex_lps_first_infinite_wins(toy2_split, stubbed_vertex_lps, lams, worst, solved):
+    # The first infinite vertex wins; an infinite time has no optimizer_u, so no LP follows.
     stubbed_vertex_lps[0].update(lams)
     res = reach.malfunctioning_reach_time(toy2_split, [-1.0])
     assert (math.isinf(res.time), res.optimizer_w.tolist()) == (True, [worst])
+    assert res.optimizer_u is None
     assert stubbed_vertex_lps[1] == solved
 
 
@@ -122,17 +127,24 @@ def test_vertex_lps_first_infinite_wins(toy2_split, stubbed_vertex_lps, lams, wo
     (np.nextafter(lp.UNIT_THRESHOLD, math.inf), 5.0 / np.nextafter(lp.UNIT_THRESHOLD, math.inf)),
     (0.5, 10.0),  # 2 |d|
 ], ids=["nan", "inf", "zero", "threshold", "above-threshold", "half"])
-def test_one_rule_at_its_edges(toy1, monkeypatch, lam_hat, time):
+def test_one_rule_at_its_edges(toy1, fresh, monkeypatch, lam_hat, time):
     # One lam_hat, from a stubbed LP or a stubbed image, gives one time on every path.
     d = np.array([3.0, 4.0])  # |d| = 5
     scaling = lp.DirectionScaling(lam_hat, np.zeros(2) if math.isfinite(lam_hat) else None)
     monkeypatch.setattr(lp, "max_scaled_direction", lambda *args, **kwargs: scaling)
-    image = SimpleNamespace(scalings=lambda d, s: np.full((len(d), len(s)), lam_hat))
-    res = reach.nominal_reach_time(toy1, d)
+    image = SimpleNamespace(scalings=lambda d, s: np.full((len(d), len(s)), lam_hat),
+                            start=lambda d, s: (np.float64(lam_hat), None))
+    built, declined = fresh(toy1), fresh(toy1)
+    for sys, kept in ((built, image), (declined, None)):  # each keeps the image it builds
+        monkeypatch.setattr(zonotope, "build", lambda *args: kept)
+        assert sys.image is kept
+    results = [reach.nominal_reach_time(sys, d) for sys in (built, declined)]
     batch = [reach._times(toy1.b_bar, toy1.u_min, toy1.u_max, d, np.zeros(2), zono)[0, 0]
              for zono in (None, image)]
-    assert res.time == batch[0] == batch[1] == pytest.approx(time, rel=1e-15)
-    assert (res.optimizer_u is not None) == (0.0 < time < math.inf)
+    assert results[0].time == results[1].time == batch[0] == batch[1]
+    assert batch[0] == pytest.approx(time, rel=1e-15)
+    for res in results:
+        assert (res.optimizer_u is not None) == (0.0 < time < math.inf)
 
 
 def test_declined_batch_has_the_scalar_bits(monkeypatch, lp_malfunction_time):
@@ -371,3 +383,37 @@ def test_order_k_consistency_toy2(toy2, toy2_split):
         tk = reach.malfunctioning_reach_time(split(dataclasses.replace(toy2, order=k), 1),
                                              [-1.0]).time
         assert tk**k == pytest.approx(math.factorial(k) * t1, rel=1e-12)
+
+
+@pytest.mark.parametrize("declined", [False, True], ids=["screen", "declined"])
+def test_optimizer_lp_poses_the_screen_row(monkeypatch, declined):
+    # For p >= 2, -(C @ w) and w's row of the batch product -(W @ C.T) may differ in the
+    # last bits.  optimizer_u's LP at the screened vertex poses the screen's own row, bit
+    # for bit: on the gauge screen (the eroded slabs cannot tell) and on a declined build.
+    if declined:
+        monkeypatch.setattr(zonotope, "MAX_CANDIDATES", 0)
+    else:
+        monkeypatch.setattr(zonotope.Zonotope, "worst_vertex", lambda *args: None)
+    posed, real = [], lp.max_scaled_direction
+
+    def recording(m, lower, upper, d, rhs_shift=None, basis=None):
+        posed.append(rhs_shift)
+        return real(m, lower, upper, d, rhs_shift=rhs_shift, basis=basis)
+
+    monkeypatch.setattr(lp, "max_scaled_direction", recording)
+    rng, checked = np.random.default_rng(4), 0
+    for _ in range(20):
+        n, p = 3, int(rng.integers(2, 5))
+        b = rng.standard_normal((n, 5 + p)) * np.r_[np.ones(5), np.full(p, 0.1)]  # C small
+        lo, hi = -rng.uniform(0.5, 2.0, 5 + p), rng.uniform(0.5, 2.0, 5 + p)
+        sys = IntegratorSystem("r", 1, b, lo, hi)
+        sp, d = split(sys, tuple(range(5, 5 + p))), rng.standard_normal(n)
+        res = reach.malfunctioning_reach_time(sp, d)
+        if math.isinf(res.time):
+            continue
+        assert res.optimizer_u is not None
+        vertices = reach.w_vertices(sp)
+        row = -(vertices @ sp.c.T)[np.flatnonzero((vertices == res.optimizer_w).all(axis=1))[0]]
+        assert posed[-1].tobytes() == row.tobytes()
+        checked += 1
+    assert checked >= 10

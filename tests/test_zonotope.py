@@ -173,16 +173,17 @@ def test_hinted_lp_matches_cold(seed):
     shifts = -(reach.w_vertices(sp) @ sp.c.T)
     for d in directions:
         for s in shifts:
-            _assert_hint_matches_cold(sp.b, sp.u_min, sp.u_max, d, s, zono.start(d, s))
+            _assert_hint_matches_cold(sp.b, sp.u_min, sp.u_max, d, s, zono.start(d, s)[1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 @example(seed=627)  # n = 6: the started and cold T_N* differ by 7.2e-12 relative
 def test_started_nominal_time_matches_cold_and_highs(seed, highs):
-    # T_N* started at B_bar's exit facet (identical, anti-parallel and zero columns among
-    # B_bar's) is the cold LP's to HINT_REL and HiGHS's to REL; its optimizer lies in the
-    # box with B_bar u = d/T, each row to FEAS_TOL of its magnitude.  Seed 627 has the
+    # T_N*'s LP started at B_bar's exit facet (identical, anti-parallel and zero columns
+    # among B_bar's) is the cold LP's to HINT_REL, and the reported time, the gauge's, is
+    # HiGHS's to REL; optimizer_u, solved at its first read, lies
+    # in the box with B_bar u = lam d/|d|, each row to FEAS_TOL of its magnitude.  Seed 627 has the
     # largest gap over 3000 seeds, every start accepted: against exact rational arithmetic
     # at its basis the started LP errs by 5.9e-12, the cold one by 1.3e-12.
     rng = np.random.default_rng(seed)
@@ -198,15 +199,19 @@ def test_started_nominal_time_matches_cold_and_highs(seed, highs):
     if sys.image is None:
         assert np.linalg.matrix_rank(b) < sys.n
         return
-    with pytest.MonkeyPatch.context() as mp:  # the system's image starts T_N*
+    with pytest.MonkeyPatch.context() as mp:  # the system's image starts T_N*'s LP
         mp.setattr(lp, "_hinted_start", recording)
         started = reach.nominal_reach_time(sys, d)
+        assert not accepted  # the time is the gauge's: no LP until optimizer_u is read
+        u = started.optimizer_u
     assert len(accepted) == 1 and accepted[0] is not None
     cold = lp.max_scaled_direction(b, lo, hi, d).lam_hat
+    facet = sys.image.start(d, np.zeros(sys.n))[1]
+    hinted = lp.max_scaled_direction(b, lo, hi, d, basis=facet).lam_hat
     assert lp.UNIT_THRESHOLD < cold < math.inf
-    assert started.time == pytest.approx(np.linalg.norm(d) / cold, rel=HINT_REL)
+    assert hinted == pytest.approx(cold, rel=HINT_REL)
     assert started.time == pytest.approx(highs.reach_time(b, lo, hi, d), rel=REL)
-    u, lam_d = started.optimizer_u, d / started.time
+    lam_d = hinted / np.linalg.norm(d) * d
     assert np.all(lo <= u) and np.all(u <= hi)
     extent = np.abs(b) @ np.maximum(np.abs(lo), np.abs(hi))
     assert np.all(np.abs(b @ u - lam_d) <= lp.FEAS_TOL * (extent + np.abs(lam_d)))
@@ -225,8 +230,11 @@ def test_exit_facet_is_tight(seed):
     units = directions / np.linalg.norm(directions, axis=1)[:, None]
     slabs = {tuple(subset): k for k, subset in enumerate(zono.subsets.tolist())}
     for (i, j), lam in np.ndenumerate(lam_hat):
-        subset = zono.start(directions[i], shifts[j])
-        assert (subset is None) == math.isinf(lam), (i, j)
+        one, subset = zono.start(directions[i], shifts[j])
+        assert (subset is None) == math.isinf(lam) == math.isinf(one), (i, j)
+        if lp.UNIT_THRESHOLD < lam < math.inf:  # a lam of rounding size has no digits
+            # to agree on: start's pass and the batch form the products in other orders
+            assert one == pytest.approx(lam, rel=1e-12), (i, j)
         if 0.0 < lam < math.inf:
             # start's facet holds with equality at the exit point, on the side of its slab
             # (+a or -a) that the ray moves toward.
@@ -284,14 +292,14 @@ def _stacked_scalings(image, directions, shifts) -> np.ndarray:
     return lam
 
 
-def _stacked_start(image, d, shift) -> np.ndarray | None:
-    """Zonotope.start by _stacked_exit's row % K, from the products start forms."""
+def _stacked_start(image, d, shift) -> tuple[np.ndarray, np.ndarray | None]:
+    """Zonotope.start by _stacked_exit's lam and row % K, from the products start forms."""
     scaled = d / np.sqrt(d @ d) / image.scale
     shifted = _pm(image.normals @ (shift / image.scale))
     block = (0, np.concatenate([image.plus, image.minus]) - shifted, _pm(image.normals @ scaled),
              np.sqrt(scaled @ scaled), np.tile(image.extent, 2) + np.abs(shifted))
-    row = int(_stacked_exit([block], facets=True)[1])
-    return None if row < 0 else image.subsets[row % len(image.plus)]
+    lam, row = _stacked_exit([block], facets=True)
+    return lam, (None if row < 0 else image.subsets[row % len(image.plus)])
 
 
 def _stacked_lambdas_without(image, columns) -> np.ndarray:
@@ -316,7 +324,7 @@ def _stacked_lambdas_without(image, columns) -> np.ndarray:
 
 
 def _assert_slabs_match_stacked(image, rng) -> None:
-    """scalings' and lambdas_without's lam, and the facet start names on each ray, equal
+    """scalings' and lambdas_without's lam, and start's lam and facet on each ray, equal
     the stacked reference's bit for bit (nan included): both form the same products, so
     only the exit rule could differ."""
     n = image.normals.shape[1]
@@ -329,7 +337,8 @@ def _assert_slabs_match_stacked(image, rng) -> None:
     assert np.array_equal(image.scalings(directions, shifts),
                           _stacked_scalings(image, directions, shifts), equal_nan=True)
     for d, s in itertools.product(directions, shifts):
-        got, want = image.start(d, s), _stacked_start(image, d, s)
+        (lam, got), (lam_want, want) = image.start(d, s), _stacked_start(image, d, s)
+        assert np.array_equal(lam, lam_want, equal_nan=True), (d, s)
         assert (got is None and want is None) or np.array_equal(got, want), (d, s)
     nonzero = np.flatnonzero(np.any(image.generators != 0.0, axis=0))
     got = image.lambdas_without(nonzero)
@@ -697,11 +706,21 @@ def _assert_row_is_starts(zono, sp, d, w, row) -> None:
     exact tie (twin or anti-parallel columns repeat a facet), one where T_M(w, d)'s LP
     started afresh has start's value to HINT_REL (4.2e-15 at most over 3000 seeds of
     each generator)."""
-    start = zono.start(d, -(sp.c @ w))
+    shift = -(w @ sp.c.T)
+    start = zono.start(d, shift)[1]
     if np.array_equal(row, start):
         return
-    at_row, at_start = (reach._vertex_lp(sp, w, d, basis=facet) for facet in (row, start))
+    at_row, at_start = (lp.max_scaled_direction(sp.b, sp.u_min, sp.u_max, d, rhs_shift=shift,
+                                                basis=facet) for facet in (row, start))
     assert at_row.lam_hat == pytest.approx(at_start.lam_hat, rel=HINT_REL)
+
+
+def _started_vertex_time(zono, sp, w, d) -> float:
+    """T_M(w, d) at order 1 from the LP started where its ray leaves B's image, as
+    optimizer_u's LP starts on the screen path."""
+    shift = -(w @ sp.c.T)
+    return reach._order1_time(lp.max_scaled_direction(
+        sp.b, sp.u_min, sp.u_max, d, rhs_shift=shift, basis=zono.start(d, shift)[1]), d)[0]
 
 
 def _screened_vertex(zono, sp, d) -> tuple[int, np.ndarray]:
@@ -730,13 +749,15 @@ def test_worst_vertex_matches_enumeration(seed, redundant, highs, gauge_calls):
         assert gauge_calls[0][0] == 1  # the screen ran
     if found is None:
         return
-    w, row = found
+    lam_hat, w, row = found
     _assert_row_is_starts(zono, sp, d, w, row)
-    # Every vertex LP started as T_M*'s is, which HINT_REL would separate from a cold
-    # one: equal where the vertex is, tied within 6.5e-14 (seed 819) where not.
-    times = [reach._order1_time(reach._vertex_lp(sp, v, d, zono), d)[0] for v in vertices]
+    # T_M* is the eroded slabs' lam_hat, and the largest of the vertex LPs started as
+    # optimizer_u's is, which HINT_REL would separate from a cold one: equal where the
+    # vertex is, tied within 6.5e-14 (seed 819) where not.
+    times = [_started_vertex_time(zono, sp, v, d) for v in vertices]
     got = reach.malfunctioning_reach_time(sp, d)
     assert np.array_equal(got.optimizer_w, w)
+    assert got.time == float(reach._order1_times(lam_hat, np.sqrt(d @ d)))
     assert got.time == pytest.approx(max(times), rel=1e-12)
     ref = max(highs.reach_time(sp.b, sp.u_min, sp.u_max, d, shift=-(sp.c @ v))
               for v in vertices)
@@ -757,7 +778,7 @@ def test_worst_vertex_rounding_ties(seed, monkeypatch):
     old, screened = _screened_vertex(zono, sp, d)
     assert np.unique(screened).size < screened.size
     vertices = reach.w_vertices(sp)
-    tied, row = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
+    _, tied, row = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
     assert np.array_equal(tied, vertices[old])
     _assert_row_is_starts(zono, sp, d, tied, row)
     # Whatever the kernel's residue, move each C_j along the exit facet's normal a until
@@ -768,9 +789,9 @@ def test_worst_vertex_rounding_ties(seed, monkeypatch):
     near = zono.plus[k] if toward > 0.0 else zono.minus[k]
     want = -np.sign(toward) * 0.5 * zonotope.VERTEX_TIE_RTOL * near / (sp.w_max - sp.w_min)
     c = sp.c + np.outer(zono.scale * a, want - a @ (sp.c / zono.scale[:, None]))
-    assert np.array_equal(zono.worst_vertex(d, c, sp.w_min, sp.w_max)[0], tied)
+    assert np.array_equal(zono.worst_vertex(d, c, sp.w_min, sp.w_max)[1], tied)
     monkeypatch.setattr(zonotope, "VERTEX_TIE_RTOL", 0.0)
-    assert np.array_equal(zono.worst_vertex(d, c, sp.w_min, sp.w_max)[0], sp.w_max)
+    assert np.array_equal(zono.worst_vertex(d, c, sp.w_min, sp.w_max)[1], sp.w_max)
 
 
 @pytest.mark.parametrize("name, resilient", [("octocopter-rot", range(8)),
@@ -790,54 +811,48 @@ def test_worst_vertex_on_catalog_single_losses(name, resilient):
         for d in directions:
             found = zono.worst_vertex(d, sp.c, sp.w_min, sp.w_max)
             if j in resilient:
-                w, row = found
+                _, w, row = found
                 assert np.array_equal(w, reach.w_vertices(sp)[_screened_vertex(zono, sp, d)[0]])
                 _assert_row_is_starts(zono, sp, d, w, row)
             else:
                 assert found is None
 
 
-def test_screen_disagreeing_with_lp_enumerates(toy1_split, monkeypatch, lp_solves, fresh):
+def test_screen_verdict_stands(toy1_split, monkeypatch, lp_solves):
+    # The eroded slabs cannot tell, so the screen runs; it finds every vertex infeasible,
+    # and that is T_M*: +inf at the first vertex, with no LP to second-guess it.
     d = np.array([1.0, 0.3])
-    with pytest.MonkeyPatch.context() as mp:
-        _lp_only(mp)
-        enumerated = reach.malfunctioning_reach_time(fresh(toy1_split), d)
-    lp_solves[0] = 0
-    # The eroded slabs cannot tell, so the screen runs; it finds every vertex
-    # infeasible, and the LP at vertex 0 is finite.
+
     def infeasible(self, dirs, shifts):
         return np.full((1, len(np.atleast_2d(shifts))), np.nan)
 
     monkeypatch.setattr(zonotope.Zonotope, "worst_vertex", lambda *args: None)
     monkeypatch.setattr(zonotope.Zonotope, "scalings", infeasible)
     result = reach.malfunctioning_reach_time(toy1_split, d)
-    assert result.time == enumerated.time
-    assert np.array_equal(result.optimizer_w, enumerated.optimizer_w)
-    assert lp_solves[0] == 1 + 2  # the screened vertex, then both vertices
+    assert math.isinf(result.time) and result.optimizer_u is None
+    assert np.array_equal(result.optimizer_w, reach.w_vertices(toy1_split)[0])
+    assert lp_solves[0] == 0
 
 
-def test_infinite_lp_at_worst_vertex_enumerates(toy3_split, monkeypatch, lp_solves, gauge_calls,
-                                                fresh):
+def test_eroded_slabs_time_stands(toy3_split, monkeypatch, lp_solves, gauge_calls, fresh):
+    # The eroded slabs name a vertex and its lam_hat, which give T_M* with no screen and no
+    # LP: an LP stubbed to find no lam at that vertex reaches only optimizer_u, read last.
     d = np.array([1.0, 0.3])
     with pytest.MonkeyPatch.context() as mp:
         _lp_only(mp)
         enumerated = reach.malfunctioning_reach_time(fresh(toy3_split), d)
     lp_solves[0] = 0
-    # The eroded slabs name a vertex with a finite time, and the stubbed LP at it finds
-    # none: no screen runs, and every vertex gets its LP.
-    real, calls = lp.max_scaled_direction, []
-
-    def first_infeasible(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
-            return lp.DirectionScaling(math.nan)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "max_scaled_direction", first_infeasible)
+    lam_hat, w, _ = toy3_split.image.worst_vertex(d, toy3_split.c, toy3_split.w_min,
+                                                  toy3_split.w_max)
+    monkeypatch.setattr(lp, "max_scaled_direction",
+                        lambda *args, **kwargs: lp.DirectionScaling(math.nan))
     result = reach.malfunctioning_reach_time(toy3_split, d)
-    assert result.time == enumerated.time
-    assert np.array_equal(result.optimizer_w, enumerated.optimizer_w)
-    assert (len(calls), lp_solves[0], gauge_calls[0][0]) == (1 + 2**2, 2**2, 0)
+    assert result.time == float(reach._order1_times(lam_hat, np.sqrt(d @ d)))
+    assert result.time == pytest.approx(enumerated.time, rel=1e-15)
+    assert np.array_equal(result.optimizer_w, w)
+    assert np.array_equal(w, enumerated.optimizer_w)
+    assert (lp_solves[0], gauge_calls[0][0]) == (0, 0)
+    assert result.optimizer_u is None  # the stubbed LP's answer
 
 
 def test_rank_deficient_takes_lp_path(lp_solves):
@@ -913,7 +928,9 @@ def _assert_ties_go_to_the_lowest_row(toward, plus, minus) -> np.ndarray:
     tied = limits == limits.min(axis=1)[:, None]
     assert np.any(tied.sum(axis=1) > 1)
     lowest = np.argmax(tied, axis=1)
-    assert [zonotope._exit([(0, plus, minus, t, 0.0, None)]) for t in toward] == lowest.tolist()
+    extent = np.zeros_like(plus)
+    rows = [zonotope._exit([(0, plus, minus, t, 0.0, extent)], facet=True)[1] for t in toward]
+    assert rows == lowest.tolist()
     return lowest
 
 
@@ -926,7 +943,7 @@ def test_start_ties_go_to_the_lowest_row():
     toward = np.array([zono.normals @ (d / np.sqrt(d @ d) / zono.scale) for d in rays])
     lowest = _assert_ties_go_to_the_lowest_row(toward, zono.plus, zono.minus)
     for d, row in zip(rays, lowest):
-        assert np.array_equal(zono.start(d, np.zeros(3)), zono.subsets[row % len(zono.plus)])
+        assert np.array_equal(zono.start(d, np.zeros(3))[1], zono.subsets[row % len(zono.plus)])
     # Ray 0 leaves through slab 0's -a side (row 3) and slab 2's +a side (row 2)
     # at once: the +a row is the lower.  Ray 1 ties between two -a sides.
     toward = np.array([[-1.0, 0.5, 2.0], [-1.0, 0.5, -2.0]])
